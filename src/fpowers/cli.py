@@ -49,7 +49,7 @@ from .liouville import (
     homogenization_property_suite,
     initial_ideal,
 )
-from .logder import FactorizationSpec, log_derivations
+from .logder import FactorizationSpec
 from .nabla import nabla_surjective, s_regularity_check
 from .ring import (
     MonomialOrder,
@@ -177,7 +177,10 @@ def load_problem(path: str) -> Problem:
             raise _UsageError(f"factor {k + 1}: {e}")
     if any(f.is_zero() for f in factors):
         raise _UsageError("factors must be nonzero")
-    fspec = FactorizationSpec(list(variables), factors)
+    try:
+        fspec = FactorizationSpec(list(variables), factors)
+    except ValueError as e:  # a constant factor
+        raise _UsageError(str(e))
     arrangement = None
     arrangement_echo = None
     if "arrangement" in data:
@@ -409,8 +412,8 @@ def _dispatch(args, payload: Dict[str, object]) -> int:
 
     if cmd == "logder":
         code = _gate(cmd, F, limits, assume, payload)
-        log_b = log_derivations(F.f, "log", limits)
-        log0_b = log_derivations(F.f, "log0", limits)
+        log_b = F.log_derivations("log", limits)
+        log0_b = F.log_derivations("log0", limits)
         results["log"] = [_serialize_derivation(d, F) for d in log_b]
         results["log0"] = [_serialize_derivation(d, F) for d in log0_b]
         return code
@@ -641,10 +644,31 @@ def _cmd_appendix(args, payload: Dict[str, object]) -> int:
     return 0
 
 
+# options whose value may start with "-" (a negative coordinate, a negated
+# form); argparse would read a separate "-1,0" as an unknown option
+_SIGNED_VALUE_OPTIONS = ("--point", "--form")
+
+
+def _attach_signed_values(argv: Sequence[str]) -> List[str]:
+    """Rewrite "--point -1,0" as "--point=-1,0" (likewise --form)."""
+    out: List[str] = []
+    i = 0
+    while i < len(argv):
+        arg = argv[i]
+        if (arg in _SIGNED_VALUE_OPTIONS and i + 1 < len(argv)
+                and not argv[i + 1].startswith("--")):
+            out.append(f"{arg}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(arg)
+            i += 1
+    return out
+
+
 def run_command(argv: Sequence[str]) -> Tuple[int, Dict[str, object]]:
     payload: Dict[str, object] = {"command": argv[0] if argv else ""}
     try:
-        args = _build_parser().parse_args(list(argv))
+        args = _build_parser().parse_args(_attach_signed_values(argv))
     except _UsageError as e:
         payload["error"] = str(e)
         return 1, payload

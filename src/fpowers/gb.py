@@ -1,7 +1,11 @@
 """Commutative Groebner engine over Q and derived ideal queries.
 
 Buchberger with the normal selection strategy and both classical skip
-criteria, exact arithmetic throughout.  On top of the basis: normal forms,
+criteria, exact arithmetic throughout.  Pending S-pairs sit in one
+PairQueue, shared with the module basis here and the left bases of
+weyl.py: each pair is keyed once, by the order key of its lcm, and the
+queue pops the smallest (key, i, j) from a heap, so ties go to the lower
+indices.  On top of the basis: normal forms,
 membership, elimination, intersections, colon ideals, saturation, radical
 membership, Krull dimension via independent variable sets, module syzygies
 (extended-basis construction), and minimal graded free resolutions with a
@@ -10,6 +14,7 @@ Cohen-Macaulay test by graded Auslander-Buchsbaum.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -87,6 +92,62 @@ def _s_poly(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
     return mf * f - mg * g
 
 
+class PairQueue:
+    """Pending S-pairs of a growing basis, in normal-selection order.
+
+    Basis elements are registered in index order by add(); each is paired
+    with every earlier element of the same slot (the leading position of a
+    module element, 0 for ideals).  A pair (i, j), i < j, is keyed once, on
+    entry, by the order key of lcm(lead_i, lead_j) and sits on a heap as
+    (key, i, j); pop() returns the pending pair with the smallest
+    (key, i, j) and recomputes its lcm rather than storing it.  A set of
+    the pending pairs mirrors the heap for the chain criterion; pairs leave
+    both only by being popped, so the two never disagree.
+    """
+
+    __slots__ = ("key", "lead", "slot", "_heap", "_pending")
+
+    def __init__(self, key):
+        self.key = key              # MonomialOrder.key of the base order
+        self.lead: List[Exp] = []   # leading exponent of each element
+        self.slot: List[int] = []
+        self._heap: List[Tuple[object, int, int]] = []
+        self._pending = set()
+
+    def __bool__(self):
+        return bool(self._heap)
+
+    def add(self, e: Exp, slot: int = 0) -> None:
+        """Register the next basis element by its leading exponent."""
+        t = len(self.lead)
+        key, heap, pending = self.key, self._heap, self._pending
+        for k, (ek, sk) in enumerate(zip(self.lead, self.slot)):
+            if sk == slot:
+                heapq.heappush(heap, (key(exp_lcm(ek, e)), k, t))
+                pending.add((k, t))
+        self.lead.append(e)
+        self.slot.append(slot)
+
+    def pop(self) -> Tuple[int, int, Exp]:
+        """Remove the next pair; return (i, j, lcm of their leads)."""
+        _, i, j = heapq.heappop(self._heap)
+        self._pending.discard((i, j))
+        return i, j, exp_lcm(self.lead[i], self.lead[j])
+
+    def chain_skips(self, i: int, j: int, l: Exp) -> bool:
+        """Chain criterion: some other k of the slot has lead_k | l and
+        neither (i, k) nor (j, k) is still pending."""
+        pending = self._pending
+        slot = self.slot[i]
+        for k, (ek, sk) in enumerate(zip(self.lead, self.slot)):
+            if k == i or k == j or sk != slot or not exp_divides(ek, l):
+                continue
+            if ((min(i, k), max(i, k)) not in pending
+                    and (min(j, k), max(j, k)) not in pending):
+                return True
+        return False
+
+
 def groebner_basis(gens: Sequence[Poly], order: MonomialOrder,
                    limits: Limits = DEFAULT_LIMITS) -> List[Poly]:
     """Reduced Groebner basis (monic, inter-reduced, sorted by leading
@@ -99,33 +160,14 @@ def groebner_basis(gens: Sequence[Poly], order: MonomialOrder,
     if not G:
         return []
 
-    lead = [g.leading_exp(order) for g in G]
-    # pending S-pairs, processed marker for the chain criterion
-    pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
-
-    def lcm_of(i, j):
-        return exp_lcm(lead[i], lead[j])
-
-    while pairs:
-        # normal selection: smallest lcm in the order
-        i, j = min(pairs, key=lambda ij: (order.key(lcm_of(*ij)), ij))
-        pairs.discard((i, j))
-        lij = lcm_of(i, j)
-        # product criterion
-        if lij == exp_add(lead[i], lead[j]):
-            continue
-        # chain criterion: some k with LM_k | lcm and both mixed pairs done
-        skip = False
-        for k in range(len(G)):
-            if k == i or k == j:
-                continue
-            if exp_divides(lead[k], lij):
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik not in pairs and pjk not in pairs:
-                    skip = True
-                    break
-        if skip:
+    queue = PairQueue(order.key)
+    for g in G:
+        queue.add(g.leading_exp(order))
+    lead = queue.lead
+    while queue:
+        i, j, lij = queue.pop()
+        # product criterion, then the chain criterion
+        if lij == exp_add(lead[i], lead[j]) or queue.chain_skips(i, j, lij):
             continue
         s = _s_poly(G[i], G[j], order)
         limits.check_poly(s)
@@ -134,11 +176,8 @@ def groebner_basis(gens: Sequence[Poly], order: MonomialOrder,
             continue
         limits.check_poly(r)
         G.append(r)
-        lead.append(r.leading_exp(order))
         limits.check_size(len(G))
-        t = len(G) - 1
-        for k in range(t):
-            pairs.add((k, t))
+        queue.add(r.leading_exp(order))
 
     return _reduce_basis(G, order, limits)
 
@@ -445,29 +484,15 @@ def _module_gb(vectors: List[Vec], mo: _ModOrder,
         return []
     ctx = G[0][0].ctx
     leads = [_vec_lead(v, mo) for v in G]
-    pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))
-             if leads[i][0] == leads[j][0]}
+    queue = PairQueue(mo.base.key)
+    for pos, e in leads:
+        queue.add(e, pos)
 
-    def lcm_of(i, j):
-        return exp_lcm(leads[i][1], leads[j][1])
-
-    while pairs:
-        i, j = min(pairs, key=lambda ij: (mo.base.key(lcm_of(*ij)), ij))
-        pairs.discard((i, j))
-        pos = leads[i][0]
-        l = lcm_of(i, j)
-        skip = False
-        for k in range(len(G)):
-            if k in (i, j) or leads[k][0] != pos:
-                continue
-            if exp_divides(leads[k][1], l):
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik not in pairs and pjk not in pairs:
-                    skip = True
-                    break
-        if skip:
+    while queue:
+        i, j, l = queue.pop()
+        if queue.chain_skips(i, j, l):
             continue
+        pos = leads[i][0]
         li, lj = leads[i][1], leads[j][1]
         ci = G[i][pos].terms[li]
         cj = G[j][pos].terms[lj]
@@ -480,10 +505,7 @@ def _module_gb(vectors: List[Vec], mo: _ModOrder,
         G.append(r)
         leads.append(_vec_lead(r, mo))
         limits.check_size(len(G))
-        t = len(G) - 1
-        for k in range(t):
-            if leads[k][0] == leads[t][0]:
-                pairs.add((k, t))
+        queue.add(leads[-1][1], leads[-1][0])
     return G
 
 

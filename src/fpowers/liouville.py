@@ -34,7 +34,7 @@ from .gb import (
 )
 from .ring import MonomialOrder, Poly, VarContext, exp_weight, initial_form_weights
 from .weyl import gr_symbol
-from .logder import FactorizationSpec, log_derivations, psi_F
+from .logder import FactorizationSpec, psi_F
 
 
 @dataclass
@@ -49,7 +49,7 @@ def liouville_symbols(fspec: FactorizationSpec, variant: str,
                       limits: Limits = DEFAULT_LIMITS) -> List[Poly]:
     """Symbols gr_{(0,1,1)}(psi_F(delta)) over Q[x,y,S] for delta running
     through the generators of Der(-log f) or Der(-log0 f)."""
-    gens = log_derivations(fspec.f, variant, limits)
+    gens = fspec.log_derivations(variant, limits)
     out = []
     for d in gens:
         P = psi_F(d, fspec, limits)

@@ -118,7 +118,8 @@ class FactorizationSpec:
             fk.constant_coeff() == 0 for fk in self.factors
         )
         self.hypotheses: Dict[str, Tuple[str, str]] = {}
-        self._log_cache: Dict[str, List[LogDerivation]] = {}
+        # (variant, max_degree, max_basis) -> log_derivations(f, variant)
+        self._log_cache: Dict[Tuple[str, int, int], List[LogDerivation]] = {}
 
     # -- convenience -------------------------------------------------------
 
@@ -126,10 +127,19 @@ class FactorizationSpec:
         from .ring import parse_poly
         return parse_poly(text, self.x_vc)
 
+    def log_derivations(self, variant: str = "log",
+                        limits: Limits = DEFAULT_LIMITS) -> List[LogDerivation]:
+        """log_derivations(self.f, variant, limits), computed once per
+        variant and bounds for this spec; returns a fresh list."""
+        key = (variant, limits.max_degree, limits.max_basis)
+        if key not in self._log_cache:
+            self._log_cache[key] = log_derivations(self.f, variant, limits)
+        return list(self._log_cache[key])
+
     def theta_generators(self, limits: Limits = DEFAULT_LIMITS) -> List[WeylOp]:
         """psi_F of the Der(-log f) generators: degree-one annihilators."""
         return [psi_F(d, self, limits=limits)
-                for d in log_derivations(self.f, "log", limits)]
+                for d in self.log_derivations("log", limits)]
 
     def check_hypotheses(self, limits: Limits = DEFAULT_LIMITS,
                          deep: bool = True) -> Dict[str, Tuple[str, str]]:
@@ -154,7 +164,8 @@ class FactorizationSpec:
             else:
                 h["arrangement"] = ("unknown", "no linear splitting found")
         if deep:
-            sb = saito_basis(self.f, limits)
+            log_gens = self.log_derivations("log", limits)
+            sb = saito_basis(self.f, limits, log_gens)
             if sb.basis:
                 h["free"] = ("yes", "Saito determinant = unit * f")
             elif sb.pdim == 0:
@@ -168,7 +179,8 @@ class FactorizationSpec:
             if arr is not None:
                 h["saito_holonomic"] = ("yes", "hyperplane arrangement")
             else:
-                h["saito_holonomic"] = saito_holonomic_check(self.f, limits)
+                h["saito_holonomic"] = saito_holonomic_check(
+                    self.f, limits, log_gens)
         return h
 
     def try_arrangement(self):
@@ -306,8 +318,12 @@ class SaitoResult:
     pdim: Optional[int]
 
 
-def saito_basis(f: Poly, limits: Limits = DEFAULT_LIMITS) -> SaitoResult:
+def saito_basis(f: Poly, limits: Limits = DEFAULT_LIMITS,
+                gens: Optional[Sequence[LogDerivation]] = None) -> SaitoResult:
     """Search for n generators whose coefficient determinant is unit * f.
+
+    gens, when given, are the Der(-log f) generators log_derivations(f,
+    "log", limits) already computed by the caller.
 
     Candidates: the <= 2n lowest-degree generators (homogeneous ones
     preferred).  If no subset certifies freeness, fall back to a projective
@@ -315,7 +331,8 @@ def saito_basis(f: Poly, limits: Limits = DEFAULT_LIMITS) -> SaitoResult:
     a determinant certificate the basis is not returned.
     """
     n = f.ctx.n
-    gens = log_derivations(f, "log", limits)
+    if gens is None:
+        gens = log_derivations(f, "log", limits)
     gens = sorted(gens, key=lambda d: (d.degree(), not d.is_homogeneous()))
     pool = gens[: 2 * n]
     for subset in itertools.combinations(range(len(pool)), n):
@@ -567,9 +584,11 @@ def koszul_free_check(f: Poly, basis: Sequence[LogDerivation],
     return not IdealHandle(symbols).is_unit_ideal()
 
 
-def saito_holonomic_check(f: Poly, limits: Limits = DEFAULT_LIMITS
+def saito_holonomic_check(f: Poly, limits: Limits = DEFAULT_LIMITS,
+                          gens: Optional[Sequence[LogDerivation]] = None
                           ) -> Tuple[str, str]:
-    """Rank stratification of the log-derivation module.
+    """Rank stratification of the log-derivation module (gens as in
+    saito_basis).
 
     The divisor is Saito-holonomic iff the locus where the module's fibers
     have rank exactly i is at most i-dimensional, for every i.  With
@@ -579,7 +598,8 @@ def saito_holonomic_check(f: Poly, limits: Limits = DEFAULT_LIMITS
     """
     ctx = f.ctx
     n = ctx.n
-    gens = log_derivations(f, "log", limits)
+    if gens is None:
+        gens = log_derivations(f, "log", limits)
     rows = [[d.coeffs[j] for j in range(n)] for d in gens]
     for i in range(n):
         minors = []

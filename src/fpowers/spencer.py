@@ -118,7 +118,8 @@ def spencer_complex(fspec: FactorizationSpec,
                     limits: Limits = DEFAULT_LIMITS) -> SpencerComplex:
     """Build the co-complex; requires a free, Koszul-free, reduced divisor."""
     if basis is None:
-        sb = saito_basis(fspec.f, limits)
+        sb = saito_basis(fspec.f, limits,
+                         fspec.log_derivations("log", limits))
         if not sb.basis:
             raise NotFree("no Saito basis certificate for f")
         basis = sb.basis

@@ -5,6 +5,10 @@ finite map (x-exponents, d-exponents, s-exponents) -> Fraction, flattened
 into one exponent tuple over the context blocks X, DX, S.  The s-variables
 are central.  Left Groebner bases use only the chain criterion: the
 coprimality (product) criterion is unsound in a noncommutative algebra.
+Their S-pairs come from gb.PairQueue, in the same normal-selection order
+as the commutative engine (smallest lcm key first, ties by index).  Only
+a tracked basis (track=True) carries cofactor rows; an untracked one
+builds none.
 
 Elimination orders placing {X, DX} before {S} are admissible here — as is
 any global order — because the only nontrivial commutator is d_i x_i -
@@ -21,9 +25,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .ring import (
     Exp, MonomialOrder, Poly, VarContext,
-    exp_add, exp_divides, exp_lcm, exp_sub, exp_total, divide_exact,
+    exp_add, exp_divides, exp_sub, exp_total, divide_exact,
 )
-from .gb import DEFAULT_LIMITS, Limits, ResourceLimit
+from .gb import DEFAULT_LIMITS, Limits, PairQueue, ResourceLimit
 
 
 class FiltrationMismatch(Exception):
@@ -537,66 +541,57 @@ def weyl_left_gb(gens: Sequence[WeylOp], order: MonomialOrder,
     """
     ctx = gens[0].ctx if gens else None
     G: List[WeylOp] = []
-    C: List[List[WeylOp]] = []
+    # cofactor rows, one per element of G, kept only when tracking
+    C: Optional[List[List[WeylOp]]] = [] if track else None
     gens = list(gens)
     for i, g in enumerate(gens):
         if g.is_zero():
             continue
         G.append(g)
-        row = [WeylOp.zero(ctx) for _ in gens]
-        row[i] = WeylOp.const(ctx, 1)
-        C.append(row)
+        if track:
+            row = [WeylOp.zero(ctx) for _ in gens]
+            row[i] = WeylOp.const(ctx, 1)
+            C.append(row)
     if not G:
         return ([], []) if track else []
 
-    lead = [g.leading_exp(order) for g in G]
-    pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
-
-    def lcm_of(i, j):
-        return exp_lcm(lead[i], lead[j])
-
-    while pairs:
-        i, j = min(pairs, key=lambda ij: (order.key(lcm_of(*ij)), ij))
-        pairs.discard((i, j))
-        l = lcm_of(i, j)
-        skip = False
-        for k in range(len(G)):
-            if k in (i, j):
-                continue
-            if exp_divides(lead[k], l):
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik not in pairs and pjk not in pairs:
-                    skip = True
-                    break
-        if skip:
+    queue = PairQueue(order.key)
+    for g in G:
+        queue.add(g.leading_exp(order))
+    lead = queue.lead
+    while queue:
+        i, j, l = queue.pop()
+        if queue.chain_skips(i, j, l):
             continue
         mi, mj = exp_sub(l, lead[i]), exp_sub(l, lead[j])
         ci = Fraction(1) / G[i].terms[lead[i]]
         cj = Fraction(1) / G[j].terms[lead[j]]
         s = _left_mono_mul(ctx, mi, ci, G[i]) - _left_mono_mul(ctx, mj, cj, G[j])
-        cof = [WeylOp(ctx, {mi: ci}) * a - WeylOp(ctx, {mj: cj}) * b
-               for a, b in zip(C[i], C[j])]
-        negcof = [-a for a in cof]
-        r = left_normal_form(s, G, order, limits,
-                             cofactors=negcof, basis_cofactors=C)
+        if track:
+            cof = [WeylOp(ctx, {mi: ci}) * a - WeylOp(ctx, {mj: cj}) * b
+                   for a, b in zip(C[i], C[j])]
+            negcof = [-a for a in cof]
+            r = left_normal_form(s, G, order, limits,
+                                 cofactors=negcof, basis_cofactors=C)
+        else:
+            r = left_normal_form(s, G, order, limits)
         if r.is_zero():
             continue
         if r.total_degree() > limits.max_degree:
             raise ResourceLimit("degree bound exceeded in left basis")
         G.append(r)
-        C.append([-a for a in negcof])
-        lead.append(r.leading_exp(order))
+        if track:
+            C.append([-a for a in negcof])
         if len(G) > limits.max_basis:
             raise ResourceLimit("basis size bound exceeded")
-        t = len(G) - 1
-        for k in range(t):
-            pairs.add((k, t))
+        queue.add(r.leading_exp(order))
 
-    return _reduce_left_basis(G, C, order, limits, track)
+    return _reduce_left_basis(G, C, order, limits)
 
 
-def _reduce_left_basis(G, C, order, limits, track):
+def _reduce_left_basis(G, C, order, limits):
+    """Minimal, tail-reduced, monic basis sorted by leading monomial;
+    with cofactor rows C (None when untracked) returns (basis, rows)."""
     # minimalize by leading-monomial divisibility
     lead = [g.leading_exp(order) for g in G]
     keep_idx = []
@@ -612,6 +607,14 @@ def _reduce_left_basis(G, C, order, limits, track):
         if not drop:
             keep_idx.append(i)
     G2 = [G[i] for i in keep_idx]
+    if C is None:
+        out = []
+        for i, g in enumerate(G2):
+            r = left_normal_form(g, G2[:i] + G2[i + 1:], order, limits)
+            if not r.is_zero():
+                out.append(r * (Fraction(1) / r.leading_coeff(order)))
+        out.sort(key=lambda g: order.key(g.leading_exp(order)))
+        return out
     C2 = [C[i] for i in keep_idx]
     # tail-reduce and scale monic
     out, outc = [], []
@@ -632,9 +635,7 @@ def _reduce_left_basis(G, C, order, limits, track):
     pairs = sorted(zip(out, outc), key=lambda t: order.key(t[0].leading_exp(order)))
     out = [a for a, _ in pairs]
     outc = [b for _, b in pairs]
-    if track:
-        return out, outc
-    return out
+    return out, outc
 
 
 class LeftIdeal:

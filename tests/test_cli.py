@@ -232,6 +232,30 @@ def test_bad_point_rejected():
     assert code == 1
 
 
+def test_negative_point_both_spellings():
+    # "--point -1,0" must not be read as an unknown option "-1,0"
+    spaced = run("nabla", "--input", DATA / "ex_xy.json", "--point", "-1,0")
+    joined = run("nabla", "--input", DATA / "ex_xy.json", "--point=-1,0")
+    assert spaced[0] == joined[0] == 0
+    assert spaced[1]["results"]["point"] == ["-1", "0"]
+    assert strip_timing(spaced[1]) == strip_timing(joined[1])
+
+
+def test_negative_form_value():
+    code, payload = run("hyperplane", "--input", DATA / "ex_xy.json",
+                        "--form", "-s1-1")
+    assert code == 0
+    assert payload["results"]["contained"] is True
+
+
+def test_constant_factor_is_usage_error(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"variables": ["x", "y"], "factors": ["x", "3"]}')
+    code, payload = run("theta", "--input", bad)
+    assert code == 1
+    assert payload["error"] == "factor 2 must be nonzero and nonconstant"
+
+
 def test_arrangement_block_must_multiply_out(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({

@@ -6,11 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from fpowers.ring import MonomialOrder, Poly, VarContext, parse_poly
+from fpowers import gb
+from fpowers.ring import (
+    MonomialOrder, Poly, VarContext, exp_add, exp_divides, exp_lcm, exp_sub,
+    parse_poly,
+)
 from fpowers.gb import (
     GradedModulePresentation, IdealHandle, Limits, NonHomogeneousInput,
-    ResourceLimit, eliminate, graded_free_resolution, ideal_colon, intersect,
-    krull_dimension, normal_form, radical_membership, saturate, syzygies,
+    ResourceLimit, eliminate, graded_free_resolution, groebner_basis,
+    ideal_colon, intersect, krull_dimension, normal_form, radical_membership,
+    saturate, syzygies,
 )
 
 XY = VarContext([("X", ["x", "y"])])
@@ -288,3 +293,153 @@ def test_resource_limit_raises():
     I = IdealHandle([p("x^5 + y"), p("y^4 - x")], limits=lim)
     with pytest.raises(ResourceLimit):
         I.gb()
+
+
+# ======================================================================
+# S-pair selection: the PairQueue against a plain min-selection loop
+
+
+def _chain_skips(pairs, lead, i, j, l, same=lambda k: True):
+    return any(k not in (i, j) and same(k) and exp_divides(lead[k], l)
+               and (min(i, k), max(i, k)) not in pairs
+               and (min(j, k), max(j, k)) not in pairs
+               for k in range(len(lead)))
+
+
+def _reference_gb(gens, order):
+    """Normal selection as a min over all pending pairs, re-keyed on every
+    iteration.  Returns (reduced basis, popped pairs, pairs created)."""
+    G = [g for g in gens if not g.is_zero()]
+    lead = [g.leading_exp(order) for g in G]
+    pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
+    created, popped = len(pairs), []
+    while pairs:
+        i, j = min(pairs, key=lambda ij: (
+            order.key(exp_lcm(lead[ij[0]], lead[ij[1]])), ij))
+        pairs.discard((i, j))
+        popped.append((i, j))
+        l = exp_lcm(lead[i], lead[j])
+        if l == exp_add(lead[i], lead[j]) or _chain_skips(pairs, lead, i, j, l):
+            continue
+        r = normal_form(gb._s_poly(G[i], G[j], order), G, order)
+        if r.is_zero():
+            continue
+        G.append(r)
+        lead.append(r.leading_exp(order))
+        t = len(G) - 1
+        pairs.update((k, t) for k in range(t))
+        created += t
+    return gb._reduce_basis(G, order), popped, created
+
+
+def _reference_module_gb(vectors, mo):
+    """The module basis (unreduced, in creation order) by min selection."""
+    G = [v for v in vectors if not gb._vec_is_zero(v)]
+    ctx = G[0][0].ctx
+    leads = [gb._vec_lead(v, mo) for v in G]
+    lead = [e for _, e in leads]
+    pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))
+             if leads[i][0] == leads[j][0]}
+    popped = []
+    while pairs:
+        i, j = min(pairs, key=lambda ij: (
+            mo.base.key(exp_lcm(lead[ij[0]], lead[ij[1]])), ij))
+        pairs.discard((i, j))
+        popped.append((i, j))
+        pos = leads[i][0]
+        l = exp_lcm(lead[i], lead[j])
+        if _chain_skips(pairs, lead, i, j, l, lambda k: leads[k][0] == pos):
+            continue
+        mi = Poly.monomial(ctx, exp_sub(l, lead[i]),
+                           Fraction(1) / G[i][pos].terms[lead[i]])
+        mj = Poly.monomial(ctx, exp_sub(l, lead[j]),
+                           Fraction(1) / G[j][pos].terms[lead[j]])
+        s = gb._vec_sub(gb._vec_scale(G[i], mi), gb._vec_scale(G[j], mj))
+        r = gb._vec_reduce(s, G, leads, mo, gb.DEFAULT_LIMITS)
+        if gb._vec_is_zero(r):
+            continue
+        G.append(r)
+        leads.append(gb._vec_lead(r, mo))
+        lead.append(leads[-1][1])
+        t = len(G) - 1
+        pairs.update((k, t) for k in range(t) if leads[k][0] == leads[t][0])
+    return G, popped
+
+
+# the graph ideal whose elimination of W gives ker(phi_F) for F = (x, y, z)
+GRAPH = VarContext([("W", ["a1", "a2", "a3", "b1", "b2", "b3"]),
+                    ("X", ["x", "y", "z"]), ("Y", ["y1", "y2", "y3"]),
+                    ("S", ["s1", "s2", "s3"])])
+GRAPH_GENS = ["x - a1", "y - a2", "z - a3", "y1 - a2*a3*b1",
+              "y2 - a1*a3*b2", "y3 - a1*a2*b3", "s1 - a1*a2*a3*b1",
+              "s2 - a1*a2*a3*b2", "s3 - a1*a2*a3*b3"]
+
+
+def _graph_input():
+    order = MonomialOrder.block(GRAPH, ["W", "X", "Y", "S"])
+    return [p(s, GRAPH) for s in GRAPH_GENS], order
+
+
+def test_queue_matches_min_selection_block_elimination(queue_pops):
+    gens, order = _graph_input()
+    ref, ref_pops, _ = _reference_gb(gens, order)
+    assert groebner_basis(gens, order) == ref
+    assert queue_pops == ref_pops
+
+
+def test_queue_matches_min_selection_lex_and_grevlex(queue_pops):
+    rng = random.Random(5)
+    for order in (MonomialOrder.lex(), MonomialOrder.grevlex()):
+        for _ in range(6):
+            gens = [_random_poly(rng, XYZ, deg=3) for _ in range(3)]
+            del queue_pops[:]
+            ref, ref_pops, _ = _reference_gb(gens, order)
+            assert groebner_basis(gens, order) == ref
+            assert queue_pops == ref_pops
+
+
+def test_queue_matches_min_selection_module_syzygy(queue_pops, monkeypatch):
+    real = gb._module_gb
+    seen = []
+
+    def spy(vectors, mo, limits=gb.DEFAULT_LIMITS):
+        del queue_pops[:]
+        got = real(vectors, mo, limits)
+        ref, ref_pops = _reference_module_gb(vectors, mo)
+        assert got == ref
+        assert queue_pops == ref_pops
+        seen.append(len(got))
+        return got
+    monkeypatch.setattr(gb, "_module_gb", spy)
+    f = p("x^2*y + y^3 - x*y", XY)
+    vecs = [(f.diff("x"),), (f.diff("y"),), (-f,)]
+    assert syzygies(vecs)
+    assert syzygies([(p("x^2 - y"), p("x*y")), (p("x*y"), p("y^2 + x")),
+                     (p("y^2"), p("x^2"))])
+    assert len(seen) == 2 and min(seen) > 3
+
+
+def test_pair_keys_computed_once(monkeypatch):
+    # Work-count guard: outside division, order.key runs about once per
+    # S-pair created plus a few times per basis element.  Re-keying every
+    # pending pair on every selection (about 38000 calls here) fails it.
+    gens, base = _graph_input()
+    state = {"in_division": 0, "keys": 0, "divisions": 0}
+
+    def key(e):
+        if not state["in_division"]:
+            state["keys"] += 1
+        return base.key(e)
+
+    def counted_normal_form(*args, **kwargs):
+        state["divisions"] += 1
+        state["in_division"] += 1
+        try:
+            return normal_form(*args, **kwargs)
+        finally:
+            state["in_division"] -= 1
+    monkeypatch.setattr(gb, "normal_form", counted_normal_form)
+    order = MonomialOrder(base.kind, key, base.desc)
+    groebner_basis(gens, order)
+    _, _, created = _reference_gb(gens, base)
+    assert state["keys"] <= 3 * (created + state["divisions"])

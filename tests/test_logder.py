@@ -324,3 +324,25 @@ def test_theta_generators_annihilate():
               FactorizationSpec(["x", "y"], [p2("x"), p2("y")])]:
         for t in F.theta_generators():
             assert apply_to_FS(t, F).is_zero()
+
+
+def test_spec_computes_log_derivations_once(monkeypatch):
+    # theta_F, the hypothesis checks and the log0 variant share one cache
+    from fpowers import logder
+    calls = []
+    real = logder.log_derivations
+
+    def counted(f, variant="log", limits=logder.DEFAULT_LIMITS):
+        calls.append(variant)
+        return real(f, variant, limits)
+    monkeypatch.setattr(logder, "log_derivations", counted)
+    F = FactorizationSpec(["x", "y"], [p2("x^2 + y^3")])
+    theta = F.theta_generators()
+    assert F.check_hypotheses()["saito_holonomic"][0] == "yes"
+    assert F.theta_generators() == theta
+    assert F.log_derivations("log0") == real(F.f, "log0")
+    F.log_derivations("log0")
+    assert calls == ["log", "log0"]
+    # callers get their own list
+    F.log_derivations("log").clear()
+    assert len(F.log_derivations("log")) == len(real(F.f, "log"))

@@ -5,7 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fpowers.ring import MonomialOrder, Poly, parse_poly
+from fpowers import gb, weyl
+from fpowers.bside import elimination_order
+from fpowers.ring import (
+    MonomialOrder, Poly, VarContext, exp_divides, exp_lcm, exp_sub, parse_poly,
+)
 from fpowers.weyl import (
     FiltrationMismatch,
     FSElement,
@@ -191,6 +195,99 @@ def test_left_gb_certificate_all_spairs_reduce():
             Pj = WeylOp(ctx, {mj: Fraction(1) / cj}) * G[j]
             rem = left_normal_form(Pi - Pj, G, order)
             assert rem.is_zero()
+
+
+# ---------------------------------------------------------------------------
+# S-pair selection and cofactor tracking
+
+
+def _reference_left_gb(gens, order):
+    """Tracked left basis by normal selection as a min over all pending
+    pairs, re-keyed on every iteration.  Returns (basis, cofactors,
+    popped pairs)."""
+    from fpowers.weyl import left_normal_form
+    ctx = gens[0].ctx
+    G, C = [], []
+    for i, g in enumerate(gens):
+        if g.is_zero():
+            continue
+        G.append(g)
+        row = [WeylOp.zero(ctx) for _ in gens]
+        row[i] = WeylOp.const(ctx, 1)
+        C.append(row)
+    lead = [g.leading_exp(order) for g in G]
+    pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
+    popped = []
+    while pairs:
+        i, j = min(pairs, key=lambda ij: (
+            order.key(exp_lcm(lead[ij[0]], lead[ij[1]])), ij))
+        pairs.discard((i, j))
+        popped.append((i, j))
+        l = exp_lcm(lead[i], lead[j])
+        if any(k not in (i, j) and exp_divides(lead[k], l)
+               and (min(i, k), max(i, k)) not in pairs
+               and (min(j, k), max(j, k)) not in pairs
+               for k in range(len(G))):
+            continue
+        mi = WeylOp(ctx, {exp_sub(l, lead[i]): Fraction(1) / G[i].terms[lead[i]]})
+        mj = WeylOp(ctx, {exp_sub(l, lead[j]): Fraction(1) / G[j].terms[lead[j]]})
+        negcof = [-(mi * a - mj * b) for a, b in zip(C[i], C[j])]
+        r = left_normal_form(mi * G[i] - mj * G[j], G, order,
+                             cofactors=negcof, basis_cofactors=C)
+        if r.is_zero():
+            continue
+        G.append(r)
+        C.append([-a for a in negcof])
+        lead.append(r.leading_exp(order))
+        pairs.update((k, len(G) - 1) for k in range(len(G) - 1))
+    basis, cofs = weyl._reduce_left_basis(G, C, order, gb.DEFAULT_LIMITS)
+    return basis, cofs, popped
+
+
+def _left_gb_inputs():
+    """A B_F elimination (theta_F and f for f = x^2 + y^3) and a block-order
+    left ideal."""
+    vc = VarContext([("X", ["x", "y"])])
+    F = FactorizationSpec(["x", "y"], [parse_poly("x^2 + y^3", vc)])
+    yield (F.theta_generators() + [WeylOp.from_poly(F.weyl, F.f_xs)],
+           elimination_order(F.weyl))
+    ctx = WeylContext(["x", "y"], ["s1"])
+    yield ([parse_weyl("x*dx - s1", ctx), parse_weyl("y*dy + 2*s1", ctx),
+            parse_weyl("x*y*dy", ctx), parse_weyl("dx^2 - y", ctx)],
+           MonomialOrder.block(ctx.vc, ["X", "DX", "S"]))
+
+
+def test_left_gb_queue_matches_min_selection(queue_pops):
+    for gens, order in _left_gb_inputs():
+        del queue_pops[:]
+        G, C = weyl_left_gb(gens, order, track=True)
+        ref_G, ref_C, ref_pops = _reference_left_gb(gens, order)
+        assert G == ref_G
+        assert C == ref_C
+        assert queue_pops == ref_pops
+
+
+def test_untracked_left_gb_is_tracked_basis_without_cofactors(monkeypatch):
+    products = [0]
+    real = weyl.weyl_multiply
+
+    def counted(P, Q):
+        products[0] += 1
+        return real(P, Q)
+    monkeypatch.setattr(weyl, "weyl_multiply", counted)
+    for gens, order in _left_gb_inputs():
+        products[0] = 0
+        G, C = weyl_left_gb(gens, order, track=True)
+        tracked = products[0]
+        products[0] = 0
+        assert weyl_left_gb(gens, order) == G
+        # the untracked basis multiplies no cofactor rows
+        assert products[0] < tracked
+        for g, row in zip(G, C):
+            combo = WeylOp.zero(g.ctx)
+            for c, gen in zip(row, gens):
+                combo = combo + c * gen
+            assert combo == g
 
 
 # ---------------------------------------------------------------------------
