@@ -24,6 +24,7 @@ from the timing field.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -108,7 +109,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process: parse_args leaves
+    it unchanged, so every request can share it."""
     p = _Parser(prog="fpowers", add_help=True,
                 description="exact annihilator / Bernstein-Sato toolkit")
     sub = p.add_subparsers(dest="command", metavar="command",
@@ -193,6 +197,9 @@ def load_problem(path: str) -> Problem:
                               "appendix_count", "appendix_seed"}
     if unknown:
         raise _UsageError(f"unknown options: {sorted(unknown)}")
+    for name in ("max_degree", "max_basis"):
+        if name in options:
+            _positive_int(f'option "{name}"', options[name])
     return Problem(list(variables), list(factor_strings), fspec,
                    arrangement, arrangement_echo, options)
 
@@ -376,6 +383,27 @@ def _gate(cmd: str, fspec: FactorizationSpec, limits: Limits,
     return 2
 
 
+def _positive_int(source: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+        raise _UsageError(f"{source} must be a positive integer, "
+                          f"not {value!r}")
+    return value
+
+
+def _limits(args, options: Dict[str, object]) -> Limits:
+    """The degree and basis-size bounds: the command-line value if given,
+    else the problem file's option (checked by load_problem), else the
+    default."""
+    bounds = {}
+    for name in ("max_degree", "max_basis"):
+        value = getattr(args, name)
+        if value is None:
+            bounds[name] = options.get(name, getattr(DEFAULT_LIMITS, name))
+        else:
+            bounds[name] = _positive_int("--" + name.replace("_", "-"), value)
+    return Limits(**bounds)
+
+
 def _dispatch(args, payload: Dict[str, object]) -> int:
     cmd = args.command
     if cmd == "appendix-check":
@@ -387,9 +415,7 @@ def _dispatch(args, payload: Dict[str, object]) -> int:
                         "factors": pf.factor_strings}
     if pf.arrangement_echo:
         payload["input"]["arrangement"] = pf.arrangement_echo
-    limits = Limits(
-        max_degree=args.max_degree or pf.options.get("max_degree", 60),
-        max_basis=args.max_basis or pf.options.get("max_basis", 20000))
+    limits = _limits(args, pf.options)
     order_name = args.order or pf.options.get("order", "grevlex")
     order = MonomialOrder.lex() if order_name == "lex" \
         else MonomialOrder.grevlex()
@@ -616,17 +642,15 @@ def _dispatch(args, payload: Dict[str, object]) -> int:
 
 def _cmd_appendix(args, payload: Dict[str, object]) -> int:
     options: Dict[str, object] = {}
-    file_check = None
-    limits = Limits(max_degree=args.max_degree or 60,
-                    max_basis=args.max_basis or 20000)
+    pf = None
     if args.input:
         pf = load_problem(args.input)
         payload["input"] = {"variables": pf.variables,
                             "factors": pf.factor_strings}
         options = pf.options
-        limits = Limits(
-            max_degree=args.max_degree or options.get("max_degree", 60),
-            max_basis=args.max_basis or options.get("max_basis", 20000))
+    limits = _limits(args, options)
+    file_check = None
+    if pf is not None:
         data = build_liouville_ideals(pf.fspec, limits)
         dim_l = krull_dimension(data.L_F, limits)
         dim_in = krull_dimension(data.In010_LF, limits)

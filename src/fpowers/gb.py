@@ -5,7 +5,10 @@ criteria, exact arithmetic throughout.  Pending S-pairs sit in one
 PairQueue, shared with the module basis here and the left bases of
 weyl.py: each pair is keyed once, by the order key of its lcm, and the
 queue pops the smallest (key, i, j) from a heap, so ties go to the lower
-indices.  On top of the basis: normal forms,
+indices.  Normal forms of polynomials and of module vectors run on
+ring.reduce_in_place: a basis computation keeps one KeyCache of order keys
+for its whole run and hands it, with the leading exponents the queue
+already holds, to every division.  On top of the basis: normal forms,
 membership, elimination, intersections, colon ideals, saturation, radical
 membership, Krull dimension via independent variable sets, module syzygies
 (extended-basis construction), and minimal graded free resolutions with a
@@ -21,8 +24,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .ring import (
-    Exp, MonomialOrder, Poly, VarContext,
-    exp_add, exp_divides, exp_lcm, exp_sub, exp_total,
+    DegreeBoundExceeded, Exp, KeyCache, MonomialOrder, Poly, VarContext,
+    exp_add, exp_divides, exp_lcm, exp_sub, reduce_in_place,
 )
 
 
@@ -57,35 +60,45 @@ DEFAULT_LIMITS = Limits()
 # division and Buchberger
 
 def normal_form(p: Poly, basis: Sequence[Poly], order: MonomialOrder,
-                limits: Limits = DEFAULT_LIMITS) -> Poly:
-    """Remainder of p under multivariate division by basis."""
+                limits: Limits = DEFAULT_LIMITS,
+                leads: Optional[Sequence[Exp]] = None,
+                keys: Optional[KeyCache] = None) -> Poly:
+    """Remainder of p under multivariate division by basis.
+
+    A basis computation passes the leading exponents of its (nonzero)
+    basis elements as `leads` and its KeyCache of order keys as `keys`;
+    without them, zero elements are dropped and the leads are found here.
+    """
     if not basis:
         return p
-    lead = [(g.leading_exp(order), g) for g in basis if not g.is_zero()]
-    rem = Poly.zero(p.ctx)
-    work = p
-    while not work.is_zero():
-        e = work.leading_exp(order)
-        c = work.terms[e]
-        hit = None
-        for le, g in lead:
-            if exp_divides(le, e):
-                hit = (le, g)
-                break
-        if hit is None:
-            t = Poly.monomial(p.ctx, e, c)
-            rem = rem + t
-            work = work - t
-        else:
-            le, g = hit
-            m = Poly.monomial(p.ctx, exp_sub(e, le), c / g.terms[le])
-            work = work - m * g
-            limits.check_poly(work)
-    return rem
+    if keys is None:
+        keys = KeyCache(order.key)
+    if leads is None:
+        basis = [g for g in basis if g.terms]
+        leads = [max(g.terms, key=keys.__getitem__) for g in basis]
+
+    def multiple(k, e, c):
+        g, lead = basis[k].terms, leads[k]
+        m, coef = exp_sub(e, lead), c / g[lead]
+        return [(exp_add(m, ge), coef * gc) for ge, gc in g.items()]
+    work = dict(p.terms)
+    rem: Dict[Exp, Fraction] = {}
+    try:
+        reduce_in_place(work, leads, keys, multiple, rem, limits.max_degree)
+    except DegreeBoundExceeded:
+        raise ResourceLimit(f"total degree {max(map(sum, work))} exceeds "
+                            f"bound {limits.max_degree}") from None
+    out = Poly(p.ctx)
+    out.terms = rem
+    return out
 
 
-def _s_poly(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
-    lf, lg = f.leading_exp(order), g.leading_exp(order)
+def _s_poly(f: Poly, g: Poly, order: MonomialOrder,
+            lf: Optional[Exp] = None, lg: Optional[Exp] = None) -> Poly:
+    """S-polynomial of f and g; lf and lg are their leading exponents
+    when the caller already knows them."""
+    lf = f.leading_exp(order) if lf is None else lf
+    lg = g.leading_exp(order) if lg is None else lg
     l = exp_lcm(lf, lg)
     mf = Poly.monomial(f.ctx, exp_sub(l, lf), Fraction(1) / f.terms[lf])
     mg = Poly.monomial(g.ctx, exp_sub(l, lg), Fraction(1) / g.terms[lg])
@@ -160,54 +173,66 @@ def groebner_basis(gens: Sequence[Poly], order: MonomialOrder,
     if not G:
         return []
 
+    keys = KeyCache(order.key)
+    leading = keys.__getitem__
     queue = PairQueue(order.key)
     for g in G:
-        queue.add(g.leading_exp(order))
+        queue.add(max(g.terms, key=leading))
     lead = queue.lead
     while queue:
         i, j, lij = queue.pop()
         # product criterion, then the chain criterion
         if lij == exp_add(lead[i], lead[j]) or queue.chain_skips(i, j, lij):
             continue
-        s = _s_poly(G[i], G[j], order)
+        s = _s_poly(G[i], G[j], order, lead[i], lead[j])
         limits.check_poly(s)
-        r = normal_form(s, G, order, limits)
+        r = normal_form(s, G, order, limits, leads=lead, keys=keys)
         if r.is_zero():
             continue
         limits.check_poly(r)
         G.append(r)
         limits.check_size(len(G))
-        queue.add(r.leading_exp(order))
+        queue.add(max(r.terms, key=leading))
 
-    return _reduce_basis(G, order, limits)
+    return _reduce_basis(G, order, limits, leads=lead, keys=keys)
 
 
 def _reduce_basis(G: Sequence[Poly], order: MonomialOrder,
-                  limits: Limits = DEFAULT_LIMITS) -> List[Poly]:
+                  limits: Limits = DEFAULT_LIMITS,
+                  leads: Optional[Sequence[Exp]] = None,
+                  keys: Optional[KeyCache] = None) -> List[Poly]:
+    """Minimal, tail-reduced, monic basis sorted by leading monomial; a
+    basis computation passes its leads and KeyCache as in normal_form."""
+    if keys is None:
+        keys = KeyCache(order.key)
+    if leads is None:
+        G = [g for g in G if not g.is_zero()]
+        leads = [max(g.terms, key=keys.__getitem__) for g in G]
     # minimalize: drop g whose LM is divisible by another LM
-    G = [g for g in G if not g.is_zero()]
-    keep: List[Poly] = []
-    lead = [g.leading_exp(order) for g in G]
-    for i, g in enumerate(G):
-        li = lead[i]
+    keep: List[int] = []
+    for i, li in enumerate(leads):
         drop = False
-        for j, lj in enumerate(lead):
+        for j, lj in enumerate(leads):
             if i == j:
                 continue
             if exp_divides(lj, li) and (lj != li or j < i):
                 drop = True
                 break
         if not drop:
-            keep.append(g)
+            keep.append(i)
     # tail-reduce each against the others, make monic
-    out: List[Poly] = []
-    for i, g in enumerate(keep):
-        rest = keep[:i] + keep[i + 1:]
-        r = normal_form(g, rest, order, limits) if rest else g
+    out: List[Tuple[object, Poly]] = []
+    for i in keep:
+        rest = [k for k in keep if k != i]
+        g = G[i]
+        r = normal_form(g, [G[k] for k in rest], order, limits,
+                        leads=[leads[k] for k in rest], keys=keys) \
+            if rest else g
         if not r.is_zero():
-            out.append(r * (Fraction(1) / r.leading_coeff(order)))
-    out.sort(key=lambda g: order.key(g.leading_exp(order)))
-    return out
+            lr = max(r.terms, key=keys.__getitem__)
+            out.append((keys[lr], r * (Fraction(1) / r.terms[lr])))
+    out.sort(key=lambda t: t[0])
+    return [g for _, g in out]
 
 
 class IdealHandle:
@@ -428,48 +453,55 @@ class _ModOrder:
         return (-cls, self.base.key(e), -pos)
 
 
-def _vec_lead(v: Vec, mo: _ModOrder) -> Tuple[int, Exp]:
-    best = None
-    for pos, p in enumerate(v):
-        for e in p.terms:
-            m = (pos, e)
-            if best is None or mo.key(m) > mo.key(best):
-                best = m
-    if best is None:
+def _vec_lead(v: Vec, mo: _ModOrder,
+              keys: Optional[KeyCache] = None) -> Tuple[int, Exp]:
+    keys = KeyCache(mo.key) if keys is None else keys
+    terms = [(pos, e) for pos, p in enumerate(v) for e in p.terms]
+    if not terms:
         raise ValueError("zero vector has no leading term")
-    return best
+    return max(terms, key=keys.__getitem__)
+
+
+def _mod_divides(lead: Tuple[int, Exp], m: Tuple[int, Exp]) -> bool:
+    return lead[0] == m[0] and exp_divides(lead[1], m[1])
+
+
+def _mod_degree(m: Tuple[int, Exp]) -> int:
+    return sum(m[1])
 
 
 def _vec_reduce(v: Vec, basis: List[Vec], leads: List[Tuple[int, Exp]],
-                mo: _ModOrder, limits: Limits) -> Vec:
-    """Full normal form of a vector against a list of vectors."""
+                mo: _ModOrder, limits: Limits,
+                keys: Optional[KeyCache] = None) -> Vec:
+    """Full normal form of a vector against a list of vectors.
+
+    Module monomials are (position, exponent) pairs; a module basis
+    computation passes its KeyCache of their order keys."""
+    keys = KeyCache(mo.key) if keys is None else keys
+
+    def multiple(k, pe, c):
+        g, (lp, lead) = basis[k], leads[k]
+        m, coef = exp_sub(pe[1], lead), c / g[lp].terms[lead]
+        return [((pos, exp_add(m, ge)), coef * gc)
+                for pos, p in enumerate(g) for ge, gc in p.terms.items()]
+    work = {(pos, e): c for pos, p in enumerate(v) for e, c in p.terms.items()}
+    rem: Dict[Tuple[int, Exp], Fraction] = {}
+    try:
+        reduce_in_place(work, leads, keys, multiple, rem, limits.max_degree,
+                        _mod_divides, _mod_degree)
+    except DegreeBoundExceeded:
+        # report the first component above the bound
+        degs = [-1] * len(v)
+        for pos, e in work:
+            degs[pos] = max(degs[pos], sum(e))
+        deg = next(d for d in degs if d > limits.max_degree)
+        raise ResourceLimit(f"total degree {deg} exceeds bound "
+                            f"{limits.max_degree}") from None
     ctx = v[0].ctx
-    rem = tuple(Poly.zero(ctx) for _ in v)
-    work = v
-    while not _vec_is_zero(work):
-        pos, e = _vec_lead(work, mo)
-        c = work[pos].terms[e]
-        hit = -1
-        for k, (lp, le) in enumerate(leads):
-            if lp == pos and exp_divides(le, e):
-                hit = k
-                break
-        if hit < 0:
-            t = Poly.monomial(ctx, e, c)
-            r2 = list(rem)
-            r2[pos] = r2[pos] + t
-            rem = tuple(r2)
-            w2 = list(work)
-            w2[pos] = w2[pos] - t
-            work = tuple(w2)
-        else:
-            g = basis[hit]
-            lp, le = leads[hit]
-            m = Poly.monomial(ctx, exp_sub(e, le), c / g[lp].terms[le])
-            work = _vec_sub(work, _vec_scale(g, m))
-            for p in work:
-                limits.check_poly(p)
-    return rem
+    parts = [Poly(ctx) for _ in v]
+    for (pos, e), c in rem.items():
+        parts[pos].terms[e] = c
+    return tuple(parts)
 
 
 def _module_gb(vectors: List[Vec], mo: _ModOrder,
@@ -483,7 +515,8 @@ def _module_gb(vectors: List[Vec], mo: _ModOrder,
     if not G:
         return []
     ctx = G[0][0].ctx
-    leads = [_vec_lead(v, mo) for v in G]
+    keys = KeyCache(mo.key)
+    leads = [_vec_lead(v, mo, keys) for v in G]
     queue = PairQueue(mo.base.key)
     for pos, e in leads:
         queue.add(e, pos)
@@ -499,11 +532,11 @@ def _module_gb(vectors: List[Vec], mo: _ModOrder,
         mi = Poly.monomial(ctx, exp_sub(l, li), Fraction(1) / ci)
         mj = Poly.monomial(ctx, exp_sub(l, lj), Fraction(1) / cj)
         s = _vec_sub(_vec_scale(G[i], mi), _vec_scale(G[j], mj))
-        r = _vec_reduce(s, G, leads, mo, limits)
+        r = _vec_reduce(s, G, leads, mo, limits, keys=keys)
         if _vec_is_zero(r):
             continue
         G.append(r)
-        leads.append(_vec_lead(r, mo))
+        leads.append(_vec_lead(r, mo, keys))
         limits.check_size(len(G))
         queue.add(leads[-1][1], leads[-1][0])
     return G
@@ -521,8 +554,9 @@ def module_contains(vectors: Sequence[Sequence[Poly]], target: Sequence[Poly],
         return False
     mo = _ModOrder(order or MonomialOrder.grevlex(), split=0)
     G = _module_gb(vecs, mo, limits)
-    leads = [_vec_lead(v, mo) for v in G]
-    return _vec_is_zero(_vec_reduce(tgt, G, leads, mo, limits))
+    keys = KeyCache(mo.key)
+    leads = [_vec_lead(v, mo, keys) for v in G]
+    return _vec_is_zero(_vec_reduce(tgt, G, leads, mo, limits, keys))
 
 
 def syzygies(vectors: Sequence[Sequence[Poly]],

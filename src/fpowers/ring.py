@@ -5,12 +5,20 @@ The context owns the variable names (grouped in ordered blocks such as
 X / DX / Y / S / T), the registered weight gradings, and nothing else.
 Monomial orders are key functions on exponent tuples, so Python tuple
 comparison does the actual work.
+
+reduce_in_place is the one division loop of the package: the commutative
+and module normal forms of gb.py, the left normal form of weyl.py and
+divide_exact here all run it.  It consumes a mutable term map, picks each
+leading monomial through a KeyCache (every order key computed once per
+computation) and subtracts each multiple of a divisor term by term in
+place.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from operator import add, le, sub
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 # Exact rational scalars: Fraction is already lowest-terms with positive
 # denominator, which is the whole contract.
@@ -109,20 +117,20 @@ class VarContext:
 # exponent-tuple helpers
 
 def exp_add(a: Exp, b: Exp) -> Exp:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def exp_sub(a: Exp, b: Exp) -> Exp:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def exp_divides(a: Exp, b: Exp) -> bool:
     """a | b as monomials."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def exp_lcm(a: Exp, b: Exp) -> Exp:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def exp_total(a: Exp) -> int:
@@ -198,6 +206,81 @@ class MonomialOrder:
         def key(e):
             return tuple(k(tuple(e[i] for i in g)) for g, k in zip(groups, keys))
         return MonomialOrder("block", key, f"block{list(block_names)}")
+
+
+class KeyCache(dict):
+    """Order keys of monomials, each computed on its first lookup.
+
+    A cache belongs to one computation (one basis, or one division) and
+    is dropped with it: it keeps every monomial it has keyed alive.
+    """
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: Callable):
+        super().__init__()
+        self.key = key
+
+    def __missing__(self, m):
+        k = self[m] = self.key(m)
+        return k
+
+
+# ---------------------------------------------------------------------------
+# the division kernel
+
+
+class DegreeBoundExceeded(Exception):
+    """A reduction step left a term above the degree bound in the work."""
+
+
+def reduce_in_place(work: Dict, leads: Sequence, keys: KeyCache,
+                    multiple: Callable, rem: Optional[Dict] = None,
+                    max_degree: Optional[int] = None,
+                    divides: Callable = exp_divides,
+                    degree: Callable = sum) -> bool:
+    """Divide the term map `work` (monomial -> nonzero coefficient) in place.
+
+    Each step takes the largest monomial e of work under `keys`, with
+    coefficient c, and the first k with divides(leads[k], e).  If there is
+    one, the terms (monomial, coefficient) of multiple(k, e, c) -- a
+    multiple of divisor k whose leading term is c*e, so e cancels -- are
+    subtracted from work one by one; after that step, a term of degree
+    above max_degree left anywhere in work raises DegreeBoundExceeded.
+    If there is none, the term moves to `rem`, or, with rem None, the
+    division stops and returns False.  Returns True once work is empty.
+    """
+    get = keys.__getitem__
+    over = set()
+    if max_degree is not None:
+        over = {m for m in work if degree(m) > max_degree}
+    while work:
+        e = max(work, key=get)
+        for k, lead in enumerate(leads):
+            if divides(lead, e):
+                break
+        else:
+            if rem is None:
+                return False
+            rem[e] = work.pop(e)
+            over.discard(e)
+            continue
+        for m, c in multiple(k, e, work[e]):
+            old = work.get(m)
+            if old is None:
+                work[m] = -c
+                if max_degree is not None and degree(m) > max_degree:
+                    over.add(m)
+                continue
+            c = old - c
+            if c:
+                work[m] = c
+            else:
+                del work[m]
+                over.discard(m)
+        if over:
+            raise DegreeBoundExceeded
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -619,16 +702,17 @@ def divide_exact(p: Poly, q: Poly) -> Optional[Poly]:
         return None
     if p.is_zero():
         return Poly.zero(p.ctx)
-    order = MonomialOrder.grevlex()
-    lq = q.leading_exp(order)
+    keys = KeyCache(MonomialOrder.grevlex().key)
+    lq = max(q.terms, key=keys.__getitem__)
     cq = q.terms[lq]
-    quo = Poly.zero(p.ctx)
-    rem = p
-    while not rem.is_zero():
-        lr = rem.leading_exp(order)
-        if not exp_divides(lq, lr):
-            return None
-        t = Poly.monomial(p.ctx, exp_sub(lr, lq), rem.terms[lr] / cq)
-        quo = quo + t
-        rem = rem - t * q
-    return quo
+    quo: Dict[Exp, Fraction] = {}
+
+    def multiple(_k, e, c):
+        m, coef = exp_sub(e, lq), c / cq
+        quo[m] = coef
+        return [(exp_add(m, e2), coef * c2) for e2, c2 in q.terms.items()]
+    if not reduce_in_place(dict(p.terms), (lq,), keys, multiple):
+        return None
+    out = Poly(p.ctx)
+    out.terms = quo
+    return out

@@ -8,7 +8,11 @@ coprimality (product) criterion is unsound in a noncommutative algebra.
 Their S-pairs come from gb.PairQueue, in the same normal-selection order
 as the commutative engine (smallest lcm key first, ties by index).  Only
 a tracked basis (track=True) carries cofactor rows; an untracked one
-builds none.
+builds none.  Left division runs on ring.reduce_in_place: each multiple
+x^a d^b s^w * g is normal-ordered term by term straight into the working
+term map (and into the cofactor rows when tracking), and a basis
+computation shares one KeyCache of order keys and its leading exponents
+with every division it makes.
 
 Elimination orders placing {X, DX} before {S} are admissible here — as is
 any global order — because the only nontrivial commutator is d_i x_i -
@@ -19,13 +23,14 @@ test suite asserts this multiplicativity on randomized pairs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .ring import (
-    Exp, MonomialOrder, Poly, VarContext,
-    exp_add, exp_divides, exp_sub, exp_total, divide_exact,
+    DegreeBoundExceeded, Exp, KeyCache, MonomialOrder, Poly, VarContext,
+    divide_exact, exp_add, exp_divides, exp_sub, exp_total, reduce_in_place,
 )
 from .gb import DEFAULT_LIMITS, Limits, PairQueue, ResourceLimit
 
@@ -131,19 +136,17 @@ class WeylOp:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = WeylOp.const(self.ctx, other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return WeylOp(self.ctx, out)
+        out = WeylOp(self.ctx)
+        out.terms = dict(self.terms)
+        _add_terms(out.terms, other.terms.items())
+        return out
 
     __radd__ = __add__
 
     def __neg__(self):
-        return WeylOp(self.ctx, {e: -c for e, c in self.terms.items()})
+        out = WeylOp(self.ctx)
+        out.terms = {e: -c for e, c in self.terms.items()}
+        return out
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -156,7 +159,10 @@ class WeylOp:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            return WeylOp(self.ctx, {e: k * c for e, k in self.terms.items()} if c else {})
+            out = WeylOp(self.ctx)
+            if c:
+                out.terms = {e: k * c for e, k in self.terms.items()}
+            return out
         return weyl_multiply(self, other)
 
     def __rmul__(self, other):
@@ -286,49 +292,63 @@ def _term_product(ctx: WeylContext, e1: Exp, c1: Fraction,
                   e2: Exp, c2: Fraction) -> Dict[Exp, Fraction]:
     """Normal-ordering of (x^a1 d^b1 s^w1)(x^a2 d^b2 s^w2).
 
-    Per variable, d^b x^a = sum_k k! C(b,k) C(a,k) x^(a-k) d^(b-k).
+    Per variable, d^b x^a = sum_k k! C(b,k) C(a,k) x^(a-k) d^(b-k).  The
+    terms come out in lexicographic order of the multi-index k.
     """
-    a1, b1, w1 = ctx.split(e1)
-    a2, b2, w2 = ctx.split(e2)
-    w = exp_add(w1, w2)
+    n = ctx.n
+    e = exp_add(e1, e2)
+    c = c1 * c2
+    # the variables where a d on the left meets an x on the right
+    meets = [i for i in range(n) if e1[n + i] and e2[i]]
+    if not meets:
+        return {e: c}
     out: Dict[Exp, Fraction] = {}
-    # iterate over contraction multi-indices k with k_i <= min(b1_i, a2_i)
-    ranges = [range(min(b, a) + 1) for b, a in zip(b1, a2)]
-
-    def rec(i, k_acc, coef):
-        if i == len(ranges):
-            a = tuple(x1 + x2 - k for x1, x2, k in zip(a1, a2, k_acc))
-            b = tuple(y1 + y2 - k for y1, y2, k in zip(b1, b2, k_acc))
-            e = ctx.join(a, b, w)
-            s = out.get(e, Fraction(0)) + coef
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-            return
-        for k in ranges[i]:
-            c = coef
+    for ks in itertools.product(*(range(min(e1[n + i], e2[i]) + 1)
+                                  for i in meets)):
+        ek = list(e)
+        f = 1
+        for i, k in zip(meets, ks):
             if k:
-                c = c * math.comb(b1[i], k) * math.comb(a2[i], k) * math.factorial(k)
-            rec(i + 1, k_acc + [k], c)
-
-    rec(0, [], c1 * c2)
+                ek[i] -= k
+                ek[n + i] -= k
+                f *= math.comb(e1[n + i], k) * math.comb(e2[i], k) \
+                    * math.factorial(k)
+        out[tuple(ek)] = c * f
     return out
+
+
+def _add_terms(acc: Dict[Exp, Fraction], terms) -> None:
+    """acc += terms in place, dropping the coefficients that cancel."""
+    for e, c in terms:
+        old = acc.get(e)
+        if old is None:
+            acc[e] = c
+            continue
+        c = old + c
+        if c:
+            acc[e] = c
+        else:
+            del acc[e]
+
+
+def _mono_times(ctx: WeylContext, e1: Exp, c1: Fraction,
+                Q: Dict[Exp, Fraction]) -> Dict[Exp, Fraction]:
+    """The terms of (c1 * x^a d^b s^w) * Q, for e1 = (a, b, w)."""
+    acc: Dict[Exp, Fraction] = {}
+    for e2, c2 in Q.items():
+        _add_terms(acc, _term_product(ctx, e1, c1, e2, c2).items())
+    return acc
 
 
 def weyl_multiply(P: WeylOp, Q: WeylOp) -> WeylOp:
     """Normal-ordered product in D_n[S]."""
-    ctx = P.ctx
     acc: Dict[Exp, Fraction] = {}
     for e1, c1 in P.terms.items():
         for e2, c2 in Q.terms.items():
-            for e, c in _term_product(ctx, e1, c1, e2, c2).items():
-                s = acc.get(e, Fraction(0)) + c
-                if s:
-                    acc[e] = s
-                else:
-                    acc.pop(e, None)
-    return WeylOp(ctx, acc)
+            _add_terms(acc, _term_product(P.ctx, e1, c1, e2, c2).items())
+    out = WeylOp(P.ctx)
+    out.terms = acc
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +510,9 @@ def _left_mono_mul(ctx: WeylContext, m: Exp, c: Fraction, P: WeylOp) -> WeylOp:
 def left_normal_form(P: WeylOp, basis: Sequence[WeylOp], order: MonomialOrder,
                      limits: Limits = DEFAULT_LIMITS,
                      cofactors: Optional[List[WeylOp]] = None,
-                     basis_cofactors: Optional[List[List[WeylOp]]] = None) -> WeylOp:
+                     basis_cofactors: Optional[List[List[WeylOp]]] = None,
+                     leads: Optional[Sequence[Exp]] = None,
+                     keys: Optional[KeyCache] = None) -> WeylOp:
     """Left-division remainder.
 
     When tracking, every reduction step adds its multiplier (expressed in
@@ -498,36 +520,41 @@ def left_normal_form(P: WeylOp, basis: Sequence[WeylOp], order: MonomialOrder,
     place, so on return
         P = remainder + sum_i (cofactors[i] - initial cofactors[i]) * gen_i.
     Callers seed `cofactors` with zeros to get a plain division expression.
+    A basis computation passes the leading exponents of its (nonzero)
+    basis elements as `leads` and its KeyCache as `keys`; without them,
+    zero elements are dropped and the leads are found here.
     """
     ctx = P.ctx
-    lead = [(g.leading_exp(order), g) for g in basis if not g.is_zero()]
-    rem = WeylOp.zero(ctx)
-    work = P
-    while not work.is_zero():
-        e = work.leading_exp(order)
-        c = work.terms[e]
-        hit = -1
-        for k, (le, g) in enumerate(lead):
-            if exp_divides(le, e):
-                hit = k
-                break
-        if hit < 0:
-            t = WeylOp(ctx, {e: c})
-            rem = rem + t
-            work = work - t
-        else:
-            le, g = lead[hit]
-            m = exp_sub(e, le)
-            coef = c / g.terms[le]
-            work = work - _left_mono_mul(ctx, m, coef, g)
-            if work.total_degree() > limits.max_degree:
-                raise ResourceLimit("degree bound exceeded in left normal form")
-            if cofactors is not None and basis_cofactors is not None:
-                mono = WeylOp(ctx, {m: coef})
-                for idx, cof in enumerate(basis_cofactors[hit]):
-                    if not cof.is_zero():
-                        cofactors[idx] = cofactors[idx] + mono * cof
-    return rem
+    if keys is None:
+        keys = KeyCache(order.key)
+    if leads is None:
+        basis = [g for g in basis if g.terms]
+        leads = [max(g.terms, key=keys.__getitem__) for g in basis]
+    track = cofactors is not None and basis_cofactors is not None
+    rows = [dict(c.terms) for c in cofactors] if track else None
+
+    def multiple(k, e, c):
+        # x^a d^b s^w * g, normal-ordered term by term
+        g, lead = basis[k].terms, leads[k]
+        m, coef = exp_sub(e, lead), c / g[lead]
+        if track:
+            for row, cof in zip(rows, basis_cofactors[k]):
+                _add_terms(row, _mono_times(ctx, m, coef, cof.terms).items())
+        return [t for ge, gc in g.items()
+                for t in _term_product(ctx, m, coef, ge, gc).items()]
+    work = dict(P.terms)
+    rem: Dict[Exp, Fraction] = {}
+    try:
+        reduce_in_place(work, leads, keys, multiple, rem, limits.max_degree)
+    except DegreeBoundExceeded:
+        raise ResourceLimit("degree bound exceeded in left normal form") from None
+    if track:
+        for idx, row in enumerate(rows):
+            cofactors[idx] = WeylOp(ctx)
+            cofactors[idx].terms = row
+    out = WeylOp(ctx)
+    out.terms = rem
+    return out
 
 
 def weyl_left_gb(gens: Sequence[WeylOp], order: MonomialOrder,
@@ -555,9 +582,11 @@ def weyl_left_gb(gens: Sequence[WeylOp], order: MonomialOrder,
     if not G:
         return ([], []) if track else []
 
+    keys = KeyCache(order.key)
+    leading = keys.__getitem__
     queue = PairQueue(order.key)
     for g in G:
-        queue.add(g.leading_exp(order))
+        queue.add(max(g.terms, key=leading))
     lead = queue.lead
     while queue:
         i, j, l = queue.pop()
@@ -571,10 +600,10 @@ def weyl_left_gb(gens: Sequence[WeylOp], order: MonomialOrder,
             cof = [WeylOp(ctx, {mi: ci}) * a - WeylOp(ctx, {mj: cj}) * b
                    for a, b in zip(C[i], C[j])]
             negcof = [-a for a in cof]
-            r = left_normal_form(s, G, order, limits,
-                                 cofactors=negcof, basis_cofactors=C)
+            r = left_normal_form(s, G, order, limits, cofactors=negcof,
+                                 basis_cofactors=C, leads=lead, keys=keys)
         else:
-            r = left_normal_form(s, G, order, limits)
+            r = left_normal_form(s, G, order, limits, leads=lead, keys=keys)
         if r.is_zero():
             continue
         if r.total_degree() > limits.max_degree:
@@ -584,58 +613,61 @@ def weyl_left_gb(gens: Sequence[WeylOp], order: MonomialOrder,
             C.append([-a for a in negcof])
         if len(G) > limits.max_basis:
             raise ResourceLimit("basis size bound exceeded")
-        queue.add(r.leading_exp(order))
+        queue.add(max(r.terms, key=leading))
 
-    return _reduce_left_basis(G, C, order, limits)
+    return _reduce_left_basis(G, C, order, limits, lead, keys)
 
 
-def _reduce_left_basis(G, C, order, limits):
+def _reduce_left_basis(G, C, order, limits, leads=None, keys=None):
     """Minimal, tail-reduced, monic basis sorted by leading monomial;
-    with cofactor rows C (None when untracked) returns (basis, rows)."""
+    with cofactor rows C (None when untracked) returns (basis, rows).
+    A basis computation passes its leads and KeyCache as in
+    left_normal_form."""
+    if keys is None:
+        keys = KeyCache(order.key)
+    if leads is None:
+        leads = [max(g.terms, key=keys.__getitem__) for g in G]
     # minimalize by leading-monomial divisibility
-    lead = [g.leading_exp(order) for g in G]
     keep_idx = []
-    for i in range(len(G)):
-        li = lead[i]
+    for i, li in enumerate(leads):
         drop = False
-        for j in range(len(G)):
+        for j, lj in enumerate(leads):
             if i == j:
                 continue
-            if exp_divides(lead[j], li) and (lead[j] != li or j < i):
+            if exp_divides(lj, li) and (lj != li or j < i):
                 drop = True
                 break
         if not drop:
             keep_idx.append(i)
-    G2 = [G[i] for i in keep_idx]
-    if C is None:
-        out = []
-        for i, g in enumerate(G2):
-            r = left_normal_form(g, G2[:i] + G2[i + 1:], order, limits)
-            if not r.is_zero():
-                out.append(r * (Fraction(1) / r.leading_coeff(order)))
-        out.sort(key=lambda g: order.key(g.leading_exp(order)))
-        return out
-    C2 = [C[i] for i in keep_idx]
     # tail-reduce and scale monic
-    out, outc = [], []
-    for i, g in enumerate(G2):
-        rest = G2[:i] + G2[i + 1:]
-        restc = C2[:i] + C2[i + 1:]
-        delta = [WeylOp.zero(g.ctx) for _ in C2[0]]
-        r = left_normal_form(g, rest, order, limits,
-                             cofactors=delta, basis_cofactors=restc)
+    out = []
+    for i in keep_idx:
+        rest = [k for k in keep_idx if k != i]
+        rest_g, rest_l = [G[k] for k in rest], [leads[k] for k in rest]
+        if C is None:
+            r = left_normal_form(G[i], rest_g, order, limits,
+                                 leads=rest_l, keys=keys)
+        else:
+            delta = [WeylOp.zero(G[i].ctx) for _ in C[i]]
+            r = left_normal_form(G[i], rest_g, order, limits,
+                                 cofactors=delta,
+                                 basis_cofactors=[C[k] for k in rest],
+                                 leads=rest_l, keys=keys)
         if r.is_zero():
             continue
-        # g = r + sum(delta * originals), so r = sum((C2[i] - delta) * originals)
-        cof = [a - b for a, b in zip(C2[i], delta)]
-        lc = r.leading_coeff(order)
-        inv = Fraction(1) / lc
-        out.append(r * inv)
-        outc.append([a * inv for a in cof])
-    pairs = sorted(zip(out, outc), key=lambda t: order.key(t[0].leading_exp(order)))
-    out = [a for a, _ in pairs]
-    outc = [b for _, b in pairs]
-    return out, outc
+        lr = max(r.terms, key=keys.__getitem__)
+        inv = Fraction(1) / r.terms[lr]
+        if C is None:
+            out.append((keys[lr], r * inv, None))
+        else:
+            # G[i] = r + sum(delta * originals), so
+            # r = sum((C[i] - delta) * originals)
+            out.append((keys[lr], r * inv,
+                        [(a - b) * inv for a, b in zip(C[i], delta)]))
+    out.sort(key=lambda t: t[0])
+    if C is None:
+        return [g for _, g, _ in out]
+    return [g for _, g, _ in out], [row for _, _, row in out]
 
 
 class LeftIdeal:

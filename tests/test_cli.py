@@ -354,3 +354,81 @@ def test_load_problem_echo():
     assert pf.variables == ["x", "y"]
     assert pf.arrangement is not None
     assert pf.arrangement_echo["multiplicities"] == [1, 1, 1]
+
+
+# ------------------------------------------------------- degree/basis bounds
+
+
+def _problem_with_options(tmp_path, options):
+    prob = tmp_path / "opts.json"
+    prob.write_text(json.dumps({"variables": ["x", "y"],
+                                "factors": ["x", "y"], "options": options}))
+    return prob
+
+
+def test_max_degree_zero_is_usage_error():
+    code, payload = run("hypotheses", "--input", DATA / "ex_xy.json",
+                        "--max-degree", "0")
+    assert code == 1
+    assert "--max-degree must be a positive integer" in payload["error"]
+
+
+def test_negative_max_degree_is_usage_error():
+    code, payload = run("bs-ideal", "--input", DATA / "ex_xy.json",
+                        "--max-degree", "-3")
+    assert code == 1
+    assert "--max-degree must be a positive integer" in payload["error"]
+    assert "resource limit" not in payload["error"]
+
+
+def test_max_basis_zero_is_usage_error():
+    code, payload = run("appendix-check", "--max-basis", "0")
+    assert code == 1
+    assert "--max-basis must be a positive integer" in payload["error"]
+
+
+@pytest.mark.parametrize("options", [
+    {"max_degree": "5"}, {"max_degree": True}, {"max_degree": 0},
+    {"max_degree": 2.5}, {"max_basis": -1}, {"max_basis": "20000"},
+])
+def test_bad_bound_option_in_file_is_usage_error(tmp_path, options):
+    prob = _problem_with_options(tmp_path, options)
+    code, payload = run("hypotheses", "--input", prob)
+    assert code == 1
+    name = next(iter(options))
+    assert f'option "{name}" must be a positive integer' in payload["error"]
+
+
+def test_bounds_resolve_flag_then_file_then_default(tmp_path):
+    prob = _problem_with_options(tmp_path, {"max_degree": 40})
+    _, payload = run("hypotheses", "--input", prob)
+    assert payload["options"]["max_degree"] == 40
+    assert payload["options"]["max_basis"] == 20000
+    _, payload = run("hypotheses", "--input", prob, "--max-degree", "7",
+                     "--max-basis", "900")
+    assert payload["options"]["max_degree"] == 7
+    assert payload["options"]["max_basis"] == 900
+
+
+def test_consecutive_requests_share_no_parser_state():
+    from fpowers.cli import _build_parser
+    assert _build_parser() is _build_parser()
+    code, first = run("nabla", "--input", DATA / "ex_xy.json",
+                      "--point", "-1,0", "--max-degree", "30", "--order",
+                      "lex", "--assume-hypotheses")
+    assert code == 0
+    assert first["options"] == {"order": "lex", "max_degree": 30,
+                                "max_basis": 20000,
+                                "assume_hypotheses": True}
+    code, second = run("hypotheses", "--input", DATA / "ex_xy.json")
+    assert code == 0
+    assert second["options"] == {"order": "grevlex", "max_degree": 60,
+                                 "max_basis": 20000,
+                                 "assume_hypotheses": False}
+    code, third = run("nabla", "--input", DATA / "ex_xy.json")
+    assert code == 1
+    assert "--point" in third["error"]
+    code, fourth = run("nabla", "--input", DATA / "ex_xy.json",
+                       "--point", "-1,0", "--max-degree", "30", "--order",
+                       "lex", "--assume-hypotheses")
+    assert strip_timing(fourth) == strip_timing(first)

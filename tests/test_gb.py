@@ -443,3 +443,247 @@ def test_pair_keys_computed_once(monkeypatch):
     groebner_basis(gens, order)
     _, _, created = _reference_gb(gens, base)
     assert state["keys"] <= 3 * (created + state["divisions"])
+
+
+# ======================================================================
+# the in-place division kernel against the copy-and-rescan loops it
+# replaced (kept here only, as references)
+
+
+def _old_normal_form(p, basis, order, limits=gb.DEFAULT_LIMITS,
+                     leads=None, keys=None):
+    """Re-keys every basis lead per call, rescans the working polynomial
+    for its lead and copies it on every step; leads and keys are ignored."""
+    if not basis:
+        return p
+    lead = [(g.leading_exp(order), g) for g in basis if not g.is_zero()]
+    rem = Poly.zero(p.ctx)
+    work = p
+    while not work.is_zero():
+        e = work.leading_exp(order)
+        c = work.terms[e]
+        hit = None
+        for le, g in lead:
+            if exp_divides(le, e):
+                hit = (le, g)
+                break
+        if hit is None:
+            t = Poly.monomial(p.ctx, e, c)
+            rem = rem + t
+            work = work - t
+        else:
+            le, g = hit
+            m = Poly.monomial(p.ctx, exp_sub(e, le), c / g.terms[le])
+            work = work - m * g
+            limits.check_poly(work)
+    return rem
+
+
+def _old_vec_lead(v, mo, keys=None):
+    best = None
+    for pos, q in enumerate(v):
+        for e in q.terms:
+            m = (pos, e)
+            if best is None or mo.key(m) > mo.key(best):
+                best = m
+    if best is None:
+        raise ValueError("zero vector has no leading term")
+    return best
+
+
+def _old_vec_reduce(v, basis, leads, mo, limits, keys=None):
+    ctx = v[0].ctx
+    rem = tuple(Poly.zero(ctx) for _ in v)
+    work = v
+    while not gb._vec_is_zero(work):
+        pos, e = _old_vec_lead(work, mo)
+        c = work[pos].terms[e]
+        hit = -1
+        for k, (lp, le) in enumerate(leads):
+            if lp == pos and exp_divides(le, e):
+                hit = k
+                break
+        if hit < 0:
+            t = Poly.monomial(ctx, e, c)
+            r2 = list(rem)
+            r2[pos] = r2[pos] + t
+            rem = tuple(r2)
+            w2 = list(work)
+            w2[pos] = w2[pos] - t
+            work = tuple(w2)
+        else:
+            g = basis[hit]
+            lp, le = leads[hit]
+            m = Poly.monomial(ctx, exp_sub(e, le), c / g[lp].terms[le])
+            work = gb._vec_sub(work, gb._vec_scale(g, m))
+            for q in work:
+                limits.check_poly(q)
+    return rem
+
+
+@pytest.fixture
+def old_division(monkeypatch):
+    """Run the module's Buchberger loops on the old division loops."""
+    def use_old():
+        monkeypatch.setattr(gb, "normal_form", _old_normal_form)
+        monkeypatch.setattr(gb, "_vec_reduce", _old_vec_reduce)
+        monkeypatch.setattr(gb, "_vec_lead", _old_vec_lead)
+    return use_old
+
+
+def _items(polys):
+    """Terms in dict order: equal lists mean equal polynomials built in the
+    same order."""
+    return [list(q.terms.items()) for q in polys]
+
+
+BLOCK = VarContext([("W", ["a", "b"]), ("X", ["x", "y", "z"])])
+
+
+def _kernel_orders():
+    """(context, order) pairs: lex, grevlex, weighted and block."""
+    return [(XYZ, MonomialOrder.lex()), (XYZ, MonomialOrder.grevlex()),
+            (XYZ, MonomialOrder.weighted([2, 1, 3])),
+            (XYZ, MonomialOrder.weighted([1, 0, 1], MonomialOrder.lex())),
+            (BLOCK, MonomialOrder.block(BLOCK, ["W", "X"]))]
+
+
+def _outcome(fn, *args):
+    """fn's result, or the message of the ResourceLimit it raised."""
+    try:
+        return fn(*args)
+    except ResourceLimit as e:
+        return ("ResourceLimit", str(e))
+
+
+def test_normal_form_kernel_matches_old_loop():
+    rng = random.Random(31)
+    for ctx, order in _kernel_orders():
+        for _ in range(8):
+            basis = [_random_poly(rng, ctx, deg=3, terms=4) for _ in range(3)]
+            basis.append(Poly.zero(ctx))
+            target = _random_poly(rng, ctx, deg=5, terms=6)
+            ref = _old_normal_form(target, basis, order)
+            got = normal_form(target, basis, order)
+            assert _items([got]) == _items([ref])
+            nonzero = [g for g in basis if g.terms]
+            leads = [g.leading_exp(order) for g in nonzero]
+            with_leads = normal_form(target, nonzero, order, leads=leads)
+            assert _items([with_leads]) == _items([ref])
+
+
+def test_bases_match_old_loop(old_division):
+    rng = random.Random(32)
+    inputs = [_graph_input()[::-1]]
+    for ctx, order in _kernel_orders():
+        for _ in range(5):
+            inputs.append((order, [_random_poly(rng, ctx, deg=3)
+                                   for _ in range(3)]))
+    got = [groebner_basis(gens, order) for order, gens in inputs]
+    old_division()
+    ref = [groebner_basis(gens, order) for order, gens in inputs]
+    assert [_items(G) for G in got] == [_items(G) for G in ref]
+    assert sum(len(G) for G in ref) > 2 * len(inputs)
+
+
+def _module_inputs():
+    rng = random.Random(33)
+    f = p("x^2*y + y^3 - x*y", XY)
+    yield [(f.diff("x"),), (f.diff("y"),), (-f,)], MonomialOrder.grevlex()
+    yield ([(p("x^2 - y"), p("x*y")), (p("x*y"), p("y^2 + x")),
+            (p("y^2"), p("x^2"))], MonomialOrder.lex())
+    for order in (MonomialOrder.grevlex(), MonomialOrder.weighted([1, 2, 1])):
+        yield ([tuple(_random_poly(rng, XYZ, deg=2) for _ in range(2))
+                for _ in range(3)], order)
+
+
+def test_module_bases_match_old_loop(old_division):
+    inputs = list(_module_inputs())
+
+    def bases():
+        out = []
+        for vecs, order in inputs:
+            mo = gb._ModOrder(order, split=len(vecs[0]))
+            aug = [tuple(v) + tuple(Poly.const(v[0].ctx, int(i == k))
+                                    for k in range(len(vecs)))
+                   for i, v in enumerate(vecs)]
+            out.append([_items(g) for g in gb._module_gb(aug, mo)])
+            out.append([_items(s) for s in syzygies(vecs, order)])
+            out.append(gb.module_contains(vecs, aug[0][:len(vecs[0])],
+                                          order))
+        return out
+    got = bases()
+    old_division()
+    assert got == bases()
+
+
+def test_resource_limit_on_same_inputs_as_old_loop(old_division):
+    rng = random.Random(34)
+    inputs = []
+    for ctx, order in _kernel_orders():
+        for _ in range(4):
+            inputs.append(([_random_poly(rng, ctx, deg=3, terms=4)
+                            for _ in range(3)], order))
+    inputs.append(([p("x^5 + y"), p("y^4 - x")], MonomialOrder.grevlex()))
+    targets = [_random_poly(rng, XYZ, deg=6, terms=5) for _ in range(6)]
+    basis = [p("x^2 - y*z", XYZ), p("y^3 - x", XYZ), p("z^2 + x*y", XYZ)]
+    vecs, order = next(_module_inputs())
+
+    def outcomes():
+        out = []
+        for d in (2, 3, 4, 5):
+            lim = Limits(max_degree=d)
+            out += [_outcome(groebner_basis, gens, order, lim)
+                    for gens, order in inputs]
+            out += [_outcome(gb.normal_form, t, basis, MonomialOrder.lex(),
+                             lim) for t in targets]
+            out.append(_outcome(syzygies, vecs, order, lim))
+        return out
+    got = outcomes()
+    old_division()
+    ref = outcomes()
+    assert got == ref
+    raised = sum(isinstance(o, tuple) and o[:1] == ("ResourceLimit",)
+                 for o in ref)
+    assert 0 < raised < len(ref)
+
+
+def test_division_keys_each_exponent_once(monkeypatch):
+    # Work-count guard: one normal_form call keys each exponent that enters
+    # its working polynomial at most once, plus each term of the basis when
+    # it must find the leads itself.  The old loop re-keys the whole working
+    # polynomial on every step (15 times the bound here) and fails it.
+    gens, base = _graph_input()
+    G = groebner_basis(gens[:6], base)
+    target = sum((g * g for g in gens), Poly.zero(GRAPH))
+    calls = [0]
+
+    def key(e):
+        calls[0] += 1
+        return base.key(e)
+    order = MonomialOrder(base.kind, key, base.desc)
+
+    # every exponent that enters the working polynomial, seen by the old
+    # loop through the subtractions that make each new working polynomial
+    entered = set(target.terms)
+    real_sub = Poly.__sub__
+
+    def sub(a, b):
+        out = real_sub(a, b)
+        entered.update(out.terms)
+        return out
+    with monkeypatch.context() as patch:
+        patch.setattr(Poly, "__sub__", sub)
+        ref = _old_normal_form(target, G, base)
+    basis_terms = sum(len(g.terms) for g in G)
+    leads = [g.leading_exp(base) for g in G]
+
+    calls[0] = 0
+    assert normal_form(target, G, order, leads=leads) == ref
+    assert calls[0] <= len(entered)
+    calls[0] = 0
+    assert normal_form(target, G, order) == ref
+    assert calls[0] <= len(entered) + basis_terms
+    calls[0] = 0
+    assert _old_normal_form(target, G, order) == ref
+    assert calls[0] > 3 * (len(entered) + basis_terms)

@@ -178,3 +178,43 @@ def test_exact_division_inverts_multiplication(a, b):
         return
     q = divide_exact(a * b, b)
     assert q is not None and q == a
+
+
+# ======================================================================
+# divide_exact on the division kernel, against the loop it replaced
+
+
+def _old_divide_exact(p, q):
+    """Rescans and copies the remainder on every step (reference only)."""
+    from fpowers.ring import exp_divides, exp_sub
+    if q.is_zero():
+        return None
+    if p.is_zero():
+        return Poly.zero(p.ctx)
+    order = MonomialOrder.grevlex()
+    lq = q.leading_exp(order)
+    cq = q.terms[lq]
+    quo = Poly.zero(p.ctx)
+    rem = p
+    while not rem.is_zero():
+        lr = rem.leading_exp(order)
+        if not exp_divides(lq, lr):
+            return None
+        t = Poly.monomial(p.ctx, exp_sub(lr, lq), rem.terms[lr] / cq)
+        quo = quo + t
+        rem = rem - t * q
+    return quo
+
+
+@given(polys(), polys(), polys())
+@settings(max_examples=150, deadline=None)
+def test_divide_exact_kernel_matches_old_loop(a, b, r):
+    # exact quotients, and None where a remainder is left, in the same
+    # term order as before
+    for num in (a * b, a * b + r, a + r, a):
+        got, ref = divide_exact(num, b), _old_divide_exact(num, b)
+        if ref is None:
+            assert got is None
+        else:
+            assert got is not None
+            assert list(got.terms.items()) == list(ref.terms.items())

@@ -393,3 +393,125 @@ def test_annihilator_soundness_theta():
     F = F_x_q()
     for t in F.theta_generators():
         assert apply_to_FS(t, F).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the in-place division kernel against the left-division loop it replaced
+# (kept here only, as a reference)
+
+
+def _old_left_normal_form(P, basis, order, limits=gb.DEFAULT_LIMITS,
+                          cofactors=None, basis_cofactors=None,
+                          leads=None, keys=None):
+    """Re-keys every basis lead per call, rescans the working operator for
+    its lead and copies it on every step; leads and keys are ignored."""
+    from fpowers.gb import ResourceLimit
+    ctx = P.ctx
+    lead = [(g.leading_exp(order), g) for g in basis if not g.is_zero()]
+    rem = WeylOp.zero(ctx)
+    work = P
+    while not work.is_zero():
+        e = work.leading_exp(order)
+        c = work.terms[e]
+        hit = -1
+        for k, (le, g) in enumerate(lead):
+            if exp_divides(le, e):
+                hit = k
+                break
+        if hit < 0:
+            t = WeylOp(ctx, {e: c})
+            rem = rem + t
+            work = work - t
+        else:
+            le, g = lead[hit]
+            m = exp_sub(e, le)
+            coef = c / g.terms[le]
+            work = work - weyl_multiply(WeylOp(ctx, {m: coef}), g)
+            if work.total_degree() > limits.max_degree:
+                raise ResourceLimit("degree bound exceeded in left normal form")
+            if cofactors is not None and basis_cofactors is not None:
+                mono = WeylOp(ctx, {m: coef})
+                for idx, cof in enumerate(basis_cofactors[hit]):
+                    if not cof.is_zero():
+                        cofactors[idx] = cofactors[idx] + mono * cof
+    return rem
+
+
+def _kernel_left_inputs():
+    """Left ideals with s-variables under weighted, block and grevlex
+    orders, plus the B_F elimination of _left_gb_inputs."""
+    yield from _left_gb_inputs()
+    ctx = WeylContext(["x", "y"], ["s1", "s2"])
+    gens = [parse_weyl("x*dx + y*dy - s1 - 2*s2", ctx),
+            parse_weyl("y*dx - x*dy", ctx), parse_weyl("x^2 + y^2", ctx)]
+    yield gens, elimination_order(ctx)
+    yield gens, MonomialOrder.block(ctx.vc, ["X", "DX", "S"])
+    gens = [parse_weyl("x*dx - s1 - s2", ctx),
+            parse_weyl("y*dy - 2*s2", ctx), parse_weyl("x^2*y", ctx)]
+    yield gens, MonomialOrder.grevlex()
+    yield gens, elimination_order(ctx)
+
+
+def _items(ops):
+    return [list(P.terms.items()) for P in ops]
+
+
+def test_left_normal_form_kernel_matches_old_loop():
+    import random
+    rng = random.Random(41)
+    for gens, order in _kernel_left_inputs():
+        ctx = gens[0].ctx
+        G, C = weyl_left_gb(gens, order, track=True)
+        pool = _op_pool(ctx)
+        for _ in range(6):
+            P = WeylOp.zero(ctx)
+            for _ in range(rng.randint(1, 3)):
+                term = WeylOp.const(ctx, rng.choice([1, -2, Fraction(1, 3)]))
+                for _ in range(rng.randint(1, 4)):
+                    term = term * rng.choice(pool)
+                P = P + term
+            for basis, rows in ((G, C), (list(gens), None)):
+                got_cof = [WeylOp.zero(ctx) for _ in gens]
+                ref_cof = [WeylOp.zero(ctx) for _ in gens]
+                got = weyl.left_normal_form(P, basis, order,
+                                            cofactors=got_cof,
+                                            basis_cofactors=rows)
+                ref = _old_left_normal_form(P, basis, order,
+                                            cofactors=ref_cof,
+                                            basis_cofactors=rows)
+                assert _items([got]) == _items([ref])
+                assert got_cof == ref_cof
+
+
+def test_left_bases_match_old_loop(monkeypatch):
+    inputs = list(_kernel_left_inputs())
+    got = [(weyl_left_gb(gens, order, track=True),
+            weyl_left_gb(gens, order)) for gens, order in inputs]
+    monkeypatch.setattr(weyl, "left_normal_form", _old_left_normal_form)
+    ref = [(weyl_left_gb(gens, order, track=True),
+            weyl_left_gb(gens, order)) for gens, order in inputs]
+    for ((G, C), plain), ((rG, rC), rplain) in zip(got, ref):
+        assert _items(G) == _items(rG)
+        assert C == rC
+        assert _items(plain) == _items(rplain)
+
+
+def test_left_resource_limit_on_same_inputs_as_old_loop(monkeypatch):
+    from fpowers.gb import Limits, ResourceLimit
+
+    def outcomes():
+        out = []
+        for d in (2, 3, 4, 5, 6):
+            for gens, order in _kernel_left_inputs():
+                try:
+                    out.append(weyl_left_gb(gens, order, Limits(max_degree=d),
+                                            track=True))
+                except ResourceLimit as e:
+                    out.append(str(e))
+        return out
+    got = outcomes()
+    monkeypatch.setattr(weyl, "left_normal_form", _old_left_normal_form)
+    ref = outcomes()
+    assert got == ref
+    raised = sum(isinstance(o, str) for o in ref)
+    assert 0 < raised < len(ref)
