@@ -104,9 +104,16 @@ class _UsageError(Exception):
     pass
 
 
+class _HelpRequested(Exception):
+    """--help was given; carries the help text."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit code 1, not argparse's 2
         raise _UsageError(message)
+
+    def print_help(self, file=None):  # hand the text back, do not exit
+        raise _HelpRequested(self.format_help())
 
 
 @functools.lru_cache(maxsize=1)
@@ -197,9 +204,11 @@ def load_problem(path: str) -> Problem:
                               "appendix_count", "appendix_seed"}
     if unknown:
         raise _UsageError(f"unknown options: {sorted(unknown)}")
-    for name in ("max_degree", "max_basis"):
+    for name in ("max_degree", "max_basis", "appendix_count"):
         if name in options:
             _positive_int(f'option "{name}"', options[name])
+    if "appendix_seed" in options:
+        _nonnegative_int('option "appendix_seed"', options["appendix_seed"])
     return Problem(list(variables), list(factor_strings), fspec,
                    arrangement, arrangement_echo, options)
 
@@ -386,6 +395,13 @@ def _gate(cmd: str, fspec: FactorizationSpec, limits: Limits,
 def _positive_int(source: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
         raise _UsageError(f"{source} must be a positive integer, "
+                          f"not {value!r}")
+    return value
+
+
+def _nonnegative_int(source: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise _UsageError(f"{source} must be a non-negative integer, "
                           f"not {value!r}")
     return value
 
@@ -656,8 +672,9 @@ def _cmd_appendix(args, payload: Dict[str, object]) -> int:
         dim_in = krull_dimension(data.In010_LF, limits)
         file_check = {"dim_L_F": dim_l, "dim_In010_L_F": dim_in,
                       "initial_dim_ge": dim_in >= dim_l}
-    count = int(options.get("appendix_count", 20))
-    seed = int(options.get("appendix_seed", 0))
+    # both checked by load_problem
+    count = options.get("appendix_count", 20)
+    seed = options.get("appendix_seed", 0)
     payload["options"] = {"max_degree": limits.max_degree,
                           "max_basis": limits.max_basis,
                           "appendix_count": count, "appendix_seed": seed}
@@ -696,6 +713,9 @@ def run_command(argv: Sequence[str]) -> Tuple[int, Dict[str, object]]:
     except _UsageError as e:
         payload["error"] = str(e)
         return 1, payload
+    except _HelpRequested as e:
+        payload["help"] = e.args[0]
+        return 0, payload
     if not args.command:
         payload["error"] = "missing command; see --help"
         return 1, payload
@@ -716,7 +736,9 @@ def run_command(argv: Sequence[str]) -> Tuple[int, Dict[str, object]]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     code, payload = run_command(argv)
-    if "--json" in argv:
+    if "help" in payload:
+        sys.stdout.write(payload["help"])
+    elif "--json" in argv:
         print(json.dumps(payload, indent=2))
     else:
         print(render_text(payload))

@@ -79,8 +79,9 @@ class FactorizationSpec:
     """F = (f_1, ..., f_r) with f = prod f_k and all derived data.
 
     Hypothesis flags (strong Euler-homogeneity at the origin, reducedness,
-    freeness, tameness, arrangement-ness, Saito-holonomicity) are filled by
-    check_hypotheses(); each is "yes"/"no"/"unknown" with a short reason.
+    freeness, tameness, arrangement-ness, Saito-holonomicity) come from
+    check_hypotheses(limits); each is "yes"/"no"/"unknown" with a short
+    reason.
     """
 
     def __init__(self, x_names: Sequence[str], factors: Sequence[Poly]):
@@ -117,7 +118,8 @@ class FactorizationSpec:
         self.vanishing_at_origin = all(
             fk.constant_coeff() == 0 for fk in self.factors
         )
-        self.hypotheses: Dict[str, Tuple[str, str]] = {}
+        # (max_degree, max_basis) -> the complete hypothesis table
+        self._hyp_cache: Dict[Tuple[int, int], Dict[str, Tuple[str, str]]] = {}
         # (variant, max_degree, max_basis) -> log_derivations(f, variant)
         self._log_cache: Dict[Tuple[str, int, int], List[LogDerivation]] = {}
 
@@ -141,12 +143,18 @@ class FactorizationSpec:
         return [psi_F(d, self, limits=limits)
                 for d in self.log_derivations("log", limits)]
 
-    def check_hypotheses(self, limits: Limits = DEFAULT_LIMITS,
-                         deep: bool = True) -> Dict[str, Tuple[str, str]]:
-        """Fill and return the hypothesis table {name: (verdict, reason)}."""
-        h = self.hypotheses
-        if h:
-            return h
+    def check_hypotheses(self, limits: Limits = DEFAULT_LIMITS
+                         ) -> Dict[str, Tuple[str, str]]:
+        """The hypothesis table {name: (verdict, reason)}, computed once per
+        bounds for this spec; returns a fresh dict.  A table is kept only
+        once every verdict is in, so a ResourceLimit leaves nothing behind."""
+        key = (limits.max_degree, limits.max_basis)
+        if key not in self._hyp_cache:
+            self._hyp_cache[key] = self._hypothesis_table(limits)
+        return dict(self._hyp_cache[key])
+
+    def _hypothesis_table(self, limits: Limits) -> Dict[str, Tuple[str, str]]:
+        h: Dict[str, Tuple[str, str]] = {}
         rep = euler_and_seh_check(self.f)
         h["strong_euler_origin"] = (
             ("yes", rep.reason) if rep.strong_at_origin == "yes"
@@ -163,24 +171,23 @@ class FactorizationSpec:
                 h["arrangement"] = ("no", "a factor is certified not a product of linear forms")
             else:
                 h["arrangement"] = ("unknown", "no linear splitting found")
-        if deep:
-            log_gens = self.log_derivations("log", limits)
-            sb = saito_basis(self.f, limits, log_gens)
-            if sb.basis:
-                h["free"] = ("yes", "Saito determinant = unit * f")
-            elif sb.pdim == 0:
-                h["free"] = ("yes", "pdim Der(-log f) = 0 (no determinant certificate)")
-            elif sb.pdim is None:
-                h["free"] = ("unknown", "no freeness certificate found")
-            else:
-                h["free"] = ("no", f"pdim Der(-log f) = {sb.pdim}")
-            tame = tameness_check(self.f, limits)
-            h["tame"] = tame
-            if arr is not None:
-                h["saito_holonomic"] = ("yes", "hyperplane arrangement")
-            else:
-                h["saito_holonomic"] = saito_holonomic_check(
-                    self.f, limits, log_gens)
+        log_gens = self.log_derivations("log", limits)
+        sb = saito_basis(self.f, limits, log_gens)
+        if sb.basis:
+            h["free"] = ("yes", "Saito determinant = unit * f")
+        elif sb.pdim == 0:
+            h["free"] = ("yes", "pdim Der(-log f) = 0 (no determinant certificate)")
+        elif sb.pdim is None:
+            h["free"] = ("unknown", "no freeness certificate found")
+        else:
+            h["free"] = ("no", f"pdim Der(-log f) = {sb.pdim}")
+        tame = tameness_check(self.f, limits)
+        h["tame"] = tame
+        if arr is not None:
+            h["saito_holonomic"] = ("yes", "hyperplane arrangement")
+        else:
+            h["saito_holonomic"] = saito_holonomic_check(
+                self.f, limits, log_gens)
         return h
 
     def try_arrangement(self):

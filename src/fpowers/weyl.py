@@ -14,6 +14,11 @@ term map (and into the cofactor rows when tracking), and a basis
 computation shares one KeyCache of order keys and its leading exponents
 with every division it makes.
 
+The action on F^S (apply_to_FS) is grouped by derivative pattern: an
+operator is sum_b p_b(x, S) d^b, each d^b . F^S is derived once from its
+prefix d^(b - e_i), and the p_b-weighted sum is taken over one common
+power of f and reduced once, to the canonical FSElement.
+
 Elimination orders placing {X, DX} before {S} are admissible here — as is
 any global order — because the only nontrivial commutator is d_i x_i -
 x_i d_i = 1, whose monomial is strictly smaller than x_i*d_i under every
@@ -416,13 +421,6 @@ class FSElement:
         return (isinstance(other, FSElement) and self.j == other.j
                 and self.num == other.num)
 
-    def __add__(self, other):
-        j = max(self.j, other.j)
-        f = self.fspec.f_xs
-        a = self.num * f ** (j - self.j)
-        b = other.num * f ** (j - other.j)
-        return FSElement(self.fspec, a + b, j)
-
     def __str__(self):
         if self.j == 0:
             return f"({self.num}) * F^S"
@@ -436,47 +434,74 @@ def apply_to_FS(P: WeylOp, fspec, start: Optional[FSElement] = None) -> FSElemen
     """Apply an operator to F^S (or to a given element) by formal calculus.
 
     d_i acts on (h/f^j)F^S as
-        [d_i(h) f - j h d_i(f) + h * sum_k s_k (d_i f_k)(f/f_k)] / f^(j+1),
-    x and s act by multiplication.  P annihilates F^S iff the result is 0.
+        [d_i(h) f - j h d_i(f) + h L_i] / f^(j+1),
+        L_i = sum_k s_k (d_i f_k)(f/f_k),
+    x and s act by multiplication.  P is evaluated by derivative pattern:
+    P = sum_b p_b(x, S) d^b exactly (s is central; x^a acts after d^b), so
+    each d^b . start is made once, as d_i applied to the memoized
+    d^(b - e_i) . start (i the last index with b_i > 0), and each L_i once
+    per call.  sum_b p_b num_b / f^(j_b) is then put over the one
+    denominator f^J, J = max j_b, and reduced once: the reduced numerator
+    with the least pole order is unique, so the result is the canonical
+    FSElement a term-by-term sum would give.  P annihilates F^S iff the
+    result is 0.
     """
-    ctx = P.ctx
+    n = P.ctx.n
     xs = fspec.xs_vc
     if start is None:
         start = FSElement(fspec, Poly.const(xs, 1), 0)
-    total = FSElement(fspec, Poly.zero(xs), 0)
+    # p_b as a term map over Q[x, S]: x^a d^b s^w contributes x^a s^w
+    patterns: Dict[Exp, Dict[Exp, Fraction]] = {}
     for e, c in P.terms.items():
-        a, b, w = ctx.split(e)
-        elt = start
-        # s^w first (central, multiplicative)
-        mono = Poly.monomial(xs, xs.zero_exp(), c)
-        for j, k in enumerate(w):
-            if k:
-                mono = mono * Poly.var(xs, ctx.s_names[j]) ** k
-        elt = FSElement(fspec, elt.num * mono, elt.j)
-        # then the derivations
-        for i in range(ctx.n):
-            for _ in range(b[i]):
-                elt = _apply_partial(i, elt, fspec)
-        # then multiplication by x^a
-        xmono = Poly.const(xs, 1)
-        for i, k in enumerate(a):
-            if k:
-                xmono = xmono * Poly.var(xs, ctx.x_names[i]) ** k
-        elt = FSElement(fspec, elt.num * xmono, elt.j)
-        total = total + elt
-    return total
+        patterns.setdefault(e[n:2 * n], {})[e[:n] + e[2 * n:]] = c
+    derived = {(0,) * n: start}
+    logs: Dict[int, Poly] = {}
+
+    def derivative(b: Exp) -> FSElement:
+        elt = derived.get(b)
+        if elt is None:
+            i = max(k for k in range(n) if b[k])
+            if i not in logs:
+                logs[i] = _log_numerator(i, fspec)
+            prev = derivative(b[:i] + (b[i] - 1,) + b[i + 1:])
+            elt = derived[b] = _apply_partial(i, prev, fspec, logs[i])
+        return elt
+
+    # sum_b p_b num_b, grouped by the pole order j_b of d^b . start
+    by_pole: Dict[int, Dict[Exp, Fraction]] = {}
+    for b, pb in patterns.items():
+        elt = derivative(b)
+        if elt.is_zero():
+            continue
+        p = Poly(xs)
+        p.terms = pb
+        _add_terms(by_pole.setdefault(elt.j, {}), (p * elt.num).terms.items())
+    # over f^J: sum_j (part_j) f^(J - j), Horner in f
+    J = max(by_pole, default=0)
+    num = Poly.zero(xs)
+    for j in range(J + 1):
+        num = num * fspec.f_xs
+        if by_pole.get(j):
+            _add_terms(num.terms, by_pole[j].items())
+    return FSElement(fspec, num, J)
 
 
-def _apply_partial(i: int, elt: FSElement, fspec) -> FSElement:
+def _log_numerator(i: int, fspec) -> Poly:
+    """L_i = sum_k s_k (d_i f_k)(f/f_k): d_i(F^S) = (L_i / f) F^S."""
     xs = fspec.xs_vc
-    h = elt.num
-    xname = fspec.x_names[i]
-    f = fspec.f_xs
-    dh = h.diff(xname)
-    num = dh * f - Fraction(elt.j) * h * fspec.df_xs[i]
+    out = Poly.zero(xs)
     for k in range(fspec.r):
         sk = Poly.var(xs, fspec.s_names[k])
-        num = num + sk * fspec.dfk_xs[k][i] * fspec.cofactor_xs[k] * h
+        out = out + sk * fspec.dfk_xs[k][i] * fspec.cofactor_xs[k]
+    return out
+
+
+def _apply_partial(i: int, elt: FSElement, fspec, log_num: Poly) -> FSElement:
+    """d_i . (h/f^j)F^S, given L_i = _log_numerator(i, fspec)."""
+    h = elt.num
+    num = h.diff(fspec.x_names[i]) * fspec.f_xs + h * log_num
+    if elt.j:
+        num = num - h * fspec.df_xs[i] * elt.j
     return FSElement(fspec, num, elt.j + 1)
 
 

@@ -17,3 +17,49 @@ def queue_pops(monkeypatch):
         return i, j, l
     monkeypatch.setattr(gb.PairQueue, "pop", pop)
     return pops
+
+
+def _old_apply_to_FS(P, fspec, start=None):
+    """The term-by-term F^S action that weyl.apply_to_FS replaced, kept as a
+    reference: for each term x^a d^b s^w it multiplies by s^w, applies every
+    d_i from scratch (recomputing the log-derivative numerator L_i on each
+    one) and multiplies by x^a, then folds the result into a running total
+    lifted to a common power of f."""
+    from fpowers.ring import Poly
+    from fpowers.weyl import FSElement, _apply_partial, _log_numerator
+    ctx = P.ctx
+    xs = fspec.xs_vc
+    f = fspec.f_xs
+
+    def add(u, v):
+        j = max(u.j, v.j)
+        a = u.num * f ** (j - u.j)
+        b = v.num * f ** (j - v.j)
+        return FSElement(fspec, a + b, j)
+
+    if start is None:
+        start = FSElement(fspec, Poly.const(xs, 1), 0)
+    total = FSElement(fspec, Poly.zero(xs), 0)
+    for e, c in P.terms.items():
+        a, b, w = ctx.split(e)
+        mono = Poly.monomial(xs, xs.zero_exp(), c)
+        for j, k in enumerate(w):
+            if k:
+                mono = mono * Poly.var(xs, ctx.s_names[j]) ** k
+        elt = FSElement(fspec, start.num * mono, start.j)
+        for i in range(ctx.n):
+            for _ in range(b[i]):
+                elt = _apply_partial(i, elt, fspec, _log_numerator(i, fspec))
+        xmono = Poly.const(xs, 1)
+        for i, k in enumerate(a):
+            if k:
+                xmono = xmono * Poly.var(xs, ctx.x_names[i]) ** k
+        elt = FSElement(fspec, elt.num * xmono, elt.j)
+        total = add(total, elt)
+    return total
+
+
+@pytest.fixture
+def old_apply_to_FS():
+    """The reference term-by-term F^S action (see _old_apply_to_FS)."""
+    return _old_apply_to_FS

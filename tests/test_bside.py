@@ -231,6 +231,20 @@ def test_witness_mixed_fixture():
         FSElement(F, B.principal_generator.map_context(F.xs_vc), 0)
 
 
+def test_witness_action_matches_old_loop(old_apply_to_FS):
+    # the grouped action and the term-by-term loop it replaced give the same
+    # canonical element on every witness Q, applied to f*F^S
+    cusp = FactorizationSpec(["x", "y"], [p("x^2 + y^3", VC2)])
+    for F in (F_x(), F_xy(), F_xy_single(), F_mixed(), F_lines(), cusp):
+        for b in bs_ideal(F).gb:
+            Q = functional_equation_witness(F, b)
+            start = FSElement(F, F.f_xs, 0)
+            got = apply_to_FS(Q, F, start=start)
+            ref = old_apply_to_FS(Q, F, start=start)
+            assert got.j == ref.j == 0
+            assert got.num == ref.num == b.map_context(F.xs_vc)
+
+
 def test_witness_rejects_non_member():
     F = F_xy()
     svc = s_context(F)

@@ -432,3 +432,53 @@ def test_consecutive_requests_share_no_parser_state():
                        "--point", "-1,0", "--max-degree", "30", "--order",
                        "lex", "--assume-hypotheses")
     assert strip_timing(fourth) == strip_timing(first)
+
+
+@pytest.mark.parametrize("options, message", [
+    ({"appendix_count": "many"}, 'option "appendix_count" must be a positive'),
+    ({"appendix_count": 0}, 'option "appendix_count" must be a positive'),
+    ({"appendix_count": True}, 'option "appendix_count" must be a positive'),
+    ({"appendix_count": 2.0}, 'option "appendix_count" must be a positive'),
+    ({"appendix_seed": -1}, 'option "appendix_seed" must be a non-negative'),
+    ({"appendix_seed": False}, 'option "appendix_seed" must be a non-negative'),
+    ({"appendix_seed": "7"}, 'option "appendix_seed" must be a non-negative'),
+])
+def test_bad_appendix_option_is_usage_error(tmp_path, options, message):
+    prob = _problem_with_options(tmp_path, options)
+    for cmd in ("appendix-check", "hypotheses"):
+        code, payload = run(cmd, "--input", prob)
+        assert code == 1
+        assert message in payload["error"]
+
+
+def test_appendix_seed_zero_and_count_accepted(tmp_path):
+    prob = _problem_with_options(tmp_path, {"appendix_count": 1,
+                                            "appendix_seed": 0})
+    code, payload = run("appendix-check", "--input", prob)
+    assert code == 0
+    assert payload["options"]["appendix_count"] == 1
+    assert payload["options"]["appendix_seed"] == 0
+    assert payload["results"]["count"] == 1
+
+
+# --------------------------------------------------------------------- help
+
+
+@pytest.mark.parametrize("argv, usage", [
+    (["--help"], "usage: fpowers [-h] command"),
+    (["-h"], "usage: fpowers [-h] command"),
+    (["bs-poly", "--help"], "usage: fpowers bs-poly [-h]"),
+    (["nabla", "--input", "missing.json", "-h"], "usage: fpowers nabla [-h]"),
+])
+def test_help_returns_in_process(argv, usage):
+    code, payload = run_command(argv)
+    assert code == 0
+    assert payload["help"].startswith(usage)
+    assert "error" not in payload and "results" not in payload
+
+
+def test_main_prints_help(capsys):
+    # the text argparse would have printed, as it is, in either mode
+    for argv in (["bs-poly", "--help"], ["--help", "--json"]):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == run_command(argv)[1]["help"]

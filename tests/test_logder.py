@@ -346,3 +346,59 @@ def test_spec_computes_log_derivations_once(monkeypatch):
     # callers get their own list
     F.log_derivations("log").clear()
     assert len(F.log_derivations("log")) == len(real(F.f, "log"))
+
+
+# ---------------------------------------------------------------------------
+# the hypothesis memo: one complete table per (max_degree, max_basis)
+
+_ALL_HYPOTHESES = {"strong_euler_origin", "reduced", "arrangement", "free",
+                   "tame", "saito_holonomic"}
+
+
+def test_hypothesis_table_always_complete():
+    # there is no shallow mode: every table carries the verdicts bs_ideal
+    # reads, so B_F follows any earlier check
+    from fpowers.bside import bs_ideal
+    F = FactorizationSpec(["x", "y"], [p2("x^2 + y^3")])
+    with pytest.raises(TypeError):
+        F.check_hypotheses(deep=False)
+    assert set(F.check_hypotheses()) == _ALL_HYPOTHESES
+    assert bs_ideal(F).principal_generator is not None
+
+
+def test_hypothesis_resource_limit_leaves_no_table():
+    from fpowers.bside import bs_ideal
+    from fpowers.gb import Limits, ResourceLimit
+    F = FactorizationSpec(["x", "y"], [p2("x^3 + y^4")])
+    with pytest.raises(ResourceLimit):
+        F.check_hypotheses(Limits(max_degree=2))
+    h = F.check_hypotheses()
+    assert set(h) == _ALL_HYPOTHESES
+    assert h == FactorizationSpec(["x", "y"], [p2("x^3 + y^4")]) \
+        .check_hypotheses()
+    assert bs_ideal(F).principal_generator is not None
+
+
+def test_hypothesis_table_kept_per_bounds(monkeypatch):
+    from fpowers import logder
+    from fpowers.gb import Limits
+    calls = []
+    real = logder.reducedness_check
+
+    def counted(f, limits=logder.DEFAULT_LIMITS):
+        calls.append((limits.max_degree, limits.max_basis))
+        return real(f, limits)
+    monkeypatch.setattr(logder, "reducedness_check", counted)
+    F = FactorizationSpec(["x", "y"], [p2("x"), p2("y"), p2("x + y")])
+    tight = Limits(max_degree=3)
+    # under the tight bound the colon ideal is out of reach
+    assert F.check_hypotheses(tight)["reduced"][0] == "unknown"
+    assert F.check_hypotheses()["reduced"][0] == "yes"
+    assert F.check_hypotheses(tight)["reduced"][0] == "unknown"
+    assert F.check_hypotheses()["reduced"][0] == "yes"
+    default = (logder.DEFAULT_LIMITS.max_degree,
+               logder.DEFAULT_LIMITS.max_basis)
+    assert calls == [(3, tight.max_basis), default]
+    # callers get their own dict
+    F.check_hypotheses().clear()
+    assert set(F.check_hypotheses()) == _ALL_HYPOTHESES

@@ -515,3 +515,134 @@ def test_left_resource_limit_on_same_inputs_as_old_loop(monkeypatch):
     assert got == ref
     raised = sum(isinstance(o, str) for o in ref)
     assert 0 < raised < len(ref)
+
+
+# ---------------------------------------------------------------------------
+# the grouped F^S action against the term-by-term loop it replaced (the
+# old_apply_to_FS fixture in conftest.py); FSElement equality compares the
+# pole order j and the reduced numerator
+
+
+def F_lines():
+    vc = VarContext([("X", ["x", "y"])])
+    return FactorizationSpec(["x", "y"], [parse_poly(s, vc)
+                                          for s in ("x", "y", "x + y")])
+
+
+def _random_ops(ctx, rng, count, factors=5):
+    """Sums of up to four products of random generators, s-variables and
+    scalars, so the derivative patterns repeat across terms."""
+    pool = _op_pool(ctx)
+    for _ in range(count):
+        P = WeylOp.zero(ctx)
+        for _ in range(rng.randint(1, 4)):
+            term = WeylOp.const(ctx, rng.choice([1, -3, Fraction(2, 5)]))
+            for _ in range(rng.randint(1, factors)):
+                term = term * rng.choice(pool)
+            P = P + term
+        yield P
+
+
+def _starts(F):
+    """F^S itself, f*F^S, and elements with poles (j > 0)."""
+    xs = F.xs_vc
+    yield None
+    yield FSElement(F, F.f_xs, 0)
+    yield apply_to_FS(parse_weyl("d" + F.x_names[0], F.weyl), F)
+    yield FSElement(F, parse_poly("x*s1 + 1", xs), 2)
+    yield FSElement(F, F.f_xs * parse_poly("x - s1", xs), 3)
+
+
+def test_grouped_action_matches_old_loop(old_apply_to_FS):
+    import random
+    rng = random.Random(7)
+    for F in (F_x_q(), F_lines()):
+        starts = list(_starts(F))
+        assert any(s is not None and s.j > 0 for s in starts)
+        for P in _random_ops(F.weyl, rng, 12):
+            for start in starts:
+                got = apply_to_FS(P, F, start=start)
+                ref = old_apply_to_FS(P, F, start=start)
+                assert got == ref, (str(P), str(start))
+
+
+def test_grouped_action_theta_and_zero(old_apply_to_FS):
+    for F in (F_x(), F_x_q(), F_lines()):
+        for t in F.theta_generators():
+            got = apply_to_FS(t, F)
+            assert got.is_zero() and got.j == 0
+            assert got == old_apply_to_FS(t, F)
+        zero = WeylOp.zero(F.weyl)
+        assert apply_to_FS(zero, F) == old_apply_to_FS(zero, F)
+
+
+def test_apply_partial_matches_old_formula():
+    # d_i (h/f^j) F^S = [d_i(h) f - j h d_i(f) + h sum_k s_k (d_i f_k)(f/f_k)]
+    #                   / f^(j+1), written out term by term as before
+    for F in (F_x_q(), F_lines()):
+        xs = F.xs_vc
+        for elt in _starts(F):
+            elt = elt or FSElement(F, Poly.const(xs, 1), 0)
+            for i, name in enumerate(F.x_names):
+                h = elt.num
+                num = h.diff(name) * F.f_xs - Fraction(elt.j) * h * F.df_xs[i]
+                for k in range(F.r):
+                    sk = Poly.var(xs, F.s_names[k])
+                    num = num + sk * F.dfk_xs[k][i] * F.cofactor_xs[k] * h
+                ref = FSElement(F, num, elt.j + 1)
+                got = weyl._apply_partial(i, elt, F, weyl._log_numerator(i, F))
+                assert got == ref
+
+
+def _prefix_count(P):
+    """Distinct nonzero d-prefixes of P's terms: d^b is reached by applying
+    d_1 b_1 times, then d_2 b_2 times, and so on."""
+    n = P.ctx.n
+    prefixes = set()
+    for e in P.terms:
+        b = e[n:2 * n]
+        for i in range(n):
+            for t in range(1, b[i] + 1):
+                prefixes.add(b[:i] + (t,) + (0,) * (n - i - 1))
+    return len(prefixes)
+
+
+def _count_partials(monkeypatch):
+    calls = []
+    real = weyl._apply_partial
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+    monkeypatch.setattr(weyl, "_apply_partial", counted)
+    return calls
+
+
+def _guard_ops():
+    import random
+    rng = random.Random(11)
+    for F in (F_x_q(), F_lines()):
+        for P in _random_ops(F.weyl, rng, 8, factors=6):
+            yield F, P
+
+
+def test_action_partials_once_per_prefix(monkeypatch):
+    calls = _count_partials(monkeypatch)
+    made = 0
+    for F, P in _guard_ops():
+        for start in (None, FSElement(F, F.f_xs, 0)):
+            del calls[:]
+            apply_to_FS(P, F, start=start)
+            assert len(calls) <= _prefix_count(P), str(P)
+            made += len(calls)
+    assert made > 0
+
+
+def test_old_loop_fails_partial_guard(monkeypatch, old_apply_to_FS):
+    calls = _count_partials(monkeypatch)
+    over = 0
+    for F, P in _guard_ops():
+        del calls[:]
+        old_apply_to_FS(P, F)
+        over += len(calls) > _prefix_count(P)
+    assert over > 0
