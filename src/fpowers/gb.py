@@ -276,10 +276,6 @@ class IdealHandle:
     def equals(self, other: "IdealHandle") -> bool:
         return self.contains_ideal(other) and other.contains_ideal(self)
 
-    def with_order(self, order: MonomialOrder) -> "IdealHandle":
-        return IdealHandle(self.gens or [Poly.zero(self.ctx)], order, self.limits) \
-            if self.gens else IdealHandle.zero(self.ctx, order)
-
     def __repr__(self):
         gs = ", ".join(str(g) for g in self.gens[:6])
         more = ", ..." if len(self.gens) > 6 else ""
@@ -421,10 +417,6 @@ Vec = Tuple[Poly, ...]
 
 def _vec_is_zero(v: Vec) -> bool:
     return all(p.is_zero() for p in v)
-
-
-def _vec_add(v: Vec, w: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(v, w))
 
 
 def _vec_sub(v: Vec, w: Vec) -> Vec:

@@ -46,9 +46,6 @@ class LogDerivation:
             out = out + a * p.diff(name)
         return out
 
-    def is_log0(self) -> bool:
-        return self.cofactor.is_zero()
-
     def degree(self) -> int:
         """Max total degree of the coefficients (polynomial degree of delta)."""
         return max((a.total_degree() for a in self.coeffs), default=-1)
@@ -63,16 +60,6 @@ class LogDerivation:
                 return False
             degs |= ds
         return len(degs) <= 1
-
-    def to_string(self, x_names: Optional[Sequence[str]] = None) -> str:
-        if x_names is None:
-            x_names = self.coeffs[0].ctx.names
-        parts = []
-        for a, x in zip(self.coeffs, x_names):
-            if a.is_zero():
-                continue
-            parts.append(f"({a})*d{x}")
-        return " + ".join(parts) if parts else "0"
 
 
 class FactorizationSpec:
@@ -122,12 +109,6 @@ class FactorizationSpec:
         self._hyp_cache: Dict[Tuple[int, int], Dict[str, Tuple[str, str]]] = {}
         # (variant, max_degree, max_basis) -> log_derivations(f, variant)
         self._log_cache: Dict[Tuple[str, int, int], List[LogDerivation]] = {}
-
-    # -- convenience -------------------------------------------------------
-
-    def parse_x(self, text: str) -> Poly:
-        from .ring import parse_poly
-        return parse_poly(text, self.x_vc)
 
     def log_derivations(self, variant: str = "log",
                         limits: Limits = DEFAULT_LIMITS) -> List[LogDerivation]:

@@ -6,6 +6,13 @@ X / DX / Y / S / T), the registered weight gradings, and nothing else.
 Monomial orders are key functions on exponent tuples, so Python tuple
 comparison does the actual work.
 
+TermMap is that term map as an algebra element, shared by Poly and by
+weyl.WeylOp (operators of D_n[S] over the same monomials): construction,
+equality, + and -, the scalar product, powers, leading data, printing
+and the parser are written once here.  Each subclass adds only its
+product: Poly the commutative one, WeylOp the normal-ordered one.
+add_terms is the one in-place accumulation of terms into a term map.
+
 reduce_in_place is the one division loop of the package: the commutative
 and module normal forms of gb.py, the left normal form of weyl.py and
 divide_exact here all run it.  It consumes a mutable term map, picks each
@@ -148,10 +155,9 @@ class MonomialOrder:
       lex              -- plain lexicographic on the full exponent tuple
       grevlex          -- graded reverse lexicographic
       weight(w, tie)   -- compare w-degree, break ties with `tie`
-      block(ctx, names, inner) -- compare block by block, each with its
-                          inner order restricted to that block; placing the
-                          block to be eliminated first gives an elimination
-                          order for it
+      block(ctx, names) -- compare block by block, each block under
+                          grevlex; placing the block to be eliminated
+                          first gives an elimination order for it
     """
 
     def __init__(self, kind: str, key, desc: str):
@@ -191,20 +197,28 @@ class MonomialOrder:
         return MonomialOrder("weight", key, f"weight{list(wt)}/{tie.desc}")
 
     @staticmethod
-    def block(ctx: VarContext, block_names: Sequence[str],
-              inner: Optional[Sequence["MonomialOrder"]] = None) -> "MonomialOrder":
+    def block(ctx: VarContext, block_names: Sequence[str]) -> "MonomialOrder":
         """Block order over ctx: compare the projection to block_names[0]
-        first, then block_names[1], etc.  Every declared variable must be
-        covered exactly once.  Default inner order is grevlex per block."""
+        first, then block_names[1], etc., each block under grevlex.  Every
+        declared variable must be covered exactly once.
+
+        The key is one flat tuple, the per-block grevlex keys (degree, then
+        the reversed negated exponents) laid end to end.  Each block's
+        segment has a fixed length, so comparing the flat tuples compares
+        block by block."""
         groups = [ctx.block_indices[b] for b in block_names]
         covered = [i for g in groups for i in g]
         if sorted(covered) != list(range(ctx.n)):
             raise ValueError("block order must cover every variable exactly once")
-        inners = list(inner) if inner else [MonomialOrder.grevlex()] * len(groups)
-        keys = [o.key for o in inners]
+        rev = [tuple(reversed(g)) for g in groups]
 
         def key(e):
-            return tuple(k(tuple(e[i] for i in g)) for g, k in zip(groups, keys))
+            k = []
+            for g in rev:
+                seg = [-e[i] for i in g]
+                k.append(-sum(seg))
+                k.extend(seg)
+            return tuple(k)
         return MonomialOrder("block", key, f"block{list(block_names)}")
 
 
@@ -286,15 +300,36 @@ def reduce_in_place(work: Dict, leads: Sequence, keys: KeyCache,
 # ---------------------------------------------------------------------------
 
 
-class Poly:
-    """Multivariate polynomial over Q: {exponent tuple: Fraction}.
+def add_terms(acc: Dict, terms) -> None:
+    """acc += terms in place, dropping the coefficients that cancel."""
+    for e, c in terms:
+        old = acc.get(e)
+        if old is None:
+            acc[e] = c
+            continue
+        c = old + c
+        if c:
+            acc[e] = c
+        else:
+            del acc[e]
+
+
+class TermMap:
+    """An element {exponent tuple: nonzero Fraction} over a context.
+
+    The common part of Poly and weyl.WeylOp: storage, constructors,
+    equality (a scalar equals its constant), the additive structure, the
+    scalar product, powers, leading data and printing.  A subclass adds
+    only its product, __mul__, which must accept a scalar.  The context
+    is read only through names, index, zero_exp() and var_exp(), which
+    VarContext and weyl.WeylContext both provide.
 
     Immutable by convention; operators never mutate their arguments.
     """
 
     __slots__ = ("ctx", "terms")
 
-    def __init__(self, ctx: VarContext, terms: Optional[Dict[Exp, Fraction]] = None):
+    def __init__(self, ctx, terms: Optional[Dict[Exp, Fraction]] = None):
         self.ctx = ctx
         self.terms: Dict[Exp, Fraction] = {}
         if terms:
@@ -306,21 +341,27 @@ class Poly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, ctx: VarContext) -> "Poly":
+    def zero(cls, ctx):
         return cls(ctx)
 
     @classmethod
-    def const(cls, ctx: VarContext, c) -> "Poly":
+    def const(cls, ctx, c):
         c = Fraction(c)
         return cls(ctx, {ctx.zero_exp(): c} if c else {})
 
     @classmethod
-    def var(cls, ctx: VarContext, name: str) -> "Poly":
+    def var(cls, ctx, name: str):
         return cls(ctx, {ctx.var_exp(name): Fraction(1)})
 
     @classmethod
-    def monomial(cls, ctx: VarContext, e: Exp, c=1) -> "Poly":
+    def monomial(cls, ctx, e: Exp, c=1):
         return cls(ctx, {tuple(e): Fraction(c)})
+
+    def _lift(self, other):
+        """other itself, or the constant of this class for a scalar."""
+        if isinstance(other, (int, Fraction)):
+            return self.const(self.ctx, other)
+        return other
 
     # -- structure ---------------------------------------------------------
 
@@ -331,24 +372,17 @@ class Poly:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.ctx, other)
-        return isinstance(other, Poly) and self.terms == other.terms
+        other = self._lift(other)
+        return type(other) is type(self) and self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
     def total_degree(self) -> int:
-        """Max total degree; -1 for the zero polynomial."""
+        """Max total degree; -1 for the zero element."""
         if not self.terms:
             return -1
         return max(exp_total(e) for e in self.terms)
-
-    def weighted_degree(self, grading: str) -> int:
-        if not self.terms:
-            return -1
-        w = self.ctx.grading(grading)
-        return max(exp_weight(e, w) for e in self.terms)
 
     def coeff(self, e: Exp) -> Fraction:
         return self.terms.get(tuple(e), Fraction(0))
@@ -370,41 +404,106 @@ class Poly:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.ctx, other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        p = Poly(self.ctx)
-        p.terms = out
-        return p
+        out = type(self)(self.ctx)
+        out.terms = dict(self.terms)
+        add_terms(out.terms, self._lift(other).terms.items())
+        return out
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = Poly(self.ctx)
-        p.terms = {e: -c for e, c in self.terms.items()}
-        return p
+        out = type(self)(self.ctx)
+        out.terms = {e: -c for e, c in self.terms.items()}
+        return out
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.ctx, other)
-        return self + (-other)
+        return self + (-self._lift(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
+    def _scaled(self, c):
+        """The scalar product c * self."""
+        c = Fraction(c)
+        out = type(self)(self.ctx)
+        if c:
+            out.terms = {e: k * c for e, k in self.terms.items()}
+        return out
+
+    def __rmul__(self, other):
+        # scalars are central, so c * p is p * c; an element on the left
+        # multiplies through its own __mul__
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(other)
+        return NotImplemented
+
+    def __pow__(self, k: int):
+        """Square-and-multiply.  The factors are all powers of self, which
+        commute with each other, so this holds in any associative algebra."""
+        if k < 0:
+            raise ValueError("negative power")
+        out = self.const(self.ctx, 1)
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base if k > 1 else base
+            k >>= 1
+        return out
+
+    # -- leading data ------------------------------------------------------
+
+    def leading_exp(self, order: MonomialOrder) -> Exp:
+        if not self.terms:
+            raise ValueError("zero element has no leading term")
+        return max(self.terms, key=order.key)
+
+    def leading_coeff(self, order: MonomialOrder) -> Fraction:
+        return self.terms[self.leading_exp(order)]
+
+    # -- printing ----------------------------------------------------------
+
+    def _term_str(self, e: Exp, c: Fraction) -> str:
+        mono = "*".join(
+            self.ctx.names[i] if k == 1 else f"{self.ctx.names[i]}^{k}"
+            for i, k in enumerate(e) if k
+        )
+        a = abs(c)
+        if not mono:
+            return str(a)
+        if a == 1:
+            return mono
+        return f"{a}*{mono}"
+
+    def __str__(self):
+        """Canonical form: terms descending under grevlex of the full context,
+        reduced fraction coefficients, explicit * and ^."""
+        if not self.terms:
+            return "0"
+        order = MonomialOrder.grevlex()
+        parts = []
+        for e in order.sort_desc(self.terms):
+            c = self.terms[e]
+            s = self._term_str(e, c)
+            if not parts:
+                parts.append(s if c > 0 else f"-{s}")
+            else:
+                parts.append(f" + {s}" if c > 0 else f" - {s}")
+        return "".join(parts)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+
+class Poly(TermMap):
+    """Multivariate polynomial over Q: {exponent tuple: Fraction} over a
+    VarContext, with the commutative product."""
+
+    __slots__ = ()
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            p = Poly(self.ctx)
-            if c:
-                p.terms = {e: k * c for e, k in self.terms.items()}
-            return p
+            return self._scaled(other)
         out: Dict[Exp, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -419,18 +518,6 @@ class Poly:
         return p
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative polynomial power")
-        out = Poly.const(self.ctx, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
 
     def diff(self, name: str) -> "Poly":
         """Partial derivative with respect to a context variable."""
@@ -478,16 +565,6 @@ class Poly:
             total += v
         return total
 
-    # -- leading data ------------------------------------------------------
-
-    def leading_exp(self, order: MonomialOrder) -> Exp:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        return max(self.terms, key=order.key)
-
-    def leading_coeff(self, order: MonomialOrder) -> Fraction:
-        return self.terms[self.leading_exp(order)]
-
     def map_context(self, ctx2: VarContext) -> "Poly":
         """Reinterpret in another context containing the same-named variables."""
         out: Dict[Exp, Fraction] = {}
@@ -504,49 +581,10 @@ class Poly:
         p.terms = {e: c for e, c in out.items() if c}
         return p
 
-    # -- printing ----------------------------------------------------------
-
-    def _term_str(self, e: Exp, c: Fraction) -> str:
-        mono = "*".join(
-            self.ctx.names[i] if k == 1 else f"{self.ctx.names[i]}^{k}"
-            for i, k in enumerate(e) if k
-        )
-        a = abs(c)
-        if not mono:
-            return str(a)
-        if a == 1:
-            return mono
-        return f"{a}*{mono}"
-
-    def __str__(self):
-        """Canonical form: terms descending under grevlex of the full context,
-        reduced fraction coefficients, explicit * and ^."""
-        if not self.terms:
-            return "0"
-        order = MonomialOrder.grevlex()
-        parts = []
-        for e in order.sort_desc(self.terms):
-            c = self.terms[e]
-            s = self._term_str(e, c)
-            if not parts:
-                parts.append(s if c > 0 else f"-{s}")
-            else:
-                parts.append(f" + {s}" if c > 0 else f" - {s}")
-        return "".join(parts)
-
-    def __repr__(self):
-        return f"Poly({self})"
-
 
 def initial_form(p: Poly, grading: str) -> Poly:
     """Sum of the terms of maximal weighted degree; 0 for the zero poly."""
-    if not p.terms:
-        return Poly.zero(p.ctx)
-    w = p.ctx.grading(grading)
-    top = max(exp_weight(e, w) for e in p.terms)
-    q = Poly(p.ctx)
-    q.terms = {e: c for e, c in p.terms.items() if exp_weight(e, w) == top}
-    return q
+    return initial_form_weights(p, p.ctx.grading(grading))
 
 
 def initial_form_weights(p: Poly, w: Sequence[int]) -> Poly:
@@ -604,11 +642,16 @@ class _Parser:
        term   := factor ('*' factor)*
        factor := atom ('^' int)*
        atom   := rational | name | '(' expr ')'
-       rational := int ('/' int)?"""
+       rational := int ('/' int)?
 
-    def __init__(self, text: str, ctx: VarContext):
+    Builds elements of `cls` (Poly, or weyl.WeylOp) over ctx.  The factors
+    of a term multiply left to right, so in a noncommutative algebra the
+    product keeps the written order."""
+
+    def __init__(self, text: str, ctx, cls):
         self.toks = _tokenize(text)
         self.ctx = ctx
+        self.cls = cls
         self.i = 0
 
     def peek(self):
@@ -621,14 +664,14 @@ class _Parser:
         self.i += 1
         return t
 
-    def parse(self) -> Poly:
+    def parse(self) -> TermMap:
         p = self.expr()
         t = self.peek()
         if t.kind != "end":
             raise SyntaxError(f"unexpected token {t.val!r} at position {t.pos}")
         return p
 
-    def expr(self) -> Poly:
+    def expr(self) -> TermMap:
         sign = 1
         if self.peek().kind in "+-":
             if self.take().kind == "-":
@@ -640,14 +683,14 @@ class _Parser:
             p = p + q if op == "+" else p - q
         return p
 
-    def term(self) -> Poly:
+    def term(self) -> TermMap:
         p = self.factor()
         while self.peek().kind == "*":
             self.take()
             p = p * self.factor()
         return p
 
-    def factor(self) -> Poly:
+    def factor(self) -> TermMap:
         p = self.atom()
         while self.peek().kind == "^":
             self.take()
@@ -655,7 +698,7 @@ class _Parser:
             p = p ** t.val
         return p
 
-    def atom(self) -> Poly:
+    def atom(self) -> TermMap:
         t = self.peek()
         if t.kind == "int":
             self.take()
@@ -665,13 +708,13 @@ class _Parser:
                 den = self.take("int").val
                 if den == 0:
                     raise SyntaxError(f"zero denominator at position {t.pos}")
-                return Poly.const(self.ctx, Fraction(num, den))
-            return Poly.const(self.ctx, num)
+                return self.cls.const(self.ctx, Fraction(num, den))
+            return self.cls.const(self.ctx, num)
         if t.kind == "name":
             self.take()
             if t.val not in self.ctx.index:
                 raise UnknownVariable(f"{t.val!r} at position {t.pos}")
-            return Poly.var(self.ctx, t.val)
+            return self.cls.var(self.ctx, t.val)
         if t.kind == "(":
             self.take()
             p = self.expr()
@@ -681,7 +724,7 @@ class _Parser:
             self.take()
             return p
         if t.kind == "-":
-            # unary minus inside a term, e.g. "2*-x" is rejected but "(-x)" ok
+            # unary minus inside a term: "2*-x" reads as 2*(-x), like "2*(-x)"
             self.take()
             return -self.atom()
         raise SyntaxError(f"unexpected token {t.val!r} at position {t.pos}")
@@ -693,7 +736,7 @@ def parse_poly(text: str, ctx: VarContext) -> Poly:
     Grammar: rational constants, declared variables, + - * ^, parentheses.
     Raises SyntaxError with a position, or UnknownVariable.
     """
-    return _Parser(text, ctx).parse()
+    return _Parser(text, ctx, Poly).parse()
 
 
 def divide_exact(p: Poly, q: Poly) -> Optional[Poly]:

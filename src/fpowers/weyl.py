@@ -3,7 +3,11 @@
 Operators are stored normal-ordered (every x to the left of every d) as a
 finite map (x-exponents, d-exponents, s-exponents) -> Fraction, flattened
 into one exponent tuple over the context blocks X, DX, S.  The s-variables
-are central.  Left Groebner bases use only the chain criterion: the
+are central.  WeylOp is a ring.TermMap, like Poly: storage, equality,
++ and -, the scalar product, powers, leading data, printing and the
+parser (parse_weyl) are the ones of ring.py.  This module adds only the
+normal-ordered product (weyl_multiply) and the x/d/s helpers of WeylOp.
+Left Groebner bases use only the chain criterion: the
 coprimality (product) criterion is unsound in a noncommutative algebra.
 Their S-pairs come from gb.PairQueue, in the same normal-selection order
 as the commutative engine (smallest lcm key first, ties by index).  Only
@@ -34,8 +38,9 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .ring import (
-    DegreeBoundExceeded, Exp, KeyCache, MonomialOrder, Poly, VarContext,
-    divide_exact, exp_add, exp_divides, exp_sub, exp_total, reduce_in_place,
+    DegreeBoundExceeded, Exp, KeyCache, MonomialOrder, Poly, TermMap,
+    VarContext, _Parser, add_terms, divide_exact, exp_add, exp_divides,
+    exp_sub, reduce_in_place,
 )
 from .gb import DEFAULT_LIMITS, Limits, PairQueue, ResourceLimit
 
@@ -67,6 +72,16 @@ class WeylContext:
         self.xs_vc = VarContext([("X", x_names), ("S", s_names)])
         self.x_vc = VarContext([("X", x_names)])
         self.nv = self.vc.n
+        # what ring.TermMap reads of a context, taken from vc (self.n is
+        # the number of x variables, not of exponent positions)
+        self.names = self.vc.names
+        self.index = self.vc.index
+
+    def zero_exp(self) -> Exp:
+        return self.vc.zero_exp()
+
+    def var_exp(self, name: str) -> Exp:
+        return self.vc.var_exp(name)
 
     def split(self, e: Exp) -> Tuple[Exp, Exp, Exp]:
         n = self.n
@@ -82,34 +97,13 @@ class WeylContext:
         return hash(self.vc)
 
 
-class WeylOp:
-    """Normal-ordered element of D_n[s_1..s_r] over Q."""
+class WeylOp(TermMap):
+    """Normal-ordered element of D_n[s_1..s_r] over Q.
 
-    __slots__ = ("ctx", "terms")
+    A ring.TermMap with the normal-ordered product and the helpers for
+    the x, d and s parts of an operator."""
 
-    def __init__(self, ctx: WeylContext, terms: Optional[Dict[Exp, Fraction]] = None):
-        self.ctx = ctx
-        self.terms: Dict[Exp, Fraction] = {}
-        if terms:
-            for e, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    self.terms[e] = c
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, ctx: WeylContext) -> "WeylOp":
-        return cls(ctx)
-
-    @classmethod
-    def const(cls, ctx: WeylContext, c) -> "WeylOp":
-        c = Fraction(c)
-        return cls(ctx, {(0,) * ctx.nv: c} if c else {})
-
-    @classmethod
-    def var(cls, ctx: WeylContext, name: str) -> "WeylOp":
-        return cls(ctx, {ctx.vc.var_exp(name): Fraction(1)})
+    __slots__ = ()
 
     @classmethod
     def from_poly(cls, ctx: WeylContext, p: Poly) -> "WeylOp":
@@ -120,71 +114,14 @@ class WeylOp:
             for i, k in enumerate(e):
                 if k:
                     name = p.ctx.names[i]
-                    e2[ctx.vc.index[name]] = k
+                    e2[ctx.index[name]] = k
             out[tuple(e2)] = c
         return cls(ctx, out)
 
-    # -- ring structure ----------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, WeylOp) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = WeylOp.const(self.ctx, other)
-        out = WeylOp(self.ctx)
-        out.terms = dict(self.terms)
-        _add_terms(out.terms, other.terms.items())
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = WeylOp(self.ctx)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = WeylOp.const(self.ctx, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            out = WeylOp(self.ctx)
-            if c:
-                out.terms = {e: k * c for e, k in self.terms.items()}
-            return out
+            return self._scaled(other)
         return weyl_multiply(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def __pow__(self, k: int):
-        out = WeylOp.const(self.ctx, 1)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(exp_total(e) for e in self.terms)
 
     def order(self) -> int:
         """Order in the derivations: max total d-exponent."""
@@ -192,14 +129,6 @@ class WeylOp:
             return -1
         n = self.ctx.n
         return max(sum(e[n:2 * n]) for e in self.terms)
-
-    def leading_exp(self, order: MonomialOrder) -> Exp:
-        if not self.terms:
-            raise ValueError("zero operator")
-        return max(self.terms, key=order.key)
-
-    def leading_coeff(self, order: MonomialOrder) -> Fraction:
-        return self.terms[self.leading_exp(order)]
 
     def s_free(self) -> bool:
         n = self.ctx.n
@@ -226,7 +155,7 @@ class WeylOp:
         """Evaluate some s-variables at rational constants."""
         ctx = self.ctx
         out = WeylOp.zero(ctx)
-        idx = {name: ctx.vc.index[name] for name in values}
+        idx = {name: ctx.index[name] for name in values}
         for e, c in self.terms.items():
             coef = c
             e2 = list(e)
@@ -267,31 +196,6 @@ class WeylOp:
         n = self.ctx.n
         return WeylOp(ctx0, {e[:2 * n]: c for e, c in self.terms.items()})
 
-    # -- printing ----------------------------------------------------------
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        order = MonomialOrder.grevlex()
-        names = self.ctx.vc.names
-        parts = []
-        for e in order.sort_desc(self.terms):
-            c = self.terms[e]
-            mono = "*".join(
-                names[i] if k == 1 else f"{names[i]}^{k}"
-                for i, k in enumerate(e) if k
-            )
-            a = abs(c)
-            body = mono if (a == 1 and mono) else (f"{a}*{mono}" if mono else str(a))
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f" + {body}" if c > 0 else f" - {body}")
-        return "".join(parts)
-
-    def __repr__(self):
-        return f"WeylOp({self})"
-
 
 def _term_product(ctx: WeylContext, e1: Exp, c1: Fraction,
                   e2: Exp, c2: Fraction) -> Dict[Exp, Fraction]:
@@ -322,26 +226,12 @@ def _term_product(ctx: WeylContext, e1: Exp, c1: Fraction,
     return out
 
 
-def _add_terms(acc: Dict[Exp, Fraction], terms) -> None:
-    """acc += terms in place, dropping the coefficients that cancel."""
-    for e, c in terms:
-        old = acc.get(e)
-        if old is None:
-            acc[e] = c
-            continue
-        c = old + c
-        if c:
-            acc[e] = c
-        else:
-            del acc[e]
-
-
 def _mono_times(ctx: WeylContext, e1: Exp, c1: Fraction,
                 Q: Dict[Exp, Fraction]) -> Dict[Exp, Fraction]:
     """The terms of (c1 * x^a d^b s^w) * Q, for e1 = (a, b, w)."""
     acc: Dict[Exp, Fraction] = {}
     for e2, c2 in Q.items():
-        _add_terms(acc, _term_product(ctx, e1, c1, e2, c2).items())
+        add_terms(acc, _term_product(ctx, e1, c1, e2, c2).items())
     return acc
 
 
@@ -350,7 +240,7 @@ def weyl_multiply(P: WeylOp, Q: WeylOp) -> WeylOp:
     acc: Dict[Exp, Fraction] = {}
     for e1, c1 in P.terms.items():
         for e2, c2 in Q.terms.items():
-            _add_terms(acc, _term_product(P.ctx, e1, c1, e2, c2).items())
+            add_terms(acc, _term_product(P.ctx, e1, c1, e2, c2).items())
     out = WeylOp(P.ctx)
     out.terms = acc
     return out
@@ -475,14 +365,14 @@ def apply_to_FS(P: WeylOp, fspec, start: Optional[FSElement] = None) -> FSElemen
             continue
         p = Poly(xs)
         p.terms = pb
-        _add_terms(by_pole.setdefault(elt.j, {}), (p * elt.num).terms.items())
+        add_terms(by_pole.setdefault(elt.j, {}), (p * elt.num).terms.items())
     # over f^J: sum_j (part_j) f^(J - j), Horner in f
     J = max(by_pole, default=0)
     num = Poly.zero(xs)
     for j in range(J + 1):
         num = num * fspec.f_xs
         if by_pole.get(j):
-            _add_terms(num.terms, by_pole[j].items())
+            add_terms(num.terms, by_pole[j].items())
     return FSElement(fspec, num, J)
 
 
@@ -564,7 +454,7 @@ def left_normal_form(P: WeylOp, basis: Sequence[WeylOp], order: MonomialOrder,
         m, coef = exp_sub(e, lead), c / g[lead]
         if track:
             for row, cof in zip(rows, basis_cofactors[k]):
-                _add_terms(row, _mono_times(ctx, m, coef, cof.terms).items())
+                add_terms(row, _mono_times(ctx, m, coef, cof.terms).items())
         return [t for ge, gc in g.items()
                 for t in _term_product(ctx, m, coef, ge, gc).items()]
     work = dict(P.terms)
@@ -723,80 +613,7 @@ class LeftIdeal:
 
 
 def parse_weyl(text: str, ctx: WeylContext) -> WeylOp:
-    """Parse an operator expression; products multiply left to right in the
-    noncommutative algebra, so 'dx*x' comes out as x*dx + 1."""
-    from .ring import _tokenize
-
-    toks = _tokenize(text)
-    pos = [0]
-
-    def peek():
-        return toks[pos[0]]
-
-    def take(kind=None):
-        t = toks[pos[0]]
-        if kind and t.kind != kind:
-            raise SyntaxError(f"expected {kind} at position {t.pos}")
-        pos[0] += 1
-        return t
-
-    def atom():
-        t = peek()
-        if t.kind == "int":
-            take()
-            num = t.val
-            if peek().kind == "/":
-                take()
-                den = take("int").val
-                return WeylOp.const(ctx, Fraction(num, den))
-            return WeylOp.const(ctx, num)
-        if t.kind == "name":
-            take()
-            if t.val not in ctx.vc.index:
-                from .ring import UnknownVariable
-                raise UnknownVariable(f"{t.val!r} at position {t.pos}")
-            return WeylOp.var(ctx, t.val)
-        if t.kind == "(":
-            take()
-            p = expr()
-            if peek().kind != ")":
-                raise SyntaxError(f"expected ')' at position {peek().pos}")
-            take()
-            return p
-        if t.kind == "-":
-            take()
-            return -atom()
-        raise SyntaxError(f"unexpected token {t.val!r} at position {t.pos}")
-
-    def factor():
-        p = atom()
-        while peek().kind == "^":
-            take()
-            k = take("int").val
-            p = p ** k
-        return p
-
-    def term():
-        p = factor()
-        while peek().kind == "*":
-            take()
-            p = p * factor()
-        return p
-
-    def expr():
-        sign = 1
-        if peek().kind in "+-":
-            if take().kind == "-":
-                sign = -1
-        p = term() * sign
-        while peek().kind in "+-":
-            op = take().kind
-            q = term()
-            p = p + q if op == "+" else p - q
-        return p
-
-    p = expr()
-    t = peek()
-    if t.kind != "end":
-        raise SyntaxError(f"unexpected token {t.val!r} at position {t.pos}")
-    return p
+    """Parse an operator expression in the grammar of ring.parse_poly;
+    products multiply left to right in the noncommutative algebra, so
+    'dx*x' comes out as x*dx + 1."""
+    return _Parser(text, ctx, WeylOp).parse()

@@ -63,3 +63,95 @@ def _old_apply_to_FS(P, fspec, start=None):
 def old_apply_to_FS():
     """The reference term-by-term F^S action (see _old_apply_to_FS)."""
     return _old_apply_to_FS
+
+
+def _old_parse_weyl(text, ctx):
+    """The operator parser that weyl.parse_weyl replaced, kept as a
+    reference: its own copy of the ring.py grammar over WeylOp, with no
+    zero-denominator check and powers taken by repeated left
+    multiplication."""
+    from fractions import Fraction
+    from fpowers.ring import UnknownVariable, _tokenize
+    from fpowers.weyl import WeylOp
+
+    toks = _tokenize(text)
+    pos = [0]
+
+    def peek():
+        return toks[pos[0]]
+
+    def take(kind=None):
+        t = toks[pos[0]]
+        if kind and t.kind != kind:
+            raise SyntaxError(f"expected {kind} at position {t.pos}")
+        pos[0] += 1
+        return t
+
+    def atom():
+        t = peek()
+        if t.kind == "int":
+            take()
+            num = t.val
+            if peek().kind == "/":
+                take()
+                den = take("int").val
+                return WeylOp.const(ctx, Fraction(num, den))
+            return WeylOp.const(ctx, num)
+        if t.kind == "name":
+            take()
+            if t.val not in ctx.vc.index:
+                raise UnknownVariable(f"{t.val!r} at position {t.pos}")
+            return WeylOp.var(ctx, t.val)
+        if t.kind == "(":
+            take()
+            p = expr()
+            if peek().kind != ")":
+                raise SyntaxError(f"expected ')' at position {peek().pos}")
+            take()
+            return p
+        if t.kind == "-":
+            take()
+            return -atom()
+        raise SyntaxError(f"unexpected token {t.val!r} at position {t.pos}")
+
+    def factor():
+        p = atom()
+        while peek().kind == "^":
+            take()
+            k = take("int").val
+            out = WeylOp.const(ctx, 1)
+            for _ in range(k):
+                out = out * p
+            p = out
+        return p
+
+    def term():
+        p = factor()
+        while peek().kind == "*":
+            take()
+            p = p * factor()
+        return p
+
+    def expr():
+        sign = 1
+        if peek().kind in "+-":
+            if take().kind == "-":
+                sign = -1
+        p = term() * sign
+        while peek().kind in "+-":
+            op = take().kind
+            q = term()
+            p = p + q if op == "+" else p - q
+        return p
+
+    p = expr()
+    t = peek()
+    if t.kind != "end":
+        raise SyntaxError(f"unexpected token {t.val!r} at position {t.pos}")
+    return p
+
+
+@pytest.fixture
+def old_parse_weyl():
+    """The reference operator parser (see _old_parse_weyl)."""
+    return _old_parse_weyl

@@ -117,6 +117,35 @@ def test_block_order_eliminates():
     assert o.cmp_gt(GCTX.var_exp("x"), (0, 3, 3))
 
 
+def _nested_block_key(ctx, block_names):
+    """The nested block-order key the flat one replaced, kept as a
+    reference: one (degree, reversed negated exponents) pair per block."""
+    groups = [ctx.block_indices[b] for b in block_names]
+
+    def key(e):
+        segs = [tuple(e[i] for i in g) for g in groups]
+        return tuple((sum(s), tuple(-x for x in reversed(s))) for s in segs)
+    return key
+
+
+def test_block_key_orders_like_nested_key():
+    import random
+    rng = random.Random(2)
+    ctx = VarContext([("W", ["w1", "w2"]), ("X", ["x"]),
+                      ("Y", ["y1", "y2", "y3"]), ("S", ["s1", "s2"])])
+    for names in (["W", "X", "Y", "S"], ["S", "Y", "X", "W"], ["Y", "W", "S", "X"]):
+        flat = MonomialOrder.block(ctx, names).key
+        nested = _nested_block_key(ctx, names)
+        exps = [tuple(rng.randint(0, 3) for _ in range(ctx.n))
+                for _ in range(400)]
+        exps += exps[:40]       # equal monomials compare equal under both
+        assert sorted(exps, key=flat) == sorted(exps, key=nested)
+        for a, b in zip(exps, exps[1:]):
+            assert (flat(a) < flat(b)) == (nested(a) < nested(b))
+            assert (flat(a) == flat(b)) == (a == b)
+        assert all(type(x) is int for x in flat(exps[0]))
+
+
 def test_weighted_order_refines():
     w = GCTX.grading("(0,1,1)")
     o = MonomialOrder.weighted(w)

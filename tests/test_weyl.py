@@ -646,3 +646,92 @@ def test_old_loop_fails_partial_guard(monkeypatch, old_apply_to_FS):
         old_apply_to_FS(P, F)
         over += len(calls) > _prefix_count(P)
     assert over > 0
+
+
+# ---------------------------------------------------------------------------
+# the shared element layer: parser, powers and scalar equality
+
+
+def _random_expression(rng, names, depth=2):
+    """A random operator expression in the ring.py grammar: sums of
+    products of constants, fractions, variables, parenthesised
+    subexpressions, unary minus and powers."""
+    def atom(d):
+        roll = rng.random()
+        if roll < 0.2:
+            return str(rng.randint(0, 5))
+        if roll < 0.3:
+            return f"{rng.randint(0, 7)}/{rng.randint(1, 5)}"
+        if roll < 0.4 and d:
+            return f"({expr(d - 1)})"
+        if roll < 0.45:
+            return f"-{atom(d)}"
+        return rng.choice(names)
+
+    def factor(d):
+        a = atom(d)
+        return f"{a}^{rng.randint(0, 3)}" if rng.random() < 0.25 else a
+
+    def term(d):
+        return "*".join(factor(d) for _ in range(rng.randint(1, 3)))
+
+    def expr(d):
+        out = rng.choice(["", "", "-", "+"]) + term(d)
+        for _ in range(rng.randint(0, 2)):
+            out += rng.choice([" + ", " - "]) + term(d)
+        return out
+    return expr(depth)
+
+
+def test_parser_matches_old_parse_weyl(old_parse_weyl):
+    import random
+    rng = random.Random(5)
+    ctx = WeylContext(["x", "y"], ["s1", "s2"])
+    names = ctx.x_names + ctx.dx_names + ctx.s_names
+    texts = ["dx*x", "dx^2*x^2 - (x*dx)^2", "-(dy*y*s1)^2 + 1/2*dx*x"]
+    texts += [_random_expression(rng, names) for _ in range(240)]
+    for text in texts:
+        new, old = parse_weyl(text, ctx), old_parse_weyl(text, ctx)
+        assert new == old, text
+        assert str(new) == str(old), text
+    # the sample reaches every part of the grammar
+    assert parse_weyl("dx*x", ctx) == parse_weyl("x*dx + 1", ctx)
+    assert sum("^" in t for t in texts) > 50
+    assert sum("/" in t for t in texts) > 50
+    assert sum("(" in t for t in texts) > 50
+    assert sum(t.startswith("-") or "*-" in t or "(-" in t
+               for t in texts) > 50
+    assert sum(any(f"d{v}*{v}" in t for v in ctx.x_names)
+               for t in texts) > 5
+
+
+def test_parse_weyl_zero_denominator_is_positioned_syntax_error():
+    ctx = wctx1()
+    with pytest.raises(SyntaxError) as ei:
+        parse_weyl("1/0*x", ctx)
+    assert "position 0" in str(ei.value)
+
+
+def test_weyl_negative_power_rejected():
+    ctx = wctx1()
+    with pytest.raises(ValueError):
+        parse_weyl("x*dx + s", ctx) ** -1
+
+
+def test_weyl_zero_equals_scalar_zero():
+    ctx = wctx1()
+    assert WeylOp.zero(ctx) == 0
+    assert WeylOp.const(ctx, Fraction(3, 2)) == Fraction(3, 2)
+    assert parse_weyl("dx*x - x*dx", ctx) == 1
+    assert Poly.zero(ctx.vc) == 0
+
+
+def test_power_is_repeated_product():
+    import random
+    rng = random.Random(3)
+    ctx = WeylContext(["x", "y"], ["s1", "s2"])
+    for P in _random_ops(ctx, rng, 12, factors=3):
+        power = WeylOp.const(ctx, 1)
+        for k in range(6):
+            assert P ** k == power, (str(P), k)
+            power = power * P
