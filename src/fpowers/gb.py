@@ -1,14 +1,15 @@
 """Commutative Groebner engine over Q and derived ideal queries.
 
-Buchberger with the normal selection strategy and both classical skip
-criteria, exact arithmetic throughout.  Pending S-pairs sit in one
-PairQueue, shared with the module basis here and the left bases of
-weyl.py: each pair is keyed once, by the order key of its lcm, and the
-queue pops the smallest (key, i, j) from a heap, so ties go to the lower
-indices.  Normal forms of polynomials and of module vectors run on
-ring.reduce_in_place: a basis computation keeps one KeyCache of order keys
-for its whole run and hands it, with the leading exponents the queue
-already holds, to every division.  On top of the basis: normal forms,
+One Buchberger engine serves the ideal and module bases here and the left
+bases of weyl.py.  buchberger is the one pair loop: one PairQueue (each
+pair keyed once by its lcm, smallest (key, i, j) first), the chain
+criterion, the product criterion where sound, the basis-size bound.  Each
+caller passes a step that forms the S-element (s_pair_multipliers),
+reduces it by its own normal form and appends a nonzero remainder.
+interreduce is the one final minimalize / tail-reduce / monic / sort.
+Normal forms of polynomials and of module vectors run on
+ring.reduce_in_place, sharing a basis computation's KeyCache of order keys
+and its leading exponents.  On top of the basis: normal forms,
 membership, elimination, intersections, colon ideals, saturation, radical
 membership, Krull dimension via independent variable sets, module syzygies
 (extended-basis construction), and minimal graded free resolutions with a
@@ -21,7 +22,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .ring import (
     DegreeBoundExceeded, Exp, KeyCache, MonomialOrder, Poly, VarContext,
@@ -43,10 +44,9 @@ class Limits:
     max_basis: int = 20000
 
     def check_poly(self, p: Poly) -> None:
-        if p.total_degree() > self.max_degree:
-            raise ResourceLimit(
-                f"total degree {p.total_degree()} exceeds bound {self.max_degree}"
-            )
+        d = p.total_degree()
+        if d > self.max_degree:
+            raise ResourceLimit(f"total degree {d} exceeds bound {self.max_degree}")
 
     def check_size(self, n: int) -> None:
         if n > self.max_basis:
@@ -93,15 +93,21 @@ def normal_form(p: Poly, basis: Sequence[Poly], order: MonomialOrder,
     return out
 
 
+def s_pair_multipliers(f, lf: Exp, g, lg: Exp, l: Exp):
+    """The S-pair multipliers m_f, m_g: m_f*f and m_g*g are both led by
+    1*x^l, l = lcm(lf, lg).  Each is of its operand's own class, so this
+    serves a Poly, a weyl.WeylOp and a module vector's lead component."""
+    return (type(f).monomial(f.ctx, exp_sub(l, lf), Fraction(1) / f.terms[lf]),
+            type(g).monomial(g.ctx, exp_sub(l, lg), Fraction(1) / g.terms[lg]))
+
+
 def _s_poly(f: Poly, g: Poly, order: MonomialOrder,
             lf: Optional[Exp] = None, lg: Optional[Exp] = None) -> Poly:
     """S-polynomial of f and g; lf and lg are their leading exponents
     when the caller already knows them."""
     lf = f.leading_exp(order) if lf is None else lf
     lg = g.leading_exp(order) if lg is None else lg
-    l = exp_lcm(lf, lg)
-    mf = Poly.monomial(f.ctx, exp_sub(l, lf), Fraction(1) / f.terms[lf])
-    mg = Poly.monomial(g.ctx, exp_sub(l, lg), Fraction(1) / g.terms[lg])
+    mf, mg = s_pair_multipliers(f, lf, g, lg, exp_lcm(lf, lg))
     return mf * f - mg * g
 
 
@@ -161,6 +167,68 @@ class PairQueue:
         return False
 
 
+def buchberger(key, firsts: Sequence[Tuple[Exp, int]], step: Callable,
+               limits: Limits, coprime_criterion: bool) -> None:
+    """The one Buchberger pair loop, from the (leading exponent, slot) of
+    each starting element, in index order; key is the order key.
+
+    A popped pair (i, j) with lcm l is skipped by the chain criterion, or
+    by the product criterion when coprime_criterion says it is sound
+    (commutative ideals).  Otherwise step(i, j, l) reduces its S-element,
+    appends a nonzero remainder to the caller's basis and returns its
+    (leading exponent, slot), or None for zero.
+    """
+    queue = PairQueue(key)
+    for e, slot in firsts:
+        queue.add(e, slot)
+    lead = queue.lead
+    while queue:
+        i, j, l = queue.pop()
+        if ((coprime_criterion and l == exp_add(lead[i], lead[j]))
+                or queue.chain_skips(i, j, l)):
+            continue
+        new = step(i, j, l)
+        if new is None:
+            continue
+        limits.check_size(len(lead) + 1)
+        queue.add(*new)
+
+
+def interreduce(G: Sequence, leads: Sequence[Exp], keys: KeyCache,
+                divide: Callable) -> List[Tuple[object, Optional[list]]]:
+    """The minimal, tail-reduced, monic basis of the Groebner basis G, as
+    (element, cofactor row) pairs ascending by leading monomial.
+
+    divide(i, rest) reduces G[i] by the kept G[k], k in rest, and returns
+    the remainder and its cofactor row (None when untracked).
+    """
+    # minimalize: drop g whose LM is divisible by another LM
+    keep: List[int] = []
+    for i, li in enumerate(leads):
+        drop = False
+        for j, lj in enumerate(leads):
+            if i == j:
+                continue
+            if exp_divides(lj, li) and (lj != li or j < i):
+                drop = True
+                break
+        if not drop:
+            keep.append(i)
+    # tail-reduce each against the others, make monic
+    out = []
+    for i in keep:
+        r, row = divide(i, [k for k in keep if k != i])
+        if r.is_zero():
+            continue
+        lr = max(r.terms, key=keys.__getitem__)
+        inv = Fraction(1) / r.terms[lr]
+        if row is not None:
+            row = [a * inv for a in row]
+        out.append((keys[lr], r * inv, row))
+    out.sort(key=lambda t: t[0])
+    return [(g, row) for _, g, row in out]
+
+
 def groebner_basis(gens: Sequence[Poly], order: MonomialOrder,
                    limits: Limits = DEFAULT_LIMITS) -> List[Poly]:
     """Reduced Groebner basis (monic, inter-reduced, sorted by leading
@@ -175,25 +243,20 @@ def groebner_basis(gens: Sequence[Poly], order: MonomialOrder,
 
     keys = KeyCache(order.key)
     leading = keys.__getitem__
-    queue = PairQueue(order.key)
-    for g in G:
-        queue.add(max(g.terms, key=leading))
-    lead = queue.lead
-    while queue:
-        i, j, lij = queue.pop()
-        # product criterion, then the chain criterion
-        if lij == exp_add(lead[i], lead[j]) or queue.chain_skips(i, j, lij):
-            continue
+    lead = [max(g.terms, key=leading) for g in G]
+
+    def step(i, j, l):
         s = _s_poly(G[i], G[j], order, lead[i], lead[j])
         limits.check_poly(s)
         r = normal_form(s, G, order, limits, leads=lead, keys=keys)
         if r.is_zero():
-            continue
+            return None
         limits.check_poly(r)
         G.append(r)
-        limits.check_size(len(G))
-        queue.add(max(r.terms, key=leading))
-
+        lead.append(max(r.terms, key=leading))
+        return lead[-1], 0
+    buchberger(order.key, [(e, 0) for e in lead], step, limits,
+               coprime_criterion=True)
     return _reduce_basis(G, order, limits, leads=lead, keys=keys)
 
 
@@ -201,38 +264,20 @@ def _reduce_basis(G: Sequence[Poly], order: MonomialOrder,
                   limits: Limits = DEFAULT_LIMITS,
                   leads: Optional[Sequence[Exp]] = None,
                   keys: Optional[KeyCache] = None) -> List[Poly]:
-    """Minimal, tail-reduced, monic basis sorted by leading monomial; a
-    basis computation passes its leads and KeyCache as in normal_form."""
+    """interreduce for polynomials; a basis computation passes its leads
+    and KeyCache as in normal_form."""
     if keys is None:
         keys = KeyCache(order.key)
     if leads is None:
         G = [g for g in G if not g.is_zero()]
         leads = [max(g.terms, key=keys.__getitem__) for g in G]
-    # minimalize: drop g whose LM is divisible by another LM
-    keep: List[int] = []
-    for i, li in enumerate(leads):
-        drop = False
-        for j, lj in enumerate(leads):
-            if i == j:
-                continue
-            if exp_divides(lj, li) and (lj != li or j < i):
-                drop = True
-                break
-        if not drop:
-            keep.append(i)
-    # tail-reduce each against the others, make monic
-    out: List[Tuple[object, Poly]] = []
-    for i in keep:
-        rest = [k for k in keep if k != i]
-        g = G[i]
-        r = normal_form(g, [G[k] for k in rest], order, limits,
-                        leads=[leads[k] for k in rest], keys=keys) \
-            if rest else g
-        if not r.is_zero():
-            lr = max(r.terms, key=keys.__getitem__)
-            out.append((keys[lr], r * (Fraction(1) / r.terms[lr])))
-    out.sort(key=lambda t: t[0])
-    return [g for _, g in out]
+
+    def divide(i, rest):
+        if not rest:
+            return G[i], None
+        return normal_form(G[i], [G[k] for k in rest], order, limits,
+                           leads=[leads[k] for k in rest], keys=keys), None
+    return [g for g, _ in interreduce(G, leads, keys, divide)]
 
 
 class IdealHandle:
@@ -506,31 +551,22 @@ def _module_gb(vectors: List[Vec], mo: _ModOrder,
     G = [v for v in vectors if not _vec_is_zero(v)]
     if not G:
         return []
-    ctx = G[0][0].ctx
     keys = KeyCache(mo.key)
     leads = [_vec_lead(v, mo, keys) for v in G]
-    queue = PairQueue(mo.base.key)
-    for pos, e in leads:
-        queue.add(e, pos)
 
-    while queue:
-        i, j, l = queue.pop()
-        if queue.chain_skips(i, j, l):
-            continue
+    def step(i, j, l):
         pos = leads[i][0]
-        li, lj = leads[i][1], leads[j][1]
-        ci = G[i][pos].terms[li]
-        cj = G[j][pos].terms[lj]
-        mi = Poly.monomial(ctx, exp_sub(l, li), Fraction(1) / ci)
-        mj = Poly.monomial(ctx, exp_sub(l, lj), Fraction(1) / cj)
+        mi, mj = s_pair_multipliers(G[i][pos], leads[i][1],
+                                    G[j][pos], leads[j][1], l)
         s = _vec_sub(_vec_scale(G[i], mi), _vec_scale(G[j], mj))
         r = _vec_reduce(s, G, leads, mo, limits, keys=keys)
         if _vec_is_zero(r):
-            continue
+            return None
         G.append(r)
         leads.append(_vec_lead(r, mo, keys))
-        limits.check_size(len(G))
-        queue.add(leads[-1][1], leads[-1][0])
+        return leads[-1][1], leads[-1][0]
+    buchberger(mo.base.key, [(e, pos) for pos, e in leads], step, limits,
+               coprime_criterion=False)
     return G
 
 

@@ -376,6 +376,9 @@ class TermMap:
         return type(other) is type(self) and self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals its scalar, so it hashes like it (0 included)
+        if self.is_constant():
+            return hash(self.constant_coeff())
         return hash(frozenset(self.terms.items()))
 
     def total_degree(self) -> int:
@@ -505,14 +508,9 @@ class Poly(TermMap):
         if isinstance(other, (int, Fraction)):
             return self._scaled(other)
         out: Dict[Exp, Fraction] = {}
+        terms = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = exp_add(e1, e2)
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+            add_terms(out, [(exp_add(e1, e2), c1 * c2) for e2, c2 in terms])
         p = Poly(self.ctx)
         p.terms = out
         return p

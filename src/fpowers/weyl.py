@@ -7,12 +7,11 @@ are central.  WeylOp is a ring.TermMap, like Poly: storage, equality,
 + and -, the scalar product, powers, leading data, printing and the
 parser (parse_weyl) are the ones of ring.py.  This module adds only the
 normal-ordered product (weyl_multiply) and the x/d/s helpers of WeylOp.
-Left Groebner bases use only the chain criterion: the
-coprimality (product) criterion is unsound in a noncommutative algebra.
-Their S-pairs come from gb.PairQueue, in the same normal-selection order
-as the commutative engine (smallest lcm key first, ties by index).  Only
-a tracked basis (track=True) carries cofactor rows; an untracked one
-builds none.  Left division runs on ring.reduce_in_place: each multiple
+Left Groebner bases run on the one engine of gb.py (gb.buchberger and
+gb.interreduce, under gb.Limits) without the product criterion, which is
+unsound in a noncommutative algebra; this module adds only their step
+(left S-pair, left normal form, cofactor rows when track=True) and the
+left normal form.  That runs on ring.reduce_in_place: each multiple
 x^a d^b s^w * g is normal-ordered term by term straight into the working
 term map (and into the cofactor rows when tracking), and a basis
 computation shares one KeyCache of order keys and its leading exponents
@@ -39,10 +38,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .ring import (
     DegreeBoundExceeded, Exp, KeyCache, MonomialOrder, Poly, TermMap,
-    VarContext, _Parser, add_terms, divide_exact, exp_add, exp_divides,
-    exp_sub, reduce_in_place,
+    VarContext, _Parser, add_terms, divide_exact, exp_add, exp_sub,
+    reduce_in_place,
 )
-from .gb import DEFAULT_LIMITS, Limits, PairQueue, ResourceLimit
+from .gb import (
+    DEFAULT_LIMITS, Limits, ResourceLimit, buchberger, interreduce,
+    s_pair_multipliers,
+)
 
 
 class FiltrationMismatch(Exception):
@@ -418,10 +420,6 @@ def transpose_tau(P: WeylOp) -> WeylOp:
 # left Groebner bases
 
 
-def _left_mono_mul(ctx: WeylContext, m: Exp, c: Fraction, P: WeylOp) -> WeylOp:
-    return weyl_multiply(WeylOp(ctx, {m: c}), P)
-
-
 def left_normal_form(P: WeylOp, basis: Sequence[WeylOp], order: MonomialOrder,
                      limits: Limits = DEFAULT_LIMITS,
                      cofactors: Optional[List[WeylOp]] = None,
@@ -499,90 +497,55 @@ def weyl_left_gb(gens: Sequence[WeylOp], order: MonomialOrder,
 
     keys = KeyCache(order.key)
     leading = keys.__getitem__
-    queue = PairQueue(order.key)
-    for g in G:
-        queue.add(max(g.terms, key=leading))
-    lead = queue.lead
-    while queue:
-        i, j, l = queue.pop()
-        if queue.chain_skips(i, j, l):
-            continue
-        mi, mj = exp_sub(l, lead[i]), exp_sub(l, lead[j])
-        ci = Fraction(1) / G[i].terms[lead[i]]
-        cj = Fraction(1) / G[j].terms[lead[j]]
-        s = _left_mono_mul(ctx, mi, ci, G[i]) - _left_mono_mul(ctx, mj, cj, G[j])
-        if track:
-            cof = [WeylOp(ctx, {mi: ci}) * a - WeylOp(ctx, {mj: cj}) * b
-                   for a, b in zip(C[i], C[j])]
-            negcof = [-a for a in cof]
-            r = left_normal_form(s, G, order, limits, cofactors=negcof,
-                                 basis_cofactors=C, leads=lead, keys=keys)
-        else:
-            r = left_normal_form(s, G, order, limits, leads=lead, keys=keys)
+    lead = [max(g.terms, key=leading) for g in G]
+
+    def step(i, j, l):
+        mi, mj = s_pair_multipliers(G[i], lead[i], G[j], lead[j], l)
+        s = mi * G[i] - mj * G[j]
+        # seeded with minus the row of s, the division leaves minus r's row
+        negcof = ([-(mi * a - mj * b) for a, b in zip(C[i], C[j])]
+                  if track else None)
+        r = left_normal_form(s, G, order, limits, cofactors=negcof,
+                             basis_cofactors=C, leads=lead, keys=keys)
         if r.is_zero():
-            continue
-        if r.total_degree() > limits.max_degree:
-            raise ResourceLimit("degree bound exceeded in left basis")
+            return None
+        limits.check_poly(r)
         G.append(r)
         if track:
             C.append([-a for a in negcof])
-        if len(G) > limits.max_basis:
-            raise ResourceLimit("basis size bound exceeded")
-        queue.add(max(r.terms, key=leading))
-
+        lead.append(max(r.terms, key=leading))
+        return lead[-1], 0
+    buchberger(order.key, [(e, 0) for e in lead], step, limits,
+               coprime_criterion=False)
     return _reduce_left_basis(G, C, order, limits, lead, keys)
 
 
 def _reduce_left_basis(G, C, order, limits, leads=None, keys=None):
-    """Minimal, tail-reduced, monic basis sorted by leading monomial;
-    with cofactor rows C (None when untracked) returns (basis, rows).
-    A basis computation passes its leads and KeyCache as in
-    left_normal_form."""
+    """gb.interreduce for operators, with cofactor rows C (None when
+    untracked); returns the basis, or (basis, rows) when tracked.  A basis
+    computation passes its leads and KeyCache as in left_normal_form."""
     if keys is None:
         keys = KeyCache(order.key)
     if leads is None:
         leads = [max(g.terms, key=keys.__getitem__) for g in G]
-    # minimalize by leading-monomial divisibility
-    keep_idx = []
-    for i, li in enumerate(leads):
-        drop = False
-        for j, lj in enumerate(leads):
-            if i == j:
-                continue
-            if exp_divides(lj, li) and (lj != li or j < i):
-                drop = True
-                break
-        if not drop:
-            keep_idx.append(i)
-    # tail-reduce and scale monic
-    out = []
-    for i in keep_idx:
-        rest = [k for k in keep_idx if k != i]
-        rest_g, rest_l = [G[k] for k in rest], [leads[k] for k in rest]
-        if C is None:
-            r = left_normal_form(G[i], rest_g, order, limits,
-                                 leads=rest_l, keys=keys)
-        else:
+
+    def divide(i, rest):
+        delta = rows = None
+        if C is not None:
             delta = [WeylOp.zero(G[i].ctx) for _ in C[i]]
-            r = left_normal_form(G[i], rest_g, order, limits,
-                                 cofactors=delta,
-                                 basis_cofactors=[C[k] for k in rest],
-                                 leads=rest_l, keys=keys)
-        if r.is_zero():
-            continue
-        lr = max(r.terms, key=keys.__getitem__)
-        inv = Fraction(1) / r.terms[lr]
+            rows = [C[k] for k in rest]
+        r = left_normal_form(G[i], [G[k] for k in rest], order, limits,
+                             cofactors=delta, basis_cofactors=rows,
+                             leads=[leads[k] for k in rest], keys=keys)
         if C is None:
-            out.append((keys[lr], r * inv, None))
-        else:
-            # G[i] = r + sum(delta * originals), so
-            # r = sum((C[i] - delta) * originals)
-            out.append((keys[lr], r * inv,
-                        [(a - b) * inv for a, b in zip(C[i], delta)]))
-    out.sort(key=lambda t: t[0])
+            return r, None
+        # G[i] = r + sum(delta * originals), so
+        # r = sum((C[i] - delta) * originals)
+        return r, [a - b for a, b in zip(C[i], delta)]
+    out = interreduce(G, leads, keys, divide)
     if C is None:
-        return [g for _, g, _ in out]
-    return [g for _, g, _ in out], [row for _, _, row in out]
+        return [g for g, _ in out]
+    return [g for g, _ in out], [row for _, row in out]
 
 
 class LeftIdeal:

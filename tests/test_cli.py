@@ -482,3 +482,13 @@ def test_main_prints_help(capsys):
     for argv in (["bs-poly", "--help"], ["--help", "--json"]):
         assert main(argv) == 0
         assert capsys.readouterr().out == run_command(argv)[1]["help"]
+
+
+def test_left_basis_degree_bound_message():
+    # the B_F elimination basis reports its degree bound in the wording of
+    # every other basis (it used to say "degree bound exceeded in left
+    # basis")
+    code, payload = run("bs-ideal", "--input", DATA / "arr_xy_xplusy.json",
+                        "--max-degree", "3")
+    assert code == 3
+    assert payload["error"] == "resource limit: total degree 4 exceeds bound 3"

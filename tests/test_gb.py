@@ -687,3 +687,208 @@ def test_division_keys_each_exponent_once(monkeypatch):
     calls[0] = 0
     assert _old_normal_form(target, G, order) == ref
     assert calls[0] > 3 * (len(entered) + basis_terms)
+
+
+# ======================================================================
+# the one Buchberger engine (gb.buchberger, gb.interreduce) against the
+# separate loops it replaced (kept here only, as references)
+
+
+def _old_groebner_basis(gens, order, limits=gb.DEFAULT_LIMITS):
+    """Reduced Groebner basis by its own pair loop."""
+    from fpowers.ring import KeyCache
+    G = []
+    for g in gens:
+        if not g.is_zero():
+            limits.check_poly(g)
+            G.append(g)
+    if not G:
+        return []
+
+    keys = KeyCache(order.key)
+    leading = keys.__getitem__
+    queue = gb.PairQueue(order.key)
+    for g in G:
+        queue.add(max(g.terms, key=leading))
+    lead = queue.lead
+    while queue:
+        i, j, lij = queue.pop()
+        # product criterion, then the chain criterion
+        if lij == exp_add(lead[i], lead[j]) or queue.chain_skips(i, j, lij):
+            continue
+        s = gb._s_poly(G[i], G[j], order, lead[i], lead[j])
+        limits.check_poly(s)
+        r = normal_form(s, G, order, limits, leads=lead, keys=keys)
+        if r.is_zero():
+            continue
+        limits.check_poly(r)
+        G.append(r)
+        limits.check_size(len(G))
+        queue.add(max(r.terms, key=leading))
+
+    return _old_reduce_basis(G, order, limits, leads=lead, keys=keys)
+
+
+def _old_reduce_basis(G, order, limits=gb.DEFAULT_LIMITS, leads=None,
+                      keys=None):
+    """Minimal, tail-reduced, monic basis by its own minimalization."""
+    from fpowers.ring import KeyCache
+    if keys is None:
+        keys = KeyCache(order.key)
+    if leads is None:
+        G = [g for g in G if not g.is_zero()]
+        leads = [max(g.terms, key=keys.__getitem__) for g in G]
+    # minimalize: drop g whose LM is divisible by another LM
+    keep = []
+    for i, li in enumerate(leads):
+        drop = False
+        for j, lj in enumerate(leads):
+            if i == j:
+                continue
+            if exp_divides(lj, li) and (lj != li or j < i):
+                drop = True
+                break
+        if not drop:
+            keep.append(i)
+    # tail-reduce each against the others, make monic
+    out = []
+    for i in keep:
+        rest = [k for k in keep if k != i]
+        g = G[i]
+        r = normal_form(g, [G[k] for k in rest], order, limits,
+                        leads=[leads[k] for k in rest], keys=keys) \
+            if rest else g
+        if not r.is_zero():
+            lr = max(r.terms, key=keys.__getitem__)
+            out.append((keys[lr], r * (Fraction(1) / r.terms[lr])))
+    out.sort(key=lambda t: t[0])
+    return [g for _, g in out]
+
+
+def _old_module_gb(vectors, mo, limits=gb.DEFAULT_LIMITS):
+    """Module basis by its own pair loop, multipliers built by hand."""
+    from fpowers.ring import KeyCache
+    G = [v for v in vectors if not gb._vec_is_zero(v)]
+    if not G:
+        return []
+    ctx = G[0][0].ctx
+    keys = KeyCache(mo.key)
+    leads = [gb._vec_lead(v, mo, keys) for v in G]
+    queue = gb.PairQueue(mo.base.key)
+    for pos, e in leads:
+        queue.add(e, pos)
+
+    while queue:
+        i, j, l = queue.pop()
+        if queue.chain_skips(i, j, l):
+            continue
+        pos = leads[i][0]
+        li, lj = leads[i][1], leads[j][1]
+        ci = G[i][pos].terms[li]
+        cj = G[j][pos].terms[lj]
+        mi = Poly.monomial(ctx, exp_sub(l, li), Fraction(1) / ci)
+        mj = Poly.monomial(ctx, exp_sub(l, lj), Fraction(1) / cj)
+        s = gb._vec_sub(gb._vec_scale(G[i], mi), gb._vec_scale(G[j], mj))
+        r = gb._vec_reduce(s, G, leads, mo, limits, keys=keys)
+        if gb._vec_is_zero(r):
+            continue
+        G.append(r)
+        leads.append(gb._vec_lead(r, mo, keys))
+        limits.check_size(len(G))
+        queue.add(leads[-1][1], leads[-1][0])
+    return G
+
+
+def _engine_ideal_inputs():
+    """(order, gens): the graph-ideal elimination and the random inputs of
+    the queue and division tests above."""
+    yield _graph_input()[::-1]
+    rng = random.Random(5)
+    for order in (MonomialOrder.lex(), MonomialOrder.grevlex()):
+        for _ in range(6):
+            yield order, [_random_poly(rng, XYZ, deg=3) for _ in range(3)]
+    rng = random.Random(32)
+    for ctx, order in _kernel_orders():
+        for _ in range(5):
+            yield order, [_random_poly(rng, ctx, deg=3) for _ in range(3)]
+
+
+def _augmented(vecs):
+    return [tuple(v) + tuple(Poly.const(v[0].ctx, int(i == k))
+                             for k in range(len(vecs)))
+            for i, v in enumerate(vecs)]
+
+
+def _run_with_pops(queue_pops, fn, *args):
+    """(fn's result or ResourceLimit message, the pairs it popped)."""
+    del queue_pops[:]
+    out = _outcome(fn, *args)
+    return out, list(queue_pops)
+
+
+def test_engine_bases_and_pops_match_old_loop(queue_pops):
+    n = 0
+    for order, gens in _engine_ideal_inputs():
+        got, got_pops = _run_with_pops(queue_pops, groebner_basis, gens, order)
+        ref, ref_pops = _run_with_pops(queue_pops, _old_groebner_basis,
+                                       gens, order)
+        assert _items(got) == _items(ref)
+        assert got_pops == ref_pops
+        n += len(ref_pops)
+    assert n > 100
+
+
+def test_engine_interreduction_matches_old_loop():
+    # on bases and on plain generator lists (with a zero element), where
+    # minimalization and tail reduction both have work to do
+    for order, gens in _engine_ideal_inputs():
+        G = groebner_basis(gens, order)
+        for basis in (G + gens, gens + [Poly.zero(gens[0].ctx)] + G[::-1]):
+            assert _items(gb._reduce_basis(basis, order)) == \
+                _items(_old_reduce_basis(basis, order))
+
+
+def test_engine_module_bases_and_pops_match_old_loop(queue_pops):
+    n = 0
+    for vecs, order in _module_inputs():
+        for split in (0, len(vecs[0])):
+            mo = gb._ModOrder(order, split=split)
+            aug = _augmented(vecs)
+            got, got_pops = _run_with_pops(queue_pops, gb._module_gb, aug, mo)
+            ref, ref_pops = _run_with_pops(queue_pops, _old_module_gb, aug,
+                                           mo)
+            assert [_items(g) for g in got] == [_items(g) for g in ref]
+            assert got_pops == ref_pops
+            n += len(ref_pops)
+    assert n > 20
+
+
+def test_engine_resource_limits_match_old_loop():
+    # degree and basis-size bounds: the same inputs raise, with the same
+    # messages, and the rest give the same bases
+    ideals = list(_engine_ideal_inputs())
+    ideals.append((MonomialOrder.grevlex(), [p("x^5 + y"), p("y^4 - x")]))
+    modules = [(gb._ModOrder(order, split=len(vecs[0])), _augmented(vecs))
+               for vecs, order in _module_inputs()]
+    limits = [Limits(max_degree=d) for d in (2, 3, 4, 5)]
+    limits += [Limits(max_basis=b) for b in (3, 4, 5, 6, 8)]
+
+    def exact(o):
+        """A basis as its terms in dict order; a message as it is."""
+        if isinstance(o, tuple):
+            return o
+        return [_items(g) if isinstance(g, tuple) else _items([g])
+                for g in o]
+    got, ref = [], []
+    for lim in limits:
+        for order, gens in ideals:
+            got.append(exact(_outcome(groebner_basis, gens, order, lim)))
+            ref.append(exact(_outcome(_old_groebner_basis, gens, order,
+                                      lim)))
+        for mo, aug in modules:
+            got.append(exact(_outcome(gb._module_gb, aug, mo, lim)))
+            ref.append(exact(_outcome(_old_module_gb, aug, mo, lim)))
+    assert got == ref
+    messages = {o[1].split()[0] for o in ref if isinstance(o, tuple)}
+    assert messages == {"total", "basis"}
+    assert sum(isinstance(o, list) for o in ref) > len(ref) // 4

@@ -247,3 +247,79 @@ def test_divide_exact_kernel_matches_old_loop(a, b, r):
         else:
             assert got is not None
             assert list(got.terms.items()) == list(ref.terms.items())
+
+
+# ======================================================================
+# equal elements hash equally
+
+
+def test_constants_hash_like_their_scalars():
+    from fpowers.weyl import WeylContext, WeylOp
+    wctx = WeylContext(["x"], ["s"])
+    for c in (0, 3, Fraction(-1, 2)):
+        for elt in (Poly.const(CTX, c), WeylOp.const(wctx, c)):
+            assert elt == c
+            assert hash(elt) == hash(c)
+            assert {c: "a"}.get(elt) == "a"
+            assert {elt: "b"}.get(c) == "b"
+            assert c in {elt}
+    # nonconstant elements still hash by their terms
+    assert hash(p("x + 1")) == hash(p("1 + x"))
+    assert p("x") != 1
+
+
+# ======================================================================
+# the product against the loop it replaced (kept here only, as a
+# reference)
+
+
+def _old_poly_mul(a, b):
+    """Adds every term product onto out.get(e, Fraction(0))."""
+    from fpowers.ring import exp_add
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = exp_add(e1, e2)
+            s = out.get(e, Fraction(0)) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    q = Poly(a.ctx)
+    q.terms = out
+    return q
+
+
+def _seeded_poly(rng, ctx, terms, max_exp):
+    q = Poly.zero(ctx)
+    for _ in range(rng.randint(1, terms)):
+        e = tuple(rng.randint(0, max_exp) for _ in range(ctx.n))
+        c = Fraction(rng.choice([-2, -1, 1, 2, 3]), rng.choice([1, 1, 2, 5]))
+        q = q + Poly.monomial(ctx, e, c)
+    return q
+
+
+def test_product_matches_old_loop_term_order():
+    import random
+    from fpowers.gb import groebner_basis
+    rng = random.Random(17)
+    bctx = VarContext([("W", ["a", "b"]), ("X", ["x", "y"]), ("S", ["s"])])
+    pairs = []
+    for ctx in (CTX, GCTX, bctx):
+        for _ in range(40):
+            # small exponents, so term products collide and cancel
+            pairs.append((_seeded_poly(rng, ctx, 8, 2),
+                          _seeded_poly(rng, ctx, 8, 2)))
+    # reduced bases under lex and a block order, multiplied pairwise
+    for order, ctx in ((MonomialOrder.lex(), CTX),
+                       (MonomialOrder.block(bctx, ["W", "X", "S"]), bctx)):
+        gens = [_seeded_poly(rng, ctx, 3, 2) for _ in range(3)]
+        G = groebner_basis(gens, order)
+        pairs += [(f, g) for f in G for g in G]
+    pairs.append((p("x + y"), p("x - y")))
+    collided = 0
+    for a, b in pairs:
+        got, ref = a * b, _old_poly_mul(a, b)
+        assert list(got.terms.items()) == list(ref.terms.items())
+        collided += len(ref.terms) < len(a.terms) * len(b.terms)
+    assert collided > len(pairs) // 2

@@ -735,3 +735,217 @@ def test_power_is_repeated_product():
         for k in range(6):
             assert P ** k == power, (str(P), k)
             power = power * P
+
+
+# ---------------------------------------------------------------------------
+# the left basis on the one Buchberger engine (gb.buchberger, gb.interreduce)
+# against the loop it replaced (kept here only, as a reference)
+
+
+def _old_left_mono_mul(ctx, m, c, P):
+    return weyl_multiply(WeylOp(ctx, {m: c}), P)
+
+
+def _old_weyl_left_gb(gens, order, limits=gb.DEFAULT_LIMITS, track=False):
+    """Reduced left basis by its own pair loop and its own bound checks."""
+    from fpowers.gb import PairQueue, ResourceLimit
+    from fpowers.ring import KeyCache
+    left_normal_form = weyl.left_normal_form
+    ctx = gens[0].ctx if gens else None
+    G = []
+    # cofactor rows, one per element of G, kept only when tracking
+    C = [] if track else None
+    gens = list(gens)
+    for i, g in enumerate(gens):
+        if g.is_zero():
+            continue
+        G.append(g)
+        if track:
+            row = [WeylOp.zero(ctx) for _ in gens]
+            row[i] = WeylOp.const(ctx, 1)
+            C.append(row)
+    if not G:
+        return ([], []) if track else []
+
+    keys = KeyCache(order.key)
+    leading = keys.__getitem__
+    queue = PairQueue(order.key)
+    for g in G:
+        queue.add(max(g.terms, key=leading))
+    lead = queue.lead
+    while queue:
+        i, j, l = queue.pop()
+        if queue.chain_skips(i, j, l):
+            continue
+        mi, mj = exp_sub(l, lead[i]), exp_sub(l, lead[j])
+        ci = Fraction(1) / G[i].terms[lead[i]]
+        cj = Fraction(1) / G[j].terms[lead[j]]
+        s = (_old_left_mono_mul(ctx, mi, ci, G[i])
+             - _old_left_mono_mul(ctx, mj, cj, G[j]))
+        if track:
+            cof = [WeylOp(ctx, {mi: ci}) * a - WeylOp(ctx, {mj: cj}) * b
+                   for a, b in zip(C[i], C[j])]
+            negcof = [-a for a in cof]
+            r = left_normal_form(s, G, order, limits, cofactors=negcof,
+                                 basis_cofactors=C, leads=lead, keys=keys)
+        else:
+            r = left_normal_form(s, G, order, limits, leads=lead, keys=keys)
+        if r.is_zero():
+            continue
+        if r.total_degree() > limits.max_degree:
+            raise ResourceLimit("degree bound exceeded in left basis")
+        G.append(r)
+        if track:
+            C.append([-a for a in negcof])
+        if len(G) > limits.max_basis:
+            raise ResourceLimit("basis size bound exceeded")
+        queue.add(max(r.terms, key=leading))
+
+    return _old_reduce_left_basis(G, C, order, limits, lead, keys)
+
+
+def _old_reduce_left_basis(G, C, order, limits, leads=None, keys=None):
+    """Minimal, tail-reduced, monic basis by its own minimalization."""
+    from fpowers.ring import KeyCache
+    left_normal_form = weyl.left_normal_form
+    if keys is None:
+        keys = KeyCache(order.key)
+    if leads is None:
+        leads = [max(g.terms, key=keys.__getitem__) for g in G]
+    # minimalize by leading-monomial divisibility
+    keep_idx = []
+    for i, li in enumerate(leads):
+        drop = False
+        for j, lj in enumerate(leads):
+            if i == j:
+                continue
+            if exp_divides(lj, li) and (lj != li or j < i):
+                drop = True
+                break
+        if not drop:
+            keep_idx.append(i)
+    # tail-reduce and scale monic
+    out = []
+    for i in keep_idx:
+        rest = [k for k in keep_idx if k != i]
+        rest_g, rest_l = [G[k] for k in rest], [leads[k] for k in rest]
+        if C is None:
+            r = left_normal_form(G[i], rest_g, order, limits,
+                                 leads=rest_l, keys=keys)
+        else:
+            delta = [WeylOp.zero(G[i].ctx) for _ in C[i]]
+            r = left_normal_form(G[i], rest_g, order, limits,
+                                 cofactors=delta,
+                                 basis_cofactors=[C[k] for k in rest],
+                                 leads=rest_l, keys=keys)
+        if r.is_zero():
+            continue
+        lr = max(r.terms, key=keys.__getitem__)
+        inv = Fraction(1) / r.terms[lr]
+        if C is None:
+            out.append((keys[lr], r * inv, None))
+        else:
+            # G[i] = r + sum(delta * originals), so
+            # r = sum((C[i] - delta) * originals)
+            out.append((keys[lr], r * inv,
+                        [(a - b) * inv for a, b in zip(C[i], delta)]))
+    out.sort(key=lambda t: t[0])
+    if C is None:
+        return [g for _, g, _ in out]
+    return [g for _, g, _ in out], [row for _, _, row in out]
+
+
+def _rows_items(C):
+    return [_items(row) for row in C]
+
+
+def test_engine_left_bases_pops_and_cofactors_match_old_loop(queue_pops):
+    n = 0
+    for gens, order in _kernel_left_inputs():
+        for track in (True, False):
+            del queue_pops[:]
+            got = weyl_left_gb(gens, order, track=track)
+            got_pops = list(queue_pops)
+            del queue_pops[:]
+            ref = _old_weyl_left_gb(gens, order, track=track)
+            assert got_pops == list(queue_pops)
+            n += len(got_pops)
+            if track:
+                assert _items(got[0]) == _items(ref[0])
+                assert _rows_items(got[1]) == _rows_items(ref[1])
+            else:
+                assert _items(got) == _items(ref)
+    assert n > 50
+
+
+def test_engine_left_interreduction_matches_old_loop():
+    # on unreduced lists: the generators, then the generators after a
+    # tracked basis with its rows, so elements get dropped and reduced
+    for gens, order in _kernel_left_inputs():
+        ctx = gens[0].ctx
+        G, C = weyl_left_gb(gens, order, track=True)
+        units = []
+        for i in range(len(gens)):
+            row = [WeylOp.zero(ctx) for _ in gens]
+            row[i] = WeylOp.const(ctx, 1)
+            units.append(row)
+        lists = [(list(gens), None), (list(gens) + G, units + C),
+                 (G[::-1] + list(gens), C[::-1] + units)]
+        for basis, rows in lists:
+            got = weyl._reduce_left_basis(basis, rows, order, gb.DEFAULT_LIMITS)
+            ref = _old_reduce_left_basis(basis, rows, order, gb.DEFAULT_LIMITS)
+            if rows is None:
+                assert _items(got) == _items(ref)
+            else:
+                assert _items(got[0]) == _items(ref[0])
+                assert _rows_items(got[1]) == _rows_items(ref[1])
+
+
+def test_engine_left_resource_limits_match_old_loop():
+    # the same inputs raise as with the old loop; the basis bounds now
+    # speak the gb.Limits wording, the left normal form keeps its own
+    import re
+    from fpowers.gb import Limits, ResourceLimit
+
+    def outcome(fn, gens, order, lim, track):
+        try:
+            got = fn(gens, order, lim, track=track)
+        except ResourceLimit as e:
+            return str(e)
+        G, C = got if track else (got, [])
+        return _items(G), _rows_items(C)
+    limits = [Limits(max_degree=d) for d in (2, 3, 4, 5, 6)]
+    limits += [Limits(max_basis=b) for b in (2, 4, 6, 8, 12)]
+    seen = set()
+    for lim in limits:
+        for gens, order in _kernel_left_inputs():
+            for track in (True, False):
+                got = outcome(weyl_left_gb, gens, order, lim, track)
+                ref = outcome(_old_weyl_left_gb, gens, order, lim, track)
+                if ref == "degree bound exceeded in left basis":
+                    m = re.fullmatch(r"total degree (\d+) exceeds bound (\d+)",
+                                     got)
+                    assert m and int(m[1]) > lim.max_degree == int(m[2])
+                elif ref == "basis size bound exceeded":
+                    m = re.fullmatch(r"basis size (\d+) exceeds bound (\d+)",
+                                     got)
+                    assert m and int(m[1]) > lim.max_basis == int(m[2])
+                else:
+                    assert got == ref
+                seen.add(ref if isinstance(ref, str) else "basis")
+    assert seen == {"degree bound exceeded in left basis",
+                    "basis size bound exceeded",
+                    "degree bound exceeded in left normal form", "basis"}
+
+
+def test_left_basis_bounds_use_limits_wording():
+    # B_F elimination for f = x^2 + y^3: its left basis used to fail with
+    # "degree bound exceeded in left basis" and "basis size bound exceeded"
+    from fpowers.gb import Limits, ResourceLimit
+    gens, order = next(_left_gb_inputs())
+    with pytest.raises(ResourceLimit) as err:
+        weyl_left_gb(gens, order, Limits(max_degree=3))
+    assert str(err.value) == "total degree 4 exceeds bound 3"
+    with pytest.raises(ResourceLimit) as err:
+        weyl_left_gb(gens, order, Limits(max_basis=5), track=True)
+    assert str(err.value) == "basis size 6 exceeds bound 5"
