@@ -9,8 +9,8 @@ because every commutator relation dx*x = x*dx + 1 replaces a product by
 strictly smaller monomials under any global order, so Buchberger theory for
 this solvable relation set carries over verbatim.
 
-A generator b of B_F is not just a membership fact: tracking cofactors
-through the same GB writes b = sum c_i theta_i + Q*f, and then Q is an
+A generator b of B_F is not just a membership fact: the derivation log of
+the same GB writes b = sum c_i theta_i + Q*f, and then Q is an
 operator with Q . (f*F^S) = b(S)*F^S -- the functional equation, verified
 exactly through the formal-calculus action.
 """
@@ -141,22 +141,23 @@ def functional_equation_witness(fspec: FactorizationSpec, b: Poly,
                                 limits: Limits = DEFAULT_LIMITS) -> WeylOp:
     """Q with Q . (f*F^S) = b(S)*F^S, verified exactly.
 
-    b is a polynomial in the s-variables.  Cofactors are tracked through the
-    elimination GB of (theta_F, f): writing b = sum c_i theta_i + Q f and
-    letting both sides act on F^S kills every theta term."""
+    b is a polynomial in the s-variables.  It is divided by the
+    elimination GB of (theta_F, f), and the basis log rebuilds the
+    combination b = sum c_i theta_i + Q f along the basis elements that
+    division used (LeftBasis.cofactors); letting both sides act on F^S
+    kills every theta term."""
     wctx = fspec.weyl
     order = elimination_order(wctx)
     theta = fspec.theta_generators(limits)
     gens = list(theta) + [WeylOp.from_poly(wctx, fspec.f_xs)]
-    G, C = weyl_left_gb(gens, order, limits, track=True)
+    G = weyl_left_gb(gens, order, limits)
     b_op = WeylOp.from_poly(wctx, b)
-    cof = [WeylOp.zero(wctx) for _ in gens]
-    rem = left_normal_form(b_op, G, order, limits,
-                           cofactors=cof, basis_cofactors=C)
+    steps: list = []
+    rem = left_normal_form(b_op, G, order, limits, steps=steps)
     if not rem.is_zero():
         raise WitnessExtractionFailed(
             f"{b} is not in the computed Bernstein-Sato ideal")
-    Q = cof[-1]
+    Q = G.cofactors(steps)[-1]
     # verification: Q . (f * F^S) equals b * F^S
     start = FSElement(fspec, fspec.f_xs, 0)
     lhs = apply_to_FS(Q, fspec, start=start)

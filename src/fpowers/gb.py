@@ -172,6 +172,7 @@ def buchberger(key, firsts: Sequence[Tuple[Exp, int]], step: Callable,
     """The one Buchberger pair loop, from the (leading exponent, slot) of
     each starting element, in index order; key is the order key.
 
+    The starting elements count against the basis-size bound at once.
     A popped pair (i, j) with lcm l is skipped by the chain criterion, or
     by the product criterion when coprime_criterion says it is sound
     (commutative ideals).  Otherwise step(i, j, l) reduces its S-element,
@@ -182,6 +183,7 @@ def buchberger(key, firsts: Sequence[Tuple[Exp, int]], step: Callable,
     for e, slot in firsts:
         queue.add(e, slot)
     lead = queue.lead
+    limits.check_size(len(lead))
     while queue:
         i, j, l = queue.pop()
         if ((coprime_criterion and l == exp_add(lead[i], lead[j]))
@@ -195,12 +197,13 @@ def buchberger(key, firsts: Sequence[Tuple[Exp, int]], step: Callable,
 
 
 def interreduce(G: Sequence, leads: Sequence[Exp], keys: KeyCache,
-                divide: Callable) -> List[Tuple[object, Optional[list]]]:
-    """The minimal, tail-reduced, monic basis of the Groebner basis G, as
-    (element, cofactor row) pairs ascending by leading monomial.
+                divide: Callable) -> List[Tuple[int, Fraction, object]]:
+    """The minimal, tail-reduced, monic basis of the Groebner basis G,
+    ascending by leading monomial, as triples (i, c, g): g is c times the
+    remainder of G[i].
 
-    divide(i, rest) reduces G[i] by the kept G[k], k in rest, and returns
-    the remainder and its cofactor row (None when untracked).
+    divide(i, rest) returns the remainder of G[i] by the kept G[k], k in
+    rest.
     """
     # minimalize: drop g whose LM is divisible by another LM
     keep: List[int] = []
@@ -217,16 +220,14 @@ def interreduce(G: Sequence, leads: Sequence[Exp], keys: KeyCache,
     # tail-reduce each against the others, make monic
     out = []
     for i in keep:
-        r, row = divide(i, [k for k in keep if k != i])
+        r = divide(i, [k for k in keep if k != i])
         if r.is_zero():
             continue
         lr = max(r.terms, key=keys.__getitem__)
         inv = Fraction(1) / r.terms[lr]
-        if row is not None:
-            row = [a * inv for a in row]
-        out.append((keys[lr], r * inv, row))
+        out.append((keys[lr], i, inv, r * inv))
     out.sort(key=lambda t: t[0])
-    return [(g, row) for _, g, row in out]
+    return [(i, inv, g) for _, i, inv, g in out]
 
 
 def groebner_basis(gens: Sequence[Poly], order: MonomialOrder,
@@ -274,10 +275,10 @@ def _reduce_basis(G: Sequence[Poly], order: MonomialOrder,
 
     def divide(i, rest):
         if not rest:
-            return G[i], None
+            return G[i]
         return normal_form(G[i], [G[k] for k in rest], order, limits,
-                           leads=[leads[k] for k in rest], keys=keys), None
-    return [g for g, _ in interreduce(G, leads, keys, divide)]
+                           leads=[leads[k] for k in rest], keys=keys)
+    return [g for _, _, g in interreduce(G, leads, keys, divide)]
 
 
 class IdealHandle:

@@ -54,9 +54,10 @@ def nabla_surjective(fspec: FactorizationSpec, A: Sequence[Fraction],
                      assume_hypotheses: bool = False) -> NablaReport:
     """Is the shift-by-one map at the point A onto?
 
-    Criterion: 1 in D_n * ({theta_F at S=A-1} union {f}).  When it is, the
-    returned certificate writes 1 as an explicit left combination, verified
-    by exact multiplication.
+    Criterion: 1 in D_n * ({theta_F at S=A-1} union {f}), that is, the
+    reduced left basis is [1].  Only then is the certificate built: the
+    basis log gives 1 as an explicit left combination of the generators
+    (LeftBasis.cofactors), verified by exact multiplication.
     """
     A = tuple(Fraction(a) for a in A)
     if len(A) != fspec.r:
@@ -64,14 +65,14 @@ def nabla_surjective(fspec: FactorizationSpec, A: Sequence[Fraction],
     gens = _specialized_generators(fspec, A, limits)
     ctx0 = gens[-1].ctx
     order = MonomialOrder.grevlex()
-    G, C = weyl_left_gb(gens, order, limits, track=True)
+    G = weyl_left_gb(gens, order, limits)
     one = WeylOp.const(ctx0, Fraction(1))
-    cof = [WeylOp.zero(ctx0) for _ in gens]
-    rem = left_normal_form(one, G, order, limits,
-                           cofactors=cof, basis_cofactors=C)
+    steps: list = []
+    rem = left_normal_form(one, G, order, limits, steps=steps)
     surjective = rem.is_zero()
     certificate = None
     if surjective:
+        cof = G.cofactors(steps)
         total = WeylOp.zero(ctx0)
         for c, g in zip(cof, gens):
             total = total + c * g

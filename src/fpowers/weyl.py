@@ -10,12 +10,15 @@ normal-ordered product (weyl_multiply) and the x/d/s helpers of WeylOp.
 Left Groebner bases run on the one engine of gb.py (gb.buchberger and
 gb.interreduce, under gb.Limits) without the product criterion, which is
 unsound in a noncommutative algebra; this module adds only their step
-(left S-pair, left normal form, cofactor rows when track=True) and the
-left normal form.  That runs on ring.reduce_in_place: each multiple
-x^a d^b s^w * g is normal-ordered term by term straight into the working
-term map (and into the cofactor rows when tracking), and a basis
-computation shares one KeyCache of order keys and its leading exponents
-with every division it makes.
+(left S-pair, left normal form) and the left normal form.  That runs on
+ring.reduce_in_place: each multiple x^a d^b s^w * g is normal-ordered term
+by term straight into the working term map, and a basis computation
+shares one KeyCache of order keys and its leading exponents with every
+division it makes.  No cofactors are carried along: a basis is a
+LeftBasis, which logs where each element came from (a generator, or an
+S-pair and the (k, m, c) steps of its reduction), and LeftBasis.cofactors
+rebuilds the combination of the generators for one element of the ideal
+afterwards, along only the elements its division used.
 
 The action on F^S (apply_to_FS) is grouped by derivative pattern: an
 operator is sum_b p_b(x, S) d^b, each d^b . F^S is derived once from its
@@ -228,15 +231,6 @@ def _term_product(ctx: WeylContext, e1: Exp, c1: Fraction,
     return out
 
 
-def _mono_times(ctx: WeylContext, e1: Exp, c1: Fraction,
-                Q: Dict[Exp, Fraction]) -> Dict[Exp, Fraction]:
-    """The terms of (c1 * x^a d^b s^w) * Q, for e1 = (a, b, w)."""
-    acc: Dict[Exp, Fraction] = {}
-    for e2, c2 in Q.items():
-        add_terms(acc, _term_product(ctx, e1, c1, e2, c2).items())
-    return acc
-
-
 def weyl_multiply(P: WeylOp, Q: WeylOp) -> WeylOp:
     """Normal-ordered product in D_n[S]."""
     acc: Dict[Exp, Fraction] = {}
@@ -422,20 +416,18 @@ def transpose_tau(P: WeylOp) -> WeylOp:
 
 def left_normal_form(P: WeylOp, basis: Sequence[WeylOp], order: MonomialOrder,
                      limits: Limits = DEFAULT_LIMITS,
-                     cofactors: Optional[List[WeylOp]] = None,
-                     basis_cofactors: Optional[List[List[WeylOp]]] = None,
                      leads: Optional[Sequence[Exp]] = None,
-                     keys: Optional[KeyCache] = None) -> WeylOp:
+                     keys: Optional[KeyCache] = None,
+                     steps: Optional[list] = None) -> WeylOp:
     """Left-division remainder.
 
-    When tracking, every reduction step adds its multiplier (expressed in
-    the original generators through basis_cofactors) onto `cofactors` in
-    place, so on return
-        P = remainder + sum_i (cofactors[i] - initial cofactors[i]) * gen_i.
-    Callers seed `cofactors` with zeros to get a plain division expression.
-    A basis computation passes the leading exponents of its (nonzero)
-    basis elements as `leads` and its KeyCache as `keys`; without them,
-    zero elements are dropped and the leads are found here.
+    Given a list `steps`, each reduction step appends its (k, m, c), the
+    multiple c*x^m * basis[k] it took away (m an exponent, c a Fraction),
+    so that on return P = remainder + sum of those multiples;
+    LeftBasis.cofactors reads such steps.  A basis computation passes the
+    leading exponents of its (nonzero) basis elements as `leads` and its
+    KeyCache as `keys`; without them, zero elements are dropped and the
+    leads are found here.
     """
     ctx = P.ctx
     if keys is None:
@@ -443,16 +435,13 @@ def left_normal_form(P: WeylOp, basis: Sequence[WeylOp], order: MonomialOrder,
     if leads is None:
         basis = [g for g in basis if g.terms]
         leads = [max(g.terms, key=keys.__getitem__) for g in basis]
-    track = cofactors is not None and basis_cofactors is not None
-    rows = [dict(c.terms) for c in cofactors] if track else None
 
     def multiple(k, e, c):
         # x^a d^b s^w * g, normal-ordered term by term
         g, lead = basis[k].terms, leads[k]
         m, coef = exp_sub(e, lead), c / g[lead]
-        if track:
-            for row, cof in zip(rows, basis_cofactors[k]):
-                add_terms(row, _mono_times(ctx, m, coef, cof.terms).items())
+        if steps is not None:
+            steps.append((k, m, coef))
         return [t for ge, gc in g.items()
                 for t in _term_product(ctx, m, coef, ge, gc).items()]
     work = dict(P.terms)
@@ -460,40 +449,103 @@ def left_normal_form(P: WeylOp, basis: Sequence[WeylOp], order: MonomialOrder,
     try:
         reduce_in_place(work, leads, keys, multiple, rem, limits.max_degree)
     except DegreeBoundExceeded:
-        raise ResourceLimit("degree bound exceeded in left normal form") from None
-    if track:
-        for idx, row in enumerate(rows):
-            cofactors[idx] = WeylOp(ctx)
-            cofactors[idx].terms = row
+        raise ResourceLimit(f"total degree {max(map(sum, work))} exceeds "
+                            f"bound {limits.max_degree}") from None
     out = WeylOp(ctx)
     out.terms = rem
     return out
 
 
+class LeftBasis(list):
+    """A reduced left Groebner basis (WeylOps ascending by leading
+    monomial) with the log of its derivation from `gens`.
+
+    The log has one entry per element computed on the way -- the nonzero
+    generators, then each nonzero S-remainder, in the order they joined:
+    `origin` holds a generator index or the S-pair (i, j, m_i, m_j) the
+    remainder came from, `steps` the (k, m, c) steps of its reduction (k
+    an earlier element).  Per basis element, `final` holds (i, c, steps):
+    the element is c times computed element i less the multiples its tail
+    reduction took away.  Every element is thus an exact left combination
+    of earlier ones, and cofactors() composes only the ones asked for.
+    """
+
+    def __init__(self, basis: Sequence[WeylOp], gens: Sequence[WeylOp],
+                 origin: list, steps: List[list], final: list):
+        super().__init__(basis)
+        self.gens = list(gens)
+        self.origin = origin
+        self.steps = steps
+        self.final = final
+
+    def cofactors(self, steps: Sequence[Tuple[int, Exp, Fraction]]
+                  ) -> List[WeylOp]:
+        """The row q with sum_j q[j] * gens[j] equal to the sum of the
+        multiples c*x^m * self[k] that `steps` record; for the steps
+        left_normal_form appended while reducing P to zero, that sum is P.
+
+        The multiples on one element are summed into one operator first;
+        then the computed elements are expanded once each, latest first,
+        into the earlier ones they were made of, so each (element, element
+        it uses) costs one weyl_multiply.
+        """
+        ctx = self.gens[0].ctx
+        coef: Dict[int, WeylOp] = {}
+
+        def add(k, q):
+            coef[k] = coef[k] + q if k in coef else q
+        for t, q in _grouped(ctx, steps).items():
+            i, scale, tail = self.final[t]
+            q = q * scale
+            add(i, q)
+            for k, qk in _grouped(ctx, tail).items():
+                add(k, -(q * qk))
+        row = [WeylOp.zero(ctx) for _ in self.gens]
+        for r in range(max(coef, default=-1), -1, -1):
+            a = coef.pop(r, None)
+            if a is None or a.is_zero():
+                continue
+            if isinstance(self.origin[r], int):
+                row[self.origin[r]] = a
+                continue
+            i, j, mi, mj = self.origin[r]
+            add(i, a * mi)
+            add(j, -(a * mj))
+            for k, qk in _grouped(ctx, self.steps[r]).items():
+                add(k, -(a * qk))
+        return row
+
+
+def _grouped(ctx: WeylContext, steps) -> Dict[int, WeylOp]:
+    """The (k, m, c) steps as one operator sum c*x^m per element k."""
+    out: Dict[int, WeylOp] = {}
+    for k, m, c in steps:
+        q = out.get(k)
+        if q is None:
+            q = out[k] = WeylOp(ctx)
+        add_terms(q.terms, ((m, c),))
+    return out
+
+
 def weyl_left_gb(gens: Sequence[WeylOp], order: MonomialOrder,
-                 limits: Limits = DEFAULT_LIMITS,
-                 track: bool = False):
+                 limits: Limits = DEFAULT_LIMITS) -> LeftBasis:
     """Reduced left Groebner basis of the left ideal generated by gens.
 
     Only the chain criterion is used; the product criterion is unsound
-    here.  With track=True returns (basis, cofactors) where
-    basis[i] = sum_j cofactors[i][j] * gens[j].
+    here.  The LeftBasis returned also writes any element of the ideal in
+    gens (LeftBasis.cofactors).
     """
-    ctx = gens[0].ctx if gens else None
-    G: List[WeylOp] = []
-    # cofactor rows, one per element of G, kept only when tracking
-    C: Optional[List[List[WeylOp]]] = [] if track else None
     gens = list(gens)
+    G: List[WeylOp] = []
+    origin: list = []
+    steps: List[list] = []
     for i, g in enumerate(gens):
-        if g.is_zero():
-            continue
-        G.append(g)
-        if track:
-            row = [WeylOp.zero(ctx) for _ in gens]
-            row[i] = WeylOp.const(ctx, 1)
-            C.append(row)
+        if not g.is_zero():
+            G.append(g)
+            origin.append(i)
+            steps.append([])
     if not G:
-        return ([], []) if track else []
+        return LeftBasis([], gens, origin, steps, [])
 
     keys = KeyCache(order.key)
     leading = keys.__getitem__
@@ -502,50 +554,44 @@ def weyl_left_gb(gens: Sequence[WeylOp], order: MonomialOrder,
     def step(i, j, l):
         mi, mj = s_pair_multipliers(G[i], lead[i], G[j], lead[j], l)
         s = mi * G[i] - mj * G[j]
-        # seeded with minus the row of s, the division leaves minus r's row
-        negcof = ([-(mi * a - mj * b) for a, b in zip(C[i], C[j])]
-                  if track else None)
-        r = left_normal_form(s, G, order, limits, cofactors=negcof,
-                             basis_cofactors=C, leads=lead, keys=keys)
+        log: list = []
+        r = left_normal_form(s, G, order, limits, leads=lead, keys=keys,
+                             steps=log)
         if r.is_zero():
             return None
         limits.check_poly(r)
         G.append(r)
-        if track:
-            C.append([-a for a in negcof])
+        origin.append((i, j, mi, mj))
+        steps.append(log)
         lead.append(max(r.terms, key=leading))
         return lead[-1], 0
     buchberger(order.key, [(e, 0) for e in lead], step, limits,
                coprime_criterion=False)
-    return _reduce_left_basis(G, C, order, limits, lead, keys)
+    return _reduce_left_basis(G, (gens, origin, steps), order, limits,
+                              lead, keys)
 
 
-def _reduce_left_basis(G, C, order, limits, leads=None, keys=None):
-    """gb.interreduce for operators, with cofactor rows C (None when
-    untracked); returns the basis, or (basis, rows) when tracked.  A basis
-    computation passes its leads and KeyCache as in left_normal_form."""
+def _reduce_left_basis(G, log, order, limits, leads=None,
+                       keys=None) -> LeftBasis:
+    """gb.interreduce for operators, as a LeftBasis with the log
+    (gens, origin, steps) of G.  A basis computation passes its leads and
+    KeyCache as in left_normal_form."""
     if keys is None:
         keys = KeyCache(order.key)
     if leads is None:
         leads = [max(g.terms, key=keys.__getitem__) for g in G]
+    tails: Dict[int, list] = {}
 
     def divide(i, rest):
-        delta = rows = None
-        if C is not None:
-            delta = [WeylOp.zero(G[i].ctx) for _ in C[i]]
-            rows = [C[k] for k in rest]
+        tail: list = []
         r = left_normal_form(G[i], [G[k] for k in rest], order, limits,
-                             cofactors=delta, basis_cofactors=rows,
-                             leads=[leads[k] for k in rest], keys=keys)
-        if C is None:
-            return r, None
-        # G[i] = r + sum(delta * originals), so
-        # r = sum((C[i] - delta) * originals)
-        return r, [a - b for a, b in zip(C[i], delta)]
+                             leads=[leads[k] for k in rest], keys=keys,
+                             steps=tail)
+        tails[i] = [(rest[k], m, c) for k, m, c in tail]
+        return r
     out = interreduce(G, leads, keys, divide)
-    if C is None:
-        return [g for g, _ in out]
-    return [g for g, _ in out], [row for _, row in out]
+    return LeftBasis([g for _, _, g in out], *log,
+                     [(i, c, tails[i]) for i, c, _ in out])
 
 
 class LeftIdeal:

@@ -23,6 +23,7 @@ from fpowers.bside import (
     s_context,
     univariate_roots,
 )
+from weyl_reference import basis_rows, combination, reference_cofactors
 
 
 VC1 = VarContext([("X", ["x"])])
@@ -243,6 +244,28 @@ def test_witness_action_matches_old_loop(old_apply_to_FS):
             ref = old_apply_to_FS(Q, F, start=start)
             assert got.j == ref.j == 0
             assert got.num == ref.num == b.map_context(F.xs_vc)
+
+
+def test_witness_matches_tracked_reference():
+    # every witness Q against the tracked loop it replaced
+    # (tests/weyl_reference.py): equal, with identical printing; every
+    # rebuilt row of the elimination basis multiplies out
+    from fpowers.bside import elimination_order
+    from fpowers.weyl import weyl_left_gb
+    cusp = FactorizationSpec(["x", "y"], [p("x^2 + y^3", VC2)])
+    for F in (F_x(), F_xy(), F_mixed(), F_lines(), cusp):
+        order = elimination_order(F.weyl)
+        gens = F.theta_generators() + [WeylOp.from_poly(F.weyl, F.f_xs)]
+        for b in bs_ideal(F).gb:
+            Q = functional_equation_witness(F, b)
+            rem, row = reference_cofactors(WeylOp.from_poly(F.weyl, b),
+                                           gens, order)
+            assert rem.is_zero()
+            assert Q == row[-1]
+            assert str(Q) == str(row[-1])
+        G = weyl_left_gb(gens, order)
+        for g, basis_row in zip(G, basis_rows(G)):
+            assert combination(basis_row, gens) == g
 
 
 def test_witness_rejects_non_member():

@@ -865,7 +865,9 @@ def test_engine_module_bases_and_pops_match_old_loop(queue_pops):
 
 def test_engine_resource_limits_match_old_loop():
     # degree and basis-size bounds: the same inputs raise, with the same
-    # messages, and the rest give the same bases
+    # messages, and the rest give the same bases; only where the nonzero
+    # starting elements alone exceed the basis-size bound does the engine
+    # raise before any pair, with their count
     ideals = list(_engine_ideal_inputs())
     ideals.append((MonomialOrder.grevlex(), [p("x^5 + y"), p("y^4 - x")]))
     modules = [(gb._ModOrder(order, split=len(vecs[0])), _augmented(vecs))
@@ -879,16 +881,26 @@ def test_engine_resource_limits_match_old_loop():
             return o
         return [_items(g) if isinstance(g, tuple) else _items([g])
                 for g in o]
-    got, ref = [], []
+    def early(starting, lim, ref):
+        if starting > lim.max_basis:
+            return ("ResourceLimit",
+                    f"basis size {starting} exceeds bound {lim.max_basis}")
+        return ref
+    got, ref, expected = [], [], []
     for lim in limits:
         for order, gens in ideals:
             got.append(exact(_outcome(groebner_basis, gens, order, lim)))
             ref.append(exact(_outcome(_old_groebner_basis, gens, order,
                                       lim)))
+            expected.append(early(sum(not g.is_zero() for g in gens), lim,
+                                  ref[-1]))
         for mo, aug in modules:
             got.append(exact(_outcome(gb._module_gb, aug, mo, lim)))
             ref.append(exact(_outcome(_old_module_gb, aug, mo, lim)))
-    assert got == ref
+            expected.append(early(sum(not gb._vec_is_zero(v) for v in aug),
+                                  lim, ref[-1]))
+    assert got == expected
+    assert 0 < sum(e != r for e, r in zip(expected, ref)) < len(ref) // 4
     messages = {o[1].split()[0] for o in ref if isinstance(o, tuple)}
     assert messages == {"total", "basis"}
     assert sum(isinstance(o, list) for o in ref) > len(ref) // 4

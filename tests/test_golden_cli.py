@@ -29,11 +29,20 @@ REQUESTS = [
 ]
 
 
+def requests(fixture: Path):
+    """REQUESTS, then nabla at the all-ones point (onto, so the payload
+    carries a certificate) and at the all-zeros point (not onto), each
+    with one coordinate per factor of the fixture."""
+    arity = len(json.loads(fixture.read_text(encoding="utf-8"))["factors"])
+    return REQUESTS + [("nabla", "--point=" + ",".join([a] * arity))
+                       for a in ("1", "0")]
+
+
 def payloads(fixture: Path) -> str:
     """The stored text for one fixture: each request's exit code and its
     payload, without the timing, as indented JSON."""
     out = {}
-    for cmd, *extra in REQUESTS:
+    for cmd, *extra in requests(fixture):
         code, payload = run_command([cmd, "--input", str(fixture), "--json",
                                      *extra])
         payload = dict(payload)

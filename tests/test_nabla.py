@@ -14,6 +14,7 @@ from fpowers.nabla import (
     nabla_surjective,
     s_regularity_check,
 )
+from weyl_reference import basis_rows, combination, reference_cofactors
 
 
 VC1 = VarContext([("X", ["x"])])
@@ -92,6 +93,67 @@ def test_non_free_fixture_one_way_implication():
     rep = nabla_surjective(F_mixed(), [1, 1])
     assert rep.surjective
     assert rep.injective == "unknown"
+
+
+# ---------------------------------------------------------------------------
+# certificates from the basis log against the tracked loop they replaced
+# (tests/weyl_reference.py)
+
+
+def _random_points(rng, r, count):
+    values = [Fraction(k, d) for k in range(-3, 4) for d in (1, 2, 3)]
+    return [[rng.choice(values) for _ in range(r)] for _ in range(count)]
+
+
+def test_certificates_match_tracked_reference():
+    import random
+    from fpowers.ring import MonomialOrder
+    from fpowers.weyl import weyl_left_gb
+    rng = random.Random(57)
+    order = MonomialOrder.grevlex()
+    seen = set()
+    for F in (F_lines(), F_mixed()):
+        for A in _random_points(rng, F.r, 5) + [[1] * F.r]:
+            rep = nabla_surjective(F, A)
+            gens = rep.generators
+            one = WeylOp.const(gens[0].ctx, 1)
+            rem, row = reference_cofactors(one, gens, order)
+            assert rep.surjective == rem.is_zero()
+            seen.add(rep.surjective)
+            if rep.surjective:
+                assert rep.certificate == row
+                assert [str(c) for c in rep.certificate] == \
+                    [str(c) for c in row]
+            G = weyl_left_gb(gens, order)
+            for g, basis_row in zip(G, basis_rows(G)):
+                assert combination(basis_row, gens) == g
+    assert seen == {True, False}
+
+
+def test_not_onto_costs_no_more_products_than_the_basis(monkeypatch):
+    # beyond building its generators, a "not onto" answer makes only the
+    # products of its untracked left basis: no cofactor is built
+    from fpowers import nabla, weyl
+    from fpowers.ring import MonomialOrder
+    products = [0]
+    real = weyl.weyl_multiply
+
+    def counted(P, Q):
+        products[0] += 1
+        return real(P, Q)
+    for F, A in ((F_lines(), [0, 0, 0]), (F_mixed(), [0, 0]),
+                 (F_lines(), [Fraction(1, 3)] * 3)):
+        gens = nabla._specialized_generators(F, A, nabla.DEFAULT_LIMITS)
+        with monkeypatch.context() as m:
+            m.setattr(nabla, "_specialized_generators", lambda *args: gens)
+            m.setattr(weyl, "weyl_multiply", counted)
+            products[0] = 0
+            assert not nabla_surjective(F, A).surjective
+            answer = products[0]
+            products[0] = 0
+            weyl.weyl_left_gb(gens, MonomialOrder.grevlex())
+            basis = products[0]
+        assert 0 < answer <= basis
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,10 @@ from fpowers.weyl import (
     weyl_multiply,
 )
 from fpowers.logder import FactorizationSpec
+from weyl_reference import (
+    _old_left_normal_form, _old_reduce_left_basis, _old_weyl_left_gb,
+    basis_rows, combination,
+)
 
 
 def wctx1():
@@ -205,7 +209,6 @@ def _reference_left_gb(gens, order):
     """Tracked left basis by normal selection as a min over all pending
     pairs, re-keyed on every iteration.  Returns (basis, cofactors,
     popped pairs)."""
-    from fpowers.weyl import left_normal_form
     ctx = gens[0].ctx
     G, C = [], []
     for i, g in enumerate(gens):
@@ -232,15 +235,15 @@ def _reference_left_gb(gens, order):
         mi = WeylOp(ctx, {exp_sub(l, lead[i]): Fraction(1) / G[i].terms[lead[i]]})
         mj = WeylOp(ctx, {exp_sub(l, lead[j]): Fraction(1) / G[j].terms[lead[j]]})
         negcof = [-(mi * a - mj * b) for a, b in zip(C[i], C[j])]
-        r = left_normal_form(mi * G[i] - mj * G[j], G, order,
-                             cofactors=negcof, basis_cofactors=C)
+        r = _old_left_normal_form(mi * G[i] - mj * G[j], G, order,
+                                  cofactors=negcof, basis_cofactors=C)
         if r.is_zero():
             continue
         G.append(r)
         C.append([-a for a in negcof])
         lead.append(r.leading_exp(order))
         pairs.update((k, len(G) - 1) for k in range(len(G) - 1))
-    basis, cofs = weyl._reduce_left_basis(G, C, order, gb.DEFAULT_LIMITS)
+    basis, cofs = _old_reduce_left_basis(G, C, order, gb.DEFAULT_LIMITS)
     return basis, cofs, popped
 
 
@@ -260,7 +263,8 @@ def _left_gb_inputs():
 def test_left_gb_queue_matches_min_selection(queue_pops):
     for gens, order in _left_gb_inputs():
         del queue_pops[:]
-        G, C = weyl_left_gb(gens, order, track=True)
+        G = weyl_left_gb(gens, order)
+        C = basis_rows(G)
         ref_G, ref_C, ref_pops = _reference_left_gb(gens, order)
         assert G == ref_G
         assert C == ref_C
@@ -268,6 +272,7 @@ def test_left_gb_queue_matches_min_selection(queue_pops):
 
 
 def test_untracked_left_gb_is_tracked_basis_without_cofactors(monkeypatch):
+    # the tracked basis is the reference loop with its cofactor rows
     products = [0]
     real = weyl.weyl_multiply
 
@@ -277,17 +282,14 @@ def test_untracked_left_gb_is_tracked_basis_without_cofactors(monkeypatch):
     monkeypatch.setattr(weyl, "weyl_multiply", counted)
     for gens, order in _left_gb_inputs():
         products[0] = 0
-        G, C = weyl_left_gb(gens, order, track=True)
+        G, C = _old_weyl_left_gb(gens, order, track=True)
         tracked = products[0]
         products[0] = 0
         assert weyl_left_gb(gens, order) == G
-        # the untracked basis multiplies no cofactor rows
+        # the basis multiplies no cofactor rows
         assert products[0] < tracked
-        for g, row in zip(G, C):
-            combo = WeylOp.zero(g.ctx)
-            for c, gen in zip(row, gens):
-                combo = combo + c * gen
-            assert combo == g
+        for g, row in zip(G, basis_rows(weyl_left_gb(gens, order))):
+            assert combination(row, gens) == g
 
 
 # ---------------------------------------------------------------------------
@@ -397,44 +399,7 @@ def test_annihilator_soundness_theta():
 
 # ---------------------------------------------------------------------------
 # the in-place division kernel against the left-division loop it replaced
-# (kept here only, as a reference)
-
-
-def _old_left_normal_form(P, basis, order, limits=gb.DEFAULT_LIMITS,
-                          cofactors=None, basis_cofactors=None,
-                          leads=None, keys=None):
-    """Re-keys every basis lead per call, rescans the working operator for
-    its lead and copies it on every step; leads and keys are ignored."""
-    from fpowers.gb import ResourceLimit
-    ctx = P.ctx
-    lead = [(g.leading_exp(order), g) for g in basis if not g.is_zero()]
-    rem = WeylOp.zero(ctx)
-    work = P
-    while not work.is_zero():
-        e = work.leading_exp(order)
-        c = work.terms[e]
-        hit = -1
-        for k, (le, g) in enumerate(lead):
-            if exp_divides(le, e):
-                hit = k
-                break
-        if hit < 0:
-            t = WeylOp(ctx, {e: c})
-            rem = rem + t
-            work = work - t
-        else:
-            le, g = lead[hit]
-            m = exp_sub(e, le)
-            coef = c / g.terms[le]
-            work = work - weyl_multiply(WeylOp(ctx, {m: coef}), g)
-            if work.total_degree() > limits.max_degree:
-                raise ResourceLimit("degree bound exceeded in left normal form")
-            if cofactors is not None and basis_cofactors is not None:
-                mono = WeylOp(ctx, {m: coef})
-                for idx, cof in enumerate(basis_cofactors[hit]):
-                    if not cof.is_zero():
-                        cofactors[idx] = cofactors[idx] + mono * cof
-    return rem
+# (kept in tests/weyl_reference.py, as a reference)
 
 
 def _kernel_left_inputs():
@@ -457,11 +422,15 @@ def _items(ops):
 
 
 def test_left_normal_form_kernel_matches_old_loop():
+    # the remainder term for term and the steps; on the basis, the steps
+    # give the cofactors of the old tracked division, printed identically
     import random
     rng = random.Random(41)
     for gens, order in _kernel_left_inputs():
         ctx = gens[0].ctx
-        G, C = weyl_left_gb(gens, order, track=True)
+        G = weyl_left_gb(gens, order)
+        ref_G, C = _old_weyl_left_gb(gens, order, track=True)
+        assert _items(G) == _items(ref_G)
         pool = _op_pool(ctx)
         for _ in range(6):
             P = WeylOp.zero(ctx)
@@ -471,32 +440,41 @@ def test_left_normal_form_kernel_matches_old_loop():
                     term = term * rng.choice(pool)
                 P = P + term
             for basis, rows in ((G, C), (list(gens), None)):
-                got_cof = [WeylOp.zero(ctx) for _ in gens]
+                steps, ref_steps = [], []
                 ref_cof = [WeylOp.zero(ctx) for _ in gens]
-                got = weyl.left_normal_form(P, basis, order,
-                                            cofactors=got_cof,
-                                            basis_cofactors=rows)
+                got = weyl.left_normal_form(P, basis, order, steps=steps)
                 ref = _old_left_normal_form(P, basis, order,
                                             cofactors=ref_cof,
-                                            basis_cofactors=rows)
+                                            basis_cofactors=rows,
+                                            steps=ref_steps)
                 assert _items([got]) == _items([ref])
-                assert got_cof == ref_cof
+                assert steps == ref_steps
+                taken = WeylOp.zero(ctx)
+                for k, m, c in steps:
+                    taken = taken + WeylOp(ctx, {m: c}) * basis[k]
+                assert P == got + taken
+                if rows is not None:
+                    cof = G.cofactors(steps)
+                    assert cof == ref_cof
+                    assert [str(c) for c in cof] == [str(c) for c in ref_cof]
 
 
 def test_left_bases_match_old_loop(monkeypatch):
+    # the old division in the engine gives the same bases, the same log
+    # and so the same rebuilt rows
     inputs = list(_kernel_left_inputs())
-    got = [(weyl_left_gb(gens, order, track=True),
-            weyl_left_gb(gens, order)) for gens, order in inputs]
+    got = [weyl_left_gb(gens, order) for gens, order in inputs]
     monkeypatch.setattr(weyl, "left_normal_form", _old_left_normal_form)
-    ref = [(weyl_left_gb(gens, order, track=True),
-            weyl_left_gb(gens, order)) for gens, order in inputs]
-    for ((G, C), plain), ((rG, rC), rplain) in zip(got, ref):
+    ref = [weyl_left_gb(gens, order) for gens, order in inputs]
+    for G, rG in zip(got, ref):
         assert _items(G) == _items(rG)
-        assert C == rC
-        assert _items(plain) == _items(rplain)
+        assert (G.origin, G.steps, G.final) == (rG.origin, rG.steps, rG.final)
+        assert basis_rows(G) == basis_rows(rG)
 
 
 def test_left_resource_limit_on_same_inputs_as_old_loop(monkeypatch):
+    # the old division keeps its own degree message
+    import re
     from fpowers.gb import Limits, ResourceLimit
 
     def outcomes():
@@ -504,16 +482,22 @@ def test_left_resource_limit_on_same_inputs_as_old_loop(monkeypatch):
         for d in (2, 3, 4, 5, 6):
             for gens, order in _kernel_left_inputs():
                 try:
-                    out.append(weyl_left_gb(gens, order, Limits(max_degree=d),
-                                            track=True))
+                    out.append(weyl_left_gb(gens, order, Limits(max_degree=d)))
                 except ResourceLimit as e:
-                    out.append(str(e))
+                    out.append((d, str(e)))
         return out
     got = outcomes()
     monkeypatch.setattr(weyl, "left_normal_form", _old_left_normal_form)
     ref = outcomes()
-    assert got == ref
-    raised = sum(isinstance(o, str) for o in ref)
+    for g, r in zip(got, ref):
+        if isinstance(r, tuple) and \
+                r[1] == "degree bound exceeded in left normal form":
+            m = re.fullmatch(r"total degree (\d+) exceeds bound (\d+)", g[1])
+            assert m and int(m[1]) > r[0] == int(m[2])
+        else:
+            assert g == r
+    assert len(got) == len(ref)
+    raised = sum(isinstance(o, tuple) for o in ref)
     assert 0 < raised < len(ref)
 
 
@@ -739,140 +723,33 @@ def test_power_is_repeated_product():
 
 # ---------------------------------------------------------------------------
 # the left basis on the one Buchberger engine (gb.buchberger, gb.interreduce)
-# against the loop it replaced (kept here only, as a reference)
+# against the loop it replaced (kept in tests/weyl_reference.py, as a reference)
 
 
-def _old_left_mono_mul(ctx, m, c, P):
-    return weyl_multiply(WeylOp(ctx, {m: c}), P)
-
-
-def _old_weyl_left_gb(gens, order, limits=gb.DEFAULT_LIMITS, track=False):
-    """Reduced left basis by its own pair loop and its own bound checks."""
-    from fpowers.gb import PairQueue, ResourceLimit
-    from fpowers.ring import KeyCache
-    left_normal_form = weyl.left_normal_form
-    ctx = gens[0].ctx if gens else None
-    G = []
-    # cofactor rows, one per element of G, kept only when tracking
-    C = [] if track else None
-    gens = list(gens)
-    for i, g in enumerate(gens):
-        if g.is_zero():
-            continue
-        G.append(g)
-        if track:
-            row = [WeylOp.zero(ctx) for _ in gens]
-            row[i] = WeylOp.const(ctx, 1)
-            C.append(row)
-    if not G:
-        return ([], []) if track else []
-
-    keys = KeyCache(order.key)
-    leading = keys.__getitem__
-    queue = PairQueue(order.key)
-    for g in G:
-        queue.add(max(g.terms, key=leading))
-    lead = queue.lead
-    while queue:
-        i, j, l = queue.pop()
-        if queue.chain_skips(i, j, l):
-            continue
-        mi, mj = exp_sub(l, lead[i]), exp_sub(l, lead[j])
-        ci = Fraction(1) / G[i].terms[lead[i]]
-        cj = Fraction(1) / G[j].terms[lead[j]]
-        s = (_old_left_mono_mul(ctx, mi, ci, G[i])
-             - _old_left_mono_mul(ctx, mj, cj, G[j]))
-        if track:
-            cof = [WeylOp(ctx, {mi: ci}) * a - WeylOp(ctx, {mj: cj}) * b
-                   for a, b in zip(C[i], C[j])]
-            negcof = [-a for a in cof]
-            r = left_normal_form(s, G, order, limits, cofactors=negcof,
-                                 basis_cofactors=C, leads=lead, keys=keys)
-        else:
-            r = left_normal_form(s, G, order, limits, leads=lead, keys=keys)
-        if r.is_zero():
-            continue
-        if r.total_degree() > limits.max_degree:
-            raise ResourceLimit("degree bound exceeded in left basis")
-        G.append(r)
-        if track:
-            C.append([-a for a in negcof])
-        if len(G) > limits.max_basis:
-            raise ResourceLimit("basis size bound exceeded")
-        queue.add(max(r.terms, key=leading))
-
-    return _old_reduce_left_basis(G, C, order, limits, lead, keys)
-
-
-def _old_reduce_left_basis(G, C, order, limits, leads=None, keys=None):
-    """Minimal, tail-reduced, monic basis by its own minimalization."""
-    from fpowers.ring import KeyCache
-    left_normal_form = weyl.left_normal_form
-    if keys is None:
-        keys = KeyCache(order.key)
-    if leads is None:
-        leads = [max(g.terms, key=keys.__getitem__) for g in G]
-    # minimalize by leading-monomial divisibility
-    keep_idx = []
-    for i, li in enumerate(leads):
-        drop = False
-        for j, lj in enumerate(leads):
-            if i == j:
-                continue
-            if exp_divides(lj, li) and (lj != li or j < i):
-                drop = True
-                break
-        if not drop:
-            keep_idx.append(i)
-    # tail-reduce and scale monic
-    out = []
-    for i in keep_idx:
-        rest = [k for k in keep_idx if k != i]
-        rest_g, rest_l = [G[k] for k in rest], [leads[k] for k in rest]
-        if C is None:
-            r = left_normal_form(G[i], rest_g, order, limits,
-                                 leads=rest_l, keys=keys)
-        else:
-            delta = [WeylOp.zero(G[i].ctx) for _ in C[i]]
-            r = left_normal_form(G[i], rest_g, order, limits,
-                                 cofactors=delta,
-                                 basis_cofactors=[C[k] for k in rest],
-                                 leads=rest_l, keys=keys)
-        if r.is_zero():
-            continue
-        lr = max(r.terms, key=keys.__getitem__)
-        inv = Fraction(1) / r.terms[lr]
-        if C is None:
-            out.append((keys[lr], r * inv, None))
-        else:
-            # G[i] = r + sum(delta * originals), so
-            # r = sum((C[i] - delta) * originals)
-            out.append((keys[lr], r * inv,
-                        [(a - b) * inv for a, b in zip(C[i], delta)]))
-    out.sort(key=lambda t: t[0])
-    if C is None:
-        return [g for _, g, _ in out]
-    return [g for _, g, _ in out], [row for _, _, row in out]
-
-
-def _rows_items(C):
-    return [_items(row) for row in C]
+def _rows_str(C):
+    return [[str(c) for c in row] for row in C]
 
 
 def test_engine_left_bases_pops_and_cofactors_match_old_loop(queue_pops):
+    # the rows rebuilt from the log equal the tracked loop's rows, with
+    # identical printing
     n = 0
     for gens, order in _kernel_left_inputs():
         for track in (True, False):
             del queue_pops[:]
-            got = weyl_left_gb(gens, order, track=track)
+            got = weyl_left_gb(gens, order)
             got_pops = list(queue_pops)
             del queue_pops[:]
             ref = _old_weyl_left_gb(gens, order, track=track)
             assert got_pops == list(queue_pops)
             n += len(got_pops)
             if track:
-                assert _items(got[0]) == _items(ref[0])
-                assert _rows_items(got[1]) == _rows_items(ref[1])
+                assert _items(got) == _items(ref[0])
+                rows = basis_rows(got)
+                assert rows == ref[1]
+                assert _rows_str(rows) == _rows_str(ref[1])
+                for g, row in zip(got, rows):
+                    assert combination(row, gens) == g
             else:
                 assert _items(got) == _items(ref)
     assert n > 50
@@ -880,49 +757,77 @@ def test_engine_left_bases_pops_and_cofactors_match_old_loop(queue_pops):
 
 def test_engine_left_interreduction_matches_old_loop():
     # on unreduced lists: the generators, then the generators after a
-    # tracked basis with its rows, so elements get dropped and reduced
+    # tracked basis with its rows, so elements get dropped and reduced, and
+    # the basis with each element plus the one before it, so every tail
+    # needs reducing; each list is logged as its own generators, so its
+    # rebuilt rows compose with the list's rows into rows over gens
+    tails = 0
     for gens, order in _kernel_left_inputs():
         ctx = gens[0].ctx
-        G, C = weyl_left_gb(gens, order, track=True)
+        G, C = _old_weyl_left_gb(gens, order, track=True)
         units = []
         for i in range(len(gens)):
             row = [WeylOp.zero(ctx) for _ in gens]
             row[i] = WeylOp.const(ctx, 1)
             units.append(row)
+        shifted = G[:1] + [G[i] + G[i - 1] for i in range(1, len(G))]
+        shifted_rows = C[:1] + [[a + b for a, b in zip(C[i], C[i - 1])]
+                                for i in range(1, len(C))]
         lists = [(list(gens), None), (list(gens) + G, units + C),
-                 (G[::-1] + list(gens), C[::-1] + units)]
+                 (G[::-1] + list(gens), C[::-1] + units),
+                 (shifted, shifted_rows)]
         for basis, rows in lists:
-            got = weyl._reduce_left_basis(basis, rows, order, gb.DEFAULT_LIMITS)
+            log = (basis, list(range(len(basis))), [[] for _ in basis])
+            got = weyl._reduce_left_basis(basis, log, order,
+                                          gb.DEFAULT_LIMITS)
             ref = _old_reduce_left_basis(basis, rows, order, gb.DEFAULT_LIMITS)
             if rows is None:
                 assert _items(got) == _items(ref)
-            else:
-                assert _items(got[0]) == _items(ref[0])
-                assert _rows_items(got[1]) == _rows_items(ref[1])
+                continue
+            assert _items(got) == _items(ref[0])
+            over_gens = [[combination(q, [r[j] for r in rows])
+                          for j in range(len(gens))]
+                         for q in basis_rows(got)]
+            assert over_gens == ref[1]
+            assert _rows_str(over_gens) == _rows_str(ref[1])
+            tails += sum(len(tail) for _, _, tail in got.final)
+    assert tails > 10
 
 
 def test_engine_left_resource_limits_match_old_loop():
-    # the same inputs raise as with the old loop; the basis bounds now
-    # speak the gb.Limits wording, the left normal form keeps its own
+    # the same inputs raise as with the old loop, or earlier where the
+    # nonzero generators alone exceed the basis-size bound; the bounds
+    # now speak the gb.Limits wording, the left normal form included
     import re
     from fpowers.gb import Limits, ResourceLimit
 
     def outcome(fn, gens, order, lim, track):
         try:
-            got = fn(gens, order, lim, track=track)
+            got = fn(gens, order, lim, track)
         except ResourceLimit as e:
             return str(e)
         G, C = got if track else (got, [])
-        return _items(G), _rows_items(C)
+        return _items(G), _rows_str(C)
+
+    def rebuilt(gens, order, lim, track):
+        G = weyl_left_gb(gens, order, lim)
+        return (G, basis_rows(G)) if track else G
     limits = [Limits(max_degree=d) for d in (2, 3, 4, 5, 6)]
     limits += [Limits(max_basis=b) for b in (2, 4, 6, 8, 12)]
     seen = set()
+    early = 0
     for lim in limits:
         for gens, order in _kernel_left_inputs():
+            starting = sum(not g.is_zero() for g in gens)
             for track in (True, False):
-                got = outcome(weyl_left_gb, gens, order, lim, track)
+                got = outcome(rebuilt, gens, order, lim, track)
                 ref = outcome(_old_weyl_left_gb, gens, order, lim, track)
-                if ref == "degree bound exceeded in left basis":
+                if starting > lim.max_basis:
+                    assert got == (f"basis size {starting} exceeds bound "
+                                   f"{lim.max_basis}")
+                    early += 1
+                elif ref in ("degree bound exceeded in left basis",
+                             "degree bound exceeded in left normal form"):
                     m = re.fullmatch(r"total degree (\d+) exceeds bound (\d+)",
                                      got)
                     assert m and int(m[1]) > lim.max_degree == int(m[2])
@@ -936,16 +841,32 @@ def test_engine_left_resource_limits_match_old_loop():
     assert seen == {"degree bound exceeded in left basis",
                     "basis size bound exceeded",
                     "degree bound exceeded in left normal form", "basis"}
+    assert early > 0
 
 
 def test_left_basis_bounds_use_limits_wording():
     # B_F elimination for f = x^2 + y^3: its left basis used to fail with
-    # "degree bound exceeded in left basis" and "basis size bound exceeded"
+    # "degree bound exceeded in left basis" and "basis size bound exceeded";
+    # its four generators alone exceed a bound of 2 before any pair
     from fpowers.gb import Limits, ResourceLimit
     gens, order = next(_left_gb_inputs())
     with pytest.raises(ResourceLimit) as err:
         weyl_left_gb(gens, order, Limits(max_degree=3))
     assert str(err.value) == "total degree 4 exceeds bound 3"
     with pytest.raises(ResourceLimit) as err:
-        weyl_left_gb(gens, order, Limits(max_basis=5), track=True)
+        weyl_left_gb(gens, order, Limits(max_basis=5))
     assert str(err.value) == "basis size 6 exceeds bound 5"
+    assert len(gens) == 4
+    with pytest.raises(ResourceLimit) as err:
+        weyl_left_gb(gens, order, Limits(max_basis=2))
+    assert str(err.value) == "basis size 4 exceeds bound 2"
+
+
+def test_left_normal_form_degree_message_names_the_degree():
+    from fpowers.gb import Limits, ResourceLimit
+    # the first step leaves x^4 in the work: over the bound of 3
+    ctx = WeylContext(["x"], [])
+    with pytest.raises(ResourceLimit) as err:
+        weyl.left_normal_form(parse_weyl("x^5", ctx), [parse_weyl("x - 1", ctx)],
+                              MonomialOrder.grevlex(), Limits(max_degree=3))
+    assert str(err.value) == "total degree 4 exceeds bound 3"
