@@ -11,7 +11,7 @@ lies on a common circuit).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -71,31 +71,35 @@ def _proportional_forms(p: Poly, q: Poly) -> bool:
     return True
 
 
-def _rank(vectors: Sequence[Sequence[Fraction]]) -> int:
-    rows = [list(v) for v in vectors]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
+def row_reduce(vectors: Sequence[Sequence], ncols: int
+               ) -> Tuple[List[List[Fraction]], List[int]]:
+    """Gauss-Jordan elimination over Q: (the rows in reduced row echelon
+    form, the pivot columns in order); the first len(pivots) rows carry
+    the pivots."""
+    rows = [list(map(Fraction, v)) for v in vectors]
+    pivots: List[int] = []
     for c in range(ncols):
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][c]:
-                piv = i
-                break
+        if len(pivots) == len(rows):
+            break
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][c]
-        rows[rank] = [x * inv for x in rows[rank]]
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
         for i in range(len(rows)):
-            if i != rank and rows[i][c]:
+            if i != r and rows[i][c]:
                 lam = rows[i][c]
-                rows[i] = [a - lam * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+                rows[i] = [a - lam * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def _rank(vectors: Sequence[Sequence[Fraction]]) -> int:
+    if not vectors:
+        return 0
+    return len(row_reduce(vectors, len(vectors[0]))[1])
 
 
 def matroid_connected(normals: Sequence[Sequence[Fraction]]) -> bool:
@@ -241,7 +245,7 @@ def rational_roots(coeffs: Sequence[Fraction]) -> List[Tuple[Fraction, int]]:
     # clear denominators to integers
     den = 1
     for c in cs:
-        den = den * c.denominator // _g(den, c.denominator)
+        den = den * c.denominator // math.gcd(den, c.denominator)
     ics = [int(c * den) for c in cs]
     roots: List[Tuple[Fraction, int]] = []
     work = ics
@@ -261,11 +265,6 @@ def rational_roots(coeffs: Sequence[Fraction]) -> List[Tuple[Fraction, int]]:
                 changed = True
                 break
     return roots
-
-
-def _g(a, b):
-    import math
-    return math.gcd(a, b)
 
 
 def _root_candidates(ics: List[int]):
@@ -299,7 +298,7 @@ def _divide_linear(ics: List[int], root: Fraction):
         return ics, rem
     den = 1
     for c in q:
-        den = den * c.denominator // _g(den, c.denominator)
+        den = den * c.denominator // math.gcd(den, c.denominator)
     return [int(c * den) for c in q], 0
 
 

@@ -9,8 +9,9 @@ because every commutator relation dx*x = x*dx + 1 replaces a product by
 strictly smaller monomials under any global order, so Buchberger theory for
 this solvable relation set carries over verbatim.
 
-A generator b of B_F is not just a membership fact: the derivation log of
-the same GB writes b = sum c_i theta_i + Q*f, and then Q is an
+That left basis (elimination_basis) is computed once per bound for a
+spec.  A generator b of B_F is not just a membership fact: the derivation
+log of the same GB writes b = sum c_i theta_i + Q*f, and then Q is an
 operator with Q . (f*F^S) = b(S)*F^S -- the functional equation, verified
 exactly through the formal-calculus action.
 """
@@ -22,17 +23,18 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .arrange import rational_roots
-from .gb import DEFAULT_LIMITS, IdealHandle, Limits
-from .ring import MonomialOrder, Poly, VarContext
+from .gb import IdealHandle
+from .ring import MonomialOrder, Poly, VarContext, divide_exact
 from .weyl import (
     FSElement,
+    LeftBasis,
     WeylContext,
     WeylOp,
     apply_to_FS,
     left_normal_form,
     weyl_left_gb,
 )
-from .logder import FactorizationSpec
+from .logder import FactorizationSpec, assumed_table, required_hold
 
 
 class WitnessExtractionFailed(Exception):
@@ -66,7 +68,7 @@ class AnnResult:
     hypotheses: Dict[str, Tuple[str, str]] = field(default_factory=dict)
 
 
-def ann_FS(fspec: FactorizationSpec, limits: Limits = DEFAULT_LIMITS,
+def ann_FS(fspec: FactorizationSpec,
            assume_hypotheses: bool = False) -> AnnResult:
     """D[S]*theta_F with a validity tag.
 
@@ -74,18 +76,16 @@ def ann_FS(fspec: FactorizationSpec, limits: Limits = DEFAULT_LIMITS,
     annihilator of F^S hold (or were assumed); "contained": only the always
     -true containment is claimed.  Containment itself is verified here by
     letting every generator act on F^S."""
-    theta = fspec.theta_generators(limits)
+    theta = fspec.theta_generators()
     for t in theta:
         res = apply_to_FS(t, fspec)
         if not res.is_zero():
             raise AssertionError("theta generator failed to annihilate F^S")
     if assume_hypotheses:
-        return AnnResult(fspec, theta, "full",
-                         {"assumed": ("yes", "caller asserted the hypotheses")})
-    hyps = fspec.check_hypotheses(limits)
-    needed = ("strong_euler_origin", "saito_holonomic", "tame")
-    ok = all(hyps[k][0] == "yes" for k in needed)
-    return AnnResult(fspec, theta, "full" if ok else "contained", hyps)
+        return AnnResult(fspec, theta, "full", assumed_table())
+    hyps = fspec.check_hypotheses()
+    return AnnResult(fspec, theta,
+                     "full" if required_hold(hyps) else "contained", hyps)
 
 
 # ---------------------------------------------------------------------------
@@ -108,23 +108,33 @@ class BSResult:
         return roots if rest.is_constant() else None
 
 
-def bs_ideal(fspec: FactorizationSpec, limits: Limits = DEFAULT_LIMITS,
-             assume_hypotheses: bool = False,
+def elimination_basis(fspec: FactorizationSpec,
+                      theta: Optional[Sequence[WeylOp]] = None,
+                      order: Optional[MonomialOrder] = None) -> LeftBasis:
+    """The left basis of D[S]*theta_F + D[S]*f under `order` (default
+    elimination_order), computed once per order and bound for this spec
+    and shared by its callers, who must not modify it.  theta, when given,
+    is fspec.theta_generators() as the caller already has it.  Its pure-S
+    part generates B_F, and its log writes every element in theta_F and f.
+    """
+    order = order or elimination_order(fspec.weyl)
+
+    def build():
+        gens = list(fspec.theta_generators() if theta is None else theta)
+        gens.append(WeylOp.from_poly(fspec.weyl, fspec.f_xs))
+        return weyl_left_gb(gens, order)
+    return fspec.memo(("elimination", order.desc), build)
+
+
+def bs_ideal(fspec: FactorizationSpec, assume_hypotheses: bool = False,
              order: Optional[MonomialOrder] = None) -> BSResult:
-    ann = ann_FS(fspec, limits, assume_hypotheses)
-    wctx = fspec.weyl
-    order = order or elimination_order(wctx)
-    gens = list(ann.theta) + [WeylOp.from_poly(wctx, fspec.f_xs)]
-    G = weyl_left_gb(gens, order, limits)
+    ann = ann_FS(fspec, assume_hypotheses)
+    G = elimination_basis(fspec, ann.theta, order)
     svc = s_context(fspec)
     s_gens = [g.s_polynomial_part().map_context(svc)
               for g in G if g.xd_free()]
-    if not s_gens:
-        ideal = IdealHandle.zero(svc)
-        gb: List[Poly] = []
-    else:
-        ideal = IdealHandle(s_gens, limits=limits)
-        gb = ideal.gb()
+    ideal = IdealHandle(s_gens, ctx=svc)
+    gb = ideal.gb()
     principal = gb[0] if len(gb) == 1 else None
     if ann.validity != "full":
         validity = "lower bound for B_F (annihilator only contained)"
@@ -137,23 +147,21 @@ def bs_ideal(fspec: FactorizationSpec, limits: Limits = DEFAULT_LIMITS,
 # functional-equation witnesses
 
 
-def functional_equation_witness(fspec: FactorizationSpec, b: Poly,
-                                limits: Limits = DEFAULT_LIMITS) -> WeylOp:
+def functional_equation_witness(fspec: FactorizationSpec, b: Poly) -> WeylOp:
     """Q with Q . (f*F^S) = b(S)*F^S, verified exactly.
 
     b is a polynomial in the s-variables.  It is divided by the
-    elimination GB of (theta_F, f), and the basis log rebuilds the
-    combination b = sum c_i theta_i + Q f along the basis elements that
-    division used (LeftBasis.cofactors); letting both sides act on F^S
-    kills every theta term."""
+    elimination GB of (theta_F, f) (elimination_basis, the one bs_ideal
+    reads B_F from), and the basis log rebuilds the combination
+    b = sum c_i theta_i + Q f along the basis elements that division used
+    (LeftBasis.cofactors); letting both sides act on F^S kills every theta
+    term."""
     wctx = fspec.weyl
     order = elimination_order(wctx)
-    theta = fspec.theta_generators(limits)
-    gens = list(theta) + [WeylOp.from_poly(wctx, fspec.f_xs)]
-    G = weyl_left_gb(gens, order, limits)
+    G = elimination_basis(fspec)
     b_op = WeylOp.from_poly(wctx, b)
     steps: list = []
-    rem = left_normal_form(b_op, G, order, limits, steps=steps)
+    rem = left_normal_form(b_op, G, order, steps=steps)
     if not rem.is_zero():
         raise WitnessExtractionFailed(
             f"{b} is not in the computed Bernstein-Sato ideal")
@@ -219,7 +227,6 @@ def univariate_roots(b: Poly) -> Tuple[List[Tuple[Fraction, int]], Poly]:
     for rho, m in roots:
         lin = Poly.var(ctx, ctx.names[i]) - Poly.const(ctx, rho)
         for _ in range(m):
-            from .ring import divide_exact
             rem = divide_exact(rem, lin)
             assert rem is not None
     lc = rem.terms[max(rem.terms, key=lambda e: e[i])] if not rem.is_constant() \
@@ -270,7 +277,6 @@ def detect_hyperplane_factors(p: Poly, degrees: Sequence[int]
     Returns (factors with multiplicity, leftover).  This is a reporting
     heuristic, not a factorization engine: the leftover is whatever no
     candidate divides."""
-    from .ring import divide_exact
     ctx = p.ctx
     r = ctx.n
     cmax = sum(degrees) + len(degrees) + r + 2
@@ -299,8 +305,7 @@ def detect_hyperplane_factors(p: Poly, degrees: Sequence[int]
     return factors, work
 
 
-def diagonal_substitution(I: IdealHandle, limits: Limits = DEFAULT_LIMITS
-                          ) -> IdealHandle:
+def diagonal_substitution(I: IdealHandle) -> IdealHandle:
     """Image of an ideal of Q[s_1..s_r] under s_k -> s (one variable)."""
     svc = I.ctx
     one = VarContext([("S", ["s"])])
@@ -313,7 +318,7 @@ def diagonal_substitution(I: IdealHandle, limits: Limits = DEFAULT_LIMITS
         q = Poly(one, {e: c for e, c in terms.items() if c != 0})
         if not q.is_zero():
             gens.append(q)
-    return IdealHandle(gens, limits=limits) if gens else IdealHandle.zero(one)
+    return IdealHandle(gens, ctx=one)
 
 
 # ---------------------------------------------------------------------------
@@ -348,22 +353,22 @@ def merge_last_s(P: WeylOp, src: FactorizationSpec,
 
 
 def diagonal_restriction_check(src: FactorizationSpec,
-                               dst: Optional[FactorizationSpec] = None,
-                               limits: Limits = DEFAULT_LIMITS) -> bool:
+                               dst: Optional[FactorizationSpec] = None
+                               ) -> bool:
     """Do the theta_F generators, after identifying the last two s-variables,
     generate exactly theta_G for the coarsened factorization G?"""
     dst = dst or coarsen_last_two(src)
     if dst.f != src.f:
         raise ValueError("coarsening must preserve the product")
-    images = [merge_last_s(t, src, dst) for t in src.theta_generators(limits)]
-    theta_dst = dst.theta_generators(limits)
+    images = [merge_last_s(t, src, dst) for t in src.theta_generators()]
+    theta_dst = dst.theta_generators()
     order = elimination_order(dst.weyl)
-    G_dst = weyl_left_gb(theta_dst, order, limits)
+    G_dst = weyl_left_gb(theta_dst, order)
     for im in images:
-        if not left_normal_form(im, G_dst, order, limits).is_zero():
+        if not left_normal_form(im, G_dst, order).is_zero():
             return False
-    G_img = weyl_left_gb(images, order, limits)
+    G_img = weyl_left_gb(images, order)
     for t in theta_dst:
-        if not left_normal_form(t, G_img, order, limits).is_zero():
+        if not left_normal_form(t, G_img, order).is_zero():
             return False
     return True

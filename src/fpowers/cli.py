@@ -10,7 +10,10 @@ Problem files are UTF-8 JSON::
 
 The optional arrangement block must multiply out, group by group, to the
 declared factors.  Options can also be set per run with ``--order``,
-``--max-degree`` and ``--max-basis``.
+``--max-degree`` and ``--max-basis``; the order is "grevlex" or "lex", the
+bounds positive integers.  Each command runs inside one
+``with gb.Limits(...)`` block built from the two bounds, so every basis
+computation of the request sees the same bound (gb.Limits.current()).
 
 Exit codes: 0 success; 1 usage or parse error (with a position diagnostic
 where one exists); 2 a required hypothesis did not check out (the result is
@@ -48,9 +51,8 @@ from .liouville import (
     build_liouville_ideals,
     gr_equality_certificate,
     homogenization_property_suite,
-    initial_ideal,
 )
-from .logder import FactorizationSpec
+from .logder import REQUIRED_HYPOTHESES, FactorizationSpec, required_hold
 from .nabla import nabla_surjective, s_regularity_check
 from .ring import (
     MonomialOrder,
@@ -77,10 +79,11 @@ COMMANDS = (
     "arrangement", "appendix-check",
 )
 
+# the orders for displayed commutative bases
+ORDERS = ("grevlex", "lex")
+
 # full-validity output of these rests on theta_F generating the annihilator
 GATED = {"theta", "gr-check", "bs-ideal", "bs-poly", "hyperplane", "nabla"}
-
-REQUIRED_HYPOTHESES = ("strong_euler_origin", "saito_holonomic", "tame")
 
 # name of the operation backing each hypothesis verdict
 _CHECKER = {
@@ -129,7 +132,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--input", help="problem file (JSON)")
         sp.add_argument("--json", action="store_true",
                         help="emit the report as JSON")
-        sp.add_argument("--order", choices=("grevlex", "lex"),
+        sp.add_argument("--order", choices=ORDERS,
                         help="order for displayed commutative bases")
         sp.add_argument("--point", help="a1,...,ar (nabla)")
         sp.add_argument("--form", help="polynomial in the s-variables "
@@ -204,6 +207,9 @@ def load_problem(path: str) -> Problem:
                               "appendix_count", "appendix_seed"}
     if unknown:
         raise _UsageError(f"unknown options: {sorted(unknown)}")
+    if options.get("order", "grevlex") not in ORDERS:
+        raise _UsageError(f'option "order" must be one of {list(ORDERS)}, '
+                          f'not {options["order"]!r}')
     for name in ("max_degree", "max_basis", "appendix_count"):
         if name in options:
             _positive_int(f'option "{name}"', options[name])
@@ -357,12 +363,11 @@ def _serialize_derivation(d, fspec: FactorizationSpec) -> str:
     return f"{op} ; cofactors {', '.join(cofs)}"
 
 
-def _gb_strings(gens: Sequence[Poly], order: MonomialOrder,
-                limits: Limits) -> List[str]:
+def _gb_strings(gens: Sequence[Poly], order: MonomialOrder) -> List[str]:
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return []
-    return [str(g) for g in IdealHandle(gens, order=order, limits=limits).gb()]
+    return [str(g) for g in IdealHandle(gens, order=order).gb()]
 
 
 def _roots_table(b: Poly) -> Tuple[List[Dict[str, object]], Optional[str]]:
@@ -374,15 +379,12 @@ def _roots_table(b: Poly) -> Tuple[List[Dict[str, object]], Optional[str]]:
     return table, leftover
 
 
-def _gate(cmd: str, fspec: FactorizationSpec, limits: Limits,
-          assume: bool, payload: Dict[str, object]) -> int:
+def _gate(cmd: str, fspec: FactorizationSpec, assume: bool,
+          payload: Dict[str, object]) -> int:
     """Fill the hypothesis table; return the exit code the gate dictates."""
-    hyps = fspec.check_hypotheses(limits)
+    hyps = fspec.check_hypotheses()
     payload["hypotheses"] = _hyp_table(hyps)
-    if cmd not in GATED:
-        return 0
-    ok = all(hyps[k][0] == "yes" for k in REQUIRED_HYPOTHESES)
-    if ok:
+    if cmd not in GATED or required_hold(hyps):
         return 0
     caveats = payload.setdefault("caveats", [])
     if assume:
@@ -407,8 +409,9 @@ def _nonnegative_int(source: str, value) -> int:
 
 
 def _limits(args, options: Dict[str, object]) -> Limits:
-    """The degree and basis-size bounds: the command-line value if given,
-    else the problem file's option (checked by load_problem), else the
+    """The request's bound, which its command runs under: each of the
+    degree and basis-size bounds is the command-line value if given, else
+    the problem file's option (checked by load_problem), else the
     default."""
     bounds = {}
     for name in ("max_degree", "max_basis"):
@@ -433,55 +436,62 @@ def _dispatch(args, payload: Dict[str, object]) -> int:
         payload["input"]["arrangement"] = pf.arrangement_echo
     limits = _limits(args, pf.options)
     order_name = args.order or pf.options.get("order", "grevlex")
-    order = MonomialOrder.lex() if order_name == "lex" \
-        else MonomialOrder.grevlex()
-    assume = args.assume_hypotheses
     payload["options"] = {"order": order_name,
                           "max_degree": limits.max_degree,
                           "max_basis": limits.max_basis,
-                          "assume_hypotheses": assume}
+                          "assume_hypotheses": args.assume_hypotheses}
+    payload["results"] = {}
+    order = MonomialOrder.lex() if order_name == "lex" \
+        else MonomialOrder.grevlex()
+    with limits:
+        return _run(args, pf, order, payload)
+
+
+def _run(args, pf: Problem, order: MonomialOrder,
+         payload: Dict[str, object]) -> int:
+    """Run one problem-file command; order is the display order of the
+    commutative bases reported."""
+    cmd = args.command
+    assume = args.assume_hypotheses
     F = pf.fspec
-    results: Dict[str, object] = {}
-    payload["results"] = results
+    results = payload["results"]
 
     if cmd == "hypotheses":
-        code = _gate(cmd, F, limits, assume, payload)
-        hyps = F.check_hypotheses(limits)
-        results["all_required_yes"] = all(
-            hyps[k][0] == "yes" for k in REQUIRED_HYPOTHESES)
+        code = _gate(cmd, F, assume, payload)
+        results["all_required_yes"] = required_hold(F.check_hypotheses())
         results["required"] = list(REQUIRED_HYPOTHESES)
         return code
 
     if cmd == "logder":
-        code = _gate(cmd, F, limits, assume, payload)
-        log_b = F.log_derivations("log", limits)
-        log0_b = F.log_derivations("log0", limits)
+        code = _gate(cmd, F, assume, payload)
+        log_b = F.log_derivations("log")
+        log0_b = F.log_derivations("log0")
         results["log"] = [_serialize_derivation(d, F) for d in log_b]
         results["log0"] = [_serialize_derivation(d, F) for d in log0_b]
         return code
 
     if cmd == "theta":
-        code = _gate(cmd, F, limits, assume, payload)
-        ann = ann_FS(F, limits, assume_hypotheses=assume)
+        code = _gate(cmd, F, assume, payload)
+        ann = ann_FS(F, assume_hypotheses=assume)
         results["generators"] = [str(t) for t in ann.theta]
         results["validity"] = ann.validity
         return code
 
     if cmd == "liouville":
-        code = _gate(cmd, F, limits, assume, payload)
-        data = build_liouville_ideals(F, limits)
-        results["L_F"] = _gb_strings(data.L_F.gens, order, limits)
-        results["Ltilde_F"] = _gb_strings(data.Ltilde_F.gens, order, limits)
-        results["In010_L_F"] = _gb_strings(data.In010_LF.gens, order, limits)
+        code = _gate(cmd, F, assume, payload)
+        data = build_liouville_ideals(F)
+        results["L_F"] = _gb_strings(data.L_F.gens, order)
+        results["Ltilde_F"] = _gb_strings(data.Ltilde_F.gens, order)
+        results["In010_L_F"] = _gb_strings(data.In010_LF.gens, order)
         results["L_in_Ltilde"] = data.Ltilde_F.contains_ideal(data.L_F)
-        results["dim_Ltilde_F"] = krull_dimension(data.Ltilde_F, limits)
-        results["dim_L_F"] = krull_dimension(data.L_F, limits)
-        results["dim_In010_L_F"] = krull_dimension(data.In010_LF, limits)
+        results["dim_Ltilde_F"] = krull_dimension(data.Ltilde_F)
+        results["dim_L_F"] = krull_dimension(data.L_F)
+        results["dim_In010_L_F"] = krull_dimension(data.In010_LF)
         results["ambient_n_plus_r"] = F.n + F.r
         return code
 
     if cmd == "gr-check":
-        rep = gr_equality_certificate(F, limits, assume_hypotheses=assume)
+        rep = gr_equality_certificate(F, assume_hypotheses=assume)
         payload["hypotheses"] = _hyp_table(rep["hypotheses"])
         if not rep["hypotheses_verified"]:
             payload.setdefault("caveats", []).append(_GATE_CAVEAT)
@@ -497,8 +507,8 @@ def _dispatch(args, payload: Dict[str, object]) -> int:
         return 0 if rep["hypotheses_verified"] else 2
 
     if cmd == "bs-ideal":
-        code = _gate(cmd, F, limits, assume, payload)
-        B = bs_ideal(F, limits, assume_hypotheses=assume)
+        code = _gate(cmd, F, assume, payload)
+        B = bs_ideal(F, assume_hypotheses=assume)
         results["generators"] = [str(g) for g in B.gb]
         results["principal"] = B.principal_generator is not None
         results["validity"] = B.validity
@@ -514,8 +524,8 @@ def _dispatch(args, payload: Dict[str, object]) -> int:
 
     if cmd == "bs-poly":
         F1 = F if F.r == 1 else FactorizationSpec(pf.variables, [F.f])
-        code = _gate(cmd, F1, limits, assume, payload)
-        B = bs_ideal(F1, limits, assume_hypotheses=assume)
+        code = _gate(cmd, F1, assume, payload)
+        B = bs_ideal(F1, assume_hypotheses=assume)
         # single-s reports read better in the classical variable "s"
         b = Poly(VarContext([("S", ["s"])]),
                  dict(B.principal_generator.terms))
@@ -528,7 +538,7 @@ def _dispatch(args, payload: Dict[str, object]) -> int:
         return code
 
     if cmd == "witness":
-        code = _gate(cmd, F, limits, assume, payload)
+        code = _gate(cmd, F, assume, payload)
         svc = s_context(F)
         if args.form:
             try:
@@ -536,11 +546,10 @@ def _dispatch(args, payload: Dict[str, object]) -> int:
             except (SyntaxError, UnknownVariable) as e:
                 raise _UsageError(f"--form: {e}")
         else:
-            B = bs_ideal(F, limits, assume_hypotheses=True)
-            b = B.gb[0]
+            b = bs_ideal(F, assume_hypotheses=True).gb[0]
         results["b"] = str(b)
         try:
-            Q = functional_equation_witness(F, b, limits)
+            Q = functional_equation_witness(F, b)
         except WitnessExtractionFailed as e:
             results["verified"] = False
             results["reason"] = str(e)
@@ -555,13 +564,13 @@ def _dispatch(args, payload: Dict[str, object]) -> int:
     if cmd == "hyperplane":
         if not args.form:
             raise _UsageError('hyperplane requires --form "a1*s1 + ... + c"')
-        code = _gate(cmd, F, limits, assume, payload)
+        code = _gate(cmd, F, assume, payload)
         svc = s_context(F)
         try:
             ell = parse_poly(args.form, svc)
         except (SyntaxError, UnknownVariable) as e:
             raise _UsageError(f"--form: {e}")
-        B = bs_ideal(F, limits, assume_hypotheses=assume)
+        B = bs_ideal(F, assume_hypotheses=assume)
         try:
             contained = hyperplane_containment(B, ell)
         except ValueError as e:
@@ -581,8 +590,8 @@ def _dispatch(args, payload: Dict[str, object]) -> int:
         if len(A) != F.r:
             raise _UsageError(
                 f"--point needs {F.r} coordinates, got {len(A)}")
-        code = _gate(cmd, F, limits, assume, payload)
-        rep = nabla_surjective(F, A, limits, assume_hypotheses=assume)
+        code = _gate(cmd, F, assume, payload)
+        rep = nabla_surjective(F, A, assume_hypotheses=assume)
         results["point"] = [str(a) for a in rep.A]
         results["surjective"] = rep.surjective
         results["injective"] = rep.injective
@@ -599,8 +608,8 @@ def _dispatch(args, payload: Dict[str, object]) -> int:
         return code
 
     if cmd == "regularity":
-        code = _gate(cmd, F, limits, assume, payload)
-        rep = s_regularity_check(F, limits)
+        code = _gate(cmd, F, assume, payload)
+        rep = s_regularity_check(F)
         results["passed"] = rep.passed
         results["steps"] = [{"variable": v, "colon_stabilized": ok}
                             for v, ok in rep.steps]
@@ -609,9 +618,9 @@ def _dispatch(args, payload: Dict[str, object]) -> int:
         return code
 
     if cmd == "spencer":
-        code = _gate(cmd, F, limits, assume, payload)
+        code = _gate(cmd, F, assume, payload)
         try:
-            C = spencer_complex(F, limits=limits)
+            C = spencer_complex(F)
         except (NotFree, NotKoszulFree) as e:
             results["built"] = False
             results["reason"] = str(e)
@@ -628,7 +637,7 @@ def _dispatch(args, payload: Dict[str, object]) -> int:
             f"d^-{k}": [[str(e) for e in row] for row in M]
             for k, M in sorted(C.differentials.items())
         }
-        rep = verify_chain_conditions(C, limits)
+        rep = verify_chain_conditions(C)
         results["d2_zero"] = rep.d2_zero
         results["terminal_image_eq_thetaF"] = rep.terminal_image_eq_thetaF
         results["gr_exactness_certificate"] = rep.gr_exactness_certificate
@@ -637,7 +646,7 @@ def _dispatch(args, payload: Dict[str, object]) -> int:
         return code
 
     if cmd == "arrangement":
-        code = _gate(cmd, F, limits, assume, payload)
+        code = _gate(cmd, F, assume, payload)
         A = pf.arrangement or F.try_arrangement()
         if A is None:
             results["is_arrangement"] = False
@@ -665,20 +674,21 @@ def _cmd_appendix(args, payload: Dict[str, object]) -> int:
                             "factors": pf.factor_strings}
         options = pf.options
     limits = _limits(args, options)
-    file_check = None
-    if pf is not None:
-        data = build_liouville_ideals(pf.fspec, limits)
-        dim_l = krull_dimension(data.L_F, limits)
-        dim_in = krull_dimension(data.In010_LF, limits)
-        file_check = {"dim_L_F": dim_l, "dim_In010_L_F": dim_in,
-                      "initial_dim_ge": dim_in >= dim_l}
     # both checked by load_problem
     count = options.get("appendix_count", 20)
     seed = options.get("appendix_seed", 0)
-    payload["options"] = {"max_degree": limits.max_degree,
-                          "max_basis": limits.max_basis,
-                          "appendix_count": count, "appendix_seed": seed}
-    rep = homogenization_property_suite(count=count, seed=seed, limits=limits)
+    with limits:
+        file_check = None
+        if pf is not None:
+            data = build_liouville_ideals(pf.fspec)
+            dim_l = krull_dimension(data.L_F)
+            dim_in = krull_dimension(data.In010_LF)
+            file_check = {"dim_L_F": dim_l, "dim_In010_L_F": dim_in,
+                          "initial_dim_ge": dim_in >= dim_l}
+        payload["options"] = {"max_degree": limits.max_degree,
+                              "max_basis": limits.max_basis,
+                              "appendix_count": count, "appendix_seed": seed}
+        rep = homogenization_property_suite(count=count, seed=seed)
     payload["results"] = dict(rep)
     if file_check is not None:
         payload["results"]["file_check"] = file_check

@@ -14,13 +14,19 @@ membership, elimination, intersections, colon ideals, saturation, radical
 membership, Krull dimension via independent variable sets, module syzygies
 (extended-basis construction), and minimal graded free resolutions with a
 Cohen-Macaulay test by graded Auslander-Buchsbaum.
+
+No function takes a bound: the degree and basis-size bounds are request
+state, set by `with Limits(max_degree=..., max_basis=...):` and read by
+Limits.current() only where they are enforced (the normal forms and the
+basis loops here and in weyl.py) or keyed (logder.FactorizationSpec.memo).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
+from contextvars import ContextVar
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -40,8 +46,29 @@ class NonHomogeneousInput(Exception):
 
 @dataclass
 class Limits:
+    """The degree and basis-size bounds on every basis computation.
+
+    One bound is in effect per request: `with Limits(max_degree=...,
+    max_basis=...):` sets it for the block, and leaving the block, also by
+    an exception, restores the outer one.  It is context state, like the
+    precision of a decimal context; Limits.current() reads it where it is
+    enforced or keyed, and is DEFAULT_LIMITS outside any block.
+    """
     max_degree: int = 60
     max_basis: int = 20000
+    _tokens: list = field(default_factory=list, init=False, repr=False,
+                          compare=False)
+
+    @staticmethod
+    def current() -> "Limits":
+        return _CURRENT.get()
+
+    def __enter__(self) -> "Limits":
+        self._tokens.append(_CURRENT.set(self))
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _CURRENT.reset(self._tokens.pop())
 
     def check_poly(self, p: Poly) -> None:
         d = p.total_degree()
@@ -54,13 +81,13 @@ class Limits:
 
 
 DEFAULT_LIMITS = Limits()
+_CURRENT: ContextVar[Limits] = ContextVar("limits", default=DEFAULT_LIMITS)
 
 
 # ---------------------------------------------------------------------------
 # division and Buchberger
 
 def normal_form(p: Poly, basis: Sequence[Poly], order: MonomialOrder,
-                limits: Limits = DEFAULT_LIMITS,
                 leads: Optional[Sequence[Exp]] = None,
                 keys: Optional[KeyCache] = None) -> Poly:
     """Remainder of p under multivariate division by basis.
@@ -83,11 +110,12 @@ def normal_form(p: Poly, basis: Sequence[Poly], order: MonomialOrder,
         return [(exp_add(m, ge), coef * gc) for ge, gc in g.items()]
     work = dict(p.terms)
     rem: Dict[Exp, Fraction] = {}
+    bound = Limits.current().max_degree
     try:
-        reduce_in_place(work, leads, keys, multiple, rem, limits.max_degree)
+        reduce_in_place(work, leads, keys, multiple, rem, bound)
     except DegreeBoundExceeded:
         raise ResourceLimit(f"total degree {max(map(sum, work))} exceeds "
-                            f"bound {limits.max_degree}") from None
+                            f"bound {bound}") from None
     out = Poly(p.ctx)
     out.terms = rem
     return out
@@ -168,17 +196,19 @@ class PairQueue:
 
 
 def buchberger(key, firsts: Sequence[Tuple[Exp, int]], step: Callable,
-               limits: Limits, coprime_criterion: bool) -> None:
+               coprime_criterion: bool) -> None:
     """The one Buchberger pair loop, from the (leading exponent, slot) of
     each starting element, in index order; key is the order key.
 
-    The starting elements count against the basis-size bound at once.
+    The starting elements count against the basis-size bound in effect
+    (Limits.current()) at once.
     A popped pair (i, j) with lcm l is skipped by the chain criterion, or
     by the product criterion when coprime_criterion says it is sound
     (commutative ideals).  Otherwise step(i, j, l) reduces its S-element,
     appends a nonzero remainder to the caller's basis and returns its
     (leading exponent, slot), or None for zero.
     """
+    limits = Limits.current()
     queue = PairQueue(key)
     for e, slot in firsts:
         queue.add(e, slot)
@@ -230,10 +260,10 @@ def interreduce(G: Sequence, leads: Sequence[Exp], keys: KeyCache,
     return [(i, inv, g) for _, i, inv, g in out]
 
 
-def groebner_basis(gens: Sequence[Poly], order: MonomialOrder,
-                   limits: Limits = DEFAULT_LIMITS) -> List[Poly]:
+def groebner_basis(gens: Sequence[Poly], order: MonomialOrder) -> List[Poly]:
     """Reduced Groebner basis (monic, inter-reduced, sorted by leading
     monomial ascending).  Deterministic for a given generator sequence."""
+    limits = Limits.current()
     G: List[Poly] = []
     for g in gens:
         if not g.is_zero():
@@ -249,20 +279,19 @@ def groebner_basis(gens: Sequence[Poly], order: MonomialOrder,
     def step(i, j, l):
         s = _s_poly(G[i], G[j], order, lead[i], lead[j])
         limits.check_poly(s)
-        r = normal_form(s, G, order, limits, leads=lead, keys=keys)
+        r = normal_form(s, G, order, leads=lead, keys=keys)
         if r.is_zero():
             return None
         limits.check_poly(r)
         G.append(r)
         lead.append(max(r.terms, key=leading))
         return lead[-1], 0
-    buchberger(order.key, [(e, 0) for e in lead], step, limits,
+    buchberger(order.key, [(e, 0) for e in lead], step,
                coprime_criterion=True)
-    return _reduce_basis(G, order, limits, leads=lead, keys=keys)
+    return _reduce_basis(G, order, leads=lead, keys=keys)
 
 
 def _reduce_basis(G: Sequence[Poly], order: MonomialOrder,
-                  limits: Limits = DEFAULT_LIMITS,
                   leads: Optional[Sequence[Exp]] = None,
                   keys: Optional[KeyCache] = None) -> List[Poly]:
     """interreduce for polynomials; a basis computation passes its leads
@@ -276,34 +305,33 @@ def _reduce_basis(G: Sequence[Poly], order: MonomialOrder,
     def divide(i, rest):
         if not rest:
             return G[i]
-        return normal_form(G[i], [G[k] for k in rest], order, limits,
+        return normal_form(G[i], [G[k] for k in rest], order,
                            leads=[leads[k] for k in rest], keys=keys)
     return [g for _, _, g in interreduce(G, leads, keys, divide)]
 
 
 class IdealHandle:
-    """Generators plus a cached reduced Groebner basis under a fixed order."""
+    """Generators plus a cached reduced Groebner basis under a fixed order,
+    computed on first use under the bound then in effect."""
 
     def __init__(self, gens: Sequence[Poly], order: Optional[MonomialOrder] = None,
-                 limits: Limits = DEFAULT_LIMITS):
+                 ctx: Optional[VarContext] = None):
+        """ctx, the ambient ring, is needed only when gens is empty."""
         gens = list(gens)
-        if not gens:
-            raise ValueError("IdealHandle needs at least the ambient context; pass [Poly.zero(ctx)]")
-        self.ctx = gens[0].ctx
+        if ctx is None and not gens:
+            raise ValueError("IdealHandle needs a generator or a ctx")
+        self.ctx = gens[0].ctx if ctx is None else ctx
         self.gens: List[Poly] = [g for g in gens if not g.is_zero()]
         self.order = order or MonomialOrder.grevlex()
-        self.limits = limits
         self._gb: Optional[List[Poly]] = None
 
     @classmethod
     def zero(cls, ctx: VarContext, order: Optional[MonomialOrder] = None) -> "IdealHandle":
-        h = cls([Poly.zero(ctx)], order)
-        h.gens = []
-        return h
+        return cls([], order, ctx)
 
     def gb(self) -> List[Poly]:
         if self._gb is None:
-            self._gb = groebner_basis(self.gens, self.order, self.limits)
+            self._gb = groebner_basis(self.gens, self.order)
         return self._gb
 
     def is_zero_ideal(self) -> bool:
@@ -314,7 +342,7 @@ class IdealHandle:
         return len(g) == 1 and g[0].is_constant()
 
     def contains(self, p: Poly) -> bool:
-        return normal_form(p, self.gb(), self.order, self.limits).is_zero()
+        return normal_form(p, self.gb(), self.order).is_zero()
 
     def contains_ideal(self, other: "IdealHandle") -> bool:
         return all(self.contains(g) for g in other.gens)
@@ -336,24 +364,19 @@ def _drop_block_context(ctx: VarContext, drop_block: str) -> VarContext:
     return VarContext(blocks)
 
 
-def eliminate(I: IdealHandle, drop_block: str,
-              limits: Limits = DEFAULT_LIMITS) -> IdealHandle:
+def eliminate(I: IdealHandle, drop_block: str) -> IdealHandle:
     """Generators of I intersected with the subring without drop_block."""
     ctx = I.ctx
     rest = [b for b, _ in ctx.blocks if b != drop_block]
     if drop_block not in dict(ctx.blocks):
         raise KeyError(f"no block named {drop_block!r}")
     order = MonomialOrder.block(ctx, [drop_block] + rest)
-    gb = groebner_basis(I.gens, order, limits)
+    gb = groebner_basis(I.gens, order)
     dropped = set(ctx.block_indices[drop_block])
     ctx2 = _drop_block_context(ctx, drop_block)
-    kept = []
-    for g in gb:
-        if all(all(e[i] == 0 for i in dropped) for e in g.terms):
-            kept.append(g.map_context(ctx2))
-    out = IdealHandle.zero(ctx2)
-    out.gens = kept
-    return out
+    kept = [g.map_context(ctx2) for g in gb
+            if all(all(e[i] == 0 for i in dropped) for e in g.terms)]
+    return IdealHandle(kept, ctx=ctx2)
 
 
 def _extend_with_var(ctx: VarContext, block: str, name: str) -> VarContext:
@@ -362,8 +385,7 @@ def _extend_with_var(ctx: VarContext, block: str, name: str) -> VarContext:
     return VarContext(list(ctx.blocks) + [(block, [name])])
 
 
-def intersect(I: IdealHandle, J: IdealHandle,
-              limits: Limits = DEFAULT_LIMITS) -> IdealHandle:
+def intersect(I: IdealHandle, J: IdealHandle) -> IdealHandle:
     """I cap J by the single-tag-variable trick: eliminate w from
     w*I + (1-w)*J."""
     ctx = I.ctx
@@ -371,21 +393,15 @@ def intersect(I: IdealHandle, J: IdealHandle,
     w = Poly.var(ctx2, "_w")
     gens = [w * g.map_context(ctx2) for g in I.gens]
     gens += [(Poly.const(ctx2, 1) - w) * g.map_context(ctx2) for g in J.gens]
-    H = IdealHandle.zero(ctx2)
-    H.gens = [g for g in gens if not g.is_zero()]
-    E = eliminate(H, "_W", limits)
-    out = IdealHandle.zero(ctx)
-    out.gens = [g.map_context(ctx) for g in E.gens]
-    return out
+    E = eliminate(IdealHandle(gens, ctx=ctx2), "_W")
+    return IdealHandle([g.map_context(ctx) for g in E.gens], ctx=ctx)
 
 
-def ideal_colon(I: IdealHandle, g: Poly,
-                limits: Limits = DEFAULT_LIMITS) -> IdealHandle:
+def ideal_colon(I: IdealHandle, g: Poly) -> IdealHandle:
     """(I : g) = {p : p*g in I}, g nonzero."""
     if g.is_zero():
         raise ValueError("colon by zero")
-    P = IdealHandle([g], I.order, limits)
-    C = intersect(I, P, limits)
+    C = intersect(I, IdealHandle([g], I.order))
     from .ring import divide_exact
     gens = []
     for h in C.gens:
@@ -394,48 +410,42 @@ def ideal_colon(I: IdealHandle, g: Poly,
             raise ArithmeticError("intersection element not divisible in colon")
         if not q.is_zero():
             gens.append(q)
-    out = IdealHandle.zero(I.ctx)
-    out.gens = gens
-    return out
+    return IdealHandle(gens, ctx=I.ctx)
 
 
-def ideal_colon_ideal(I: IdealHandle, J: IdealHandle,
-                      limits: Limits = DEFAULT_LIMITS) -> IdealHandle:
+def ideal_colon_ideal(I: IdealHandle, J: IdealHandle) -> IdealHandle:
     """(I : J) = intersection of (I : g) over generators g of J."""
     gens = [g for g in J.gens if not g.is_zero()]
     if not gens:
         raise ValueError("colon by zero ideal")
-    acc = ideal_colon(I, gens[0], limits)
+    acc = ideal_colon(I, gens[0])
     for g in gens[1:]:
-        acc = intersect(acc, ideal_colon(I, g, limits), limits)
+        acc = intersect(acc, ideal_colon(I, g))
     return acc
 
 
-def saturate(I: IdealHandle, g: Poly,
-             limits: Limits = DEFAULT_LIMITS) -> Tuple[IdealHandle, int]:
+def saturate(I: IdealHandle, g: Poly) -> Tuple[IdealHandle, int]:
     """(I : g^inf) by iterating colon to stability; returns (ideal, steps)."""
     steps = 0
     cur = I
     while True:
-        nxt = ideal_colon(cur, g, limits)
+        nxt = ideal_colon(cur, g)
         if nxt.equals(cur):
             return cur, steps
         cur = nxt
         steps += 1
 
 
-def radical_membership(p: Poly, I: IdealHandle,
-                       limits: Limits = DEFAULT_LIMITS) -> bool:
+def radical_membership(p: Poly, I: IdealHandle) -> bool:
     """p in rad(I), by the inverse-tag trick: 1 in I + (1 - w*p)."""
     ctx2 = _extend_with_var(I.ctx, "_W", "_w")
     w = Poly.var(ctx2, "_w")
     gens = [g.map_context(ctx2) for g in I.gens]
     gens.append(Poly.const(ctx2, 1) - w * p.map_context(ctx2))
-    H = IdealHandle(gens, MonomialOrder.grevlex(), limits)
-    return H.is_unit_ideal()
+    return IdealHandle(gens).is_unit_ideal()
 
 
-def krull_dimension(I: IdealHandle, limits: Limits = DEFAULT_LIMITS) -> int:
+def krull_dimension(I: IdealHandle) -> int:
     """dim V(I) via maximal independent variable sets modulo the
     leading-term ideal; -1 for the unit ideal."""
     gb = I.gb()
@@ -509,8 +519,7 @@ def _mod_degree(m: Tuple[int, Exp]) -> int:
 
 
 def _vec_reduce(v: Vec, basis: List[Vec], leads: List[Tuple[int, Exp]],
-                mo: _ModOrder, limits: Limits,
-                keys: Optional[KeyCache] = None) -> Vec:
+                mo: _ModOrder, keys: Optional[KeyCache] = None) -> Vec:
     """Full normal form of a vector against a list of vectors.
 
     Module monomials are (position, exponent) pairs; a module basis
@@ -524,17 +533,18 @@ def _vec_reduce(v: Vec, basis: List[Vec], leads: List[Tuple[int, Exp]],
                 for pos, p in enumerate(g) for ge, gc in p.terms.items()]
     work = {(pos, e): c for pos, p in enumerate(v) for e, c in p.terms.items()}
     rem: Dict[Tuple[int, Exp], Fraction] = {}
+    bound = Limits.current().max_degree
     try:
-        reduce_in_place(work, leads, keys, multiple, rem, limits.max_degree,
+        reduce_in_place(work, leads, keys, multiple, rem, bound,
                         _mod_divides, _mod_degree)
     except DegreeBoundExceeded:
         # report the first component above the bound
         degs = [-1] * len(v)
         for pos, e in work:
             degs[pos] = max(degs[pos], sum(e))
-        deg = next(d for d in degs if d > limits.max_degree)
+        deg = next(d for d in degs if d > bound)
         raise ResourceLimit(f"total degree {deg} exceeds bound "
-                            f"{limits.max_degree}") from None
+                            f"{bound}") from None
     ctx = v[0].ctx
     parts = [Poly(ctx) for _ in v]
     for (pos, e), c in rem.items():
@@ -542,8 +552,7 @@ def _vec_reduce(v: Vec, basis: List[Vec], leads: List[Tuple[int, Exp]],
     return tuple(parts)
 
 
-def _module_gb(vectors: List[Vec], mo: _ModOrder,
-               limits: Limits = DEFAULT_LIMITS) -> List[Vec]:
+def _module_gb(vectors: List[Vec], mo: _ModOrder) -> List[Vec]:
     """Groebner basis of the submodule generated by vectors.
 
     Pairs are formed only between vectors with the same leading position;
@@ -560,20 +569,19 @@ def _module_gb(vectors: List[Vec], mo: _ModOrder,
         mi, mj = s_pair_multipliers(G[i][pos], leads[i][1],
                                     G[j][pos], leads[j][1], l)
         s = _vec_sub(_vec_scale(G[i], mi), _vec_scale(G[j], mj))
-        r = _vec_reduce(s, G, leads, mo, limits, keys=keys)
+        r = _vec_reduce(s, G, leads, mo, keys=keys)
         if _vec_is_zero(r):
             return None
         G.append(r)
         leads.append(_vec_lead(r, mo, keys))
         return leads[-1][1], leads[-1][0]
-    buchberger(mo.base.key, [(e, pos) for pos, e in leads], step, limits,
+    buchberger(mo.base.key, [(e, pos) for pos, e in leads], step,
                coprime_criterion=False)
     return G
 
 
 def module_contains(vectors: Sequence[Sequence[Poly]], target: Sequence[Poly],
-                    order: Optional[MonomialOrder] = None,
-                    limits: Limits = DEFAULT_LIMITS) -> bool:
+                    order: Optional[MonomialOrder] = None) -> bool:
     """Is `target` in the submodule of R^m generated by `vectors`?"""
     vecs = [tuple(v) for v in vectors if not _vec_is_zero(tuple(v))]
     tgt = tuple(target)
@@ -582,15 +590,14 @@ def module_contains(vectors: Sequence[Sequence[Poly]], target: Sequence[Poly],
     if not vecs:
         return False
     mo = _ModOrder(order or MonomialOrder.grevlex(), split=0)
-    G = _module_gb(vecs, mo, limits)
+    G = _module_gb(vecs, mo)
     keys = KeyCache(mo.key)
     leads = [_vec_lead(v, mo, keys) for v in G]
-    return _vec_is_zero(_vec_reduce(tgt, G, leads, mo, limits, keys))
+    return _vec_is_zero(_vec_reduce(tgt, G, leads, mo, keys))
 
 
 def syzygies(vectors: Sequence[Sequence[Poly]],
-             order: Optional[MonomialOrder] = None,
-             limits: Limits = DEFAULT_LIMITS) -> List[Vec]:
+             order: Optional[MonomialOrder] = None) -> List[Vec]:
     """Generating set of {(a_1..a_k) : sum a_i v_i = 0} for vectors in R^m.
 
     Extended-basis construction: append bookkeeping unit coordinates, take a
@@ -613,7 +620,7 @@ def syzygies(vectors: Sequence[Sequence[Poly]],
         book[i] = one
         aug.append(tuple(list(v) + book))
     mo = _ModOrder(order or MonomialOrder.grevlex(), split=m)
-    G = _module_gb(aug, mo, limits)
+    G = _module_gb(aug, mo)
     out: List[Vec] = []
     for g in G:
         if all(g[i].is_zero() for i in range(m)):
@@ -680,8 +687,7 @@ class Resolution:
     is_CM: Optional[bool]           # only set for cyclic quotients R/I
 
 
-def graded_free_resolution(M: GradedModulePresentation,
-                           limits: Limits = DEFAULT_LIMITS) -> Resolution:
+def graded_free_resolution(M: GradedModulePresentation) -> Resolution:
     """Minimal graded free resolution by iterated syzygies.
 
     pdim is the length after minimalization.  For a cyclic quotient R/I
@@ -701,7 +707,7 @@ def graded_free_resolution(M: GradedModulePresentation,
         for v in rels:
             rel_degs.append(pres._degree_of(v))
         degs.append(rel_degs)
-        syz = syzygies(rels, limits=limits)
+        syz = syzygies(rels)
         rels = [v for v in syz if not _vec_is_zero(v)]
         cur_shifts = rel_degs
 
@@ -715,9 +721,8 @@ def graded_free_resolution(M: GradedModulePresentation,
 
     is_cm = None
     if M.rank == 1 and M.shifts == (0,):
-        I = IdealHandle.zero(ctx)
-        I.gens = [r[0] for r in M.relations if not r[0].is_zero()]
-        dim = krull_dimension(I, limits)
+        dim = krull_dimension(IdealHandle([r[0] for r in M.relations],
+                                          ctx=ctx))
         codim = ctx.n - dim if dim >= 0 else ctx.n
         is_cm = (pdim == codim)
 

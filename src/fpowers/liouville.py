@@ -24,9 +24,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .gb import (
-    DEFAULT_LIMITS,
     IdealHandle,
-    Limits,
     eliminate,
     groebner_basis,
     ideal_colon,
@@ -34,7 +32,7 @@ from .gb import (
 )
 from .ring import MonomialOrder, Poly, VarContext, exp_weight, initial_form_weights
 from .weyl import gr_symbol
-from .logder import FactorizationSpec, psi_F
+from .logder import FactorizationSpec, assumed_table, psi_F, required_hold
 
 
 @dataclass
@@ -45,34 +43,31 @@ class LiouvilleData:
     In010_LF: IdealHandle
 
 
-def liouville_symbols(fspec: FactorizationSpec, variant: str,
-                      limits: Limits = DEFAULT_LIMITS) -> List[Poly]:
+def liouville_symbols(fspec: FactorizationSpec, variant: str) -> List[Poly]:
     """Symbols gr_{(0,1,1)}(psi_F(delta)) over Q[x,y,S] for delta running
     through the generators of Der(-log f) or Der(-log0 f)."""
-    gens = fspec.log_derivations(variant, limits)
+    gens = fspec.log_derivations(variant)
     out = []
     for d in gens:
-        P = psi_F(d, fspec, limits)
+        P = psi_F(d, fspec)
         if P.is_zero():
             continue
         out.append(gr_symbol(P, "(0,1,1)"))
     return out
 
 
-def build_liouville_ideals(fspec: FactorizationSpec,
-                           limits: Limits = DEFAULT_LIMITS) -> LiouvilleData:
+def build_liouville_ideals(fspec: FactorizationSpec) -> LiouvilleData:
     sym_vc = fspec.symbol_vc
-    l_gens = liouville_symbols(fspec, "log0", limits)
-    lt_gens = liouville_symbols(fspec, "log", limits)
-    L = IdealHandle(l_gens, limits=limits) if l_gens else IdealHandle.zero(sym_vc)
-    Lt = IdealHandle(lt_gens, limits=limits) if lt_gens else IdealHandle.zero(sym_vc)
+    l_gens = liouville_symbols(fspec, "log0")
+    lt_gens = liouville_symbols(fspec, "log")
+    L = IdealHandle(l_gens, ctx=sym_vc)
+    Lt = IdealHandle(lt_gens, ctx=sym_vc)
     w010 = sym_vc.grading("(0,1,0)")
-    In010 = initial_ideal(L, w010, limits)
+    In010 = initial_ideal(L, w010)
     return LiouvilleData(fspec, L, Lt, In010)
 
 
-def initial_ideal(I: IdealHandle, u: Sequence[int],
-                  limits: Limits = DEFAULT_LIMITS) -> IdealHandle:
+def initial_ideal(I: IdealHandle, u: Sequence[int]) -> IdealHandle:
     """In_u(I): the ideal of top u-weight forms, via a u-refined GB.
 
     A GB under the u-refined order has the property that the u-initial
@@ -80,17 +75,16 @@ def initial_ideal(I: IdealHandle, u: Sequence[int],
     if I.is_zero_ideal():
         return IdealHandle.zero(I.ctx)
     order = MonomialOrder.weighted(u)
-    gb = groebner_basis(I.gens, order, limits)
+    gb = groebner_basis(I.gens, order)
     gens = [initial_form_weights(g, u) for g in gb]
-    return IdealHandle(gens, limits=limits)
+    return IdealHandle(gens)
 
 
 # ---------------------------------------------------------------------------
 # the multi-Rees kernel
 
 
-def phi_F_kernel(fspec: FactorizationSpec,
-                 limits: Limits = DEFAULT_LIMITS) -> IdealHandle:
+def phi_F_kernel(fspec: FactorizationSpec) -> IdealHandle:
     """Kernel of Q[x,y,S] -> Q[x,S] with
         x_i |-> x_i,
         y_i |-> sum_k (f/f_k) (d_i f_k) s_k,
@@ -131,8 +125,7 @@ def phi_F_kernel(fspec: FactorizationSpec,
         gens.append(Poly.var(big, fspec.weyl.y_names[i]) - img)
     for k, sn in enumerate(fspec.s_names):
         gens.append(Poly.var(big, sn) - f_t * tvar(ts[k]))
-    I = IdealHandle(gens, limits=limits)
-    out = eliminate(I, "W", limits)
+    out = eliminate(IdealHandle(gens), "W")
     # eliminate() returns generators over sym_vc's blocks in original order
     assert out.ctx == sym
     return out
@@ -143,7 +136,6 @@ def phi_F_kernel(fspec: FactorizationSpec,
 
 
 def gr_equality_certificate(fspec: FactorizationSpec,
-                            limits: Limits = DEFAULT_LIMITS,
                             assume_hypotheses: bool = False) -> Dict[str, object]:
     """Check Ltilde_F = ker(phi_F) by two-sided membership.
 
@@ -152,19 +144,18 @@ def gr_equality_certificate(fspec: FactorizationSpec,
     Saito-holonomicity, tameness), the equality certifies the full chain
       Ltilde_F = gr_{(0,1,1)}(Ann F^S) = ker(phi_F).
     """
-    data = build_liouville_ideals(fspec, limits)
-    K = phi_F_kernel(fspec, limits)
+    data = build_liouville_ideals(fspec)
+    K = phi_F_kernel(fspec)
     forward = K.contains_ideal(data.Ltilde_F)
     backward = data.Ltilde_F.contains_ideal(K) if data.Ltilde_F.gens else \
         K.is_zero_ideal()
     equal = forward and backward
     if assume_hypotheses:
         hyps_ok = True
-        hyps = {"assumed": ("yes", "caller asserted the hypotheses")}
+        hyps = assumed_table()
     else:
-        hyps = fspec.check_hypotheses(limits)
-        hyps_ok = all(hyps[k][0] == "yes" for k in
-                      ("strong_euler_origin", "saito_holonomic", "tame"))
+        hyps = fspec.check_hypotheses()
+        hyps_ok = required_hold(hyps)
     if equal and hyps_ok:
         conclusion = ("Ltilde_F = gr(Ann F^S) = ker(phi_F); "
                       "Ltilde_F is prime (kernel into a domain)")
@@ -191,8 +182,7 @@ def extend_with_t(ctx: VarContext) -> VarContext:
     return VarContext(list(ctx.blocks) + [("T", ["t"])])
 
 
-def homogenize_u(I: IdealHandle, u: Sequence[int],
-                 limits: Limits = DEFAULT_LIMITS) -> IdealHandle:
+def homogenize_u(I: IdealHandle, u: Sequence[int]) -> IdealHandle:
     """HOM_u(I) in ctx + t: each GB element g becomes
     sum c * x^e * t^(deg_u(g) - u.e).
 
@@ -211,7 +201,7 @@ def homogenize_u(I: IdealHandle, u: Sequence[int],
     if I.is_zero_ideal():
         return IdealHandle.zero(ctx_t)
     order = MonomialOrder.weighted(u)
-    gb = groebner_basis(I.gens, order, limits)
+    gb = groebner_basis(I.gens, order)
     t_idx = ctx_t.index["t"]
     out = []
     for g in gb:
@@ -222,11 +212,10 @@ def homogenize_u(I: IdealHandle, u: Sequence[int],
             ee[t_idx] = d - exp_weight(e, tuple(u))
             terms[tuple(ee)] = c
         out.append(Poly(ctx_t, terms))
-    return IdealHandle(out, limits=limits)
+    return IdealHandle(out)
 
 
-def substitute_t(I: IdealHandle, value: int,
-                 limits: Limits = DEFAULT_LIMITS) -> IdealHandle:
+def substitute_t(I: IdealHandle, value: int) -> IdealHandle:
     """Image of I under t |-> value, as an ideal of the t-free subring."""
     ctx_t = I.ctx
     base = VarContext([(b, vs) for b, vs in ctx_t.blocks if b != "T"])
@@ -243,7 +232,7 @@ def substitute_t(I: IdealHandle, value: int,
         p = Poly(base, {e: c for e, c in terms.items() if c != 0})
         if not p.is_zero():
             gens.append(p)
-    return IdealHandle(gens, limits=limits) if gens else IdealHandle.zero(base)
+    return IdealHandle(gens, ctx=base)
 
 
 def tau_u_order(u: Sequence[int],
@@ -267,12 +256,12 @@ def tau_u_prime_order(ctx_t: VarContext, u: Sequence[int],
     return MonomialOrder("tau_u_prime", key, f"tau_u'({list(u)})")
 
 
-def leading_exponents(I: IdealHandle, order: MonomialOrder,
-                      limits: Limits = DEFAULT_LIMITS) -> List[Tuple[int, ...]]:
+def leading_exponents(I: IdealHandle, order: MonomialOrder
+                      ) -> List[Tuple[int, ...]]:
     """Minimal generating exponents of the leading-term ideal under order."""
     if I.is_zero_ideal():
         return []
-    gb = groebner_basis(I.gens, order, limits)
+    gb = groebner_basis(I.gens, order)
     exps = [max(g.terms, key=order.key) for g in gb]
     # prune non-minimal generators
     out = []
@@ -297,8 +286,7 @@ def monomial_ideals_equal(exps_a: Sequence[Tuple[int, ...]],
 # randomized property suite for the homogenization toolkit
 
 
-def homogenization_property_suite(count: int = 20, seed: int = 0,
-                                  limits: Limits = DEFAULT_LIMITS
+def homogenization_property_suite(count: int = 20, seed: int = 0
                                   ) -> Dict[str, object]:
     """Check the HOM_u toolkit on `count` random ideals over a coefficient
     ring: 1-2 weight-zero coefficient variables, 1-2 positively weighted main
@@ -338,31 +326,31 @@ def homogenization_property_suite(count: int = 20, seed: int = 0,
                 gens.append(Poly(vc, terms))
         if not gens:
             continue
-        I = IdealHandle(gens, limits=limits)
+        I = IdealHandle(gens)
         checked += 1
         tag = f"trial {checked} (seed {seed})"
-        H = homogenize_u(I, u, limits)
+        H = homogenize_u(I, u)
         tvar = Poly.var(H.ctx, "t")
-        if ideal_colon(H, tvar, limits).equals(H):
+        if ideal_colon(H, tvar).equals(H):
             tally["colon_stable"] += 1
         else:
             failures.append(f"{tag}: (HOM_u(I):t) != HOM_u(I)")
-        In = initial_ideal(I, u, limits)
-        if substitute_t(H, 0, limits).equals(In):
+        In = initial_ideal(I, u)
+        if substitute_t(H, 0).equals(In):
             tally["fiber_t0"] += 1
         else:
             failures.append(f"{tag}: t->0 fiber differs from In_u(I)")
-        if substitute_t(H, 1, limits).equals(I):
+        if substitute_t(H, 1).equals(I):
             tally["fiber_t1"] += 1
         else:
             failures.append(f"{tag}: t->1 fiber differs from I")
-        lm_i = leading_exponents(I, tau_u_order(u), limits)
-        lm_h = leading_exponents(H, tau_u_prime_order(H.ctx, u), limits)
+        lm_i = leading_exponents(I, tau_u_order(u))
+        lm_h = leading_exponents(H, tau_u_prime_order(H.ctx, u))
         if monomial_ideals_equal([e + (0,) for e in lm_i], lm_h):
             tally["initial_identity"] += 1
         else:
             failures.append(f"{tag}: refined-order leading ideals differ")
-        if krull_dimension(In, limits) >= krull_dimension(I, limits):
+        if krull_dimension(In) >= krull_dimension(I):
             tally["dim_inequality"] += 1
         else:
             failures.append(f"{tag}: dim dropped when passing to In_u(I)")

@@ -11,17 +11,22 @@ degree-one part of the annihilator of F^S.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .ring import MonomialOrder, Poly, VarContext, divide_exact
-from .gb import (
-    DEFAULT_LIMITS, GradedModulePresentation, IdealHandle, Limits,
-    NonHomogeneousInput, ResourceLimit, graded_free_resolution, ideal_colon,
-    ideal_colon_ideal, krull_dimension, module_contains, syzygies,
+from .ring import Poly, VarContext, divide_exact
+from .arrange import (
+    ArrangementSpec, definitely_not_linear_split, linear_form_factorization,
+    row_reduce,
 )
-from .weyl import WeylContext, WeylOp, apply_to_FS
+from .gb import (
+    GradedModulePresentation, IdealHandle, Limits, NonHomogeneousInput,
+    ResourceLimit, graded_free_resolution, ideal_colon, ideal_colon_ideal,
+    krull_dimension, module_contains, syzygies, vector_degree,
+)
+from .weyl import WeylContext, WeylOp
 
 
 class NotLogarithmicForFactor(Exception):
@@ -62,13 +67,29 @@ class LogDerivation:
         return len(degs) <= 1
 
 
+# the hypotheses under which theta_F generates all of Ann F^S
+REQUIRED_HYPOTHESES = ("strong_euler_origin", "saito_holonomic", "tame")
+
+
+def required_hold(hyps: Dict[str, Tuple[str, str]]) -> bool:
+    """Does every one of REQUIRED_HYPOTHESES read "yes" in the table?"""
+    return all(hyps[k][0] == "yes" for k in REQUIRED_HYPOTHESES)
+
+
+def assumed_table() -> Dict[str, Tuple[str, str]]:
+    """The table reported in place of check_hypotheses() when the caller
+    asserts the hypotheses."""
+    return {"assumed": ("yes", "caller asserted the hypotheses")}
+
+
 class FactorizationSpec:
     """F = (f_1, ..., f_r) with f = prod f_k and all derived data.
 
     Hypothesis flags (strong Euler-homogeneity at the origin, reducedness,
     freeness, tameness, arrangement-ness, Saito-holonomicity) come from
-    check_hypotheses(limits); each is "yes"/"no"/"unknown" with a short
-    reason.
+    check_hypotheses(); each is "yes"/"no"/"unknown" with a short reason.
+    The derived results that cost a basis computation are kept per bound
+    in effect (memo).
     """
 
     def __init__(self, x_names: Sequence[str], factors: Sequence[Poly]):
@@ -105,55 +126,51 @@ class FactorizationSpec:
         self.vanishing_at_origin = all(
             fk.constant_coeff() == 0 for fk in self.factors
         )
-        # (max_degree, max_basis) -> the complete hypothesis table
-        self._hyp_cache: Dict[Tuple[int, int], Dict[str, Tuple[str, str]]] = {}
-        # (variant, max_degree, max_basis) -> log_derivations(f, variant)
-        self._log_cache: Dict[Tuple[str, int, int], List[LogDerivation]] = {}
+        self._memo: Dict[tuple, object] = {}
 
-    def log_derivations(self, variant: str = "log",
-                        limits: Limits = DEFAULT_LIMITS) -> List[LogDerivation]:
-        """log_derivations(self.f, variant, limits), computed once per
-        variant and bounds for this spec; returns a fresh list."""
-        key = (variant, limits.max_degree, limits.max_basis)
-        if key not in self._log_cache:
-            self._log_cache[key] = log_derivations(self.f, variant, limits)
-        return list(self._log_cache[key])
+    def memo(self, key: tuple, compute):
+        """compute(), computed once per key and bound in effect for this
+        spec.  A value is kept only once compute returns, so a
+        ResourceLimit leaves nothing behind."""
+        limits = Limits.current()
+        key += (limits.max_degree, limits.max_basis)
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
-    def theta_generators(self, limits: Limits = DEFAULT_LIMITS) -> List[WeylOp]:
+    def log_derivations(self, variant: str = "log") -> List[LogDerivation]:
+        """log_derivations(self.f, variant), computed once per variant and
+        bound for this spec; returns a fresh list."""
+        return list(self.memo(("log", variant),
+                              lambda: log_derivations(self.f, variant)))
+
+    def theta_generators(self) -> List[WeylOp]:
         """psi_F of the Der(-log f) generators: degree-one annihilators."""
-        return [psi_F(d, self, limits=limits)
-                for d in self.log_derivations("log", limits)]
+        return [psi_F(d, self) for d in self.log_derivations("log")]
 
-    def check_hypotheses(self, limits: Limits = DEFAULT_LIMITS
-                         ) -> Dict[str, Tuple[str, str]]:
+    def check_hypotheses(self) -> Dict[str, Tuple[str, str]]:
         """The hypothesis table {name: (verdict, reason)}, computed once per
-        bounds for this spec; returns a fresh dict.  A table is kept only
-        once every verdict is in, so a ResourceLimit leaves nothing behind."""
-        key = (limits.max_degree, limits.max_basis)
-        if key not in self._hyp_cache:
-            self._hyp_cache[key] = self._hypothesis_table(limits)
-        return dict(self._hyp_cache[key])
+        bound for this spec; returns a fresh dict."""
+        return dict(self.memo(("hypotheses",), self._hypothesis_table))
 
-    def _hypothesis_table(self, limits: Limits) -> Dict[str, Tuple[str, str]]:
+    def _hypothesis_table(self) -> Dict[str, Tuple[str, str]]:
         h: Dict[str, Tuple[str, str]] = {}
         rep = euler_and_seh_check(self.f)
         h["strong_euler_origin"] = (
             ("yes", rep.reason) if rep.strong_at_origin == "yes"
             else (rep.strong_at_origin, rep.reason)
         )
-        red = reducedness_check(self.f, limits)
+        red = reducedness_check(self.f)
         h["reduced"] = red
         arr = self.try_arrangement()
         if arr is not None:
             h["arrangement"] = ("yes", "all factors split into linear forms")
+        elif any(definitely_not_linear_split(fk) for fk in self.factors):
+            h["arrangement"] = ("no", "a factor is certified not a product of linear forms")
         else:
-            from .arrange import definitely_not_linear_split
-            if any(definitely_not_linear_split(fk) for fk in self.factors):
-                h["arrangement"] = ("no", "a factor is certified not a product of linear forms")
-            else:
-                h["arrangement"] = ("unknown", "no linear splitting found")
-        log_gens = self.log_derivations("log", limits)
-        sb = saito_basis(self.f, limits, log_gens)
+            h["arrangement"] = ("unknown", "no linear splitting found")
+        log_gens = self.log_derivations("log")
+        sb = saito_basis(self.f, log_gens)
         if sb.basis:
             h["free"] = ("yes", "Saito determinant = unit * f")
         elif sb.pdim == 0:
@@ -162,18 +179,16 @@ class FactorizationSpec:
             h["free"] = ("unknown", "no freeness certificate found")
         else:
             h["free"] = ("no", f"pdim Der(-log f) = {sb.pdim}")
-        tame = tameness_check(self.f, limits)
+        tame = tameness_check(self.f)
         h["tame"] = tame
         if arr is not None:
             h["saito_holonomic"] = ("yes", "hyperplane arrangement")
         else:
-            h["saito_holonomic"] = saito_holonomic_check(
-                self.f, limits, log_gens)
+            h["saito_holonomic"] = saito_holonomic_check(self.f, log_gens)
         return h
 
     def try_arrangement(self):
         """Factor every f_k into linear forms if possible (else None)."""
-        from .arrange import linear_form_factorization
         groups = []
         forms: List[Poly] = []
         mults: List[int] = []
@@ -196,7 +211,6 @@ class FactorizationSpec:
                 mults[idx] += mult
                 group.extend([idx] * mult)
             groups.append(group)
-        from .arrange import ArrangementSpec
         return ArrangementSpec(forms, mults, groups, self)
 
 
@@ -215,8 +229,7 @@ def _proportional(p: Poly, q: Poly) -> bool:
 # Der(-log f) and Der(-log0 f)
 
 
-def log_derivations(f: Poly, variant: str = "log",
-                    limits: Limits = DEFAULT_LIMITS) -> List[LogDerivation]:
+def log_derivations(f: Poly, variant: str = "log") -> List[LogDerivation]:
     """Generators of the logarithmic derivation module of f.
 
     variant "log":  syzygies of (d_1 f, ..., d_n f, -f); the last syzygy
@@ -229,7 +242,7 @@ def log_derivations(f: Poly, variant: str = "log",
     partials = [f.diff(x) for x in ctx.names]
     if variant == "log":
         vecs = [(p,) for p in partials] + [(-f,)]
-        syz = syzygies(vecs, limits=limits)
+        syz = syzygies(vecs)
         out = []
         for s in syz:
             coeffs = tuple(s[:-1])
@@ -240,7 +253,7 @@ def log_derivations(f: Poly, variant: str = "log",
         return out
     if variant == "log0":
         vecs = [(p,) for p in partials]
-        syz = syzygies(vecs, limits=limits)
+        syz = syzygies(vecs)
         out = []
         for s in syz:
             d = LogDerivation(tuple(s), Poly.zero(ctx))
@@ -251,21 +264,19 @@ def log_derivations(f: Poly, variant: str = "log",
 
 
 def log_module_contains(f: Poly, delta: LogDerivation,
-                        variant: str = "log",
-                        limits: Limits = DEFAULT_LIMITS) -> bool:
+                        variant: str = "log") -> bool:
     """Is delta in the module generated by log_derivations(f, variant)?"""
-    gens = log_derivations(f, variant, limits)
+    gens = log_derivations(f, variant)
     vectors = [list(g.coeffs) + [g.cofactor] for g in gens]
     target = list(delta.coeffs) + [delta.cofactor]
-    return module_contains(vectors, target, limits=limits)
+    return module_contains(vectors, target)
 
 
 # ---------------------------------------------------------------------------
 # psi_F
 
 
-def psi_F(delta: LogDerivation, fspec: FactorizationSpec,
-          limits: Limits = DEFAULT_LIMITS) -> WeylOp:
+def psi_F(delta: LogDerivation, fspec: FactorizationSpec) -> WeylOp:
     """delta - sum_k b_k s_k with b_k = delta(f_k)/f_k (exact).
 
     Raises NotLogarithmicForFactor(k) when the division fails.  The result
@@ -306,12 +317,12 @@ class SaitoResult:
     pdim: Optional[int]
 
 
-def saito_basis(f: Poly, limits: Limits = DEFAULT_LIMITS,
-                gens: Optional[Sequence[LogDerivation]] = None) -> SaitoResult:
+def saito_basis(f: Poly, gens: Optional[Sequence[LogDerivation]] = None
+                ) -> SaitoResult:
     """Search for n generators whose coefficient determinant is unit * f.
 
     gens, when given, are the Der(-log f) generators log_derivations(f,
-    "log", limits) already computed by the caller.
+    "log") already computed by the caller.
 
     Candidates: the <= 2n lowest-degree generators (homogeneous ones
     preferred).  If no subset certifies freeness, fall back to a projective
@@ -320,7 +331,7 @@ def saito_basis(f: Poly, limits: Limits = DEFAULT_LIMITS,
     """
     n = f.ctx.n
     if gens is None:
-        gens = log_derivations(f, "log", limits)
+        gens = log_derivations(f, "log")
     gens = sorted(gens, key=lambda d: (d.degree(), not d.is_homogeneous()))
     pool = gens[: 2 * n]
     for subset in itertools.combinations(range(len(pool)), n):
@@ -337,15 +348,14 @@ def saito_basis(f: Poly, limits: Limits = DEFAULT_LIMITS,
     if not vectors:
         return SaitoResult(None, None, None)
     try:
-        from .gb import vector_degree
         weights = [1] * f.ctx.n
         ambient_shifts = [0] * f.ctx.n + [1]
         gen_degs = [vector_degree(v, weights, ambient_shifts) for v in vectors]
-        rels = syzygies(vectors, limits=limits)
+        rels = syzygies(vectors)
         pres = GradedModulePresentation(
             f.ctx, weights, len(vectors), rels, shifts=gen_degs,
         )
-        res = graded_free_resolution(pres, limits)
+        res = graded_free_resolution(pres)
         return SaitoResult(None, None, res.pdim)
     except (NonHomogeneousInput, ResourceLimit):
         return SaitoResult(None, None, None)
@@ -427,44 +437,18 @@ def _positive_weight_vector(exps, n) -> Optional[List[int]]:
         if all(x > 0 for x in w):
             den = 1
             for x in w:
-                den = den * x.denominator // _gcd(den, x.denominator)
+                den = den * x.denominator // math.gcd(den, x.denominator)
             wi = [int(x * den) for x in w]
             g = 0
             for x in wi:
-                g = _gcd(g, x)
+                g = math.gcd(g, x)
             return [x // g for x in wi]
     return None
 
 
-def _gcd(a, b):
-    import math
-    return math.gcd(int(a), int(b))
-
-
 def _nullspace(rows, n) -> List[List[Fraction]]:
     """Basis of the rational nullspace of the given row vectors."""
-    m = [list(map(Fraction, r)) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                lam = m[i][c]
-                m[i] = [a - lam * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
+    m, pivots = row_reduce(rows, n)
     free = [c for c in range(n) if c not in pivots]
     basis = []
     for fc in free:
@@ -480,7 +464,7 @@ def _nullspace(rows, n) -> List[List[Fraction]]:
 # tameness
 
 
-def tameness_check(f: Poly, limits: Limits = DEFAULT_LIMITS):
+def tameness_check(f: Poly):
     """("yes"/"no"/"unknown", reason).  n <= 3 is automatically tame;
     otherwise test pdim(Omega^k(log f)) <= k for 1 <= k <= n, where
     Omega^k(log f) = {eta in Omega^k : df ^ eta in f*Omega^(k+1)}."""
@@ -490,7 +474,7 @@ def tameness_check(f: Poly, limits: Limits = DEFAULT_LIMITS):
     table = {}
     try:
         for k in range(1, n + 1):
-            pd = _log_forms_pdim(f, k, limits)
+            pd = _log_forms_pdim(f, k)
             table[k] = pd
             if pd > k:
                 return ("no", f"pdim Omega^{k}(log f) = {pd} > {k}; table {table}")
@@ -499,7 +483,7 @@ def tameness_check(f: Poly, limits: Limits = DEFAULT_LIMITS):
         return ("unknown", f"resource limit: {e}; partial table {table}")
 
 
-def _log_forms_pdim(f: Poly, k: int, limits: Limits) -> int:
+def _log_forms_pdim(f: Poly, k: int) -> int:
     """pdim of Omega^k(log f) inside the free module on basis dx_I, |I|=k."""
     ctx = f.ctx
     n = ctx.n
@@ -526,7 +510,7 @@ def _log_forms_pdim(f: Poly, k: int, limits: Limits) -> int:
         col = [zero] * len(J_list)
         col[pos[J]] = f
         cols.append(tuple(col))
-    syz = syzygies(cols, limits=limits)
+    syz = syzygies(cols)
     gens = []
     for s in syz:
         head = tuple(s[: len(I_list)])
@@ -534,13 +518,12 @@ def _log_forms_pdim(f: Poly, k: int, limits: Limits) -> int:
             gens.append(head)
     if not gens:
         return 0
-    from .gb import vector_degree
     weights = [1] * n
     gen_degs = [vector_degree(v, weights, [0] * len(I_list)) for v in gens]
-    rels = syzygies(gens, limits=limits)
+    rels = syzygies(gens)
     pres = GradedModulePresentation(ctx, weights, len(gens), rels,
                                     shifts=gen_degs)
-    res = graded_free_resolution(pres, limits)
+    res = graded_free_resolution(pres)
     return res.pdim
 
 
@@ -548,8 +531,7 @@ def _log_forms_pdim(f: Poly, k: int, limits: Limits) -> int:
 # Koszul-freeness and reducedness
 
 
-def koszul_free_check(f: Poly, basis: Sequence[LogDerivation],
-                      limits: Limits = DEFAULT_LIMITS) -> bool:
+def koszul_free_check(f: Poly, basis: Sequence[LogDerivation]) -> bool:
     """Do the (0,1) symbols of a Saito basis form a regular sequence in
     Q[x,y]?  Tested by successive colon-ideal stabilization."""
     n = f.ctx.n
@@ -563,8 +545,8 @@ def koszul_free_check(f: Poly, basis: Sequence[LogDerivation],
         symbols.append(s)
     prev: List[Poly] = []
     for s in symbols:
-        I = IdealHandle(prev) if prev else IdealHandle.zero(sym)
-        C = ideal_colon(I, s, limits)
+        I = IdealHandle(prev, ctx=sym)
+        C = ideal_colon(I, s)
         if not I.contains_ideal(C):
             return False
         prev.append(s)
@@ -572,7 +554,7 @@ def koszul_free_check(f: Poly, basis: Sequence[LogDerivation],
     return not IdealHandle(symbols).is_unit_ideal()
 
 
-def saito_holonomic_check(f: Poly, limits: Limits = DEFAULT_LIMITS,
+def saito_holonomic_check(f: Poly,
                           gens: Optional[Sequence[LogDerivation]] = None
                           ) -> Tuple[str, str]:
     """Rank stratification of the log-derivation module (gens as in
@@ -587,7 +569,7 @@ def saito_holonomic_check(f: Poly, limits: Limits = DEFAULT_LIMITS,
     ctx = f.ctx
     n = ctx.n
     if gens is None:
-        gens = log_derivations(f, "log", limits)
+        gens = log_derivations(f, "log")
     rows = [[d.coeffs[j] for j in range(n)] for d in gens]
     for i in range(n):
         minors = []
@@ -599,7 +581,7 @@ def saito_holonomic_check(f: Poly, limits: Limits = DEFAULT_LIMITS,
         if not minors:
             # fiber rank <= i everywhere: the top stratum itself is too big
             return ("no", f"fiber rank <= {i} on all of affine {n}-space")
-        d = krull_dimension(IdealHandle(minors, limits=limits), limits)
+        d = krull_dimension(IdealHandle(minors))
         if d > i:
             return ("no", f"rank-<={i} locus of the log-derivation fibers "
                           f"has dimension {d}")
@@ -607,7 +589,7 @@ def saito_holonomic_check(f: Poly, limits: Limits = DEFAULT_LIMITS,
                    "dimension at most i")
 
 
-def reducedness_check(f: Poly, limits: Limits = DEFAULT_LIMITS):
+def reducedness_check(f: Poly):
     """("yes"/"no"/"unknown", reason): f squarefree iff ((f) : Jac(f)) = (f).
 
     Over Q in characteristic zero the colon strictly grows exactly when f
@@ -621,7 +603,7 @@ def reducedness_check(f: Poly, limits: Limits = DEFAULT_LIMITS):
     try:
         F = IdealHandle([f])
         J = IdealHandle(jac)
-        C = ideal_colon_ideal(F, J, limits)
+        C = ideal_colon_ideal(F, J)
         if F.contains_ideal(C):
             return ("yes", "(f):Jac(f) = (f)")
         return ("no", "(f):Jac(f) strictly contains (f)")

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .gb import DEFAULT_LIMITS, IdealHandle, Limits, ideal_colon
+from .gb import IdealHandle, ideal_colon
 from .liouville import build_liouville_ideals
-from .logder import FactorizationSpec, euler_and_seh_check
+from .logder import FactorizationSpec, euler_and_seh_check, required_hold
 from .ring import MonomialOrder, Poly
 from .weyl import WeylContext, WeylOp, left_normal_form, weyl_left_gb
 
@@ -37,20 +37,18 @@ class NablaReport:
 
 
 def _specialized_generators(fspec: FactorizationSpec,
-                            A: Sequence[Fraction],
-                            limits: Limits) -> List[WeylOp]:
+                            A: Sequence[Fraction]) -> List[WeylOp]:
     """theta_F at S = A-1, plus f, all in plain D_n."""
     shift = {name: Fraction(a) - 1
              for name, a in zip(fspec.weyl.s_names, A)}
     gens = [t.subs_s(shift).drop_s_context()
-            for t in fspec.theta_generators(limits)]
+            for t in fspec.theta_generators()]
     ctx0 = WeylContext(fspec.x_names, [])
     gens.append(WeylOp.from_poly(ctx0, fspec.f))
     return gens
 
 
 def nabla_surjective(fspec: FactorizationSpec, A: Sequence[Fraction],
-                     limits: Limits = DEFAULT_LIMITS,
                      assume_hypotheses: bool = False) -> NablaReport:
     """Is the shift-by-one map at the point A onto?
 
@@ -62,13 +60,13 @@ def nabla_surjective(fspec: FactorizationSpec, A: Sequence[Fraction],
     A = tuple(Fraction(a) for a in A)
     if len(A) != fspec.r:
         raise ValueError("point length must match the number of factors")
-    gens = _specialized_generators(fspec, A, limits)
+    gens = _specialized_generators(fspec, A)
     ctx0 = gens[-1].ctx
     order = MonomialOrder.grevlex()
-    G = weyl_left_gb(gens, order, limits)
+    G = weyl_left_gb(gens, order)
     one = WeylOp.const(ctx0, Fraction(1))
     steps: list = []
-    rem = left_normal_form(one, G, order, limits, steps=steps)
+    rem = left_normal_form(one, G, order, steps=steps)
     surjective = rem.is_zero()
     certificate = None
     if surjective:
@@ -80,10 +78,9 @@ def nabla_surjective(fspec: FactorizationSpec, A: Sequence[Fraction],
             raise AssertionError("membership certificate failed to multiply out")
         certificate = cof
 
-    hyps = fspec.check_hypotheses(limits)
+    hyps = fspec.check_hypotheses()
     flag = lambda k: hyps[k][0] == "yes"
-    full = assume_hypotheses or all(
-        flag(k) for k in ("strong_euler_origin", "saito_holonomic", "tame"))
+    full = assume_hypotheses or required_hold(hyps)
     iff_case = (flag("reduced") and flag("free")
                 and (assume_hypotheses
                      or (flag("strong_euler_origin") and flag("saito_holonomic"))))
@@ -136,7 +133,6 @@ class SRegularityReport:
 
 
 def s_regularity_check(fspec: FactorizationSpec,
-                       limits: Limits = DEFAULT_LIMITS,
                        s_order: Optional[Sequence[int]] = None
                        ) -> SRegularityReport:
     """Are s_1, ..., s_r a regular sequence on Q[x,y,S]/Ltilde_F?
@@ -145,7 +141,7 @@ def s_regularity_check(fspec: FactorizationSpec,
     the quotient by all of S must collapse to the single-factor picture:
     Ltilde + (S) = L_f + (gr E) + (S), with E an Euler derivation of f.
     """
-    data = build_liouville_ideals(fspec, limits)
+    data = build_liouville_ideals(fspec)
     sym = fspec.symbol_vc
     s_names = fspec.weyl.s_names
     idx = list(s_order) if s_order is not None else list(range(fspec.r))
@@ -157,17 +153,17 @@ def s_regularity_check(fspec: FactorizationSpec,
     steps: List[Tuple[str, bool]] = []
     passed = True
     for i in idx:
-        J = IdealHandle(base + taken, limits=limits)
+        J = IdealHandle(base + taken)
         s_i = Poly.var(sym, s_names[i])
-        C = ideal_colon(J, s_i, limits)
+        C = ideal_colon(J, s_i)
         stable = J.contains_ideal(C)
         steps.append((s_names[i], stable))
         passed = passed and stable
         taken.append(s_i)
 
-    final = IdealHandle(base + taken, limits=limits)
+    final = IdealHandle(base + taken)
     single = FactorizationSpec(fspec.x_names, [fspec.f])
-    lf = build_liouville_ideals(single, limits).L_F
+    lf = build_liouville_ideals(single).L_F
     target_gens = [g.map_context(sym) for g in lf.gens]
     rep = euler_and_seh_check(fspec.f)
     if rep.euler is None:
@@ -176,7 +172,7 @@ def s_regularity_check(fspec: FactorizationSpec,
     gr_e = Poly.zero(sym)
     for a, y in zip(rep.euler.coeffs, fspec.weyl.y_names):
         gr_e = gr_e + a.map_context(sym) * Poly.var(sym, y)
-    target = IdealHandle(target_gens + [gr_e] + taken, limits=limits)
+    target = IdealHandle(target_gens + [gr_e] + taken)
     match = final.equals(target)
     reason = ("quotient by (S) equals L_f + (gr E)" if match
               else "quotient by (S) differs from L_f + (gr E)")

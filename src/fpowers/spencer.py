@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .gb import DEFAULT_LIMITS, IdealHandle, Limits, ideal_colon
+from .gb import IdealHandle, ideal_colon
 from .logder import (
     FactorizationSpec,
     LogDerivation,
@@ -114,12 +114,11 @@ def structure_constants(basis: Sequence[LogDerivation]
 
 
 def spencer_complex(fspec: FactorizationSpec,
-                    basis: Optional[Sequence[LogDerivation]] = None,
-                    limits: Limits = DEFAULT_LIMITS) -> SpencerComplex:
+                    basis: Optional[Sequence[LogDerivation]] = None
+                    ) -> SpencerComplex:
     """Build the co-complex; requires a free, Koszul-free, reduced divisor."""
     if basis is None:
-        sb = saito_basis(fspec.f, limits,
-                         fspec.log_derivations("log", limits))
+        sb = saito_basis(fspec.f, fspec.log_derivations("log"))
         if not sb.basis:
             raise NotFree("no Saito basis certificate for f")
         basis = sb.basis
@@ -129,10 +128,10 @@ def spencer_complex(fspec: FactorizationSpec,
         q = divide_exact(det, fspec.f)
         if q is None or not q.is_constant() or q.is_zero():
             raise NotFree("supplied basis fails the determinant criterion")
-    if not koszul_free_check(fspec.f, basis, limits):
+    if not koszul_free_check(fspec.f, basis):
         raise NotKoszulFree("basis symbols are not a regular sequence")
 
-    lambdas = [psi_F(d, fspec, limits=limits) for d in basis]
+    lambdas = [psi_F(d, fspec) for d in basis]
     struct = structure_constants(basis)
     wctx = fspec.weyl
     n = len(basis)
@@ -239,8 +238,7 @@ class ChainReport:
     gr_exactness_certificate: bool
 
 
-def verify_chain_conditions(C: SpencerComplex,
-                            limits: Limits = DEFAULT_LIMITS) -> ChainReport:
+def verify_chain_conditions(C: SpencerComplex) -> ChainReport:
     n = C.n
     d2 = all(
         matrix_is_zero(matrix_product(C.differentials[k],
@@ -249,9 +247,9 @@ def verify_chain_conditions(C: SpencerComplex,
     )
 
     order = MonomialOrder.grevlex()
-    theta = C.fspec.theta_generators(limits)
-    ours = LeftIdeal(C.lambdas, order, limits)
-    theirs = LeftIdeal(theta, order, limits)
+    theta = C.fspec.theta_generators()
+    ours = LeftIdeal(C.lambdas, order)
+    theirs = LeftIdeal(theta, order)
     terminal = (all(theirs.member(l) for l in C.lambdas)
                 and all(ours.member(t) for t in theta))
 
@@ -262,13 +260,13 @@ def verify_chain_conditions(C: SpencerComplex,
     gr_ok = True
     prev: List[Poly] = []
     for s in symbols:
-        I = IdealHandle(prev, limits=limits) if prev else IdealHandle.zero(sym)
-        col = ideal_colon(I, s, limits)
+        I = IdealHandle(prev, ctx=sym)
+        col = ideal_colon(I, s)
         if not I.contains_ideal(col):
             gr_ok = False
             break
         prev.append(s)
-    if gr_ok and IdealHandle(symbols, limits=limits).is_unit_ideal():
+    if gr_ok and IdealHandle(symbols).is_unit_ideal():
         gr_ok = False
     return ChainReport(d2, terminal, gr_ok)
 

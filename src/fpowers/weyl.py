@@ -8,17 +8,18 @@ are central.  WeylOp is a ring.TermMap, like Poly: storage, equality,
 parser (parse_weyl) are the ones of ring.py.  This module adds only the
 normal-ordered product (weyl_multiply) and the x/d/s helpers of WeylOp.
 Left Groebner bases run on the one engine of gb.py (gb.buchberger and
-gb.interreduce, under gb.Limits) without the product criterion, which is
-unsound in a noncommutative algebra; this module adds only their step
-(left S-pair, left normal form) and the left normal form.  That runs on
-ring.reduce_in_place: each multiple x^a d^b s^w * g is normal-ordered term
-by term straight into the working term map, and a basis computation
-shares one KeyCache of order keys and its leading exponents with every
-division it makes.  No cofactors are carried along: a basis is a
-LeftBasis, which logs where each element came from (a generator, or an
-S-pair and the (k, m, c) steps of its reduction), and LeftBasis.cofactors
-rebuilds the combination of the generators for one element of the ideal
-afterwards, along only the elements its division used.
+gb.interreduce, under the gb.Limits in effect) without the product
+criterion, which is unsound in a noncommutative algebra; this module adds
+only their step (left S-pair, left normal form) and the left normal form.
+That runs on ring.reduce_in_place: each multiple x^a d^b s^w * g is
+normal-ordered term by term straight into the working term map, and a
+basis computation shares one KeyCache of order keys and its leading
+exponents with every division it makes.  No cofactors are carried along: a
+basis is a LeftBasis, which logs where each element came from (a
+generator, or an S-pair and the (k, m, c) steps of its reduction), and
+LeftBasis.cofactors rebuilds the combination of the generators for one
+element of the ideal afterwards, along only the elements its division
+used.
 
 The action on F^S (apply_to_FS) is grouped by derivative pattern: an
 operator is sum_b p_b(x, S) d^b, each d^b . F^S is derived once from its
@@ -45,8 +46,7 @@ from .ring import (
     reduce_in_place,
 )
 from .gb import (
-    DEFAULT_LIMITS, Limits, ResourceLimit, buchberger, interreduce,
-    s_pair_multipliers,
+    Limits, ResourceLimit, buchberger, interreduce, s_pair_multipliers,
 )
 
 
@@ -415,7 +415,6 @@ def transpose_tau(P: WeylOp) -> WeylOp:
 
 
 def left_normal_form(P: WeylOp, basis: Sequence[WeylOp], order: MonomialOrder,
-                     limits: Limits = DEFAULT_LIMITS,
                      leads: Optional[Sequence[Exp]] = None,
                      keys: Optional[KeyCache] = None,
                      steps: Optional[list] = None) -> WeylOp:
@@ -446,11 +445,12 @@ def left_normal_form(P: WeylOp, basis: Sequence[WeylOp], order: MonomialOrder,
                 for t in _term_product(ctx, m, coef, ge, gc).items()]
     work = dict(P.terms)
     rem: Dict[Exp, Fraction] = {}
+    bound = Limits.current().max_degree
     try:
-        reduce_in_place(work, leads, keys, multiple, rem, limits.max_degree)
+        reduce_in_place(work, leads, keys, multiple, rem, bound)
     except DegreeBoundExceeded:
         raise ResourceLimit(f"total degree {max(map(sum, work))} exceeds "
-                            f"bound {limits.max_degree}") from None
+                            f"bound {bound}") from None
     out = WeylOp(ctx)
     out.terms = rem
     return out
@@ -527,8 +527,7 @@ def _grouped(ctx: WeylContext, steps) -> Dict[int, WeylOp]:
     return out
 
 
-def weyl_left_gb(gens: Sequence[WeylOp], order: MonomialOrder,
-                 limits: Limits = DEFAULT_LIMITS) -> LeftBasis:
+def weyl_left_gb(gens: Sequence[WeylOp], order: MonomialOrder) -> LeftBasis:
     """Reduced left Groebner basis of the left ideal generated by gens.
 
     Only the chain criterion is used; the product criterion is unsound
@@ -547,6 +546,7 @@ def weyl_left_gb(gens: Sequence[WeylOp], order: MonomialOrder,
     if not G:
         return LeftBasis([], gens, origin, steps, [])
 
+    limits = Limits.current()
     keys = KeyCache(order.key)
     leading = keys.__getitem__
     lead = [max(g.terms, key=leading) for g in G]
@@ -555,8 +555,7 @@ def weyl_left_gb(gens: Sequence[WeylOp], order: MonomialOrder,
         mi, mj = s_pair_multipliers(G[i], lead[i], G[j], lead[j], l)
         s = mi * G[i] - mj * G[j]
         log: list = []
-        r = left_normal_form(s, G, order, limits, leads=lead, keys=keys,
-                             steps=log)
+        r = left_normal_form(s, G, order, leads=lead, keys=keys, steps=log)
         if r.is_zero():
             return None
         limits.check_poly(r)
@@ -565,14 +564,12 @@ def weyl_left_gb(gens: Sequence[WeylOp], order: MonomialOrder,
         steps.append(log)
         lead.append(max(r.terms, key=leading))
         return lead[-1], 0
-    buchberger(order.key, [(e, 0) for e in lead], step, limits,
+    buchberger(order.key, [(e, 0) for e in lead], step,
                coprime_criterion=False)
-    return _reduce_left_basis(G, (gens, origin, steps), order, limits,
-                              lead, keys)
+    return _reduce_left_basis(G, (gens, origin, steps), order, lead, keys)
 
 
-def _reduce_left_basis(G, log, order, limits, leads=None,
-                       keys=None) -> LeftBasis:
+def _reduce_left_basis(G, log, order, leads=None, keys=None) -> LeftBasis:
     """gb.interreduce for operators, as a LeftBasis with the log
     (gens, origin, steps) of G.  A basis computation passes its leads and
     KeyCache as in left_normal_form."""
@@ -584,7 +581,7 @@ def _reduce_left_basis(G, log, order, limits, leads=None,
 
     def divide(i, rest):
         tail: list = []
-        r = left_normal_form(G[i], [G[k] for k in rest], order, limits,
+        r = left_normal_form(G[i], [G[k] for k in rest], order,
                              leads=[leads[k] for k in rest], keys=keys,
                              steps=tail)
         tails[i] = [(rest[k], m, c) for k, m, c in tail]
@@ -595,22 +592,21 @@ def _reduce_left_basis(G, log, order, limits, leads=None,
 
 
 class LeftIdeal:
-    """Left ideal handle with a cached reduced left basis."""
+    """Left ideal handle with a cached reduced left basis, computed on
+    first use under the bound then in effect."""
 
-    def __init__(self, gens: Sequence[WeylOp], order: MonomialOrder,
-                 limits: Limits = DEFAULT_LIMITS):
+    def __init__(self, gens: Sequence[WeylOp], order: MonomialOrder):
         self.gens = [g for g in gens if not g.is_zero()]
         self.order = order
-        self.limits = limits
         self._gb: Optional[List[WeylOp]] = None
 
     def gb(self) -> List[WeylOp]:
         if self._gb is None:
-            self._gb = weyl_left_gb(self.gens, self.order, self.limits)
+            self._gb = weyl_left_gb(self.gens, self.order)
         return self._gb
 
     def member(self, P: WeylOp) -> bool:
-        return left_normal_form(P, self.gb(), self.order, self.limits).is_zero()
+        return left_normal_form(P, self.gb(), self.order).is_zero()
 
     def contains_one(self) -> bool:
         g = self.gb()

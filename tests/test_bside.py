@@ -402,3 +402,28 @@ def test_diagonal_restriction_three_lines():
 def test_coarsen_requires_two_factors():
     with pytest.raises(ValueError):
         coarsen_last_two(F_x())
+
+
+def test_bs_ideal_and_witness_share_one_elimination_basis(monkeypatch):
+    # one left basis per spec and bound: B_F reads its S-part, the witness
+    # divides by it; another bound builds its own
+    from fpowers import bside, weyl
+    from fpowers.gb import Limits
+    calls = []
+    real = weyl.weyl_left_gb
+
+    def counted(gens, order):
+        calls.append(len(gens))
+        return real(gens, order)
+    monkeypatch.setattr(weyl, "weyl_left_gb", counted)
+    monkeypatch.setattr(bside, "weyl_left_gb", counted)
+    F = FactorizationSpec(["x", "y"], [p("x^2 + y^3", VC2)])
+    B = bs_ideal(F)
+    Q = functional_equation_witness(F, B.gb[0])
+    assert not Q.is_zero()
+    assert len(calls) == 1
+    assert bs_ideal(F).gb == B.gb
+    assert len(calls) == 1
+    with Limits(max_degree=59):
+        assert bs_ideal(F).gb == B.gb
+    assert len(calls) == 2

@@ -492,3 +492,83 @@ def test_left_basis_degree_bound_message():
                         "--max-degree", "3")
     assert code == 3
     assert payload["error"] == "resource limit: total degree 4 exceeds bound 3"
+
+
+@pytest.mark.parametrize("order", ["revlex", 5, None])
+def test_bad_order_option_in_file_is_usage_error(tmp_path, order):
+    # it used to exit 0, echo the value and report under grevlex
+    prob = _problem_with_options(tmp_path, {"order": order})
+    code, payload = run("hypotheses", "--input", prob)
+    assert code == 1
+    assert payload["error"] == ('option "order" must be one of '
+                                f"['grevlex', 'lex'], not {order!r}")
+    assert "options" not in payload
+
+
+def test_order_option_in_file_is_echoed(tmp_path):
+    for order in ("grevlex", "lex"):
+        prob = _problem_with_options(tmp_path, {"order": order})
+        code, payload = run("hypotheses", "--input", prob)
+        assert code == 0
+        assert payload["options"]["order"] == order
+
+
+# ------------------------------------------------------- one bound per request
+
+
+def _spy_on_bases(monkeypatch):
+    """(function name, (max_degree, max_basis)) of the bound in effect at
+    every groebner_basis and weyl_left_gb call, wherever a module of the
+    package binds those names."""
+    import importlib
+    from fpowers import gb, weyl
+    seen = []
+    modules = [importlib.import_module(f"fpowers.{name}")
+               for name in ("arrange", "bside", "cli", "gb", "liouville",
+                            "logder", "nabla", "spencer", "weyl")]
+    for real in (gb.groebner_basis, weyl.weyl_left_gb):
+        def spy(*args, real=real, **kwargs):
+            bound = gb.Limits.current()
+            seen.append((real.__name__, (bound.max_degree, bound.max_basis)))
+            return real(*args, **kwargs)
+        for mod in modules:
+            for name, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, name, spy)
+    return seen
+
+
+@pytest.mark.parametrize("cmd", ["hypotheses", "gr-check", "regularity",
+                                 "liouville", "spencer"])
+def test_every_basis_of_a_request_sees_its_bound(monkeypatch, cmd):
+    # each of these commands used to run one to three bases under the
+    # default bound whatever the request asked for
+    from fpowers.gb import DEFAULT_LIMITS, Limits
+    seen = _spy_on_bases(monkeypatch)
+    code, payload = run(cmd, "--input", DATA / "ex_xy.json",
+                        "--max-degree", "7", "--max-basis", "900")
+    assert code == 0
+    assert seen
+    assert {bound for _, bound in seen} == {(7, 900)}
+    assert Limits.current() is DEFAULT_LIMITS
+
+
+def test_resource_limit_leaves_the_default_bound(monkeypatch):
+    from fpowers.gb import DEFAULT_LIMITS, Limits
+    code, _ = run("bs-ideal", "--input", DATA / "ex_mixed.json",
+                  "--max-degree", "3")
+    assert code == 3
+    assert Limits.current() is DEFAULT_LIMITS
+    seen = _spy_on_bases(monkeypatch)
+    code, _ = run("logder", "--input", DATA / "ex_xy.json")
+    assert code == 0
+    assert {bound for _, bound in seen} <= {(60, 20000)}
+
+
+def test_witness_without_form_builds_one_elimination_basis(monkeypatch):
+    # bs_ideal and the witness share the spec's elimination basis
+    seen = _spy_on_bases(monkeypatch)
+    code, payload = run("witness", "--input", DATA / "ex_xy.json")
+    assert code == 0
+    assert payload["results"]["verified"] is True
+    assert [name for name, _ in seen].count("weyl_left_gb") == 1

@@ -289,10 +289,10 @@ def test_gb_certification_all_s_pairs_reduce():
 
 
 def test_resource_limit_raises():
-    lim = Limits(max_degree=3, max_basis=20000)
-    I = IdealHandle([p("x^5 + y"), p("y^4 - x")], limits=lim)
-    with pytest.raises(ResourceLimit):
-        I.gb()
+    I = IdealHandle([p("x^5 + y"), p("y^4 - x")])
+    with Limits(max_degree=3, max_basis=20000):
+        with pytest.raises(ResourceLimit):
+            I.gb()
 
 
 # ======================================================================
@@ -355,7 +355,7 @@ def _reference_module_gb(vectors, mo):
         mj = Poly.monomial(ctx, exp_sub(l, lead[j]),
                            Fraction(1) / G[j][pos].terms[lead[j]])
         s = gb._vec_sub(gb._vec_scale(G[i], mi), gb._vec_scale(G[j], mj))
-        r = gb._vec_reduce(s, G, leads, mo, gb.DEFAULT_LIMITS)
+        r = gb._vec_reduce(s, G, leads, mo)
         if gb._vec_is_zero(r):
             continue
         G.append(r)
@@ -402,9 +402,9 @@ def test_queue_matches_min_selection_module_syzygy(queue_pops, monkeypatch):
     real = gb._module_gb
     seen = []
 
-    def spy(vectors, mo, limits=gb.DEFAULT_LIMITS):
+    def spy(vectors, mo):
         del queue_pops[:]
-        got = real(vectors, mo, limits)
+        got = real(vectors, mo)
         ref, ref_pops = _reference_module_gb(vectors, mo)
         assert got == ref
         assert queue_pops == ref_pops
@@ -450,12 +450,13 @@ def test_pair_keys_computed_once(monkeypatch):
 # replaced (kept here only, as references)
 
 
-def _old_normal_form(p, basis, order, limits=gb.DEFAULT_LIMITS,
-                     leads=None, keys=None):
+def _old_normal_form(p, basis, order, leads=None, keys=None):
     """Re-keys every basis lead per call, rescans the working polynomial
-    for its lead and copies it on every step; leads and keys are ignored."""
+    for its lead and copies it on every step; leads and keys are ignored.
+    It checks the bound in effect, as the library does."""
     if not basis:
         return p
+    limits = Limits.current()
     lead = [(g.leading_exp(order), g) for g in basis if not g.is_zero()]
     rem = Poly.zero(p.ctx)
     work = p
@@ -491,7 +492,8 @@ def _old_vec_lead(v, mo, keys=None):
     return best
 
 
-def _old_vec_reduce(v, basis, leads, mo, limits, keys=None):
+def _old_vec_reduce(v, basis, leads, mo, keys=None):
+    limits = Limits.current()
     ctx = v[0].ctx
     rem = tuple(Poly.zero(ctx) for _ in v)
     work = v
@@ -632,12 +634,12 @@ def test_resource_limit_on_same_inputs_as_old_loop(old_division):
     def outcomes():
         out = []
         for d in (2, 3, 4, 5):
-            lim = Limits(max_degree=d)
-            out += [_outcome(groebner_basis, gens, order, lim)
-                    for gens, order in inputs]
-            out += [_outcome(gb.normal_form, t, basis, MonomialOrder.lex(),
-                             lim) for t in targets]
-            out.append(_outcome(syzygies, vecs, order, lim))
+            with Limits(max_degree=d):
+                out += [_outcome(groebner_basis, gens, order)
+                        for gens, order in inputs]
+                out += [_outcome(gb.normal_form, t, basis,
+                                 MonomialOrder.lex()) for t in targets]
+                out.append(_outcome(syzygies, vecs, order))
         return out
     got = outcomes()
     old_division()
@@ -694,9 +696,11 @@ def test_division_keys_each_exponent_once(monkeypatch):
 # separate loops it replaced (kept here only, as references)
 
 
-def _old_groebner_basis(gens, order, limits=gb.DEFAULT_LIMITS):
-    """Reduced Groebner basis by its own pair loop."""
+def _old_groebner_basis(gens, order):
+    """Reduced Groebner basis by its own pair loop, under the bound in
+    effect."""
     from fpowers.ring import KeyCache
+    limits = Limits.current()
     G = []
     for g in gens:
         if not g.is_zero():
@@ -718,7 +722,7 @@ def _old_groebner_basis(gens, order, limits=gb.DEFAULT_LIMITS):
             continue
         s = gb._s_poly(G[i], G[j], order, lead[i], lead[j])
         limits.check_poly(s)
-        r = normal_form(s, G, order, limits, leads=lead, keys=keys)
+        r = normal_form(s, G, order, leads=lead, keys=keys)
         if r.is_zero():
             continue
         limits.check_poly(r)
@@ -726,11 +730,10 @@ def _old_groebner_basis(gens, order, limits=gb.DEFAULT_LIMITS):
         limits.check_size(len(G))
         queue.add(max(r.terms, key=leading))
 
-    return _old_reduce_basis(G, order, limits, leads=lead, keys=keys)
+    return _old_reduce_basis(G, order, leads=lead, keys=keys)
 
 
-def _old_reduce_basis(G, order, limits=gb.DEFAULT_LIMITS, leads=None,
-                      keys=None):
+def _old_reduce_basis(G, order, leads=None, keys=None):
     """Minimal, tail-reduced, monic basis by its own minimalization."""
     from fpowers.ring import KeyCache
     if keys is None:
@@ -755,7 +758,7 @@ def _old_reduce_basis(G, order, limits=gb.DEFAULT_LIMITS, leads=None,
     for i in keep:
         rest = [k for k in keep if k != i]
         g = G[i]
-        r = normal_form(g, [G[k] for k in rest], order, limits,
+        r = normal_form(g, [G[k] for k in rest], order,
                         leads=[leads[k] for k in rest], keys=keys) \
             if rest else g
         if not r.is_zero():
@@ -765,9 +768,11 @@ def _old_reduce_basis(G, order, limits=gb.DEFAULT_LIMITS, leads=None,
     return [g for _, g in out]
 
 
-def _old_module_gb(vectors, mo, limits=gb.DEFAULT_LIMITS):
-    """Module basis by its own pair loop, multipliers built by hand."""
+def _old_module_gb(vectors, mo):
+    """Module basis by its own pair loop, multipliers built by hand, under
+    the bound in effect."""
     from fpowers.ring import KeyCache
+    limits = Limits.current()
     G = [v for v in vectors if not gb._vec_is_zero(v)]
     if not G:
         return []
@@ -789,7 +794,7 @@ def _old_module_gb(vectors, mo, limits=gb.DEFAULT_LIMITS):
         mi = Poly.monomial(ctx, exp_sub(l, li), Fraction(1) / ci)
         mj = Poly.monomial(ctx, exp_sub(l, lj), Fraction(1) / cj)
         s = gb._vec_sub(gb._vec_scale(G[i], mi), gb._vec_scale(G[j], mj))
-        r = gb._vec_reduce(s, G, leads, mo, limits, keys=keys)
+        r = gb._vec_reduce(s, G, leads, mo, keys=keys)
         if gb._vec_is_zero(r):
             continue
         G.append(r)
@@ -888,19 +893,62 @@ def test_engine_resource_limits_match_old_loop():
         return ref
     got, ref, expected = [], [], []
     for lim in limits:
-        for order, gens in ideals:
-            got.append(exact(_outcome(groebner_basis, gens, order, lim)))
-            ref.append(exact(_outcome(_old_groebner_basis, gens, order,
-                                      lim)))
-            expected.append(early(sum(not g.is_zero() for g in gens), lim,
-                                  ref[-1]))
-        for mo, aug in modules:
-            got.append(exact(_outcome(gb._module_gb, aug, mo, lim)))
-            ref.append(exact(_outcome(_old_module_gb, aug, mo, lim)))
-            expected.append(early(sum(not gb._vec_is_zero(v) for v in aug),
-                                  lim, ref[-1]))
+        with lim:
+            for order, gens in ideals:
+                got.append(exact(_outcome(groebner_basis, gens, order)))
+                ref.append(exact(_outcome(_old_groebner_basis, gens,
+                                          order)))
+                expected.append(early(sum(not g.is_zero() for g in gens),
+                                      lim, ref[-1]))
+            for mo, aug in modules:
+                got.append(exact(_outcome(gb._module_gb, aug, mo)))
+                ref.append(exact(_outcome(_old_module_gb, aug, mo)))
+                expected.append(early(sum(not gb._vec_is_zero(v)
+                                          for v in aug), lim, ref[-1]))
     assert got == expected
     assert 0 < sum(e != r for e, r in zip(expected, ref)) < len(ref) // 4
     messages = {o[1].split()[0] for o in ref if isinstance(o, tuple)}
     assert messages == {"total", "basis"}
     assert sum(isinstance(o, list) for o in ref) > len(ref) // 4
+
+
+# ======================================================================
+# the bound in effect: one per request, set by a with block
+
+
+def test_limits_block_restores_the_outer_bound():
+    assert Limits.current() is gb.DEFAULT_LIMITS
+    outer, inner = Limits(max_degree=9), Limits(max_degree=3)
+    with outer:
+        assert Limits.current() is outer
+        with inner:
+            assert Limits.current() is inner
+            with outer:
+                assert Limits.current() is outer
+            assert Limits.current() is inner
+        assert Limits.current() is outer
+        with pytest.raises(ResourceLimit), inner:
+            groebner_basis([p("x^5 + y"), p("y^4 - x")],
+                           MonomialOrder.grevlex())
+        assert Limits.current() is outer
+        groebner_basis([p("x^5 + y"), p("y^4 - x")], MonomialOrder.grevlex())
+    assert Limits.current() is gb.DEFAULT_LIMITS
+
+
+def test_no_function_takes_a_limits_parameter():
+    # the bound is read from Limits.current(), never handed along, so no
+    # call can forget it
+    import ast
+    from pathlib import Path
+    found = []
+    for path in sorted(Path(gb.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+                a = node.args
+                names = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs]
+                names += [x.arg for x in (a.vararg, a.kwarg) if x]
+                if "limits" in names:
+                    found.append((path.name, getattr(node, "name", "lambda")))
+    assert found == []
+    assert not hasattr(IdealHandle([p("x")]), "limits")

@@ -332,9 +332,9 @@ def test_spec_computes_log_derivations_once(monkeypatch):
     calls = []
     real = logder.log_derivations
 
-    def counted(f, variant="log", limits=logder.DEFAULT_LIMITS):
+    def counted(f, variant="log"):
         calls.append(variant)
-        return real(f, variant, limits)
+        return real(f, variant)
     monkeypatch.setattr(logder, "log_derivations", counted)
     F = FactorizationSpec(["x", "y"], [p2("x^2 + y^3")])
     theta = F.theta_generators()
@@ -370,8 +370,8 @@ def test_hypothesis_resource_limit_leaves_no_table():
     from fpowers.bside import bs_ideal
     from fpowers.gb import Limits, ResourceLimit
     F = FactorizationSpec(["x", "y"], [p2("x^3 + y^4")])
-    with pytest.raises(ResourceLimit):
-        F.check_hypotheses(Limits(max_degree=2))
+    with pytest.raises(ResourceLimit), Limits(max_degree=2):
+        F.check_hypotheses()
     h = F.check_hypotheses()
     assert set(h) == _ALL_HYPOTHESES
     assert h == FactorizationSpec(["x", "y"], [p2("x^3 + y^4")]) \
@@ -385,19 +385,22 @@ def test_hypothesis_table_kept_per_bounds(monkeypatch):
     calls = []
     real = logder.reducedness_check
 
-    def counted(f, limits=logder.DEFAULT_LIMITS):
+    def counted(f):
+        limits = Limits.current()
         calls.append((limits.max_degree, limits.max_basis))
-        return real(f, limits)
+        return real(f)
     monkeypatch.setattr(logder, "reducedness_check", counted)
     F = FactorizationSpec(["x", "y"], [p2("x"), p2("y"), p2("x + y")])
     tight = Limits(max_degree=3)
     # under the tight bound the colon ideal is out of reach
-    assert F.check_hypotheses(tight)["reduced"][0] == "unknown"
+    with tight:
+        assert F.check_hypotheses()["reduced"][0] == "unknown"
     assert F.check_hypotheses()["reduced"][0] == "yes"
-    assert F.check_hypotheses(tight)["reduced"][0] == "unknown"
+    with tight:
+        assert F.check_hypotheses()["reduced"][0] == "unknown"
     assert F.check_hypotheses()["reduced"][0] == "yes"
-    default = (logder.DEFAULT_LIMITS.max_degree,
-               logder.DEFAULT_LIMITS.max_basis)
+    from fpowers.gb import DEFAULT_LIMITS
+    default = (DEFAULT_LIMITS.max_degree, DEFAULT_LIMITS.max_basis)
     assert calls == [(3, tight.max_basis), default]
     # callers get their own dict
     F.check_hypotheses().clear()

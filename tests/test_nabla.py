@@ -143,7 +143,7 @@ def test_not_onto_costs_no_more_products_than_the_basis(monkeypatch):
         return real(P, Q)
     for F, A in ((F_lines(), [0, 0, 0]), (F_mixed(), [0, 0]),
                  (F_lines(), [Fraction(1, 3)] * 3)):
-        gens = nabla._specialized_generators(F, A, nabla.DEFAULT_LIMITS)
+        gens = nabla._specialized_generators(F, A)
         with monkeypatch.context() as m:
             m.setattr(nabla, "_specialized_generators", lambda *args: gens)
             m.setattr(weyl, "weyl_multiply", counted)

@@ -482,7 +482,8 @@ def test_left_resource_limit_on_same_inputs_as_old_loop(monkeypatch):
         for d in (2, 3, 4, 5, 6):
             for gens, order in _kernel_left_inputs():
                 try:
-                    out.append(weyl_left_gb(gens, order, Limits(max_degree=d)))
+                    with Limits(max_degree=d):
+                        out.append(weyl_left_gb(gens, order))
                 except ResourceLimit as e:
                     out.append((d, str(e)))
         return out
@@ -778,8 +779,7 @@ def test_engine_left_interreduction_matches_old_loop():
                  (shifted, shifted_rows)]
         for basis, rows in lists:
             log = (basis, list(range(len(basis))), [[] for _ in basis])
-            got = weyl._reduce_left_basis(basis, log, order,
-                                          gb.DEFAULT_LIMITS)
+            got = weyl._reduce_left_basis(basis, log, order)
             ref = _old_reduce_left_basis(basis, rows, order, gb.DEFAULT_LIMITS)
             if rows is None:
                 assert _items(got) == _items(ref)
@@ -803,14 +803,15 @@ def test_engine_left_resource_limits_match_old_loop():
 
     def outcome(fn, gens, order, lim, track):
         try:
-            got = fn(gens, order, lim, track)
+            with lim:
+                got = fn(gens, order, lim, track)
         except ResourceLimit as e:
             return str(e)
         G, C = got if track else (got, [])
         return _items(G), _rows_str(C)
 
     def rebuilt(gens, order, lim, track):
-        G = weyl_left_gb(gens, order, lim)
+        G = weyl_left_gb(gens, order)
         return (G, basis_rows(G)) if track else G
     limits = [Limits(max_degree=d) for d in (2, 3, 4, 5, 6)]
     limits += [Limits(max_basis=b) for b in (2, 4, 6, 8, 12)]
@@ -850,15 +851,15 @@ def test_left_basis_bounds_use_limits_wording():
     # its four generators alone exceed a bound of 2 before any pair
     from fpowers.gb import Limits, ResourceLimit
     gens, order = next(_left_gb_inputs())
-    with pytest.raises(ResourceLimit) as err:
-        weyl_left_gb(gens, order, Limits(max_degree=3))
+    with pytest.raises(ResourceLimit) as err, Limits(max_degree=3):
+        weyl_left_gb(gens, order)
     assert str(err.value) == "total degree 4 exceeds bound 3"
-    with pytest.raises(ResourceLimit) as err:
-        weyl_left_gb(gens, order, Limits(max_basis=5))
+    with pytest.raises(ResourceLimit) as err, Limits(max_basis=5):
+        weyl_left_gb(gens, order)
     assert str(err.value) == "basis size 6 exceeds bound 5"
     assert len(gens) == 4
-    with pytest.raises(ResourceLimit) as err:
-        weyl_left_gb(gens, order, Limits(max_basis=2))
+    with pytest.raises(ResourceLimit) as err, Limits(max_basis=2):
+        weyl_left_gb(gens, order)
     assert str(err.value) == "basis size 4 exceeds bound 2"
 
 
@@ -866,7 +867,7 @@ def test_left_normal_form_degree_message_names_the_degree():
     from fpowers.gb import Limits, ResourceLimit
     # the first step leaves x^4 in the work: over the bound of 3
     ctx = WeylContext(["x"], [])
-    with pytest.raises(ResourceLimit) as err:
+    with pytest.raises(ResourceLimit) as err, Limits(max_degree=3):
         weyl.left_normal_form(parse_weyl("x^5", ctx), [parse_weyl("x - 1", ctx)],
-                              MonomialOrder.grevlex(), Limits(max_degree=3))
+                              MonomialOrder.grevlex())
     assert str(err.value) == "total degree 4 exceeds bound 3"

@@ -15,14 +15,17 @@ from fpowers.ring import exp_divides, exp_sub
 from fpowers.weyl import WeylOp, weyl_multiply
 
 
-def _old_left_normal_form(P, basis, order, limits=gb.DEFAULT_LIMITS,
+def _old_left_normal_form(P, basis, order, limits=None,
                           cofactors=None, basis_cofactors=None,
                           leads=None, keys=None, steps=None):
     """Re-keys every basis lead per call, rescans the working operator for
     its lead and copies it on every step; leads and keys are ignored.
     Given `steps`, it appends each step's (k, m, c) as the kernel does, so
-    it can stand in for weyl.left_normal_form."""
+    it can stand in for weyl.left_normal_form; without `limits` it checks
+    the bound in effect, as the library does."""
     from fpowers.gb import ResourceLimit
+    if limits is None:
+        limits = gb.Limits.current()
     ctx = P.ctx
     lead = [(g.leading_exp(order), g) for g in basis if not g.is_zero()]
     rem = WeylOp.zero(ctx)
