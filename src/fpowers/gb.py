@@ -4,12 +4,13 @@ One Buchberger engine serves the ideal and module bases here and the left
 bases of weyl.py.  buchberger is the one pair loop: one PairQueue (each
 pair keyed once by its lcm, smallest (key, i, j) first), the chain
 criterion, the product criterion where sound, the basis-size bound.  Each
-caller passes a step that forms the S-element (s_pair_multipliers),
-reduces it by its own normal form and appends a nonzero remainder.
-interreduce is the one final minimalize / tail-reduce / monic / sort.
-Normal forms of polynomials and of module vectors run on
-ring.reduce_in_place, sharing a basis computation's KeyCache of order keys
-and its leading exponents.  On top of the basis: normal forms,
+caller passes a step that forms the S-element on integer images
+(ring.s_element), reduces it by its own normal form and appends a nonzero
+remainder.  interreduce is the one final minimalize / tail-reduce / monic /
+sort.  Normal forms of polynomials and of module vectors run on
+ring.reduce_in_place over integers, sharing a basis computation's KeyCache
+of order keys, its leading exponents and the integer images of its
+elements; Fractions go in and come out.  On top of the basis: normal forms,
 membership, elimination, intersections, colon ideals, saturation, radical
 membership, Krull dimension via independent variable sets, module syzygies
 (extended-basis construction), and minimal graded free resolutions with a
@@ -31,8 +32,9 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .ring import (
-    DegreeBoundExceeded, Exp, KeyCache, MonomialOrder, Poly, VarContext,
-    exp_add, exp_divides, exp_lcm, exp_sub, reduce_in_place,
+    DegreeBoundExceeded, Exp, KeyCache, MonomialOrder, Poly, Scaled,
+    VarContext, exp_add, exp_divides, exp_lcm, exp_sub, exp_total,
+    integer_image, reduce_in_place, s_element, term_multiple,
 )
 
 
@@ -70,8 +72,9 @@ class Limits:
     def __exit__(self, *exc) -> None:
         _CURRENT.reset(self._tokens.pop())
 
-    def check_poly(self, p: Poly) -> None:
-        d = p.total_degree()
+    def check_poly(self, p) -> None:
+        """p a term map, or a ring.Scaled S-element."""
+        d = max(map(exp_total, p.terms), default=-1)
         if d > self.max_degree:
             raise ResourceLimit(f"total degree {d} exceeds bound {self.max_degree}")
 
@@ -87,14 +90,21 @@ _CURRENT: ContextVar[Limits] = ContextVar("limits", default=DEFAULT_LIMITS)
 # ---------------------------------------------------------------------------
 # division and Buchberger
 
-def normal_form(p: Poly, basis: Sequence[Poly], order: MonomialOrder,
+def normal_form(p: Poly | Scaled, basis: Sequence[Poly],
+                order: MonomialOrder,
                 leads: Optional[Sequence[Exp]] = None,
-                keys: Optional[KeyCache] = None) -> Poly:
+                keys: Optional[KeyCache] = None,
+                images: Optional[Sequence[Scaled]] = None) -> Poly:
     """Remainder of p under multivariate division by basis.
 
-    A basis computation passes the leading exponents of its (nonzero)
-    basis elements as `leads` and its KeyCache of order keys as `keys`;
-    without them, zero elements are dropped and the leads are found here.
+    Fractions in and out, integers inside: p (a Poly, or a basis
+    computation's S-element as a ring.Scaled) is divided by
+    ring.reduce_in_place on integer images, and the remainder is the one
+    of the division over Q, term for term.  A basis computation passes the
+    leading exponents of its (nonzero) basis elements as `leads`, its
+    KeyCache of order keys as `keys` and their ring.integer_image as
+    `images`; without them, zero elements are dropped and the leads and
+    images are found here.
     """
     if not basis:
         return p
@@ -103,40 +113,32 @@ def normal_form(p: Poly, basis: Sequence[Poly], order: MonomialOrder,
     if leads is None:
         basis = [g for g in basis if g.terms]
         leads = [max(g.terms, key=keys.__getitem__) for g in basis]
-
-    def multiple(k, e, c):
-        g, lead = basis[k].terms, leads[k]
-        m, coef = exp_sub(e, lead), c / g[lead]
-        return [(exp_add(m, ge), coef * gc) for ge, gc in g.items()]
-    work = dict(p.terms)
+    if images is None:
+        images = [integer_image(g.terms) for g in basis]
+    if isinstance(p, Scaled):
+        work, ctx = p, basis[0].ctx
+    else:
+        work, ctx = integer_image(p.terms), p.ctx
     rem: Dict[Exp, Fraction] = {}
     bound = Limits.current().max_degree
     try:
-        reduce_in_place(work, leads, keys, multiple, rem, bound)
-    except DegreeBoundExceeded:
-        raise ResourceLimit(f"total degree {max(map(sum, work))} exceeds "
-                            f"bound {bound}") from None
-    out = Poly(p.ctx)
+        reduce_in_place(work, leads, images, keys,
+                        term_multiple(leads, images), rem, max_degree=bound)
+    except DegreeBoundExceeded as err:
+        raise ResourceLimit(f"total degree {max(map(sum, err.monomials))} "
+                            f"exceeds bound {bound}") from None
+    out = Poly(ctx)
     out.terms = rem
     return out
 
 
 def s_pair_multipliers(f, lf: Exp, g, lg: Exp, l: Exp):
     """The S-pair multipliers m_f, m_g: m_f*f and m_g*g are both led by
-    1*x^l, l = lcm(lf, lg).  Each is of its operand's own class, so this
-    serves a Poly, a weyl.WeylOp and a module vector's lead component."""
+    1*x^l, l = lcm(lf, lg), each of its operand's own class.  The
+    S-element m_f*f - m_g*g itself is formed on integer images
+    (ring.s_element); weyl.LeftBasis logs these multipliers."""
     return (type(f).monomial(f.ctx, exp_sub(l, lf), Fraction(1) / f.terms[lf]),
             type(g).monomial(g.ctx, exp_sub(l, lg), Fraction(1) / g.terms[lg]))
-
-
-def _s_poly(f: Poly, g: Poly, order: MonomialOrder,
-            lf: Optional[Exp] = None, lg: Optional[Exp] = None) -> Poly:
-    """S-polynomial of f and g; lf and lg are their leading exponents
-    when the caller already knows them."""
-    lf = f.leading_exp(order) if lf is None else lf
-    lg = g.leading_exp(order) if lg is None else lg
-    mf, mg = s_pair_multipliers(f, lf, g, lg, exp_lcm(lf, lg))
-    return mf * f - mg * g
 
 
 class PairQueue:
@@ -275,38 +277,45 @@ def groebner_basis(gens: Sequence[Poly], order: MonomialOrder) -> List[Poly]:
     keys = KeyCache(order.key)
     leading = keys.__getitem__
     lead = [max(g.terms, key=leading) for g in G]
+    images = [integer_image(g.terms) for g in G]
+    multiple = term_multiple(lead, images)
 
     def step(i, j, l):
-        s = _s_poly(G[i], G[j], order, lead[i], lead[j])
+        s = s_element(i, j, l, lead, images, multiple)
         limits.check_poly(s)
-        r = normal_form(s, G, order, leads=lead, keys=keys)
+        r = normal_form(s, G, order, leads=lead, keys=keys, images=images)
         if r.is_zero():
             return None
         limits.check_poly(r)
         G.append(r)
         lead.append(max(r.terms, key=leading))
+        images.append(integer_image(r.terms))
         return lead[-1], 0
     buchberger(order.key, [(e, 0) for e in lead], step,
                coprime_criterion=True)
-    return _reduce_basis(G, order, leads=lead, keys=keys)
+    return _reduce_basis(G, order, leads=lead, keys=keys, images=images)
 
 
 def _reduce_basis(G: Sequence[Poly], order: MonomialOrder,
                   leads: Optional[Sequence[Exp]] = None,
-                  keys: Optional[KeyCache] = None) -> List[Poly]:
-    """interreduce for polynomials; a basis computation passes its leads
-    and KeyCache as in normal_form."""
+                  keys: Optional[KeyCache] = None,
+                  images: Optional[Sequence[Scaled]] = None) -> List[Poly]:
+    """interreduce for polynomials; a basis computation passes its leads,
+    KeyCache and integer images as in normal_form."""
     if keys is None:
         keys = KeyCache(order.key)
     if leads is None:
         G = [g for g in G if not g.is_zero()]
         leads = [max(g.terms, key=keys.__getitem__) for g in G]
+    if images is None:
+        images = [integer_image(g.terms) for g in G]
 
     def divide(i, rest):
         if not rest:
             return G[i]
         return normal_form(G[i], [G[k] for k in rest], order,
-                           leads=[leads[k] for k in rest], keys=keys)
+                           leads=[leads[k] for k in rest], keys=keys,
+                           images=[images[k] for k in rest])
     return [g for _, _, g in interreduce(G, leads, keys, divide)]
 
 
@@ -475,14 +484,6 @@ def _vec_is_zero(v: Vec) -> bool:
     return all(p.is_zero() for p in v)
 
 
-def _vec_sub(v: Vec, w: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(v, w))
-
-
-def _vec_scale(v: Vec, p: Poly) -> Vec:
-    return tuple(p * a for a in v)
-
-
 class _ModOrder:
     """Module monomial order on (position, exponent).
 
@@ -518,35 +519,56 @@ def _mod_degree(m: Tuple[int, Exp]) -> int:
     return sum(m[1])
 
 
-def _vec_reduce(v: Vec, basis: List[Vec], leads: List[Tuple[int, Exp]],
-                mo: _ModOrder, keys: Optional[KeyCache] = None) -> Vec:
+def _vec_terms(v: Vec) -> Dict[Tuple[int, Exp], Fraction]:
+    """A vector as one term map over module monomials (position, exponent)."""
+    return {(pos, e): c for pos, p in enumerate(v) for e, c in p.terms.items()}
+
+
+def _vec_multiple(leads: Sequence[Tuple[int, Exp]],
+                  images: Sequence[Scaled]) -> Callable:
+    """multiple(k, (pos, e), b) of reduce_in_place for vectors: the terms
+    of b*x^(e - lead exponent of k) * image_k."""
+    def multiple(k, pe, b):
+        m = exp_sub(pe[1], leads[k][1])
+        return [((pos, exp_add(m, ge)), b * c)
+                for (pos, ge), c in images[k].terms.items()]
+    return multiple
+
+
+def _vec_reduce(v: Vec | Scaled, basis: List[Vec],
+                leads: List[Tuple[int, Exp]],
+                mo: _ModOrder, keys: Optional[KeyCache] = None,
+                images: Optional[Sequence[Scaled]] = None) -> Vec:
     """Full normal form of a vector against a list of vectors.
 
-    Module monomials are (position, exponent) pairs; a module basis
-    computation passes its KeyCache of their order keys."""
+    Module monomials are (position, exponent) pairs.  As in normal_form,
+    v (a Vec, or a module basis computation's S-element as a ring.Scaled)
+    is divided on integer images and the remainder is the one over Q; a
+    module basis computation passes its KeyCache of order keys and the
+    integer images of its vectors' term maps (_vec_terms)."""
     keys = KeyCache(mo.key) if keys is None else keys
-
-    def multiple(k, pe, c):
-        g, (lp, lead) = basis[k], leads[k]
-        m, coef = exp_sub(pe[1], lead), c / g[lp].terms[lead]
-        return [((pos, exp_add(m, ge)), coef * gc)
-                for pos, p in enumerate(g) for ge, gc in p.terms.items()]
-    work = {(pos, e): c for pos, p in enumerate(v) for e, c in p.terms.items()}
+    if images is None:
+        images = [integer_image(_vec_terms(g)) for g in basis]
+    if isinstance(v, Scaled):
+        work, like = v, basis[0]
+    else:
+        work, like = integer_image(_vec_terms(v)), v
     rem: Dict[Tuple[int, Exp], Fraction] = {}
     bound = Limits.current().max_degree
     try:
-        reduce_in_place(work, leads, keys, multiple, rem, bound,
-                        _mod_divides, _mod_degree)
-    except DegreeBoundExceeded:
+        reduce_in_place(work, leads, images, keys,
+                        _vec_multiple(leads, images), rem, max_degree=bound,
+                        divides=_mod_divides, degree=_mod_degree)
+    except DegreeBoundExceeded as err:
         # report the first component above the bound
-        degs = [-1] * len(v)
-        for pos, e in work:
+        degs = [-1] * len(like)
+        for pos, e in err.monomials:
             degs[pos] = max(degs[pos], sum(e))
         deg = next(d for d in degs if d > bound)
         raise ResourceLimit(f"total degree {deg} exceeds bound "
                             f"{bound}") from None
-    ctx = v[0].ctx
-    parts = [Poly(ctx) for _ in v]
+    ctx = like[0].ctx
+    parts = [Poly(ctx) for _ in like]
     for (pos, e), c in rem.items():
         parts[pos].terms[e] = c
     return tuple(parts)
@@ -563,17 +585,17 @@ def _module_gb(vectors: List[Vec], mo: _ModOrder) -> List[Vec]:
         return []
     keys = KeyCache(mo.key)
     leads = [_vec_lead(v, mo, keys) for v in G]
+    images = [integer_image(_vec_terms(v)) for v in G]
+    multiple = _vec_multiple(leads, images)
 
     def step(i, j, l):
-        pos = leads[i][0]
-        mi, mj = s_pair_multipliers(G[i][pos], leads[i][1],
-                                    G[j][pos], leads[j][1], l)
-        s = _vec_sub(_vec_scale(G[i], mi), _vec_scale(G[j], mj))
-        r = _vec_reduce(s, G, leads, mo, keys=keys)
+        s = s_element(i, j, (leads[i][0], l), leads, images, multiple)
+        r = _vec_reduce(s, G, leads, mo, keys=keys, images=images)
         if _vec_is_zero(r):
             return None
         G.append(r)
         leads.append(_vec_lead(r, mo, keys))
+        images.append(integer_image(_vec_terms(r)))
         return leads[-1][1], leads[-1][0]
     buchberger(mo.base.key, [(e, pos) for pos, e in leads], step,
                coprime_criterion=False)

@@ -15,17 +15,26 @@ add_terms is the one in-place accumulation of terms into a term map.
 
 reduce_in_place is the one division loop of the package: the commutative
 and module normal forms of gb.py, the left normal form of weyl.py and
-divide_exact here all run it.  It consumes a mutable term map, picks each
-leading monomial through a KeyCache (every order key computed once per
-computation) and subtracts each multiple of a divisor term by term in
-place.
+divide_exact here all run it.  Fractions go in and come out, integers work
+inside: each divisor is divided as its primitive integer image
+(integer_image, g = tau * image), the work is an integer term map with one
+rational scale (Scaled), and each step scales the work by an integer so
+that one integer multiple of the image cancels its leading term.  It picks
+each leading monomial through a KeyCache (every order key computed once
+per computation) and subtracts the multiple term by term in place.
+Remainder terms leave as Fractions, and the step log has one Fraction per
+step, the value c/lc that the division over Q takes away.  s_element forms
+the S-element of two divisors on their images, for the Buchberger loops.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add, le, sub
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 # Exact rational scalars: Fraction is already lowest-terms with positive
 # denominator, which is the whole contract.
@@ -245,56 +254,135 @@ class KeyCache(dict):
 
 
 class DegreeBoundExceeded(Exception):
-    """A reduction step left a term above the degree bound in the work."""
+    """A reduction step left a term above the degree bound in the work;
+    `monomials` are the monomials of the work after that step."""
+
+    def __init__(self, monomials):
+        super().__init__()
+        self.monomials = monomials
 
 
-def reduce_in_place(work: Dict, leads: Sequence, keys: KeyCache,
-                    multiple: Callable, rem: Optional[Dict] = None,
+class Scaled(NamedTuple):
+    """scale * terms: a term map with integer coefficients and one
+    rational scale."""
+    terms: Dict
+    scale: Fraction
+
+
+def integer_image(terms: Dict) -> Scaled:
+    """The primitive integer image of a term map {monomial: Fraction}:
+    Scaled(image, tau) with terms = tau * image, tau > 0, and the integer
+    coefficients of image coprime, in the same term order."""
+    den = lcm(*[c.denominator for c in terms.values()])
+    image = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
+    g = gcd(*image.values()) or 1
+    if g != 1:
+        image = {m: c // g for m, c in image.items()}
+    return Scaled(image, Fraction(g, den))
+
+
+def reduce_in_place(work: Scaled, leads: Sequence, images: Sequence[Scaled],
+                    keys: KeyCache, multiple: Callable,
+                    rem: Optional[Dict] = None, steps: Optional[list] = None,
                     max_degree: Optional[int] = None,
                     divides: Callable = exp_divides,
                     degree: Callable = sum) -> bool:
-    """Divide the term map `work` (monomial -> nonzero coefficient) in place.
+    """Divide `work` (monomial -> nonzero int, times its scale sigma) in
+    place by the divisors g_k = tau_k * image_k, images[k] = (image_k,
+    tau_k), whose leading monomials are leads[k].
 
-    Each step takes the largest monomial e of work under `keys`, with
-    coefficient c, and the first k with divides(leads[k], e).  If there is
-    one, the terms (monomial, coefficient) of multiple(k, e, c) -- a
-    multiple of divisor k whose leading term is c*e, so e cancels -- are
-    subtracted from work one by one; after that step, a term of degree
-    above max_degree left anywhere in work raises DegreeBoundExceeded.
-    If there is none, the term moves to `rem`, or, with rem None, the
-    division stops and returns False.  Returns True once work is empty.
+    Each step takes the largest monomial e of the work under `keys`, with
+    coefficient w, and the first k with divides(leads[k], e).  If there is
+    one, let L be the coefficient of image_k at leads[k], h = gcd(w, L),
+    a = L/h > 0 and b = w/h: the work is multiplied by a (sigma divided by
+    a) and the terms (monomial, int) of multiple(k, e, b) -- b times a
+    multiple of image_k led by L*e, so e cancels -- are subtracted from it
+    one by one; after that step, a term of degree above max_degree left
+    anywhere in the work raises DegreeBoundExceeded.  With a list `steps`,
+    the step appends (k, e, c): it took away c*x^(e - leads[k]) * g_k,
+    c = sigma*b/tau_k, the Fraction (work coefficient)/(leading coefficient)
+    of a division over Q.  If no lead divides e, the term moves to `rem`
+    as the Fraction sigma*w, or, with rem None, the division stops and
+    returns False.  Returns True once the work is empty.
+
+    Every cancellation is exact and the choice of divisor reads only
+    monomials, so the division takes the path, and gives the remainder
+    and the step values, of the same division over Q.
     """
+    terms, scale = work
+    # sigma = num/den: dividing sigma by a is den *= a, so the only
+    # Fractions made are the ones handed out
+    num, den = scale.numerator, scale.denominator
     get = keys.__getitem__
     over = set()
     if max_degree is not None:
-        over = {m for m in work if degree(m) > max_degree}
-    while work:
-        e = max(work, key=get)
+        over = {m for m in terms if degree(m) > max_degree}
+    while terms:
+        e = max(terms, key=get)
         for k, lead in enumerate(leads):
             if divides(lead, e):
                 break
         else:
             if rem is None:
                 return False
-            rem[e] = work.pop(e)
+            rem[e] = Fraction(num * terms.pop(e), den)
             over.discard(e)
             continue
-        for m, c in multiple(k, e, work[e]):
-            old = work.get(m)
+        image, tau = images[k]
+        w, lc = terms[e], image[leads[k]]
+        h = gcd(w, lc)
+        a, b = lc // h, w // h
+        if a < 0:
+            a, b = -a, -b
+        if a != 1:
+            for m in terms:
+                terms[m] *= a
+            den *= a
+        if steps is not None:
+            steps.append((k, e, Fraction(num * b * tau.denominator,
+                                         den * tau.numerator)))
+        for m, c in multiple(k, e, b):
+            old = terms.get(m)
             if old is None:
-                work[m] = -c
+                terms[m] = -c
                 if max_degree is not None and degree(m) > max_degree:
                     over.add(m)
                 continue
             c = old - c
             if c:
-                work[m] = c
+                terms[m] = c
             else:
-                del work[m]
+                del terms[m]
                 over.discard(m)
         if over:
-            raise DegreeBoundExceeded
+            raise DegreeBoundExceeded(tuple(terms))
     return True
+
+
+def term_multiple(leads: Sequence[Exp], images: Sequence[Scaled]) -> Callable:
+    """multiple(k, e, b) of reduce_in_place for commutative term maps: the
+    terms of b*x^(e - leads[k]) * image_k."""
+    def multiple(k, e, b):
+        m = exp_sub(e, leads[k])
+        return [(exp_add(m, ge), b * gc) for ge, gc in images[k].terms.items()]
+    return multiple
+
+
+def s_element(i: int, j: int, l, leads: Sequence, images: Sequence[Scaled],
+              multiple: Callable) -> Scaled:
+    """The S-element of divisors i and j at l, a common multiple of their
+    leads, as integer work for reduce_in_place: with L_i, L_j the leading
+    coefficients of their images and L = lcm(L_i, L_j),
+    (L/L_i)*x^(l - lead_i)*image_i - (L/L_j)*x^(l - lead_j)*image_j at
+    scale 1/L.  Its value is x^(l - lead_i)*g_i/lc(g_i) -
+    x^(l - lead_j)*g_j/lc(g_j), both parts led by 1*x^l."""
+    li = images[i].terms[leads[i]]
+    lj = images[j].terms[leads[j]]
+    L = lcm(li, lj)
+    terms: Dict = {}
+    add_terms(terms, multiple(i, l, L // li))
+    add_terms(terms, multiple(j, l, -(L // lj)))
+    return Scaled(terms, Fraction(1, L))
 
 
 # ---------------------------------------------------------------------------
@@ -738,22 +826,21 @@ def parse_poly(text: str, ctx: VarContext) -> Poly:
 
 
 def divide_exact(p: Poly, q: Poly) -> Optional[Poly]:
-    """Return h with p = q*h if q divides p exactly, else None."""
+    """Return h with p = q*h if q divides p exactly, else None.
+
+    The division runs on integer images (reduce_in_place); each quotient
+    term is the Fraction of its step, the value of the division over Q."""
     if q.is_zero():
         return None
     if p.is_zero():
         return Poly.zero(p.ctx)
     keys = KeyCache(MonomialOrder.grevlex().key)
-    lq = max(q.terms, key=keys.__getitem__)
-    cq = q.terms[lq]
-    quo: Dict[Exp, Fraction] = {}
-
-    def multiple(_k, e, c):
-        m, coef = exp_sub(e, lq), c / cq
-        quo[m] = coef
-        return [(exp_add(m, e2), coef * c2) for e2, c2 in q.terms.items()]
-    if not reduce_in_place(dict(p.terms), (lq,), keys, multiple):
+    leads = (max(q.terms, key=keys.__getitem__),)
+    images = (integer_image(q.terms),)
+    log: list = []
+    if not reduce_in_place(integer_image(p.terms), leads, images, keys,
+                           term_multiple(leads, images), steps=log):
         return None
     out = Poly(p.ctx)
-    out.terms = quo
+    out.terms = {exp_sub(e, leads[0]): c for _, e, c in log}
     return out

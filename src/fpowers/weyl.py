@@ -11,15 +11,16 @@ Left Groebner bases run on the one engine of gb.py (gb.buchberger and
 gb.interreduce, under the gb.Limits in effect) without the product
 criterion, which is unsound in a noncommutative algebra; this module adds
 only their step (left S-pair, left normal form) and the left normal form.
-That runs on ring.reduce_in_place: each multiple x^a d^b s^w * g is
-normal-ordered term by term straight into the working term map, and a
-basis computation shares one KeyCache of order keys and its leading
-exponents with every division it makes.  No cofactors are carried along: a
-basis is a LeftBasis, which logs where each element came from (a
-generator, or an S-pair and the (k, m, c) steps of its reduction), and
-LeftBasis.cofactors rebuilds the combination of the generators for one
-element of the ideal afterwards, along only the elements its division
-used.
+That runs on ring.reduce_in_place over integers: each multiple
+b x^a d^b s^w * image(g) is normal-ordered term by term straight into the
+working term map, and a basis computation shares one KeyCache of order
+keys, its leading exponents and the integer images of its elements with
+every division it makes; the S-elements are formed on the images too.
+No cofactors are carried along: a basis is a LeftBasis, which logs where
+each element came from (a generator, or an S-pair and the (k, m, c) steps
+of its reduction), and LeftBasis.cofactors rebuilds the combination of the
+generators for one element of the ideal afterwards, along only the
+elements its division used.
 
 The action on F^S (apply_to_FS) is grouped by derivative pattern: an
 operator is sum_b p_b(x, S) d^b, each d^b . F^S is derived once from its
@@ -41,9 +42,9 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .ring import (
-    DegreeBoundExceeded, Exp, KeyCache, MonomialOrder, Poly, TermMap,
+    DegreeBoundExceeded, Exp, KeyCache, MonomialOrder, Poly, Scaled, TermMap,
     VarContext, _Parser, add_terms, divide_exact, exp_add, exp_sub,
-    reduce_in_place,
+    integer_image, reduce_in_place, s_element,
 )
 from .gb import (
     Limits, ResourceLimit, buchberger, interreduce, s_pair_multipliers,
@@ -202,12 +203,13 @@ class WeylOp(TermMap):
         return WeylOp(ctx0, {e[:2 * n]: c for e, c in self.terms.items()})
 
 
-def _term_product(ctx: WeylContext, e1: Exp, c1: Fraction,
-                  e2: Exp, c2: Fraction) -> Dict[Exp, Fraction]:
-    """Normal-ordering of (x^a1 d^b1 s^w1)(x^a2 d^b2 s^w2).
+def _term_product(ctx: WeylContext, e1: Exp, c1, e2: Exp, c2) -> Dict:
+    """Normal-ordering of (c1 x^a1 d^b1 s^w1)(c2 x^a2 d^b2 s^w2).
 
     Per variable, d^b x^a = sum_k k! C(b,k) C(a,k) x^(a-k) d^(b-k).  The
-    terms come out in lexicographic order of the multi-index k.
+    terms come out in lexicographic order of the multi-index k.  The
+    coefficients are c1*c2 times integers: Fractions for weyl_multiply,
+    ints for the division kernel.
     """
     n = ctx.n
     e = exp_add(e1, e2)
@@ -414,43 +416,60 @@ def transpose_tau(P: WeylOp) -> WeylOp:
 # left Groebner bases
 
 
-def left_normal_form(P: WeylOp, basis: Sequence[WeylOp], order: MonomialOrder,
+def _left_multiple(ctx: WeylContext, leads: Sequence[Exp],
+                   images: Sequence[Scaled]):
+    """multiple(k, e, b) of ring.reduce_in_place for left division: the
+    terms of b*x^m * image_k, m = e - leads[k], normal-ordered term by
+    term (a monomial may come more than once)."""
+    def multiple(k, e, b):
+        m = exp_sub(e, leads[k])
+        return [t for ge, gc in images[k].terms.items()
+                for t in _term_product(ctx, m, b, ge, gc).items()]
+    return multiple
+
+
+def left_normal_form(P: WeylOp | Scaled, basis: Sequence[WeylOp],
+                     order: MonomialOrder,
                      leads: Optional[Sequence[Exp]] = None,
                      keys: Optional[KeyCache] = None,
-                     steps: Optional[list] = None) -> WeylOp:
+                     steps: Optional[list] = None,
+                     images: Optional[Sequence[Scaled]] = None) -> WeylOp:
     """Left-division remainder.
 
-    Given a list `steps`, each reduction step appends its (k, m, c), the
-    multiple c*x^m * basis[k] it took away (m an exponent, c a Fraction),
-    so that on return P = remainder + sum of those multiples;
-    LeftBasis.cofactors reads such steps.  A basis computation passes the
-    leading exponents of its (nonzero) basis elements as `leads` and its
-    KeyCache as `keys`; without them, zero elements are dropped and the
-    leads are found here.
+    Fractions in and out, integers inside: P (a WeylOp, or a basis
+    computation's S-element as a ring.Scaled) is divided by
+    ring.reduce_in_place on integer images, and the remainder and the
+    steps are those of the division over Q.  Given a list `steps`, each
+    reduction step appends its (k, m, c), the multiple c*x^m * basis[k] it
+    took away (m an exponent, c a Fraction), so that on return
+    P = remainder + sum of those multiples; LeftBasis.cofactors reads such
+    steps.  A basis computation passes the leading exponents of its
+    (nonzero) basis elements as `leads`, its KeyCache as `keys` and their
+    ring.integer_image as `images`; without them, zero elements are
+    dropped and the leads and images are found here.
     """
-    ctx = P.ctx
     if keys is None:
         keys = KeyCache(order.key)
     if leads is None:
         basis = [g for g in basis if g.terms]
         leads = [max(g.terms, key=keys.__getitem__) for g in basis]
-
-    def multiple(k, e, c):
-        # x^a d^b s^w * g, normal-ordered term by term
-        g, lead = basis[k].terms, leads[k]
-        m, coef = exp_sub(e, lead), c / g[lead]
-        if steps is not None:
-            steps.append((k, m, coef))
-        return [t for ge, gc in g.items()
-                for t in _term_product(ctx, m, coef, ge, gc).items()]
-    work = dict(P.terms)
+    if images is None:
+        images = [integer_image(g.terms) for g in basis]
+    if isinstance(P, Scaled):
+        work, ctx = P, basis[0].ctx
+    else:
+        work, ctx = integer_image(P.terms), P.ctx
+    log = None if steps is None else []
     rem: Dict[Exp, Fraction] = {}
     bound = Limits.current().max_degree
     try:
-        reduce_in_place(work, leads, keys, multiple, rem, bound)
-    except DegreeBoundExceeded:
-        raise ResourceLimit(f"total degree {max(map(sum, work))} exceeds "
-                            f"bound {bound}") from None
+        reduce_in_place(work, leads, images, keys,
+                        _left_multiple(ctx, leads, images), rem, log, bound)
+    except DegreeBoundExceeded as err:
+        raise ResourceLimit(f"total degree {max(map(sum, err.monomials))} "
+                            f"exceeds bound {bound}") from None
+    if log:
+        steps.extend((k, exp_sub(e, leads[k]), c) for k, e, c in log)
     out = WeylOp(ctx)
     out.terms = rem
     return out
@@ -464,10 +483,12 @@ class LeftBasis(list):
     generators, then each nonzero S-remainder, in the order they joined:
     `origin` holds a generator index or the S-pair (i, j, m_i, m_j) the
     remainder came from, `steps` the (k, m, c) steps of its reduction (k
-    an earlier element).  Per basis element, `final` holds (i, c, steps):
-    the element is c times computed element i less the multiples its tail
-    reduction took away.  Every element is thus an exact left combination
-    of earlier ones, and cofactors() composes only the ones asked for.
+    an earlier element; c the Fraction of the division over Q, although
+    the kernel divides integer images).  Per basis element, `final` holds
+    (i, c, steps): the element is c times computed element i less the
+    multiples its tail reduction took away.  Every element is thus an
+    exact left combination of earlier ones, and cofactors() composes only
+    the ones asked for.
     """
 
     def __init__(self, basis: Sequence[WeylOp], gens: Sequence[WeylOp],
@@ -550,40 +571,48 @@ def weyl_left_gb(gens: Sequence[WeylOp], order: MonomialOrder) -> LeftBasis:
     keys = KeyCache(order.key)
     leading = keys.__getitem__
     lead = [max(g.terms, key=leading) for g in G]
+    images = [integer_image(g.terms) for g in G]
+    multiple = _left_multiple(G[0].ctx, lead, images)
 
     def step(i, j, l):
-        mi, mj = s_pair_multipliers(G[i], lead[i], G[j], lead[j], l)
-        s = mi * G[i] - mj * G[j]
+        s = s_element(i, j, l, lead, images, multiple)
         log: list = []
-        r = left_normal_form(s, G, order, leads=lead, keys=keys, steps=log)
+        r = left_normal_form(s, G, order, leads=lead, keys=keys, steps=log,
+                             images=images)
         if r.is_zero():
             return None
         limits.check_poly(r)
         G.append(r)
-        origin.append((i, j, mi, mj))
+        origin.append((i, j) + s_pair_multipliers(G[i], lead[i], G[j],
+                                                  lead[j], l))
         steps.append(log)
         lead.append(max(r.terms, key=leading))
+        images.append(integer_image(r.terms))
         return lead[-1], 0
     buchberger(order.key, [(e, 0) for e in lead], step,
                coprime_criterion=False)
-    return _reduce_left_basis(G, (gens, origin, steps), order, lead, keys)
+    return _reduce_left_basis(G, (gens, origin, steps), order, lead, keys,
+                              images)
 
 
-def _reduce_left_basis(G, log, order, leads=None, keys=None) -> LeftBasis:
+def _reduce_left_basis(G, log, order, leads=None, keys=None,
+                       images=None) -> LeftBasis:
     """gb.interreduce for operators, as a LeftBasis with the log
-    (gens, origin, steps) of G.  A basis computation passes its leads and
-    KeyCache as in left_normal_form."""
+    (gens, origin, steps) of G.  A basis computation passes its leads,
+    KeyCache and integer images as in left_normal_form."""
     if keys is None:
         keys = KeyCache(order.key)
     if leads is None:
         leads = [max(g.terms, key=keys.__getitem__) for g in G]
+    if images is None:
+        images = [integer_image(g.terms) for g in G]
     tails: Dict[int, list] = {}
 
     def divide(i, rest):
         tail: list = []
         r = left_normal_form(G[i], [G[k] for k in rest], order,
                              leads=[leads[k] for k in rest], keys=keys,
-                             steps=tail)
+                             steps=tail, images=[images[k] for k in rest])
         tails[i] = [(rest[k], m, c) for k, m, c in tail]
         return r
     out = interreduce(G, leads, keys, divide)

@@ -17,6 +17,7 @@ from fpowers.gb import (
     ideal_colon, intersect, krull_dimension, normal_form, radical_membership,
     saturate, syzygies,
 )
+from kernel_reference import s_poly, value_of, vec_scale, vec_sub
 
 XY = VarContext([("X", ["x", "y"])])
 XYZ = VarContext([("X", ["x", "y", "z"])])
@@ -273,7 +274,6 @@ def test_membership_soundness_random_combinations():
 def test_gb_certification_all_s_pairs_reduce():
     # Direct certification that the returned basis is a Groebner basis:
     # every S-polynomial of basis elements has normal form zero.
-    from fpowers.gb import _s_poly
     rng = random.Random(99)
     for _ in range(10):
         gens = [_random_poly(rng, XYZ, deg=2) for _ in range(2)]
@@ -284,7 +284,7 @@ def test_gb_certification_all_s_pairs_reduce():
         G = I.gb()
         for i in range(len(G)):
             for j in range(i + 1, len(G)):
-                s = _s_poly(G[i], G[j], I.order)
+                s = s_poly(G[i], G[j], I.order)
                 assert normal_form(s, G, I.order).is_zero()
 
 
@@ -321,7 +321,7 @@ def _reference_gb(gens, order):
         l = exp_lcm(lead[i], lead[j])
         if l == exp_add(lead[i], lead[j]) or _chain_skips(pairs, lead, i, j, l):
             continue
-        r = normal_form(gb._s_poly(G[i], G[j], order), G, order)
+        r = normal_form(s_poly(G[i], G[j], order), G, order)
         if r.is_zero():
             continue
         G.append(r)
@@ -354,7 +354,7 @@ def _reference_module_gb(vectors, mo):
                            Fraction(1) / G[i][pos].terms[lead[i]])
         mj = Poly.monomial(ctx, exp_sub(l, lead[j]),
                            Fraction(1) / G[j][pos].terms[lead[j]])
-        s = gb._vec_sub(gb._vec_scale(G[i], mi), gb._vec_scale(G[j], mj))
+        s = vec_sub(vec_scale(G[i], mi), vec_scale(G[j], mj))
         r = gb._vec_reduce(s, G, leads, mo)
         if gb._vec_is_zero(r):
             continue
@@ -450,12 +450,14 @@ def test_pair_keys_computed_once(monkeypatch):
 # replaced (kept here only, as references)
 
 
-def _old_normal_form(p, basis, order, leads=None, keys=None):
+def _old_normal_form(p, basis, order, leads=None, keys=None, images=None):
     """Re-keys every basis lead per call, rescans the working polynomial
-    for its lead and copies it on every step; leads and keys are ignored.
-    It checks the bound in effect, as the library does."""
+    for its lead and copies it on every step; leads, keys and images are
+    ignored, and an integer S-element is read at its value.  It checks the
+    bound in effect, as the library does."""
     if not basis:
         return p
+    p = value_of(p, basis)
     limits = Limits.current()
     lead = [(g.leading_exp(order), g) for g in basis if not g.is_zero()]
     rem = Poly.zero(p.ctx)
@@ -492,7 +494,8 @@ def _old_vec_lead(v, mo, keys=None):
     return best
 
 
-def _old_vec_reduce(v, basis, leads, mo, keys=None):
+def _old_vec_reduce(v, basis, leads, mo, keys=None, images=None):
+    v = value_of(v, basis)
     limits = Limits.current()
     ctx = v[0].ctx
     rem = tuple(Poly.zero(ctx) for _ in v)
@@ -517,7 +520,7 @@ def _old_vec_reduce(v, basis, leads, mo, keys=None):
             g = basis[hit]
             lp, le = leads[hit]
             m = Poly.monomial(ctx, exp_sub(e, le), c / g[lp].terms[le])
-            work = gb._vec_sub(work, gb._vec_scale(g, m))
+            work = vec_sub(work, vec_scale(g, m))
             for q in work:
                 limits.check_poly(q)
     return rem
@@ -720,7 +723,7 @@ def _old_groebner_basis(gens, order):
         # product criterion, then the chain criterion
         if lij == exp_add(lead[i], lead[j]) or queue.chain_skips(i, j, lij):
             continue
-        s = gb._s_poly(G[i], G[j], order, lead[i], lead[j])
+        s = s_poly(G[i], G[j], order, lead[i], lead[j])
         limits.check_poly(s)
         r = normal_form(s, G, order, leads=lead, keys=keys)
         if r.is_zero():
@@ -793,7 +796,7 @@ def _old_module_gb(vectors, mo):
         cj = G[j][pos].terms[lj]
         mi = Poly.monomial(ctx, exp_sub(l, li), Fraction(1) / ci)
         mj = Poly.monomial(ctx, exp_sub(l, lj), Fraction(1) / cj)
-        s = gb._vec_sub(gb._vec_scale(G[i], mi), gb._vec_scale(G[j], mj))
+        s = vec_sub(vec_scale(G[i], mi), vec_scale(G[j], mj))
         r = gb._vec_reduce(s, G, leads, mo, keys=keys)
         if gb._vec_is_zero(r):
             continue

@@ -1,0 +1,377 @@
+"""The integer division kernel (ring.reduce_in_place on integer images, one
+rational scale per division, integer S-elements) against the division over
+Fraction it replaced (tests/kernel_reference.py): the same remainders term
+for term and in the same term order, the same quotients, step logs, bases,
+basis logs and ResourceLimit messages; and a guard that the kernel's
+products see only integers."""
+
+import random
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+import kernel_reference as ref
+from fpowers import gb, ring, weyl
+from fpowers.bside import elimination_order
+from fpowers.gb import Limits, ResourceLimit
+from fpowers.logder import FactorizationSpec
+from fpowers.ring import (
+    MonomialOrder, Poly, VarContext, divide_exact, integer_image, parse_poly,
+)
+from fpowers.weyl import WeylContext, WeylOp, parse_weyl
+
+XYZ = VarContext([("X", ["x", "y", "z"])])
+BLOCK = VarContext([("W", ["a", "b"]), ("X", ["x", "y", "z"])])
+WS = WeylContext(["x", "y"], ["s1", "s2"])
+
+# small, negative, non-dividing, and large coprime numerators and
+# denominators
+COEFFS = [1, -1, 2, -3, 6, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4),
+          Fraction(7, 10007), Fraction(-65537, 4099),
+          Fraction(2 ** 61 - 1, 3 ** 20), Fraction(-1, 2 ** 31 - 1)]
+
+
+def _orders():
+    """(context, order): lex, grevlex, weighted and block."""
+    return [(XYZ, MonomialOrder.lex()), (XYZ, MonomialOrder.grevlex()),
+            (XYZ, MonomialOrder.weighted([2, 1, 3])),
+            (BLOCK, MonomialOrder.block(BLOCK, ["W", "X"]))]
+
+
+def _exp(rng, n, deg):
+    e = [0] * n
+    for _ in range(rng.randint(0, deg)):
+        e[rng.randrange(n)] += 1
+    return tuple(e)
+
+
+def _poly(rng, ctx, deg=3, terms=4):
+    return Poly(ctx, {_exp(rng, ctx.n, deg): rng.choice(COEFFS)
+                      for _ in range(terms)})
+
+
+def _op(rng, ctx=WS, deg=3, terms=4):
+    return WeylOp(ctx, {_exp(rng, ctx.nv, deg): rng.choice(COEFFS)
+                        for _ in range(terms)})
+
+
+def _items(elements):
+    """Terms in dict order, so equal lists mean equal elements whose terms
+    also come in the same order."""
+    return [list(q.terms.items()) for q in elements]
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except ResourceLimit as err:
+        return ("ResourceLimit", str(err))
+
+
+def _vec(rng, ctx, m, deg=2):
+    return tuple(_poly(rng, ctx, deg, terms=2) for _ in range(m))
+
+
+def _module_inputs():
+    rng = random.Random(71)
+    XY = VarContext([("X", ["x", "y"])])
+    f = parse_poly("x^2*y + y^3 - x*y", XY) * Fraction(-7, 10007)
+    yield [(f.diff("x"),), (f.diff("y"),), (-f,)], MonomialOrder.grevlex()
+    for order in (MonomialOrder.grevlex(), MonomialOrder.lex(),
+                  MonomialOrder.weighted([1, 2, 1])):
+        yield [_vec(rng, XYZ, 2) for _ in range(3)], order
+
+
+def _augmented(vecs):
+    """The syzygy module's input: each vector with its unit coordinates."""
+    ctx = vecs[0][0].ctx
+    return [tuple(v) + tuple(Poly.const(ctx, int(i == k))
+                             for k in range(len(vecs)))
+            for i, v in enumerate(vecs)]
+
+
+def _left_inputs():
+    """B_F eliminations with scaled generators and a random left ideal,
+    all with s-variables."""
+    vc = VarContext([("X", ["x", "y"])])
+    F = FactorizationSpec(["x", "y"], [parse_poly("x^2 + y^3", vc)])
+    gens = F.theta_generators() + [WeylOp.from_poly(F.weyl, F.f_xs)]
+    yield ([g * c for g, c in zip(gens, COEFFS[6:])],
+           elimination_order(F.weyl))
+    gens = [parse_weyl("x*dx + y*dy - s1 - 2*s2", WS) * Fraction(-3, 7),
+            parse_weyl("5*y*dx - 3*x*dy", WS),
+            parse_weyl("x^2 + 7/11*y^2", WS) * Fraction(2 ** 31 - 1, 6)]
+    yield gens, elimination_order(WS)
+    yield gens, MonomialOrder.block(WS.vc, ["X", "DX", "S"])
+    rng = random.Random(72)
+    yield [_op(rng, deg=2, terms=3) for _ in range(3)], MonomialOrder.grevlex()
+
+
+# ---------------------------------------------------------------------------
+# the divisions
+
+
+def test_images_are_primitive_and_exact():
+    rng = random.Random(70)
+    for _ in range(30):
+        terms = _poly(rng, XYZ, terms=5).terms
+        image, tau = integer_image(terms)
+        assert list(image) == list(terms) and tau > 0
+        assert all(type(c) is int for c in image.values())
+        assert {m: tau * c for m, c in image.items()} == terms
+        assert gcd(*image.values()) == 1
+
+
+def test_normal_forms_match_fraction_kernel():
+    rng = random.Random(73)
+    seen = 0
+    for ctx, order in _orders():
+        for case in range(10):
+            basis = [_poly(rng, ctx) for _ in range(3)] + [Poly.zero(ctx)]
+            if case == 0:
+                basis.append(Poly.const(ctx, Fraction(-7, 3)))
+            target = _poly(rng, ctx, deg=5, terms=6)
+            want = ref.normal_form(target, basis, order)
+            got = gb.normal_form(target, basis, order)
+            assert _items([got]) == _items([want])
+            nonzero = [g for g in basis if g.terms]
+            leads = [g.leading_exp(order) for g in nonzero]
+            images = [integer_image(g.terms) for g in nonzero]
+            for kw in ({"leads": leads}, {"leads": leads, "images": images}):
+                got = gb.normal_form(target, nonzero, order, **kw)
+                assert _items([got]) == _items([want])
+            seen += not want.is_zero()
+    assert seen > 10
+
+
+def test_divide_exact_matches_fraction_kernel():
+    rng = random.Random(74)
+    divided = 0
+    for _ in range(40):
+        a, b = _poly(rng, XYZ, deg=2), _poly(rng, XYZ, deg=2, terms=3)
+        for num in (a * b, a * b + _poly(rng, XYZ, deg=1, terms=1)):
+            got, want = divide_exact(num, b), ref.divide_exact(num, b)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert _items([got]) == _items([want])
+                divided += 1
+    c = Poly.const(XYZ, Fraction(-65537, 4099))
+    assert _items([divide_exact(a, c)]) == _items([ref.divide_exact(a, c)])
+    assert divided >= 40
+
+
+def test_vector_normal_forms_match_fraction_kernel():
+    rng = random.Random(75)
+    for vecs, order in _module_inputs():
+        for split in (0, 1):
+            mo = gb._ModOrder(order, split=split)
+            keys = ring.KeyCache(mo.key)
+            leads = [gb._vec_lead(v, mo, keys) for v in vecs]
+            m = len(vecs[0])
+            for _ in range(4):
+                target = _vec(rng, vecs[0][0].ctx, m, deg=4)
+                want = ref.vec_reduce(target, vecs, leads, mo)
+                got = gb._vec_reduce(target, vecs, leads, mo)
+                assert _items(got) == _items(want)
+
+
+def test_left_normal_forms_and_steps_match_fraction_kernel():
+    rng = random.Random(76)
+    for gens, order in _left_inputs():
+        ctx = gens[0].ctx
+        with Limits(max_degree=12, max_basis=60):
+            G = _outcome(weyl.weyl_left_gb, gens, order)
+        bases = [list(gens)] + ([G] if isinstance(G, list) else [])
+        for basis in bases:
+            for _ in range(5):
+                P = _op(rng, ctx, deg=4, terms=5)
+                steps, ref_steps = [], []
+                got = weyl.left_normal_form(P, basis, order, steps=steps)
+                want = ref.left_normal_form(P, basis, order, steps=ref_steps)
+                assert _items([got]) == _items([want])
+                assert steps == ref_steps
+                assert all(type(c) is Fraction for _, _, c in steps)
+
+
+# ---------------------------------------------------------------------------
+# the bases: integer S-elements and integer divisions
+
+
+def test_bases_match_fraction_kernel():
+    rng = random.Random(77)
+    for ctx, order in _orders():
+        for _ in range(4):
+            gens = [_poly(rng, ctx, deg=2, terms=3) for _ in range(3)]
+            with Limits(max_degree=8, max_basis=60):
+                got = _outcome(gb.groebner_basis, gens, order)
+                want = _outcome(ref.groebner_basis, gens, order)
+            if isinstance(want, tuple):
+                assert got == want
+            else:
+                assert _items(got) == _items(want)
+
+
+def test_module_bases_match_fraction_kernel():
+    for vecs, order in _module_inputs():
+        aug = _augmented(vecs)
+        mo = gb._ModOrder(order, split=len(vecs[0]))
+        got, want = gb._module_gb(aug, mo), ref.module_gb(aug, mo)
+        assert [_items(v) for v in got] == [_items(v) for v in want]
+        assert len(want) > len(aug)
+
+
+def test_left_bases_and_logs_match_fraction_kernel():
+    logged = 0
+    for gens, order in _left_inputs():
+        with Limits(max_degree=12, max_basis=60):
+            got = _outcome(weyl.weyl_left_gb, gens, order)
+            want = _outcome(ref.weyl_left_gb, gens, order)
+        if isinstance(want, tuple):
+            assert got == want
+            continue
+        assert _items(got) == _items(want)
+        assert got.origin == want.origin
+        assert got.steps == want.steps
+        assert got.final == want.final
+        logged += sum(map(len, got.steps))
+    assert logged > 20
+
+
+def test_resource_limits_match_fraction_kernel():
+    # every division and basis raises where the Fraction kernel raises,
+    # with the same message, at max_degree 2 to 6
+    rng = random.Random(78)
+    XY = VarContext([("X", ["x", "y"])])
+    ideals = [([_poly(rng, ctx, deg=3) for _ in range(3)], order)
+              for ctx, order in _orders()]
+    ideals.append(([parse_poly("x^5 + y", XY), parse_poly("y^4 - 2/3*x", XY)],
+                   MonomialOrder.grevlex()))
+    divisions = [(_poly(rng, XYZ, deg=6, terms=5),
+                  [_poly(rng, XYZ, deg=2) for _ in range(3)])
+                 for _ in range(4)]
+    modules = list(_module_inputs())
+    lefts = list(_left_inputs())
+    left_targets = [[_op(rng, gens[0].ctx, deg=5, terms=4) for _ in range(3)]
+                    for gens, _ in lefts]
+
+    def outcomes(lib):
+        normal_form, vec_reduce, left_normal_form, groebner_basis, \
+            module_gb, weyl_left_gb = lib
+        out = []
+        for d in (2, 3, 4, 5, 6):
+            with Limits(max_degree=d, max_basis=60):
+                for gens, order in ideals:
+                    out.append(_outcome(groebner_basis, gens, order))
+                for target, basis in divisions:
+                    out.append(_outcome(normal_form, target, basis,
+                                        MonomialOrder.lex()))
+                for vecs, order in modules:
+                    mo = gb._ModOrder(order, split=len(vecs[0]))
+                    out.append(_outcome(module_gb, _augmented(vecs), mo))
+                    leads = [gb._vec_lead(v, mo) for v in vecs]
+                    big = tuple(q * q * q for q in vecs[0])
+                    out.append(_outcome(vec_reduce, big, vecs, leads, mo))
+                for (gens, order), targets in zip(lefts, left_targets):
+                    out.append(_outcome(weyl_left_gb, gens, order))
+                    for P in targets:
+                        out.append(_outcome(left_normal_form, P, gens, order))
+        return [o if isinstance(o, tuple) and o[:1] == ("ResourceLimit",)
+                else _canonical(o) for o in out]
+    got = outcomes((gb.normal_form, gb._vec_reduce, weyl.left_normal_form,
+                    gb.groebner_basis, gb._module_gb, weyl.weyl_left_gb))
+    want = outcomes((ref.normal_form, ref.vec_reduce, ref.left_normal_form,
+                     ref.groebner_basis, ref.module_gb, ref.weyl_left_gb))
+    assert got == want
+    raised = sum(o[:1] == ("ResourceLimit",) for o in want
+                 if isinstance(o, tuple))
+    assert 0 < raised < len(want)
+
+
+def _canonical(result):
+    """A division or basis result as nested term lists."""
+    if isinstance(result, ring.TermMap):
+        return list(result.terms.items())
+    return [_canonical(x) for x in result]
+
+
+# ---------------------------------------------------------------------------
+# the degree bound names the degree left in the work
+
+
+def test_normal_form_degree_message_names_the_degree():
+    XY = VarContext([("X", ["x", "y"])])
+    # the first step leaves x^4 (times 3/2) in the work: over the bound of 3
+    target = parse_poly("3/2*x^5", XY)
+    basis = [parse_poly("2*x - 7", XY)]
+    for normal_form in (gb.normal_form, ref.normal_form):
+        with pytest.raises(ResourceLimit) as err, Limits(max_degree=3):
+            normal_form(target, basis, MonomialOrder.grevlex())
+        assert str(err.value) == "total degree 4 exceeds bound 3"
+
+
+def test_vector_normal_form_degree_message_names_the_first_component():
+    # the step on component 0 leaves x^4 there, while component 1 holds
+    # y^6: the message names the first component over the bound, 4, not 6
+    XY = VarContext([("X", ["x", "y"])])
+    v = (parse_poly("-5/3*x^5", XY), parse_poly("y^6", XY))
+    basis = [(parse_poly("3*x + 1", XY), Poly.zero(XY))]
+    mo = gb._ModOrder(MonomialOrder.grevlex(), split=1)
+    leads = [gb._vec_lead(g, mo) for g in basis]
+    for vec_reduce in (gb._vec_reduce, ref.vec_reduce):
+        with pytest.raises(ResourceLimit) as err, Limits(max_degree=3):
+            vec_reduce(v, basis, leads, mo)
+        assert str(err.value) == "total degree 4 exceeds bound 3"
+
+
+# ---------------------------------------------------------------------------
+# work guard: the kernel's products see integers only
+
+
+def test_kernel_products_take_integer_coefficients(monkeypatch):
+    # wrap the normal-ordered term product and every multiple callback the
+    # kernel is given; a division that multiplies Fractions term by term
+    # fails here on any Python version
+    seen = {"term_product": 0, "multiple": 0, "work": 0}
+    bad = []
+    real_product = weyl._term_product
+    real_kernel = ring.reduce_in_place
+
+    def term_product(ctx, e1, c1, e2, c2):
+        seen["term_product"] += 1
+        if type(c1) is not int or type(c2) is not int:
+            bad.append(("term_product", c1, c2))
+        return real_product(ctx, e1, c1, e2, c2)
+
+    def kernel(work, leads, images, keys, multiple, *args, **kwargs):
+        seen["work"] += 1
+        bad.extend(("work", c) for c in work.terms.values()
+                   if type(c) is not int)
+
+        def checked(k, e, b):
+            seen["multiple"] += 1
+            terms = multiple(k, e, b)
+            bad.extend(("multiple", b, c) for c in [b] + [c for _, c in terms]
+                       if type(c) is not int)
+            return terms
+        return real_kernel(work, leads, images, keys, checked, *args,
+                           **kwargs)
+    XY = VarContext([("X", ["x", "y"])])
+    basis = [parse_poly("2/3*x^2 - 5/7*y", XY),
+             parse_poly("3/5*x*y + 1/2", XY)]
+    target = parse_poly("7/9*x^3*y^2 - 1/3*y^3", XY)
+    ops = [parse_weyl("2/3*x*dx - 5/7*s1", WS), parse_weyl("3/4*dy^2 - y", WS)]
+    P = parse_weyl("5/6*dx^2*dy^2*x^2 + 1/9", WS)
+    monkeypatch.setattr(weyl, "_term_product", term_product)
+    for mod in (ring, gb, weyl):
+        monkeypatch.setattr(mod, "reduce_in_place", kernel)
+
+    order = MonomialOrder.grevlex()
+    assert not gb.normal_form(target, basis, order).is_zero()
+    assert not weyl.left_normal_form(P, ops, order).is_zero()
+    # the S-elements of the three basis loops, too
+    gb.groebner_basis(basis, order)
+    gb.syzygies([(basis[0],), (basis[1],)])
+    weyl.weyl_left_gb(ops, order)
+    assert bad == []
+    assert min(seen.values()) > 5

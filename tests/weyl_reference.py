@@ -13,17 +13,20 @@ from fractions import Fraction
 from fpowers import gb
 from fpowers.ring import exp_divides, exp_sub
 from fpowers.weyl import WeylOp, weyl_multiply
+from kernel_reference import value_of
 
 
 def _old_left_normal_form(P, basis, order, limits=None,
                           cofactors=None, basis_cofactors=None,
-                          leads=None, keys=None, steps=None):
+                          leads=None, keys=None, steps=None, images=None):
     """Re-keys every basis lead per call, rescans the working operator for
-    its lead and copies it on every step; leads and keys are ignored.
+    its lead and copies it on every step; leads, keys and images are
+    ignored, and an integer S-element is read at its value.
     Given `steps`, it appends each step's (k, m, c) as the kernel does, so
     it can stand in for weyl.left_normal_form; without `limits` it checks
     the bound in effect, as the library does."""
     from fpowers.gb import ResourceLimit
+    P = value_of(P, basis)
     if limits is None:
         limits = gb.Limits.current()
     ctx = P.ctx
