@@ -4,13 +4,14 @@ One Buchberger engine serves the ideal and module bases here and the left
 bases of weyl.py.  buchberger is the one pair loop: one PairQueue (each
 pair keyed once by its lcm, smallest (key, i, j) first), the chain
 criterion, the product criterion where sound, the basis-size bound.  Each
-caller passes a step that forms the S-element on integer images
-(ring.s_element), reduces it by its own normal form and appends a nonzero
-remainder.  interreduce is the one final minimalize / tail-reduce / monic /
-sort.  Normal forms of polynomials and of module vectors run on
-ring.reduce_in_place over integers, sharing a basis computation's KeyCache
-of order keys, its leading exponents and the integer images of its
-elements; Fractions go in and come out.  On top of the basis: normal forms,
+basis loop owns one ring.Divisors, its divisor set, and passes a step that
+forms the S-element on it (Divisors.s_element), reduces it by its own
+normal form and adds a nonzero remainder to it.  interreduce is the one
+final minimalize / tail-reduce / monic / sort, on the same Divisors.
+Normal forms of polynomials and of module vectors take a list of elements
+or a basis loop's Divisors and run on ring.reduce_in_place over integers
+through remainder, which also turns the kernel's degree overflow into
+ResourceLimit; Fractions go in and come out.  On top of the basis:
 membership, elimination, intersections, colon ideals, saturation, radical
 membership, Krull dimension via independent variable sets, module syzygies
 (extended-basis construction), and minimal graded free resolutions with a
@@ -32,9 +33,9 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .ring import (
-    DegreeBoundExceeded, Exp, KeyCache, MonomialOrder, Poly, Scaled,
+    DegreeBoundExceeded, Divisors, Exp, MonomialOrder, Poly, Scaled,
     VarContext, exp_add, exp_divides, exp_lcm, exp_sub, exp_total,
-    integer_image, reduce_in_place, s_element, term_multiple,
+    integer_image, reduce_in_place,
 )
 
 
@@ -90,46 +91,45 @@ _CURRENT: ContextVar[Limits] = ContextVar("limits", default=DEFAULT_LIMITS)
 # ---------------------------------------------------------------------------
 # division and Buchberger
 
-def normal_form(p: Poly | Scaled, basis: Sequence[Poly],
-                order: MonomialOrder,
-                leads: Optional[Sequence[Exp]] = None,
-                keys: Optional[KeyCache] = None,
-                images: Optional[Sequence[Scaled]] = None) -> Poly:
+def normal_form(p: Poly | Scaled, basis: Sequence[Poly] | Divisors,
+                order: MonomialOrder) -> Poly:
     """Remainder of p under multivariate division by basis.
 
-    Fractions in and out, integers inside: p (a Poly, or a basis
-    computation's S-element as a ring.Scaled) is divided by
+    Fractions in and out, integers inside: p is divided by
     ring.reduce_in_place on integer images, and the remainder is the one
-    of the division over Q, term for term.  A basis computation passes the
-    leading exponents of its (nonzero) basis elements as `leads`, its
-    KeyCache of order keys as `keys` and their ring.integer_image as
-    `images`; without them, zero elements are dropped and the leads and
-    images are found here.
-    """
+    of the division over Q, term for term.  basis is a list of
+    polynomials over the context of p (zero elements are dropped), or a
+    basis computation's ring.Divisors, which may divide its S-element
+    (a ring.Scaled) as p."""
     if not basis:
         return p
-    if keys is None:
-        keys = KeyCache(order.key)
-    if leads is None:
-        basis = [g for g in basis if g.terms]
-        leads = [max(g.terms, key=keys.__getitem__) for g in basis]
-    if images is None:
-        images = [integer_image(g.terms) for g in basis]
-    if isinstance(p, Scaled):
-        work, ctx = p, basis[0].ctx
-    else:
-        work, ctx = integer_image(p.terms), p.ctx
-    rem: Dict[Exp, Fraction] = {}
+    if not isinstance(basis, Divisors):
+        basis = Divisors.of(p.ctx, basis, order.key)
+    out = Poly(basis.ctx)
+    out.terms = remainder(p, basis)
+    return out
+
+
+def remainder(p, divisors: Divisors, terms: Callable = lambda p: p.terms,
+              steps: Optional[list] = None) -> Dict:
+    """The remainder terms of p (an element with term map terms(p), or a
+    ring.Scaled) by divisors under the degree bound in effect, which the
+    kernel's DegreeBoundExceeded turns into "total degree D exceeds bound
+    M": D is the largest degree left in the work or, for vectors, in its
+    first component over the bound."""
+    work = p if isinstance(p, Scaled) else integer_image(terms(p))
+    rem: Dict = {}
     bound = Limits.current().max_degree
     try:
-        reduce_in_place(work, leads, images, keys,
-                        term_multiple(leads, images), rem, max_degree=bound)
+        reduce_in_place(work, divisors, rem, steps, bound)
     except DegreeBoundExceeded as err:
-        raise ResourceLimit(f"total degree {max(map(sum, err.monomials))} "
-                            f"exceeds bound {bound}") from None
-    out = Poly(ctx)
-    out.terms = rem
-    return out
+        over = [m for m in err.monomials if divisors.degree(m) > bound]
+        if divisors.divides is _mod_divides:
+            first = min(pos for pos, _ in over)
+            over = [m for m in over if m[0] == first]
+        raise ResourceLimit(f"total degree {max(map(divisors.degree, over))}"
+                            f" exceeds bound {bound}") from None
+    return rem
 
 
 def s_pair_multipliers(f, lf: Exp, g, lg: Exp, l: Exp):
@@ -228,15 +228,16 @@ def buchberger(key, firsts: Sequence[Tuple[Exp, int]], step: Callable,
         queue.add(*new)
 
 
-def interreduce(G: Sequence, leads: Sequence[Exp], keys: KeyCache,
+def interreduce(divisors: Divisors,
                 divide: Callable) -> List[Tuple[int, Fraction, object]]:
-    """The minimal, tail-reduced, monic basis of the Groebner basis G,
-    ascending by leading monomial, as triples (i, c, g): g is c times the
-    remainder of G[i].
+    """The minimal, tail-reduced, monic basis of the Groebner basis whose
+    elements are `divisors`, ascending by leading monomial, as triples
+    (i, c, g): g is c times the remainder of element i.
 
-    divide(i, rest) returns the remainder of G[i] by the kept G[k], k in
-    rest.
+    divide(i, rest) returns the remainder of element i by the kept
+    elements k in rest.
     """
+    leads, keys = divisors.leads, divisors.keys
     # minimalize: drop g whose LM is divisible by another LM
     keep: List[int] = []
     for i, li in enumerate(leads):
@@ -273,50 +274,25 @@ def groebner_basis(gens: Sequence[Poly], order: MonomialOrder) -> List[Poly]:
             G.append(g)
     if not G:
         return []
-
-    keys = KeyCache(order.key)
-    leading = keys.__getitem__
-    lead = [max(g.terms, key=leading) for g in G]
-    images = [integer_image(g.terms) for g in G]
-    multiple = term_multiple(lead, images)
+    divisors = Divisors.of(G[0].ctx, G, order.key)
 
     def step(i, j, l):
-        s = s_element(i, j, l, lead, images, multiple)
+        s = divisors.s_element(i, j, l)
         limits.check_poly(s)
-        r = normal_form(s, G, order, leads=lead, keys=keys, images=images)
+        r = normal_form(s, divisors, order)
         if r.is_zero():
             return None
         limits.check_poly(r)
         G.append(r)
-        lead.append(max(r.terms, key=leading))
-        images.append(integer_image(r.terms))
-        return lead[-1], 0
-    buchberger(order.key, [(e, 0) for e in lead], step,
+        return divisors.add(r.terms), 0
+    buchberger(order.key, [(e, 0) for e in divisors.leads], step,
                coprime_criterion=True)
-    return _reduce_basis(G, order, leads=lead, keys=keys, images=images)
-
-
-def _reduce_basis(G: Sequence[Poly], order: MonomialOrder,
-                  leads: Optional[Sequence[Exp]] = None,
-                  keys: Optional[KeyCache] = None,
-                  images: Optional[Sequence[Scaled]] = None) -> List[Poly]:
-    """interreduce for polynomials; a basis computation passes its leads,
-    KeyCache and integer images as in normal_form."""
-    if keys is None:
-        keys = KeyCache(order.key)
-    if leads is None:
-        G = [g for g in G if not g.is_zero()]
-        leads = [max(g.terms, key=keys.__getitem__) for g in G]
-    if images is None:
-        images = [integer_image(g.terms) for g in G]
 
     def divide(i, rest):
         if not rest:
             return G[i]
-        return normal_form(G[i], [G[k] for k in rest], order,
-                           leads=[leads[k] for k in rest], keys=keys,
-                           images=[images[k] for k in rest])
-    return [g for _, _, g in interreduce(G, leads, keys, divide)]
+        return normal_form(G[i], divisors.subset(rest), order)
+    return [g for _, _, g in interreduce(divisors, divide)]
 
 
 class IdealHandle:
@@ -388,18 +364,23 @@ def eliminate(I: IdealHandle, drop_block: str) -> IdealHandle:
     return IdealHandle(kept, ctx=ctx2)
 
 
-def _extend_with_var(ctx: VarContext, block: str, name: str) -> VarContext:
-    if name in ctx.index:
-        raise ValueError(f"variable {name} already present")
-    return VarContext(list(ctx.blocks) + [(block, [name])])
+def _with_tag(ctx: VarContext) -> Tuple[VarContext, str]:
+    """ctx with one more variable, the tag of intersect and
+    radical_membership, alone in a last block _W: named _w, or _w1, _w2,
+    ... when ctx already has that name."""
+    name, k = "_w", 0
+    while name in ctx.index:
+        k += 1
+        name = f"_w{k}"
+    return VarContext(list(ctx.blocks) + [("_W", [name])]), name
 
 
 def intersect(I: IdealHandle, J: IdealHandle) -> IdealHandle:
     """I cap J by the single-tag-variable trick: eliminate w from
     w*I + (1-w)*J."""
     ctx = I.ctx
-    ctx2 = _extend_with_var(ctx, "_W", "_w")
-    w = Poly.var(ctx2, "_w")
+    ctx2, tag = _with_tag(ctx)
+    w = Poly.var(ctx2, tag)
     gens = [w * g.map_context(ctx2) for g in I.gens]
     gens += [(Poly.const(ctx2, 1) - w) * g.map_context(ctx2) for g in J.gens]
     E = eliminate(IdealHandle(gens, ctx=ctx2), "_W")
@@ -447,8 +428,8 @@ def saturate(I: IdealHandle, g: Poly) -> Tuple[IdealHandle, int]:
 
 def radical_membership(p: Poly, I: IdealHandle) -> bool:
     """p in rad(I), by the inverse-tag trick: 1 in I + (1 - w*p)."""
-    ctx2 = _extend_with_var(I.ctx, "_W", "_w")
-    w = Poly.var(ctx2, "_w")
+    ctx2, tag = _with_tag(I.ctx)
+    w = Poly.var(ctx2, tag)
     gens = [g.map_context(ctx2) for g in I.gens]
     gens.append(Poly.const(ctx2, 1) - w * p.map_context(ctx2))
     return IdealHandle(gens).is_unit_ideal()
@@ -502,15 +483,6 @@ class _ModOrder:
         return (-cls, self.base.key(e), -pos)
 
 
-def _vec_lead(v: Vec, mo: _ModOrder,
-              keys: Optional[KeyCache] = None) -> Tuple[int, Exp]:
-    keys = KeyCache(mo.key) if keys is None else keys
-    terms = [(pos, e) for pos, p in enumerate(v) for e in p.terms]
-    if not terms:
-        raise ValueError("zero vector has no leading term")
-    return max(terms, key=keys.__getitem__)
-
-
 def _mod_divides(lead: Tuple[int, Exp], m: Tuple[int, Exp]) -> bool:
     return lead[0] == m[0] and exp_divides(lead[1], m[1])
 
@@ -524,52 +496,40 @@ def _vec_terms(v: Vec) -> Dict[Tuple[int, Exp], Fraction]:
     return {(pos, e): c for pos, p in enumerate(v) for e, c in p.terms.items()}
 
 
-def _vec_multiple(leads: Sequence[Tuple[int, Exp]],
-                  images: Sequence[Scaled]) -> Callable:
-    """multiple(k, (pos, e), b) of reduce_in_place for vectors: the terms
-    of b*x^(e - lead exponent of k) * image_k."""
-    def multiple(k, pe, b):
-        m = exp_sub(pe[1], leads[k][1])
-        return [((pos, exp_add(m, ge)), b * c)
-                for (pos, ge), c in images[k].terms.items()]
-    return multiple
+def _vec_ctx(v: Vec) -> tuple:
+    """The context of a vector: the tuple of its components' contexts,
+    which also fixes its rank."""
+    return tuple(p.ctx for p in v)
 
 
-def _vec_reduce(v: Vec | Scaled, basis: List[Vec],
-                leads: List[Tuple[int, Exp]],
-                mo: _ModOrder, keys: Optional[KeyCache] = None,
-                images: Optional[Sequence[Scaled]] = None) -> Vec:
+def _vec_multiple(e: Tuple[int, Exp], lead: Tuple[int, Exp], image: Dict,
+                  b: int) -> list:
+    """ring.Divisors.multiple for vectors: the terms of
+    b*x^(e - lead) * image, the exponents of e and lead."""
+    m = exp_sub(e[1], lead[1])
+    return [((pos, exp_add(m, ge)), b * c) for (pos, ge), c in image.items()]
+
+
+def _vec_divisors(ctx, basis: Sequence[Vec], mo: _ModOrder) -> Divisors:
+    """The ring.Divisors of the vectors of basis, over ctx (_vec_ctx)."""
+    return Divisors.of(ctx, basis, mo.key, _vec_multiple, _mod_divides,
+                       _mod_degree,
+                       view=lambda v: (_vec_ctx(v), _vec_terms(v)))
+
+
+def _vec_reduce(v: Vec | Scaled, basis: Sequence[Vec] | Divisors,
+                mo: _ModOrder) -> Vec:
     """Full normal form of a vector against a list of vectors.
 
     Module monomials are (position, exponent) pairs.  As in normal_form,
-    v (a Vec, or a module basis computation's S-element as a ring.Scaled)
-    is divided on integer images and the remainder is the one over Q; a
-    module basis computation passes its KeyCache of order keys and the
-    integer images of its vectors' term maps (_vec_terms)."""
-    keys = KeyCache(mo.key) if keys is None else keys
-    if images is None:
-        images = [integer_image(_vec_terms(g)) for g in basis]
-    if isinstance(v, Scaled):
-        work, like = v, basis[0]
-    else:
-        work, like = integer_image(_vec_terms(v)), v
-    rem: Dict[Tuple[int, Exp], Fraction] = {}
-    bound = Limits.current().max_degree
-    try:
-        reduce_in_place(work, leads, images, keys,
-                        _vec_multiple(leads, images), rem, max_degree=bound,
-                        divides=_mod_divides, degree=_mod_degree)
-    except DegreeBoundExceeded as err:
-        # report the first component above the bound
-        degs = [-1] * len(like)
-        for pos, e in err.monomials:
-            degs[pos] = max(degs[pos], sum(e))
-        deg = next(d for d in degs if d > bound)
-        raise ResourceLimit(f"total degree {deg} exceeds bound "
-                            f"{bound}") from None
-    ctx = like[0].ctx
-    parts = [Poly(ctx) for _ in like]
-    for (pos, e), c in rem.items():
+    v is divided on integer images and the remainder is the one over Q;
+    basis is a list of vectors of the rank and context of v, or a module
+    basis computation's ring.Divisors, which may divide its S-element (a
+    ring.Scaled) as v."""
+    if not isinstance(basis, Divisors):
+        basis = _vec_divisors(_vec_ctx(v), basis, mo)
+    parts = [Poly(ctx) for ctx in basis.ctx]
+    for (pos, e), c in remainder(v, basis, _vec_terms).items():
         parts[pos].terms[e] = c
     return tuple(parts)
 
@@ -583,21 +543,17 @@ def _module_gb(vectors: List[Vec], mo: _ModOrder) -> List[Vec]:
     G = [v for v in vectors if not _vec_is_zero(v)]
     if not G:
         return []
-    keys = KeyCache(mo.key)
-    leads = [_vec_lead(v, mo, keys) for v in G]
-    images = [integer_image(_vec_terms(v)) for v in G]
-    multiple = _vec_multiple(leads, images)
+    divisors = _vec_divisors(_vec_ctx(G[0]), G, mo)
 
     def step(i, j, l):
-        s = s_element(i, j, (leads[i][0], l), leads, images, multiple)
-        r = _vec_reduce(s, G, leads, mo, keys=keys, images=images)
+        s = divisors.s_element(i, j, (divisors.leads[i][0], l))
+        r = _vec_reduce(s, divisors, mo)
         if _vec_is_zero(r):
             return None
         G.append(r)
-        leads.append(_vec_lead(r, mo, keys))
-        images.append(integer_image(_vec_terms(r)))
-        return leads[-1][1], leads[-1][0]
-    buchberger(mo.base.key, [(e, pos) for pos, e in leads], step,
+        pos, e = divisors.add(_vec_terms(r))
+        return e, pos
+    buchberger(mo.base.key, [(e, pos) for pos, e in divisors.leads], step,
                coprime_criterion=False)
     return G
 
@@ -612,10 +568,7 @@ def module_contains(vectors: Sequence[Sequence[Poly]], target: Sequence[Poly],
     if not vecs:
         return False
     mo = _ModOrder(order or MonomialOrder.grevlex(), split=0)
-    G = _module_gb(vecs, mo)
-    keys = KeyCache(mo.key)
-    leads = [_vec_lead(v, mo, keys) for v in G]
-    return _vec_is_zero(_vec_reduce(tgt, G, leads, mo, keys))
+    return _vec_is_zero(_vec_reduce(tgt, _module_gb(vecs, mo), mo))
 
 
 def syzygies(vectors: Sequence[Sequence[Poly]],

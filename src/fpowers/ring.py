@@ -15,16 +15,19 @@ add_terms is the one in-place accumulation of terms into a term map.
 
 reduce_in_place is the one division loop of the package: the commutative
 and module normal forms of gb.py, the left normal form of weyl.py and
-divide_exact here all run it.  Fractions go in and come out, integers work
-inside: each divisor is divided as its primitive integer image
-(integer_image, g = tau * image), the work is an integer term map with one
-rational scale (Scaled), and each step scales the work by an integer so
-that one integer multiple of the image cancels its leading term.  It picks
-each leading monomial through a KeyCache (every order key computed once
-per computation) and subtracts the multiple term by term in place.
+divide_exact here all run it.  It divides by one Divisors, the divisor set
+of one computation: per divisor its leading monomial and its primitive
+integer image (integer_image, g = tau * image), one KeyCache (every order
+key computed once per computation), and the element kind's multiple,
+divides and degree.  Divisors.of builds one from a list of elements and
+rejects an element over another context; a basis loop owns one, adds each
+new element to it and forms its S-elements on the images
+(Divisors.s_element).  Fractions go in and come out, integers work inside:
+the work is an integer term map with one rational scale (Scaled), and each
+step scales the work by an integer so that one integer multiple of an
+image cancels its leading term, subtracted term by term in place.
 Remainder terms leave as Fractions, and the step log has one Fraction per
-step, the value c/lc that the division over Q takes away.  s_element forms
-the S-element of two divisors on their images, for the Buchberger loops.
+step, the value c/lc that the division over Q takes away.
 """
 
 from __future__ import annotations
@@ -75,8 +78,14 @@ class VarContext:
         self.names: Tuple[str, ...] = tuple(
             v for _, vs in self.blocks for v in vs
         )
-        if len(set(self.names)) != len(self.names):
-            raise ValueError("variable names must be unique across blocks")
+        seen: Dict[str, str] = {}
+        for bname, vs in self.blocks:
+            for v in vs:
+                if v in seen:
+                    raise ValueError(
+                        f"variable names must be unique across blocks: "
+                        f"{v!r} is in block {seen[v]} and in block {bname}")
+                seen[v] = bname
         self.index: Dict[str, int] = {v: i for i, v in enumerate(self.names)}
         self.block_indices: Dict[str, Tuple[int, ...]] = {}
         pos = 0
@@ -281,39 +290,123 @@ def integer_image(terms: Dict) -> Scaled:
     return Scaled(image, Fraction(g, den))
 
 
-def reduce_in_place(work: Scaled, leads: Sequence, images: Sequence[Scaled],
-                    keys: KeyCache, multiple: Callable,
-                    rem: Optional[Dict] = None, steps: Optional[list] = None,
-                    max_degree: Optional[int] = None,
-                    divides: Callable = exp_divides,
-                    degree: Callable = sum) -> bool:
-    """Divide `work` (monomial -> nonzero int, times its scale sigma) in
-    place by the divisors g_k = tau_k * image_k, images[k] = (image_k,
-    tau_k), whose leading monomials are leads[k].
+def poly_multiple(e: Exp, lead: Exp, image: Dict, b: int) -> list:
+    """Divisors.multiple for commutative term maps: the terms of
+    b*x^(e - lead) * image."""
+    m = exp_sub(e, lead)
+    return [(exp_add(m, ge), b * gc) for ge, gc in image.items()]
 
-    Each step takes the largest monomial e of the work under `keys`, with
-    coefficient w, and the first k with divides(leads[k], e).  If there is
-    one, let L be the coefficient of image_k at leads[k], h = gcd(w, L),
-    a = L/h > 0 and b = w/h: the work is multiplied by a (sigma divided by
-    a) and the terms (monomial, int) of multiple(k, e, b) -- b times a
-    multiple of image_k led by L*e, so e cancels -- are subtracted from it
-    one by one; after that step, a term of degree above max_degree left
-    anywhere in the work raises DegreeBoundExceeded.  With a list `steps`,
-    the step appends (k, e, c): it took away c*x^(e - leads[k]) * g_k,
-    c = sigma*b/tau_k, the Fraction (work coefficient)/(leading coefficient)
-    of a division over Q.  If no lead divides e, the term moves to `rem`
-    as the Fraction sigma*w, or, with rem None, the division stops and
-    returns False.  Returns True once the work is empty.
+
+class Divisors:
+    """The divisors of one computation (one basis, or one division), in
+    the form reduce_in_place divides by.
+
+    Per divisor g_k: its leading monomial leads[k] and its primitive
+    integer image images[k] = (image_k, tau_k), g_k = tau_k * image_k.  All
+    of them share one KeyCache of order keys, `keys`.  The element kind
+    enters as three plain functions: multiple(e, lead, image, b), the terms
+    (monomial, int) of b times the multiple of an image whose leading
+    monomial moves from lead to e; divides(lead, e); and degree(e), the
+    total degree of a monomial.  ctx is the context of the divisors.
+
+    A basis computation owns one and drops it with its result: the keys
+    and images keep every monomial they hold alive.
+    """
+
+    def __init__(self, ctx, key: Callable, multiple: Callable = poly_multiple,
+                 divides: Callable = exp_divides, degree: Callable = sum):
+        self.ctx = ctx
+        self.keys = KeyCache(key)
+        self.multiple, self.divides, self.degree = multiple, divides, degree
+        self.leads: List = []
+        self.images: List[Scaled] = []
+
+    @classmethod
+    def of(cls, ctx, basis: Iterable, key: Callable, *kind,
+           view: Callable = lambda g: (g.ctx, g.terms)) -> "Divisors":
+        """The divisors over ctx of the nonzero elements of basis; kind is
+        (multiple, divides, degree) and view(g) an element's (context, term
+        map).  An element over another context raises ValueError naming
+        both: exponents of different lengths would compare as the shorter
+        one, and the division need not end."""
+        out = cls(ctx, key, *kind)
+        for g in basis:
+            gctx, terms = view(g)
+            if gctx != ctx:
+                raise ValueError(f"cannot divide an element over {ctx!r} "
+                                 f"by one over {gctx!r}")
+            if terms:
+                out.add(terms)
+        return out
+
+    def __len__(self):
+        return len(self.leads)
+
+    def add(self, terms: Dict):
+        """Append the divisor with term map `terms` (nonzero); return its
+        leading monomial."""
+        lead = max(terms, key=self.keys.__getitem__)
+        self.leads.append(lead)
+        self.images.append(integer_image(terms))
+        return lead
+
+    def subset(self, ks: Sequence[int]) -> "Divisors":
+        """The divisors ks, in that order, sharing the keys."""
+        out = object.__new__(Divisors)
+        out.__dict__.update(self.__dict__)
+        out.leads = [self.leads[k] for k in ks]
+        out.images = [self.images[k] for k in ks]
+        return out
+
+    def s_element(self, i: int, j: int, l) -> Scaled:
+        """The S-element of divisors i and j at l, a common multiple of
+        their leads, as integer work for reduce_in_place: with L_i, L_j the
+        leading coefficients of their images and L = lcm(L_i, L_j),
+        (L/L_i)*x^(l - lead_i)*image_i - (L/L_j)*x^(l - lead_j)*image_j at
+        scale 1/L.  Its value is x^(l - lead_i)*g_i/lc(g_i) -
+        x^(l - lead_j)*g_j/lc(g_j), both parts led by 1*x^l."""
+        (ti, _), (tj, _) = self.images[i], self.images[j]
+        li, lj = ti[self.leads[i]], tj[self.leads[j]]
+        L = lcm(li, lj)
+        terms: Dict = {}
+        add_terms(terms, self.multiple(l, self.leads[i], ti, L // li))
+        add_terms(terms, self.multiple(l, self.leads[j], tj, -(L // lj)))
+        return Scaled(terms, Fraction(1, L))
+
+
+def reduce_in_place(work: Scaled, divisors: Divisors,
+                    rem: Optional[Dict] = None, steps: Optional[list] = None,
+                    max_degree: Optional[int] = None) -> bool:
+    """Divide `work` (monomial -> nonzero int, times its scale sigma) in
+    place by the divisors g_k = tau_k * image_k of `divisors`.
+
+    Each step takes the largest monomial e of the work under the divisors'
+    keys, with coefficient w, and the first k whose lead divides e.  If
+    there is one, let L be the coefficient of image_k at its lead,
+    h = gcd(w, L), a = L/h > 0 and b = w/h: the work is multiplied by a
+    (sigma divided by a) and the terms (monomial, int) of
+    multiple(e, lead, image_k, b) -- b times a multiple of image_k led by
+    L*e, so e cancels -- are subtracted from it one by one; after that
+    step, a term of degree above max_degree left anywhere in the work
+    raises DegreeBoundExceeded.  With a list `steps`, the step appends
+    (k, e, c): it took away c*x^(e - lead) * g_k, c = sigma*b/tau_k, the
+    Fraction (work coefficient)/(leading coefficient) of a division over
+    Q.  If no lead divides e, the term moves to `rem` as the Fraction
+    sigma*w, or, with rem None, the division stops and returns False.
+    Returns True once the work is empty.
 
     Every cancellation is exact and the choice of divisor reads only
     monomials, so the division takes the path, and gives the remainder
     and the step values, of the same division over Q.
     """
     terms, scale = work
+    leads, images = divisors.leads, divisors.images
+    multiple, divides, degree = (divisors.multiple, divisors.divides,
+                                 divisors.degree)
     # sigma = num/den: dividing sigma by a is den *= a, so the only
     # Fractions made are the ones handed out
     num, den = scale.numerator, scale.denominator
-    get = keys.__getitem__
+    get = divisors.keys.__getitem__
     over = set()
     if max_degree is not None:
         over = {m for m in terms if degree(m) > max_degree}
@@ -329,7 +422,7 @@ def reduce_in_place(work: Scaled, leads: Sequence, images: Sequence[Scaled],
             over.discard(e)
             continue
         image, tau = images[k]
-        w, lc = terms[e], image[leads[k]]
+        w, lc = terms[e], image[lead]
         h = gcd(w, lc)
         a, b = lc // h, w // h
         if a < 0:
@@ -341,7 +434,7 @@ def reduce_in_place(work: Scaled, leads: Sequence, images: Sequence[Scaled],
         if steps is not None:
             steps.append((k, e, Fraction(num * b * tau.denominator,
                                          den * tau.numerator)))
-        for m, c in multiple(k, e, b):
+        for m, c in multiple(e, lead, image, b):
             old = terms.get(m)
             if old is None:
                 terms[m] = -c
@@ -357,32 +450,6 @@ def reduce_in_place(work: Scaled, leads: Sequence, images: Sequence[Scaled],
         if over:
             raise DegreeBoundExceeded(tuple(terms))
     return True
-
-
-def term_multiple(leads: Sequence[Exp], images: Sequence[Scaled]) -> Callable:
-    """multiple(k, e, b) of reduce_in_place for commutative term maps: the
-    terms of b*x^(e - leads[k]) * image_k."""
-    def multiple(k, e, b):
-        m = exp_sub(e, leads[k])
-        return [(exp_add(m, ge), b * gc) for ge, gc in images[k].terms.items()]
-    return multiple
-
-
-def s_element(i: int, j: int, l, leads: Sequence, images: Sequence[Scaled],
-              multiple: Callable) -> Scaled:
-    """The S-element of divisors i and j at l, a common multiple of their
-    leads, as integer work for reduce_in_place: with L_i, L_j the leading
-    coefficients of their images and L = lcm(L_i, L_j),
-    (L/L_i)*x^(l - lead_i)*image_i - (L/L_j)*x^(l - lead_j)*image_j at
-    scale 1/L.  Its value is x^(l - lead_i)*g_i/lc(g_i) -
-    x^(l - lead_j)*g_j/lc(g_j), both parts led by 1*x^l."""
-    li = images[i].terms[leads[i]]
-    lj = images[j].terms[leads[j]]
-    L = lcm(li, lj)
-    terms: Dict = {}
-    add_terms(terms, multiple(i, l, L // li))
-    add_terms(terms, multiple(j, l, -(L // lj)))
-    return Scaled(terms, Fraction(1, L))
 
 
 # ---------------------------------------------------------------------------
@@ -829,18 +896,17 @@ def divide_exact(p: Poly, q: Poly) -> Optional[Poly]:
     """Return h with p = q*h if q divides p exactly, else None.
 
     The division runs on integer images (reduce_in_place); each quotient
-    term is the Fraction of its step, the value of the division over Q."""
-    if q.is_zero():
+    term is the Fraction of its step, the value of the division over Q.
+    q must be over the context of p (ValueError otherwise)."""
+    divisors = Divisors.of(p.ctx, [q], MonomialOrder.grevlex().key)
+    if not divisors:
         return None
     if p.is_zero():
         return Poly.zero(p.ctx)
-    keys = KeyCache(MonomialOrder.grevlex().key)
-    leads = (max(q.terms, key=keys.__getitem__),)
-    images = (integer_image(q.terms),)
     log: list = []
-    if not reduce_in_place(integer_image(p.terms), leads, images, keys,
-                           term_multiple(leads, images), steps=log):
+    if not reduce_in_place(integer_image(p.terms), divisors, steps=log):
         return None
+    lead = divisors.leads[0]
     out = Poly(p.ctx)
-    out.terms = {exp_sub(e, leads[0]): c for _, e, c in log}
+    out.terms = {exp_sub(e, lead): c for _, e, c in log}
     return out

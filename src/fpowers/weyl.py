@@ -13,9 +13,9 @@ criterion, which is unsound in a noncommutative algebra; this module adds
 only their step (left S-pair, left normal form) and the left normal form.
 That runs on ring.reduce_in_place over integers: each multiple
 b x^a d^b s^w * image(g) is normal-ordered term by term straight into the
-working term map, and a basis computation shares one KeyCache of order
-keys, its leading exponents and the integer images of its elements with
-every division it makes; the S-elements are formed on the images too.
+working term map, and a basis computation shares its one ring.Divisors
+(leads, integer images, KeyCache) with every division it makes and forms
+its S-elements on it.
 No cofactors are carried along: a basis is a LeftBasis, which logs where
 each element came from (a generator, or an S-pair and the (k, m, c) steps
 of its reduction), and LeftBasis.cofactors rebuilds the combination of the
@@ -39,16 +39,14 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .ring import (
-    DegreeBoundExceeded, Exp, KeyCache, MonomialOrder, Poly, Scaled, TermMap,
-    VarContext, _Parser, add_terms, divide_exact, exp_add, exp_sub,
-    integer_image, reduce_in_place, s_element,
+    Divisors, Exp, MonomialOrder, Poly, Scaled, TermMap, VarContext, _Parser,
+    add_terms, divide_exact, exp_add, exp_sub,
 )
-from .gb import (
-    Limits, ResourceLimit, buchberger, interreduce, s_pair_multipliers,
-)
+from .gb import Limits, buchberger, interreduce, remainder, s_pair_multipliers
 
 
 class FiltrationMismatch(Exception):
@@ -95,6 +93,9 @@ class WeylContext:
 
     def join(self, a: Exp, b: Exp, w: Exp) -> Exp:
         return tuple(a) + tuple(b) + tuple(w)
+
+    def __repr__(self):
+        return f"WeylContext(x={self.x_names}, s={self.s_names})"
 
     def __eq__(self, other):
         return isinstance(other, WeylContext) and self.vc == other.vc
@@ -416,62 +417,46 @@ def transpose_tau(P: WeylOp) -> WeylOp:
 # left Groebner bases
 
 
-def _left_multiple(ctx: WeylContext, leads: Sequence[Exp],
-                   images: Sequence[Scaled]):
-    """multiple(k, e, b) of ring.reduce_in_place for left division: the
-    terms of b*x^m * image_k, m = e - leads[k], normal-ordered term by
-    term (a monomial may come more than once)."""
-    def multiple(k, e, b):
-        m = exp_sub(e, leads[k])
-        return [t for ge, gc in images[k].terms.items()
-                for t in _term_product(ctx, m, b, ge, gc).items()]
-    return multiple
+def _left_multiple(ctx: WeylContext, e: Exp, lead: Exp, image: Dict,
+                   b: int) -> list:
+    """ring.Divisors.multiple for left division, given its context by
+    functools.partial: the terms of b*x^(e - lead) * image, normal-ordered
+    term by term (a monomial may come more than once)."""
+    m = exp_sub(e, lead)
+    return [t for ge, gc in image.items()
+            for t in _term_product(ctx, m, b, ge, gc).items()]
 
 
-def left_normal_form(P: WeylOp | Scaled, basis: Sequence[WeylOp],
+def _left_divisors(ctx: WeylContext, basis: Sequence[WeylOp],
+                   order: MonomialOrder) -> Divisors:
+    """The ring.Divisors of the operators of basis, over ctx."""
+    return Divisors.of(ctx, basis, order.key, partial(_left_multiple, ctx))
+
+
+def left_normal_form(P: WeylOp | Scaled, basis: Sequence[WeylOp] | Divisors,
                      order: MonomialOrder,
-                     leads: Optional[Sequence[Exp]] = None,
-                     keys: Optional[KeyCache] = None,
-                     steps: Optional[list] = None,
-                     images: Optional[Sequence[Scaled]] = None) -> WeylOp:
+                     steps: Optional[list] = None) -> WeylOp:
     """Left-division remainder.
 
-    Fractions in and out, integers inside: P (a WeylOp, or a basis
-    computation's S-element as a ring.Scaled) is divided by
+    Fractions in and out, integers inside: P is divided by
     ring.reduce_in_place on integer images, and the remainder and the
-    steps are those of the division over Q.  Given a list `steps`, each
-    reduction step appends its (k, m, c), the multiple c*x^m * basis[k] it
-    took away (m an exponent, c a Fraction), so that on return
-    P = remainder + sum of those multiples; LeftBasis.cofactors reads such
-    steps.  A basis computation passes the leading exponents of its
-    (nonzero) basis elements as `leads`, its KeyCache as `keys` and their
-    ring.integer_image as `images`; without them, zero elements are
-    dropped and the leads and images are found here.
+    steps are those of the division over Q.  basis is a list of operators
+    over the context of P (zero elements are dropped), or a basis
+    computation's ring.Divisors, which may divide its S-element (a
+    ring.Scaled) as P.  Given a list `steps`, each reduction step appends
+    its (k, m, c), the multiple c*x^m * basis[k] it took away (m an
+    exponent, c a Fraction; k counts the nonzero elements), so that on
+    return P = remainder + sum of those multiples; LeftBasis.cofactors
+    reads such steps.
     """
-    if keys is None:
-        keys = KeyCache(order.key)
-    if leads is None:
-        basis = [g for g in basis if g.terms]
-        leads = [max(g.terms, key=keys.__getitem__) for g in basis]
-    if images is None:
-        images = [integer_image(g.terms) for g in basis]
-    if isinstance(P, Scaled):
-        work, ctx = P, basis[0].ctx
-    else:
-        work, ctx = integer_image(P.terms), P.ctx
+    if not isinstance(basis, Divisors):
+        basis = _left_divisors(P.ctx, basis, order)
     log = None if steps is None else []
-    rem: Dict[Exp, Fraction] = {}
-    bound = Limits.current().max_degree
-    try:
-        reduce_in_place(work, leads, images, keys,
-                        _left_multiple(ctx, leads, images), rem, log, bound)
-    except DegreeBoundExceeded as err:
-        raise ResourceLimit(f"total degree {max(map(sum, err.monomials))} "
-                            f"exceeds bound {bound}") from None
+    out = WeylOp(basis.ctx)
+    out.terms = remainder(P, basis, steps=log)
     if log:
+        leads = basis.leads
         steps.extend((k, exp_sub(e, leads[k]), c) for k, e, c in log)
-    out = WeylOp(ctx)
-    out.terms = rem
     return out
 
 
@@ -568,17 +553,13 @@ def weyl_left_gb(gens: Sequence[WeylOp], order: MonomialOrder) -> LeftBasis:
         return LeftBasis([], gens, origin, steps, [])
 
     limits = Limits.current()
-    keys = KeyCache(order.key)
-    leading = keys.__getitem__
-    lead = [max(g.terms, key=leading) for g in G]
-    images = [integer_image(g.terms) for g in G]
-    multiple = _left_multiple(G[0].ctx, lead, images)
+    divisors = _left_divisors(G[0].ctx, G, order)
+    lead = divisors.leads
 
     def step(i, j, l):
-        s = s_element(i, j, l, lead, images, multiple)
+        s = divisors.s_element(i, j, l)
         log: list = []
-        r = left_normal_form(s, G, order, leads=lead, keys=keys, steps=log,
-                             images=images)
+        r = left_normal_form(s, divisors, order, steps=log)
         if r.is_zero():
             return None
         limits.check_poly(r)
@@ -586,37 +567,19 @@ def weyl_left_gb(gens: Sequence[WeylOp], order: MonomialOrder) -> LeftBasis:
         origin.append((i, j) + s_pair_multipliers(G[i], lead[i], G[j],
                                                   lead[j], l))
         steps.append(log)
-        lead.append(max(r.terms, key=leading))
-        images.append(integer_image(r.terms))
-        return lead[-1], 0
+        return divisors.add(r.terms), 0
     buchberger(order.key, [(e, 0) for e in lead], step,
                coprime_criterion=False)
-    return _reduce_left_basis(G, (gens, origin, steps), order, lead, keys,
-                              images)
-
-
-def _reduce_left_basis(G, log, order, leads=None, keys=None,
-                       images=None) -> LeftBasis:
-    """gb.interreduce for operators, as a LeftBasis with the log
-    (gens, origin, steps) of G.  A basis computation passes its leads,
-    KeyCache and integer images as in left_normal_form."""
-    if keys is None:
-        keys = KeyCache(order.key)
-    if leads is None:
-        leads = [max(g.terms, key=keys.__getitem__) for g in G]
-    if images is None:
-        images = [integer_image(g.terms) for g in G]
+    # interreduce, logging the steps of each tail reduction over G
     tails: Dict[int, list] = {}
 
     def divide(i, rest):
         tail: list = []
-        r = left_normal_form(G[i], [G[k] for k in rest], order,
-                             leads=[leads[k] for k in rest], keys=keys,
-                             steps=tail, images=[images[k] for k in rest])
+        r = left_normal_form(G[i], divisors.subset(rest), order, steps=tail)
         tails[i] = [(rest[k], m, c) for k, m, c in tail]
         return r
-    out = interreduce(G, leads, keys, divide)
-    return LeftBasis([g for _, _, g in out], *log,
+    out = interreduce(divisors, divide)
+    return LeftBasis([g for _, _, g in out], gens, origin, steps,
                      [(i, c, tails[i]) for i, c, _ in out])
 
 

@@ -11,37 +11,62 @@ They run on the library's one Buchberger engine (gb.buchberger,
 gb.interreduce), so comparing them with the library isolates the kernel
 and the S-elements.
 
-value_of turns a ring.Scaled S-element into the element of its value, for
-the reference divisions that stand in for a library normal form inside a
-library basis loop.
+Like the library divisions, each reference division takes a list of
+elements or a basis computation's ring.Divisors.  value_of turns a
+ring.Scaled S-element into the element of its value and elements_of a
+ring.Divisors into its elements, so that a reference division can also
+stand in for a library normal form inside a library basis loop.
 """
 
-from fpowers import gb
+from fpowers import gb, weyl
 from fpowers.gb import Limits, ResourceLimit
 from fpowers.ring import (
-    KeyCache, MonomialOrder, Poly, Scaled, exp_add, exp_divides, exp_lcm,
-    exp_sub,
+    Divisors, KeyCache, MonomialOrder, Poly, Scaled, exp_add, exp_divides,
+    exp_lcm, exp_sub,
 )
-from fpowers.weyl import LeftBasis, WeylOp, _term_product
+from fpowers.weyl import LeftBasis, WeylContext, WeylOp, _term_product
 
 
 class DegreeBoundExceeded(Exception):
     """A reduction step left a term above the degree bound in the work."""
 
 
-def value_of(p, basis):
-    """p itself, or for a ring.Scaled S-element the element of its value,
-    of the kind of basis[0]: a Poly, a WeylOp or a vector of Polys."""
-    if not isinstance(p, Scaled):
-        return p
-    like = basis[0]
-    terms = {m: p.scale * c for m, c in p.terms.items()}
-    if isinstance(like, tuple):
-        parts = [{} for _ in like]
+def _element(ctx, terms):
+    """The element with term map `terms` over ctx: a Poly, a WeylOp, or a
+    vector of Polys over the tuple of its components' contexts."""
+    if isinstance(ctx, tuple):
+        parts = [{} for _ in ctx]
         for (pos, e), c in terms.items():
             parts[pos][e] = c
-        return tuple(Poly(like[0].ctx, t) for t in parts)
-    return type(like)(like.ctx, terms)
+        return tuple(Poly(c, t) for c, t in zip(ctx, parts))
+    return (WeylOp if isinstance(ctx, WeylContext) else Poly)(ctx, terms)
+
+
+def value_of(p, divisors):
+    """p itself, or for a ring.Scaled S-element of a basis computation the
+    element of its value, over the context of its divisors."""
+    if not isinstance(p, Scaled):
+        return p
+    return _element(divisors.ctx, {m: p.scale * c for m, c in p.terms.items()})
+
+
+def elements_of(basis):
+    """basis itself, or the elements g_k = tau_k * image_k of a
+    ring.Divisors, term for term in the order of the originals."""
+    if not isinstance(basis, Divisors):
+        return basis
+    return [_element(basis.ctx, {m: tau * c for m, c in image.items()})
+            for image, tau in basis.images]
+
+
+def _divisors(basis, key, terms):
+    """(elements, leads, keys) of a ring.Divisors, or of the nonzero
+    elements of a list keyed afresh; terms(g) is an element's term map."""
+    if isinstance(basis, Divisors):
+        return elements_of(basis), basis.leads, basis.keys
+    keys = KeyCache(key)
+    basis = [g for g in basis if terms(g)]
+    return basis, [max(terms(g), key=keys.__getitem__) for g in basis], keys
 
 
 def reduce_in_place(work, leads, keys, multiple, rem=None, max_degree=None,
@@ -90,16 +115,12 @@ def reduce_in_place(work, leads, keys, multiple, rem=None, max_degree=None,
     return True
 
 
-def normal_form(p, basis, order, leads=None, keys=None, images=None):
-    """gb.normal_form over Fraction; images are ignored."""
+def normal_form(p, basis, order):
+    """gb.normal_form over Fraction."""
     if not basis:
         return p
     p = value_of(p, basis)
-    if keys is None:
-        keys = KeyCache(order.key)
-    if leads is None:
-        basis = [g for g in basis if g.terms]
-        leads = [max(g.terms, key=keys.__getitem__) for g in basis]
+    basis, leads, keys = _divisors(basis, order.key, lambda g: g.terms)
 
     def multiple(k, e, c):
         g, lead = basis[k].terms, leads[k]
@@ -118,10 +139,10 @@ def normal_form(p, basis, order, leads=None, keys=None, images=None):
     return out
 
 
-def vec_reduce(v, basis, leads, mo, keys=None, images=None):
-    """gb._vec_reduce over Fraction; images are ignored."""
+def vec_reduce(v, basis, mo):
+    """gb._vec_reduce over Fraction."""
     v = value_of(v, basis)
-    keys = KeyCache(mo.key) if keys is None else keys
+    basis, leads, keys = _divisors(basis, mo.key, gb._vec_terms)
 
     def multiple(k, pe, c):
         g, (lp, lead) = basis[k], leads[k]
@@ -149,16 +170,11 @@ def vec_reduce(v, basis, leads, mo, keys=None, images=None):
     return tuple(parts)
 
 
-def left_normal_form(P, basis, order, leads=None, keys=None, steps=None,
-                     images=None):
-    """weyl.left_normal_form over Fraction; images are ignored."""
+def left_normal_form(P, basis, order, steps=None):
+    """weyl.left_normal_form over Fraction."""
     P = value_of(P, basis)
     ctx = P.ctx
-    if keys is None:
-        keys = KeyCache(order.key)
-    if leads is None:
-        basis = [g for g in basis if g.terms]
-        leads = [max(g.terms, key=keys.__getitem__) for g in basis]
+    basis, leads, keys = _divisors(basis, order.key, lambda g: g.terms)
 
     def multiple(k, e, c):
         # x^a d^b s^w * g, normal-ordered term by term
@@ -235,29 +251,26 @@ def groebner_basis(gens, order):
     if not G:
         return []
 
-    keys = KeyCache(order.key)
-    leading = keys.__getitem__
-    lead = [max(g.terms, key=leading) for g in G]
+    divisors = Divisors.of(G[0].ctx, G, order.key)
+    lead = divisors.leads
 
     def step(i, j, l):
         s = s_poly(G[i], G[j], order, lead[i], lead[j])
         limits.check_poly(s)
-        r = normal_form(s, G, order, leads=lead, keys=keys)
+        r = normal_form(s, divisors, order)
         if r.is_zero():
             return None
         limits.check_poly(r)
         G.append(r)
-        lead.append(max(r.terms, key=leading))
-        return lead[-1], 0
+        return divisors.add(r.terms), 0
     gb.buchberger(order.key, [(e, 0) for e in lead], step,
                   coprime_criterion=True)
 
     def divide(i, rest):
         if not rest:
             return G[i]
-        return normal_form(G[i], [G[k] for k in rest], order,
-                           leads=[lead[k] for k in rest], keys=keys)
-    return [g for _, _, g in gb.interreduce(G, lead, keys, divide)]
+        return normal_form(G[i], divisors.subset(rest), order)
+    return [g for _, _, g in gb.interreduce(divisors, divide)]
 
 
 def module_gb(vectors, mo):
@@ -266,20 +279,20 @@ def module_gb(vectors, mo):
     G = [v for v in vectors if not gb._vec_is_zero(v)]
     if not G:
         return []
-    keys = KeyCache(mo.key)
-    leads = [gb._vec_lead(v, mo, keys) for v in G]
+    divisors = gb._vec_divisors(gb._vec_ctx(G[0]), G, mo)
+    leads = divisors.leads
 
     def step(i, j, l):
         pos = leads[i][0]
         mi, mj = gb.s_pair_multipliers(G[i][pos], leads[i][1],
                                        G[j][pos], leads[j][1], l)
         s = vec_sub(vec_scale(G[i], mi), vec_scale(G[j], mj))
-        r = vec_reduce(s, G, leads, mo, keys=keys)
+        r = vec_reduce(s, divisors, mo)
         if gb._vec_is_zero(r):
             return None
         G.append(r)
-        leads.append(gb._vec_lead(r, mo, keys))
-        return leads[-1][1], leads[-1][0]
+        pos, e = divisors.add(gb._vec_terms(r))
+        return e, pos
     gb.buchberger(mo.base.key, [(e, pos) for pos, e in leads], step,
                   coprime_criterion=False)
     return G
@@ -299,34 +312,30 @@ def weyl_left_gb(gens, order):
         return LeftBasis([], gens, origin, steps, [])
 
     limits = Limits.current()
-    keys = KeyCache(order.key)
-    leading = keys.__getitem__
-    lead = [max(g.terms, key=leading) for g in G]
+    divisors = weyl._left_divisors(G[0].ctx, G, order)
+    lead = divisors.leads
 
     def step(i, j, l):
         mi, mj = gb.s_pair_multipliers(G[i], lead[i], G[j], lead[j], l)
         s = mi * G[i] - mj * G[j]
         log = []
-        r = left_normal_form(s, G, order, leads=lead, keys=keys, steps=log)
+        r = left_normal_form(s, divisors, order, steps=log)
         if r.is_zero():
             return None
         limits.check_poly(r)
         G.append(r)
         origin.append((i, j, mi, mj))
         steps.append(log)
-        lead.append(max(r.terms, key=leading))
-        return lead[-1], 0
+        return divisors.add(r.terms), 0
     gb.buchberger(order.key, [(e, 0) for e in lead], step,
                   coprime_criterion=False)
     tails = {}
 
     def divide(i, rest):
         tail = []
-        r = left_normal_form(G[i], [G[k] for k in rest], order,
-                             leads=[lead[k] for k in rest], keys=keys,
-                             steps=tail)
+        r = left_normal_form(G[i], divisors.subset(rest), order, steps=tail)
         tails[i] = [(rest[k], m, c) for k, m, c in tail]
         return r
-    out = gb.interreduce(G, lead, keys, divide)
+    out = gb.interreduce(divisors, divide)
     return LeftBasis([g for _, _, g in out], gens, origin, steps,
                      [(i, c, tails[i]) for i, c, _ in out])

@@ -256,6 +256,39 @@ def test_constant_factor_is_usage_error(tmp_path):
     assert payload["error"] == "factor 2 must be nonzero and nonconstant"
 
 
+@pytest.mark.parametrize("name, blocks", [("s1", "X and in block S"),
+                                          ("dx", "X and in block DX"),
+                                          ("y1", "X and in block Y")])
+def test_variable_clashing_with_a_derived_name_is_named(tmp_path, name,
+                                                        blocks):
+    # s1, dx and y1 are also the names of an s-variable, the derivation of
+    # x and a symbol variable: the message names the variable and where
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"variables": ["x", name],
+                               "factors": [f"x*{name}"]}))
+    code, payload = run("bs-ideal", "--input", bad)
+    assert code == 1
+    assert payload["error"] == ("variable names must be unique across "
+                                f"blocks: '{name}' is in block {blocks}")
+
+
+@pytest.mark.parametrize("cmd", ["theta", "bs-ideal", "liouville", "spencer"])
+def test_variable_named_like_the_tag_variable(tmp_path, cmd):
+    # intersections and radical membership add a tag variable; a declared
+    # _w must not clash with it: the answer is the one for w, renamed
+    payloads = []
+    for name in ("_w", "w"):
+        prob = tmp_path / f"{name}.json"
+        prob.write_text(json.dumps({"variables": [name, "x"],
+                                    "factors": [f"x*{name}"]}))
+        code, payload = run(cmd, "--input", prob)
+        assert code == 0
+        payloads.append(json.dumps(payload["results"]))
+    assert payloads[0].replace("_w", "w") == payloads[1]
+    if cmd == "bs-ideal":
+        assert payloads[0] == payloads[1]
+
+
 def test_arrangement_block_must_multiply_out(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({

@@ -6,6 +6,7 @@ basis logs and ResourceLimit messages; and a guard that the kernel's
 products see only integers."""
 
 import random
+from copy import copy
 from fractions import Fraction
 from math import gcd
 
@@ -136,11 +137,9 @@ def test_normal_forms_match_fraction_kernel():
             got = gb.normal_form(target, basis, order)
             assert _items([got]) == _items([want])
             nonzero = [g for g in basis if g.terms]
-            leads = [g.leading_exp(order) for g in nonzero]
-            images = [integer_image(g.terms) for g in nonzero]
-            for kw in ({"leads": leads}, {"leads": leads, "images": images}):
-                got = gb.normal_form(target, nonzero, order, **kw)
-                assert _items([got]) == _items([want])
+            divisors = ring.Divisors.of(ctx, nonzero, order.key)
+            got = gb.normal_form(target, divisors, order)
+            assert _items([got]) == _items([want])
             seen += not want.is_zero()
     assert seen > 10
 
@@ -166,13 +165,11 @@ def test_vector_normal_forms_match_fraction_kernel():
     for vecs, order in _module_inputs():
         for split in (0, 1):
             mo = gb._ModOrder(order, split=split)
-            keys = ring.KeyCache(mo.key)
-            leads = [gb._vec_lead(v, mo, keys) for v in vecs]
             m = len(vecs[0])
             for _ in range(4):
                 target = _vec(rng, vecs[0][0].ctx, m, deg=4)
-                want = ref.vec_reduce(target, vecs, leads, mo)
-                got = gb._vec_reduce(target, vecs, leads, mo)
+                want = ref.vec_reduce(target, vecs, mo)
+                got = gb._vec_reduce(target, vecs, mo)
                 assert _items(got) == _items(want)
 
 
@@ -269,9 +266,8 @@ def test_resource_limits_match_fraction_kernel():
                 for vecs, order in modules:
                     mo = gb._ModOrder(order, split=len(vecs[0]))
                     out.append(_outcome(module_gb, _augmented(vecs), mo))
-                    leads = [gb._vec_lead(v, mo) for v in vecs]
                     big = tuple(q * q * q for q in vecs[0])
-                    out.append(_outcome(vec_reduce, big, vecs, leads, mo))
+                    out.append(_outcome(vec_reduce, big, vecs, mo))
                 for (gens, order), targets in zip(lefts, left_targets):
                     out.append(_outcome(weyl_left_gb, gens, order))
                     for P in targets:
@@ -317,10 +313,9 @@ def test_vector_normal_form_degree_message_names_the_first_component():
     v = (parse_poly("-5/3*x^5", XY), parse_poly("y^6", XY))
     basis = [(parse_poly("3*x + 1", XY), Poly.zero(XY))]
     mo = gb._ModOrder(MonomialOrder.grevlex(), split=1)
-    leads = [gb._vec_lead(g, mo) for g in basis]
     for vec_reduce in (gb._vec_reduce, ref.vec_reduce):
         with pytest.raises(ResourceLimit) as err, Limits(max_degree=3):
-            vec_reduce(v, basis, leads, mo)
+            vec_reduce(v, basis, mo)
         assert str(err.value) == "total degree 4 exceeds bound 3"
 
 
@@ -343,19 +338,21 @@ def test_kernel_products_take_integer_coefficients(monkeypatch):
             bad.append(("term_product", c1, c2))
         return real_product(ctx, e1, c1, e2, c2)
 
-    def kernel(work, leads, images, keys, multiple, *args, **kwargs):
+    def kernel(work, divisors, *args, **kwargs):
         seen["work"] += 1
         bad.extend(("work", c) for c in work.terms.values()
                    if type(c) is not int)
+        multiple = divisors.multiple
 
-        def checked(k, e, b):
+        def checked(e, lead, image, b):
             seen["multiple"] += 1
-            terms = multiple(k, e, b)
+            terms = multiple(e, lead, image, b)
             bad.extend(("multiple", b, c) for c in [b] + [c for _, c in terms]
                        if type(c) is not int)
             return terms
-        return real_kernel(work, leads, images, keys, checked, *args,
-                           **kwargs)
+        divisors = copy(divisors)
+        divisors.multiple = checked
+        return real_kernel(work, divisors, *args, **kwargs)
     XY = VarContext([("X", ["x", "y"])])
     basis = [parse_poly("2/3*x^2 - 5/7*y", XY),
              parse_poly("3/5*x*y + 1/2", XY)]
@@ -363,7 +360,7 @@ def test_kernel_products_take_integer_coefficients(monkeypatch):
     ops = [parse_weyl("2/3*x*dx - 5/7*s1", WS), parse_weyl("3/4*dy^2 - y", WS)]
     P = parse_weyl("5/6*dx^2*dy^2*x^2 + 1/9", WS)
     monkeypatch.setattr(weyl, "_term_product", term_product)
-    for mod in (ring, gb, weyl):
+    for mod in (ring, gb):
         monkeypatch.setattr(mod, "reduce_in_place", kernel)
 
     order = MonomialOrder.grevlex()

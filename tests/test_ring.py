@@ -253,6 +253,19 @@ def test_divide_exact_kernel_matches_old_loop(a, b, r):
 # equal elements hash equally
 
 
+def test_divide_exact_rejects_a_divisor_over_another_context():
+    # exponents of different lengths compared as the shorter one, and the
+    # division ran on without end
+    with pytest.raises(ValueError) as err:
+        divide_exact(p("x^2 - y^2"), parse_poly("x - y1", GCTX))
+    assert str(err.value) == (
+        "cannot divide an element over VarContext(X=['x', 'y', 'z']) by one "
+        "over VarContext(X=['x'], Y=['y1'], S=['s1'])")
+    XY = VarContext([("X", ["x", "y"])])
+    with pytest.raises(ValueError):
+        divide_exact(p("x^2 - y^2"), parse_poly("x - y", XY))
+
+
 def test_constants_hash_like_their_scalars():
     from fpowers.weyl import WeylContext, WeylOp
     wctx = WeylContext(["x"], ["s"])

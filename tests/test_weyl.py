@@ -26,7 +26,7 @@ from fpowers.weyl import (
 from fpowers.logder import FactorizationSpec
 from weyl_reference import (
     _old_left_normal_form, _old_reduce_left_basis, _old_weyl_left_gb,
-    basis_rows, combination,
+    basis_rows, combination, left_interreduction,
 )
 
 
@@ -779,7 +779,7 @@ def test_engine_left_interreduction_matches_old_loop():
                  (shifted, shifted_rows)]
         for basis, rows in lists:
             log = (basis, list(range(len(basis))), [[] for _ in basis])
-            got = weyl._reduce_left_basis(basis, log, order)
+            got = left_interreduction(basis, log, order)
             ref = _old_reduce_left_basis(basis, rows, order, gb.DEFAULT_LIMITS)
             if rows is None:
                 assert _items(got) == _items(ref)
@@ -871,3 +871,15 @@ def test_left_normal_form_degree_message_names_the_degree():
         weyl.left_normal_form(parse_weyl("x^5", ctx), [parse_weyl("x - 1", ctx)],
                               MonomialOrder.grevlex())
     assert str(err.value) == "total degree 4 exceeds bound 3"
+
+
+def test_left_normal_form_rejects_a_basis_over_another_context():
+    # D_1[s1, s2] against D_1[s1]: exponents of different lengths compared
+    # as the shorter one, and the division ran on without end
+    P = parse_weyl("x*dx + s2", WeylContext(["x"], ["s1", "s2"]))
+    G = [parse_weyl("dx", WeylContext(["x"], ["s1"]))]
+    with pytest.raises(ValueError) as err:
+        weyl.left_normal_form(P, G, MonomialOrder.grevlex())
+    assert str(err.value) == (
+        "cannot divide an element over WeylContext(x=['x'], s=['s1', 's2']) "
+        "by one over WeylContext(x=['x'], s=['s1'])")

@@ -6,27 +6,29 @@ the left basis loop and minimalization before the one Buchberger engine,
 with the cofactor tracking (track=True) that every certificate and witness
 used before cofactors came from the basis log.  reference_cofactors is how
 a certificate was made with them: a tracked basis, then a tracked division.
+left_interreduction is the interreduction that weyl_left_gb runs on its
+basis (gb.interreduce on weyl.left_normal_form), on a plain list.
 """
 
 from fractions import Fraction
 
-from fpowers import gb
+from fpowers import gb, weyl
 from fpowers.ring import exp_divides, exp_sub
-from fpowers.weyl import WeylOp, weyl_multiply
-from kernel_reference import value_of
+from fpowers.weyl import LeftBasis, WeylOp, weyl_multiply
+from kernel_reference import elements_of, value_of
 
 
 def _old_left_normal_form(P, basis, order, limits=None,
-                          cofactors=None, basis_cofactors=None,
-                          leads=None, keys=None, steps=None, images=None):
+                          cofactors=None, basis_cofactors=None, steps=None):
     """Re-keys every basis lead per call, rescans the working operator for
-    its lead and copies it on every step; leads, keys and images are
-    ignored, and an integer S-element is read at its value.
+    its lead and copies it on every step; a ring.Divisors basis is read as
+    its elements, and an integer S-element at its value.
     Given `steps`, it appends each step's (k, m, c) as the kernel does, so
     it can stand in for weyl.left_normal_form; without `limits` it checks
     the bound in effect, as the library does."""
     from fpowers.gb import ResourceLimit
     P = value_of(P, basis)
+    basis = elements_of(basis)
     if limits is None:
         limits = gb.Limits.current()
     ctx = P.ctx
@@ -109,9 +111,9 @@ def _old_weyl_left_gb(gens, order, limits=gb.DEFAULT_LIMITS, track=False):
                    for a, b in zip(C[i], C[j])]
             negcof = [-a for a in cof]
             r = left_normal_form(s, G, order, limits, cofactors=negcof,
-                                 basis_cofactors=C, leads=lead, keys=keys)
+                                 basis_cofactors=C)
         else:
-            r = left_normal_form(s, G, order, limits, leads=lead, keys=keys)
+            r = left_normal_form(s, G, order, limits)
         if r.is_zero():
             continue
         if r.total_degree() > limits.max_degree:
@@ -151,16 +153,14 @@ def _old_reduce_left_basis(G, C, order, limits, leads=None, keys=None):
     out = []
     for i in keep_idx:
         rest = [k for k in keep_idx if k != i]
-        rest_g, rest_l = [G[k] for k in rest], [leads[k] for k in rest]
+        rest_g = [G[k] for k in rest]
         if C is None:
-            r = left_normal_form(G[i], rest_g, order, limits,
-                                 leads=rest_l, keys=keys)
+            r = left_normal_form(G[i], rest_g, order, limits)
         else:
             delta = [WeylOp.zero(G[i].ctx) for _ in C[i]]
             r = left_normal_form(G[i], rest_g, order, limits,
                                  cofactors=delta,
-                                 basis_cofactors=[C[k] for k in rest],
-                                 leads=rest_l, keys=keys)
+                                 basis_cofactors=[C[k] for k in rest])
         if r.is_zero():
             continue
         lr = max(r.terms, key=keys.__getitem__)
@@ -176,6 +176,24 @@ def _old_reduce_left_basis(G, C, order, limits, leads=None, keys=None):
     if C is None:
         return [g for _, g, _ in out]
     return [g for _, g, _ in out], [row for _, _, row in out]
+
+
+def left_interreduction(G, log, order):
+    """What weyl_left_gb does with its basis, on the plain list G of
+    nonzero operators: gb.interreduce with weyl.left_normal_form tail
+    reductions, as a LeftBasis with the log (gens, origin, steps) of G."""
+    divisors = weyl._left_divisors(G[0].ctx, G, order)
+    tails = {}
+
+    def divide(i, rest):
+        tail = []
+        r = weyl.left_normal_form(G[i], divisors.subset(rest), order,
+                                  steps=tail)
+        tails[i] = [(rest[k], m, c) for k, m, c in tail]
+        return r
+    out = gb.interreduce(divisors, divide)
+    return LeftBasis([g for _, _, g in out], *log,
+                     [(i, c, tails[i]) for i, c, _ in out])
 
 
 def reference_cofactors(P, gens, order, limits=gb.DEFAULT_LIMITS):
