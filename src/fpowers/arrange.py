@@ -272,17 +272,22 @@ def _root_candidates(ics: List[int]):
     if ics[0] == 0:
         yield Fraction(0)
         return
-    a0, ad = abs(ics[0]), abs(ics[-1])
-    ps = [d for d in range(1, a0 + 1) if a0 % d == 0]
-    qs = [d for d in range(1, ad + 1) if ad % d == 0]
+    qs = _divisors(abs(ics[-1]))
     seen = set()
-    for pnum in ps:
+    for pnum in _divisors(abs(ics[0])):
         for qden in qs:
             for sgn in (1, -1):
                 c = Fraction(sgn * pnum, qden)
                 if c not in seen:
                     seen.add(c)
                     yield c
+
+
+def _divisors(n: int) -> List[int]:
+    """The positive divisors of n >= 1, ascending, by trial division up to
+    sqrt(n)."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def _divide_linear(ics: List[int], root: Fraction):

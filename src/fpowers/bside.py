@@ -236,10 +236,11 @@ def univariate_roots(b: Poly) -> Tuple[List[Tuple[Fraction, int]], Poly]:
     return roots, rem
 
 
-def format_principal(b: Poly) -> str:
+def format_principal(b: Poly, split=None) -> str:
     """Render a monic univariate generator as cleared-denominator linear
-    factors, e.g. (s+1)^2*(3*s+4)/3, with any root-free part verbatim."""
-    roots, rest = univariate_roots(b)
+    factors, e.g. (s+1)^2*(3*s+4)/3, with any root-free part verbatim.
+    split is univariate_roots(b), when the caller has it already."""
+    roots, rest = univariate_roots(b) if split is None else split
     ctx = b.ctx
     used = [i for i in range(ctx.n) if any(e[i] for e in b.terms)]
     name = ctx.names[used[0]] if used else ctx.names[0]

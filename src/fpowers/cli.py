@@ -370,8 +370,9 @@ def _gb_strings(gens: Sequence[Poly], order: MonomialOrder) -> List[str]:
     return [str(g) for g in IdealHandle(gens, order=order).gb()]
 
 
-def _roots_table(b: Poly) -> Tuple[List[Dict[str, object]], Optional[str]]:
-    roots, rest = univariate_roots(b)
+def _roots_table(roots: List[Tuple[Fraction, int]], rest: Poly
+                 ) -> Tuple[List[Dict[str, object]], Optional[str]]:
+    """The root table and the root-free leftover of univariate_roots."""
     roots = sorted(roots, key=lambda rm: rm[0], reverse=True)
     table = [{"root": str(root), "multiplicity": mult}
              for root, mult in roots]
@@ -529,8 +530,9 @@ def _run(args, pf: Problem, order: MonomialOrder,
         # single-s reports read better in the classical variable "s"
         b = Poly(VarContext([("S", ["s"])]),
                  dict(B.principal_generator.terms))
-        results["generator"] = format_principal(b)
-        table, leftover = _roots_table(b)
+        split = univariate_roots(b)
+        results["generator"] = format_principal(b, split)
+        table, leftover = _roots_table(*split)
         results["roots"] = table
         if leftover:
             results["nonrational_factor"] = leftover

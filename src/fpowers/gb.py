@@ -1,10 +1,13 @@
 """Commutative Groebner engine over Q and derived ideal queries.
 
 One Buchberger engine serves the ideal and module bases here and the left
-bases of weyl.py.  buchberger is the one pair loop: one PairQueue (each
-pair keyed once by its lcm, smallest (key, i, j) first), the chain
-criterion, the product criterion where sound, the basis-size bound.  Each
-basis loop owns one ring.Divisors, its divisor set, and passes a step that
+bases of weyl.py.  buchberger is the one pair loop: one PairQueue, the
+chain criterion, the product criterion where sound, the basis-size bound.
+The queue selects by sugar (Giovini, Mora, Niesi, Robbiano and Traverso,
+"One sugar cube, please", ISSAC 1991): each pair is keyed once, and the
+smallest (sugar, key(lcm), i, j) pops first; under a graded order a
+pair's sugar is |lcm|, so selection there is the normal one.  Each basis
+loop owns one ring.Divisors, its divisor set, and passes a step that
 forms the S-element on it (Divisors.s_element), reduces it by its own
 normal form and adds a nonzero remainder to it.  interreduce is the one
 final minimalize / tail-reduce / monic / sort, on the same Divisors.
@@ -142,46 +145,62 @@ def s_pair_multipliers(f, lf: Exp, g, lg: Exp, l: Exp):
 
 
 class PairQueue:
-    """Pending S-pairs of a growing basis, in normal-selection order.
+    """Pending S-pairs of a growing basis, in sugar order.
 
-    Basis elements are registered in index order by add(); each is paired
-    with every earlier element of the same slot (the leading position of a
-    module element, 0 for ideals).  A pair (i, j), i < j, is keyed once, on
-    entry, by the order key of lcm(lead_i, lead_j) and sits on a heap as
-    (key, i, j); pop() returns the pending pair with the smallest
-    (key, i, j) and recomputes its lcm rather than storing it.  A set of
-    the pending pairs mirrors the heap for the chain criterion; pairs leave
-    both only by being popped, so the two never disagree.
+    Basis elements are registered in index order by add(), each with its
+    sugar; each is paired with every earlier element of the same slot (the
+    leading position of a module element, 0 for ideals).  A pair (i, j),
+    i < j, with l = lcm(lead_i, lead_j) has sugar
+    max(sugar_i + |l| - |lead_i|, sugar_j + |l| - |lead_j|).  It is
+    keyed once, on entry, and sits on a heap as (sugar, key(l), i, j);
+    pop() returns the pending pair with the smallest of these and
+    recomputes its lcm rather than storing it.
+
+    Under a graded order (graded true) each element's sugar is taken to
+    be |lead|, its degree there, so a pair's sugar is |l|, which already
+    leads key(l): the pop order is the normal selection, smallest
+    (key(l), i, j) first.  A set of the pending pairs mirrors the heap
+    for the chain criterion; pairs leave both only by being popped, so
+    the two never disagree.
     """
 
-    __slots__ = ("key", "lead", "slot", "_heap", "_pending")
+    __slots__ = ("key", "graded", "lead", "slot", "ecart", "_heap",
+                 "_pending")
 
-    def __init__(self, key):
+    def __init__(self, key, graded: bool):
         self.key = key              # MonomialOrder.key of the base order
+        self.graded = graded
         self.lead: List[Exp] = []   # leading exponent of each element
         self.slot: List[int] = []
-        self._heap: List[Tuple[object, int, int]] = []
+        self.ecart: List[int] = []  # sugar - |lead| of each element
+        self._heap: List[Tuple[int, object, int, int]] = []
         self._pending = set()
 
     def __bool__(self):
         return bool(self._heap)
 
-    def add(self, e: Exp, slot: int = 0) -> None:
-        """Register the next basis element by its leading exponent."""
+    def add(self, e: Exp, slot: int, sugar: int) -> None:
+        """Register the next basis element by its leading exponent, slot
+        and sugar."""
         t = len(self.lead)
+        ecart = 0 if self.graded else sugar - exp_total(e)
         key, heap, pending = self.key, self._heap, self._pending
-        for k, (ek, sk) in enumerate(zip(self.lead, self.slot)):
+        for k, (ek, sk, ck) in enumerate(zip(self.lead, self.slot,
+                                              self.ecart)):
             if sk == slot:
-                heapq.heappush(heap, (key(exp_lcm(ek, e)), k, t))
+                l = exp_lcm(ek, e)
+                heapq.heappush(heap, (exp_total(l) + max(ck, ecart), key(l),
+                                      k, t))
                 pending.add((k, t))
         self.lead.append(e)
         self.slot.append(slot)
+        self.ecart.append(ecart)
 
-    def pop(self) -> Tuple[int, int, Exp]:
-        """Remove the next pair; return (i, j, lcm of their leads)."""
-        _, i, j = heapq.heappop(self._heap)
+    def pop(self) -> Tuple[int, int, Exp, int]:
+        """Remove the next pair; return (i, j, lcm of their leads, sugar)."""
+        sugar, _, i, j = heapq.heappop(self._heap)
         self._pending.discard((i, j))
-        return i, j, exp_lcm(self.lead[i], self.lead[j])
+        return i, j, exp_lcm(self.lead[i], self.lead[j]), sugar
 
     def chain_skips(self, i: int, j: int, l: Exp) -> bool:
         """Chain criterion: some other k of the slot has lead_k | l and
@@ -197,10 +216,17 @@ class PairQueue:
         return False
 
 
-def buchberger(key, firsts: Sequence[Tuple[Exp, int]], step: Callable,
-               coprime_criterion: bool) -> None:
-    """The one Buchberger pair loop, from the (leading exponent, slot) of
-    each starting element, in index order; key is the order key.
+def buchberger(order, firsts: Sequence[Tuple[Exp, int, int]],
+               step: Callable, coprime_criterion: bool) -> None:
+    """The one Buchberger pair loop, from the (leading exponent, slot,
+    degree) of each starting element, in index order; the degree of an
+    element is the largest total degree of its terms.
+
+    order is the MonomialOrder of the elements, or the _ModOrder of module
+    elements, whose pairs are keyed by its base order on the lcm exponent.
+    Pairs are selected by sugar (PairQueue), which is normal selection
+    under a graded order.  A starting element's sugar is its degree, and
+    a nonzero remainder inherits the sugar of its pair.
 
     The starting elements count against the basis-size bound in effect
     (Limits.current()) at once.
@@ -211,13 +237,14 @@ def buchberger(key, firsts: Sequence[Tuple[Exp, int]], step: Callable,
     (leading exponent, slot), or None for zero.
     """
     limits = Limits.current()
-    queue = PairQueue(key)
-    for e, slot in firsts:
-        queue.add(e, slot)
+    base = order.base if isinstance(order, _ModOrder) else order
+    queue = PairQueue(base.key, order.graded)
+    for e, slot, sugar in firsts:
+        queue.add(e, slot, sugar)
     lead = queue.lead
     limits.check_size(len(lead))
     while queue:
-        i, j, l = queue.pop()
+        i, j, l, sugar = queue.pop()
         if ((coprime_criterion and l == exp_add(lead[i], lead[j]))
                 or queue.chain_skips(i, j, l)):
             continue
@@ -225,7 +252,7 @@ def buchberger(key, firsts: Sequence[Tuple[Exp, int]], step: Callable,
         if new is None:
             continue
         limits.check_size(len(lead) + 1)
-        queue.add(*new)
+        queue.add(*new, sugar)
 
 
 def interreduce(divisors: Divisors,
@@ -285,7 +312,8 @@ def groebner_basis(gens: Sequence[Poly], order: MonomialOrder) -> List[Poly]:
         limits.check_poly(r)
         G.append(r)
         return divisors.add(r.terms), 0
-    buchberger(order.key, [(e, 0) for e in divisors.leads], step,
+    buchberger(order, [(e, 0, g.total_degree())
+                       for e, g in zip(divisors.leads, G)], step,
                coprime_criterion=True)
 
     def divide(i, rest):
@@ -470,12 +498,14 @@ class _ModOrder:
 
     Positions below `split` dominate all positions at or above it
     (elimination of the leading components); within a class, compare the
-    exponent by the base order, then prefer the smaller position.
+    exponent by the base order, then prefer the smaller position.  It is
+    graded when no position comes first and the base order is graded.
     """
 
     def __init__(self, base: MonomialOrder, split: int = 0):
         self.base = base
         self.split = split
+        self.graded = split == 0 and base.graded
 
     def key(self, m: Tuple[int, Exp]):
         pos, e = m
@@ -553,7 +583,8 @@ def _module_gb(vectors: List[Vec], mo: _ModOrder) -> List[Vec]:
         G.append(r)
         pos, e = divisors.add(_vec_terms(r))
         return e, pos
-    buchberger(mo.base.key, [(e, pos) for pos, e in divisors.leads], step,
+    buchberger(mo, [(e, pos, max(p.total_degree() for p in v))
+                    for (pos, e), v in zip(divisors.leads, G)], step,
                coprime_criterion=False)
     return G
 

@@ -176,12 +176,18 @@ class MonomialOrder:
       block(ctx, names) -- compare block by block, each block under
                           grevlex; placing the block to be eliminated
                           first gives an elimination order for it
+
+    graded says that the key is led by the total degree, so that a larger
+    total degree always means a larger monomial: grevlex, a weight order
+    with every weight 1 and a block order of one block.  The Buchberger
+    engine selects pairs by sugar under every other order.
     """
 
-    def __init__(self, kind: str, key, desc: str):
+    def __init__(self, kind: str, key, desc: str, graded: bool = False):
         self.kind = kind
         self.key = key          # exp tuple -> sortable; bigger key = bigger monomial
         self.desc = desc
+        self.graded = graded
 
     def __repr__(self):
         return f"MonomialOrder({self.desc})"
@@ -202,7 +208,7 @@ class MonomialOrder:
     def grevlex() -> "MonomialOrder":
         def key(e):
             return (sum(e), tuple(-x for x in reversed(e)))
-        return MonomialOrder("grevlex", key, "grevlex")
+        return MonomialOrder("grevlex", key, "grevlex", graded=True)
 
     @staticmethod
     def weighted(w: Sequence[int], tie: Optional["MonomialOrder"] = None) -> "MonomialOrder":
@@ -212,7 +218,8 @@ class MonomialOrder:
 
         def key(e):
             return (exp_weight(e, wt), tk(e))
-        return MonomialOrder("weight", key, f"weight{list(wt)}/{tie.desc}")
+        return MonomialOrder("weight", key, f"weight{list(wt)}/{tie.desc}",
+                             graded=all(x == 1 for x in wt))
 
     @staticmethod
     def block(ctx: VarContext, block_names: Sequence[str]) -> "MonomialOrder":
@@ -237,7 +244,8 @@ class MonomialOrder:
                 k.append(-sum(seg))
                 k.extend(seg)
             return tuple(k)
-        return MonomialOrder("block", key, f"block{list(block_names)}")
+        return MonomialOrder("block", key, f"block{list(block_names)}",
+                             graded=len(groups) == 1)
 
 
 class KeyCache(dict):

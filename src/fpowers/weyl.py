@@ -568,8 +568,8 @@ def weyl_left_gb(gens: Sequence[WeylOp], order: MonomialOrder) -> LeftBasis:
                                                   lead[j], l))
         steps.append(log)
         return divisors.add(r.terms), 0
-    buchberger(order.key, [(e, 0) for e in lead], step,
-               coprime_criterion=False)
+    buchberger(order, [(e, 0, g.total_degree()) for e, g in zip(lead, G)],
+               step, coprime_criterion=False)
     # interreduce, logging the steps of each tail reduction over G
     tails: Dict[int, list] = {}
 

@@ -1,8 +1,11 @@
 """Shared fixtures."""
 
+import heapq
+
 import pytest
 
 from fpowers import gb
+from fpowers.ring import exp_lcm
 
 
 @pytest.fixture
@@ -12,11 +15,34 @@ def queue_pops(monkeypatch):
     real = gb.PairQueue.pop
 
     def pop(self):
-        i, j, l = real(self)
-        pops.append((i, j))
-        return i, j, l
+        out = real(self)
+        pops.append(out[:2])
+        return out
     monkeypatch.setattr(gb.PairQueue, "pop", pop)
     return pops
+
+
+class NormalSelectionQueue(gb.PairQueue):
+    """The normal selection gb.PairQueue made before sugar, kept as a
+    reference: each pair enters the heap as (0, key(lcm), i, j), so the
+    smallest (key, i, j) pops first under every order, and every sugar
+    reads 0."""
+
+    def add(self, e, slot, sugar):
+        t = len(self.lead)
+        for k, (ek, sk) in enumerate(zip(self.lead, self.slot)):
+            if sk == slot:
+                heapq.heappush(self._heap, (0, self.key(exp_lcm(ek, e)), k, t))
+                self._pending.add((k, t))
+        self.lead.append(e)
+        self.slot.append(slot)
+        self.ecart.append(0)
+
+
+@pytest.fixture
+def normal_selection(monkeypatch):
+    """Calling it makes gb.buchberger select pairs as before sugar."""
+    return lambda: monkeypatch.setattr(gb, "PairQueue", NormalSelectionQueue)
 
 
 def _old_apply_to_FS(P, fspec, start=None):

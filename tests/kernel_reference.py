@@ -263,8 +263,8 @@ def groebner_basis(gens, order):
         limits.check_poly(r)
         G.append(r)
         return divisors.add(r.terms), 0
-    gb.buchberger(order.key, [(e, 0) for e in lead], step,
-                  coprime_criterion=True)
+    gb.buchberger(order, [(e, 0, g.total_degree()) for e, g in zip(lead, G)],
+                  step, coprime_criterion=True)
 
     def divide(i, rest):
         if not rest:
@@ -293,7 +293,8 @@ def module_gb(vectors, mo):
         G.append(r)
         pos, e = divisors.add(gb._vec_terms(r))
         return e, pos
-    gb.buchberger(mo.base.key, [(e, pos) for pos, e in leads], step,
+    gb.buchberger(mo, [(e, pos, max(p.total_degree() for p in v))
+                       for (pos, e), v in zip(leads, G)], step,
                   coprime_criterion=False)
     return G
 
@@ -327,8 +328,8 @@ def weyl_left_gb(gens, order):
         origin.append((i, j, mi, mj))
         steps.append(log)
         return divisors.add(r.terms), 0
-    gb.buchberger(order.key, [(e, 0) for e in lead], step,
-                  coprime_criterion=False)
+    gb.buchberger(order, [(e, 0, g.total_degree()) for e, g in zip(lead, G)],
+                  step, coprime_criterion=False)
     tails = {}
 
     def divide(i, rest):

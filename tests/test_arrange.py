@@ -136,6 +136,21 @@ def test_split_rational_slopes():
     assert q is not None and q.is_constant()
 
 
+def test_divisors_match_brute_force():
+    from fpowers.arrange import _divisors
+    for n in range(1, 2001):
+        assert _divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+
+
+def test_split_with_large_prime_coefficients():
+    # the end coefficients are products of two primes near 10^6: listing
+    # divisors by trying every integer up to them did not finish
+    fac = linear_form_factorization(
+        p2("(1000003*x - 999983*y)*(999979*x + 1000033*y)"))
+    assert sorted((str(f), m) for f, m in fac) == \
+        [("1000003*x - 999983*y", 1), ("999979*x + 1000033*y", 1)]
+
+
 def test_split_fails_on_irreducible_quadric():
     q = p3("2*x^2 + y*z")
     assert linear_form_factorization(q) is None

@@ -427,3 +427,37 @@ def test_bs_ideal_and_witness_share_one_elimination_basis(monkeypatch):
     with Limits(max_degree=59):
         assert bs_ideal(F).gb == B.gb
     assert len(calls) == 2
+
+
+def test_sugar_elimination_reduces_fewer_s_pairs(monkeypatch, normal_selection):
+    # Work-count guard: S-pair reductions (one S-element each) made by the
+    # B_F elimination basis, under sugar selection and under the normal
+    # selection it replaced; the bases are the same
+    from fpowers import ring
+    from fpowers.bside import elimination_basis
+    count = [0]
+    real = ring.Divisors.s_element
+
+    def counted(self, *args):
+        count[0] += 1
+        return real(self, *args)
+    monkeypatch.setattr(ring.Divisors, "s_element", counted)
+    cases = [(["x", "y", "z"], "x^2 + y^2 + z^3"),
+             (["x", "y"], "x*y*(x + y)*(x - y)")]
+
+    def run():
+        out = []
+        for names, f in cases:
+            vc = VarContext([("X", names)])
+            F = FactorizationSpec(names, [p(f, vc)])
+            theta = F.theta_generators()
+            count[0] = 0
+            G = list(elimination_basis(F, theta))
+            out.append((count[0], G))
+        return out
+    sugar = run()
+    normal_selection()
+    normal = run()
+    assert [n for n, _ in sugar] == [28, 66]
+    assert [n for n, _ in normal] == [75, 156]
+    assert [G for _, G in sugar] == [G for _, G in normal]

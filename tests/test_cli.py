@@ -43,6 +43,34 @@ def test_bs_poly_collapses_multifactor_input():
     assert payload["results"]["generator"] == "(s+1)^3*(3*s+4)*(3*s+5)/9"
 
 
+def test_bs_poly_finds_the_roots_once(monkeypatch):
+    from fpowers import bside
+    calls = []
+    real = bside.rational_roots
+
+    def counted(coeffs):
+        calls.append(coeffs)
+        return real(coeffs)
+    monkeypatch.setattr(bside, "rational_roots", counted)
+    for name in ("ex_x2x2yz.json", "ex_mixed.json"):
+        del calls[:]
+        code, payload = run("bs-poly", "--input", DATA / name)
+        assert code == 0 and payload["results"]["roots"]
+        assert len(calls) == 1
+
+
+def test_hypotheses_on_large_prime_coefficients(tmp_path):
+    # the hypothesis gate factors this binary form; its end coefficients
+    # are products of two primes near 10^6
+    path = tmp_path / "primes.json"
+    path.write_text(json.dumps({
+        "variables": ["x", "y"],
+        "factors": ["(1000003*x - 999983*y)*(999979*x + 1000033*y)"]}))
+    code, payload = run("hypotheses", "--input", path)
+    assert code == 0
+    assert payload["hypotheses"]["arrangement"]["status"] == "yes"
+
+
 def test_hyperplane_contained():
     code, payload = run("hyperplane", "--input", DATA / "arr_xy_xplusy.json",
                         "--form", "s1+s2+s3+2")

@@ -332,16 +332,35 @@ def _chain_skips(pairs, lead, i, j, l, same=lambda k: True):
                for k in range(len(lead)))
 
 
-def _reference_gb(gens, order):
-    """Normal selection as a min over all pending pairs, re-keyed on every
-    iteration.  Returns (reduced basis, popped pairs, pairs created)."""
+def _pair_sugar(sugar, lead, i, j):
+    """max(sugar_i + |l| - |lead_i|, sugar_j + |l| - |lead_j|)."""
+    l = exp_lcm(lead[i], lead[j])
+    return max(sugar[k] + sum(l) - sum(lead[k]) for k in (i, j))
+
+
+def _selection(key, select_sugar):
+    """The selection key of a pending pair: (sugar, key(lcm), (i, j)) with
+    select_sugar, else the normal selection (key(lcm), (i, j))."""
+    def rank(ij, sugar, lead):
+        k = (key(exp_lcm(lead[ij[0]], lead[ij[1]])), ij)
+        return (_pair_sugar(sugar, lead, *ij),) + k if select_sugar else k
+    return rank
+
+
+def _reference_gb(gens, order, select_sugar=True):
+    """Selection as a min over all pending pairs, re-keyed on every
+    iteration: by (sugar, key, i, j), a remainder taking its pair's sugar
+    except under a graded order, where an element's sugar is its degree;
+    or, with select_sugar false, the normal selection the library used
+    before sugar.  Returns (reduced basis, popped pairs, pairs created)."""
     G = [g for g in gens if not g.is_zero()]
     lead = [g.leading_exp(order) for g in G]
+    sugar = [g.total_degree() for g in G]
+    rank = _selection(order.key, select_sugar)
     pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
     created, popped = len(pairs), []
     while pairs:
-        i, j = min(pairs, key=lambda ij: (
-            order.key(exp_lcm(lead[ij[0]], lead[ij[1]])), ij))
+        i, j = min(pairs, key=lambda ij: rank(ij, sugar, lead))
         pairs.discard((i, j))
         popped.append((i, j))
         l = exp_lcm(lead[i], lead[j])
@@ -352,6 +371,8 @@ def _reference_gb(gens, order):
             continue
         G.append(r)
         lead.append(r.leading_exp(order))
+        sugar.append(r.total_degree() if order.graded
+                     else _pair_sugar(sugar, lead, i, j))
         t = len(G) - 1
         pairs.update((k, t) for k in range(t))
         created += t
@@ -371,18 +392,27 @@ def _interreduced(G, order):
     return [g for _, _, g in gb.interreduce(divisors, divide)]
 
 
-def _reference_module_gb(vectors, mo):
-    """The module basis (unreduced, in creation order) by min selection."""
+def _vec_degree(v):
+    return max(q.total_degree() for q in v)
+
+
+def _reference_module_gb(vectors, mo, select_sugar=True):
+    """The module basis (unreduced, in creation order) by min selection,
+    as _reference_gb; pairs are keyed by the base order on the lcm
+    exponent, and the module order is graded only without positions
+    first."""
     G = [v for v in vectors if not gb._vec_is_zero(v)]
     ctx = G[0][0].ctx
     leads = [_old_vec_lead(v, mo) for v in G]
     lead = [e for _, e in leads]
+    sugar = [_vec_degree(v) for v in G]
+    graded = mo.split == 0 and mo.base.graded
+    rank = _selection(mo.base.key, select_sugar)
     pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))
              if leads[i][0] == leads[j][0]}
     popped = []
     while pairs:
-        i, j = min(pairs, key=lambda ij: (
-            mo.base.key(exp_lcm(lead[ij[0]], lead[ij[1]])), ij))
+        i, j = min(pairs, key=lambda ij: rank(ij, sugar, lead))
         pairs.discard((i, j))
         popped.append((i, j))
         pos = leads[i][0]
@@ -400,6 +430,8 @@ def _reference_module_gb(vectors, mo):
         G.append(r)
         leads.append(_old_vec_lead(r, mo))
         lead.append(leads[-1][1])
+        sugar.append(_vec_degree(r) if graded
+                     else _pair_sugar(sugar, lead, i, j))
         t = len(G) - 1
         pairs.update((k, t) for k in range(t) if leads[k][0] == leads[t][0])
     return G, popped
@@ -435,6 +467,56 @@ def test_queue_matches_min_selection_lex_and_grevlex(queue_pops):
             ref, ref_pops, _ = _reference_gb(gens, order)
             assert groebner_basis(gens, order) == ref
             assert queue_pops == ref_pops
+
+
+def test_queue_matches_min_selection_weight_and_block(queue_pops):
+    rng = random.Random(6)
+    for ctx, order in _kernel_orders()[2:]:
+        for _ in range(6):
+            gens = [_random_poly(rng, ctx, deg=3) for _ in range(3)]
+            del queue_pops[:]
+            ref, ref_pops, _ = _reference_gb(gens, order)
+            assert groebner_basis(gens, order) == ref
+            assert queue_pops == ref_pops
+
+
+def test_graded_orders_keep_normal_selection(queue_pops):
+    # under a graded order a pair's sugar is |lcm|, which leads its key,
+    # so the queue pops exactly as the normal selection did
+    rng = random.Random(7)
+    graded = [MonomialOrder.grevlex(), MonomialOrder.weighted([1, 1, 1]),
+              MonomialOrder.block(XYZ, ["X"])]
+    assert all(order.graded for order in graded)
+    assert not any(order.graded for _, order in _kernel_orders()
+                   if order.kind != "grevlex")
+    for order in graded:
+        for _ in range(6):
+            gens = [_random_poly(rng, XYZ, deg=3) for _ in range(3)]
+            del queue_pops[:]
+            ref, ref_pops, _ = _reference_gb(gens, order, select_sugar=False)
+            assert groebner_basis(gens, order) == ref
+            assert queue_pops == ref_pops
+    vecs = [tuple(_random_poly(rng, XYZ, deg=2) for _ in range(2))
+            for _ in range(3)]
+    mo = gb._ModOrder(MonomialOrder.grevlex(), split=0)
+    assert mo.graded and not gb._ModOrder(mo.base, split=1).graded
+    del queue_pops[:]
+    ref, ref_pops = _reference_module_gb(_augmented(vecs), mo,
+                                         select_sugar=False)
+    assert gb._module_gb(_augmented(vecs), mo) == ref
+    assert queue_pops == ref_pops and ref_pops
+
+
+def test_sugar_changes_selection_off_graded_orders():
+    # the two references differ on the elimination of the graph ideal, and
+    # under sugar fewer remainders join the basis, so fewer pairs are made
+    gens, order = _graph_input()
+    ref, sugar_pops, sugar_pairs = _reference_gb(gens, order)
+    old, normal_pops, normal_pairs = _reference_gb(gens, order,
+                                                   select_sugar=False)
+    assert ref == old
+    assert sugar_pops != normal_pops
+    assert (sugar_pairs, normal_pairs) == (276, 435)
 
 
 def test_queue_matches_min_selection_module_syzygy(queue_pops, monkeypatch):
@@ -789,7 +871,7 @@ def test_division_keys_each_exponent_once(monkeypatch):
 
 def _old_groebner_basis(gens, order):
     """Reduced Groebner basis by its own pair loop, under the bound in
-    effect."""
+    effect; pairs come from the sugar queue."""
     limits = Limits.current()
     G = []
     for g in gens:
@@ -800,12 +882,12 @@ def _old_groebner_basis(gens, order):
         return []
 
     divisors = Divisors(G[0].ctx, order.key)
-    queue = gb.PairQueue(order.key)
+    queue = gb.PairQueue(order.key, order.graded)
     for g in G:
-        queue.add(divisors.add(g.terms))
+        queue.add(divisors.add(g.terms), 0, g.total_degree())
     lead = queue.lead
     while queue:
-        i, j, lij = queue.pop()
+        i, j, lij, sugar = queue.pop()
         # product criterion, then the chain criterion
         if lij == exp_add(lead[i], lead[j]) or queue.chain_skips(i, j, lij):
             continue
@@ -817,7 +899,7 @@ def _old_groebner_basis(gens, order):
         limits.check_poly(r)
         G.append(r)
         limits.check_size(len(G))
-        queue.add(divisors.add(r.terms))
+        queue.add(divisors.add(r.terms), 0, sugar)
 
     return _old_reduce_basis(G, order, divisors)
 
@@ -855,7 +937,7 @@ def _old_reduce_basis(G, order, divisors=None):
 
 def _old_module_gb(vectors, mo):
     """Module basis by its own pair loop, multipliers built by hand, under
-    the bound in effect."""
+    the bound in effect; pairs come from the sugar queue."""
     limits = Limits.current()
     G = [v for v in vectors if not gb._vec_is_zero(v)]
     if not G:
@@ -863,12 +945,12 @@ def _old_module_gb(vectors, mo):
     ctx = G[0][0].ctx
     divisors = gb._vec_divisors(gb._vec_ctx(G[0]), G, mo)
     leads = divisors.leads
-    queue = gb.PairQueue(mo.base.key)
-    for pos, e in leads:
-        queue.add(e, pos)
+    queue = gb.PairQueue(mo.base.key, mo.graded)
+    for (pos, e), v in zip(leads, G):
+        queue.add(e, pos, _vec_degree(v))
 
     while queue:
-        i, j, l = queue.pop()
+        i, j, l, sugar = queue.pop()
         if queue.chain_skips(i, j, l):
             continue
         pos = leads[i][0]
@@ -884,7 +966,7 @@ def _old_module_gb(vectors, mo):
         G.append(r)
         divisors.add(gb._vec_terms(r))
         limits.check_size(len(G))
-        queue.add(leads[-1][1], leads[-1][0])
+        queue.add(leads[-1][1], leads[-1][0], sugar)
     return G
 
 

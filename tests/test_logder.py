@@ -405,3 +405,47 @@ def test_hypothesis_table_kept_per_bounds(monkeypatch):
     # callers get their own dict
     F.check_hypotheses().clear()
     assert set(F.check_hypotheses()) == _ALL_HYPOTHESES
+
+
+# ---------------------------------------------------------------------------
+# sugar selection: the generators move, the modules they span do not
+
+
+def _theta_vector(op, F):
+    """theta = sum a_i d_i + sum c_k s_k as (a_1, ..., a_n, c_1, ..., c_r)
+    over Q[x]: every term carries exactly one d_i or s_k, to the first
+    power."""
+    n = len(F.x_names)
+    parts = [{} for _ in range(len(op.ctx.names) - n)]
+    for e, c in op.terms.items():
+        (slot,) = [i for i, v in enumerate(e[n:]) if v]
+        assert e[n + slot] == 1
+        parts[slot][e[:n]] = c
+    return [Poly(F.weyl.x_vc, t) for t in parts]
+
+
+def _modules(F):
+    """The Der(-log f) and Der(-log0 f) generators and theta_F of F, each
+    as a list of vectors over Q[x]."""
+    out = {v: [list(d.coeffs) + [d.cofactor] for d in F.log_derivations(v)]
+           for v in ("log", "log0")}
+    out["theta"] = [_theta_vector(t, F) for t in F.theta_generators()]
+    return out
+
+
+@pytest.mark.parametrize("factors", [["x", "2*x^2 + y*z"],
+                                     ["x*(2*x^2 + y*z)"]],
+                         ids=["ex_mixed", "ex_x2x2yz"])
+def test_sugar_generators_span_the_normal_selection_modules(
+        factors, normal_selection):
+    make = lambda: FactorizationSpec(["x", "y", "z"],
+                                     [p3(f) for f in factors])
+    new = _modules(make())
+    normal_selection()
+    old = _modules(make())
+    from fpowers.gb import module_contains
+    for name in ("log", "log0", "theta"):
+        # each list lost one redundant generator
+        assert len(old[name]) == len(new[name]) + 1
+        assert all(module_contains(new[name], v) for v in old[name])
+        assert all(module_contains(old[name], v) for v in new[name])

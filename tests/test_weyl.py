@@ -206,9 +206,10 @@ def test_left_gb_certificate_all_spairs_reduce():
 
 
 def _reference_left_gb(gens, order):
-    """Tracked left basis by normal selection as a min over all pending
-    pairs, re-keyed on every iteration.  Returns (basis, cofactors,
-    popped pairs)."""
+    """Tracked left basis by sugar selection as a min over all pending
+    (sugar, key, i, j), re-keyed on every iteration: a remainder takes the
+    sugar of its pair, except under a graded order, where an element's
+    sugar is its degree.  Returns (basis, cofactors, popped pairs)."""
     ctx = gens[0].ctx
     G, C = [], []
     for i, g in enumerate(gens):
@@ -219,11 +220,17 @@ def _reference_left_gb(gens, order):
         row[i] = WeylOp.const(ctx, 1)
         C.append(row)
     lead = [g.leading_exp(order) for g in G]
+    sugar = [g.total_degree() for g in G]
+
+    def pair_sugar(i, j):
+        l = exp_lcm(lead[i], lead[j])
+        return max(sugar[k] + sum(l) - sum(lead[k]) for k in (i, j))
     pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
     popped = []
     while pairs:
         i, j = min(pairs, key=lambda ij: (
-            order.key(exp_lcm(lead[ij[0]], lead[ij[1]])), ij))
+            pair_sugar(*ij), order.key(exp_lcm(lead[ij[0]], lead[ij[1]])),
+            ij))
         pairs.discard((i, j))
         popped.append((i, j))
         l = exp_lcm(lead[i], lead[j])
@@ -242,6 +249,7 @@ def _reference_left_gb(gens, order):
         G.append(r)
         C.append([-a for a in negcof])
         lead.append(r.leading_exp(order))
+        sugar.append(r.total_degree() if order.graded else pair_sugar(i, j))
         pairs.update((k, len(G) - 1) for k in range(len(G) - 1))
     basis, cofs = _old_reduce_left_basis(G, C, order, gb.DEFAULT_LIMITS)
     return basis, cofs, popped
@@ -848,12 +856,14 @@ def test_engine_left_resource_limits_match_old_loop():
 def test_left_basis_bounds_use_limits_wording():
     # B_F elimination for f = x^2 + y^3: its left basis used to fail with
     # "degree bound exceeded in left basis" and "basis size bound exceeded";
-    # its four generators alone exceed a bound of 2 before any pair
+    # its four generators alone exceed a bound of 2 before any pair.  Its
+    # basis stays within degree 3 under sugar selection, so the degree
+    # bound that the loop's remainder check meets is 2
     from fpowers.gb import Limits, ResourceLimit
     gens, order = next(_left_gb_inputs())
-    with pytest.raises(ResourceLimit) as err, Limits(max_degree=3):
+    with pytest.raises(ResourceLimit) as err, Limits(max_degree=2):
         weyl_left_gb(gens, order)
-    assert str(err.value) == "total degree 4 exceeds bound 3"
+    assert str(err.value) == "total degree 3 exceeds bound 2"
     with pytest.raises(ResourceLimit) as err, Limits(max_basis=5):
         weyl_left_gb(gens, order)
     assert str(err.value) == "basis size 6 exceeds bound 5"

@@ -2,11 +2,11 @@
 
 _old_left_normal_form is the left division before the in-place kernel,
 with its cofactor rows; _old_weyl_left_gb and _old_reduce_left_basis are
-the left basis loop and minimalization before the one Buchberger engine,
-with the cofactor tracking (track=True) that every certificate and witness
-used before cofactors came from the basis log.  reference_cofactors is how
-a certificate was made with them: a tracked basis, then a tracked division.
-left_interreduction is the interreduction that weyl_left_gb runs on its
+the left basis loop (now on the sugar PairQueue) and minimalization before
+the one Buchberger engine, with the cofactor tracking (track=True) that
+every certificate and witness used before cofactors came from the basis
+log.  reference_cofactors is how a certificate was made with them: a
+tracked basis, then a tracked division.  left_interreduction is the interreduction that weyl_left_gb runs on its
 basis (gb.interreduce on weyl.left_normal_form), on a plain list.
 """
 
@@ -93,12 +93,12 @@ def _old_weyl_left_gb(gens, order, limits=gb.DEFAULT_LIMITS, track=False):
 
     keys = KeyCache(order.key)
     leading = keys.__getitem__
-    queue = PairQueue(order.key)
+    queue = PairQueue(order.key, order.graded)
     for g in G:
-        queue.add(max(g.terms, key=leading))
+        queue.add(max(g.terms, key=leading), 0, g.total_degree())
     lead = queue.lead
     while queue:
-        i, j, l = queue.pop()
+        i, j, l, sugar = queue.pop()
         if queue.chain_skips(i, j, l):
             continue
         mi, mj = exp_sub(l, lead[i]), exp_sub(l, lead[j])
@@ -123,7 +123,7 @@ def _old_weyl_left_gb(gens, order, limits=gb.DEFAULT_LIMITS, track=False):
             C.append([-a for a in negcof])
         if len(G) > limits.max_basis:
             raise ResourceLimit("basis size bound exceeded")
-        queue.add(max(r.terms, key=leading))
+        queue.add(max(r.terms, key=leading), 0, sugar)
 
     return _old_reduce_left_basis(G, C, order, limits, lead, keys)
 
