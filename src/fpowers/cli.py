@@ -59,7 +59,6 @@ from .ring import (
     Poly,
     UnknownVariable,
     VarContext,
-    divide_exact,
     parse_poly,
 )
 from .spencer import (
@@ -70,7 +69,6 @@ from .spencer import (
     tau_transposed_chain_holds,
     verify_chain_conditions,
 )
-from .weyl import WeylOp
 
 
 COMMANDS = (
@@ -352,15 +350,9 @@ def _hyp_table(hyps: Dict[str, Tuple[str, str]]) -> Dict[str, Dict[str, str]]:
 
 
 def _serialize_derivation(d, fspec: FactorizationSpec) -> str:
-    wctx = fspec.weyl
-    op = WeylOp.zero(wctx)
-    for a, dname in zip(d.coeffs, wctx.dx_names):
-        op = op + WeylOp.from_poly(wctx, a) * WeylOp.var(wctx, dname)
-    cofs = []
-    for fk in fspec.factors:
-        q = divide_exact(d.apply(fk), fk)
-        cofs.append(str(q) if q is not None else "-")
-    return f"{op} ; cofactors {', '.join(cofs)}"
+    cofs = ", ".join("-" if q is None else str(q)
+                     for q in d.factor_cofactors(fspec.factors))
+    return f"{d.operator(fspec.weyl)} ; cofactors {cofs}"
 
 
 def _gb_strings(gens: Sequence[Poly], order: MonomialOrder) -> List[str]:

@@ -1,16 +1,19 @@
 """Commutative Groebner engine over Q and derived ideal queries.
 
 One Buchberger engine serves the ideal and module bases here and the left
-bases of weyl.py.  buchberger is the one pair loop: one PairQueue, the
-chain criterion, the product criterion where sound, the basis-size bound.
-The queue selects by sugar (Giovini, Mora, Niesi, Robbiano and Traverso,
-"One sugar cube, please", ISSAC 1991): each pair is keyed once, and the
-smallest (sugar, key(lcm), i, j) pops first; under a graded order a
-pair's sugar is |lcm|, so selection there is the normal one.  Each basis
-loop owns one ring.Divisors, its divisor set, and passes a step that
-forms the S-element on it (Divisors.s_element), reduces it by its own
-normal form and adds a nonzero remainder to it.  interreduce is the one
-final minimalize / tail-reduce / monic / sort, on the same Divisors.
+bases of weyl.py.  buchberger is the one basis loop: one PairQueue, the
+chain criterion, the product criterion where sound, the S-pair step and
+one bound policy.  The queue selects by sugar (Giovini, Mora, Niesi,
+Robbiano and Traverso, "One sugar cube, please", ISSAC 1991): each pair
+is keyed once, and the smallest (sugar, key(lcm), i, j) pops first; under
+a graded order a pair's sugar is |lcm|, so selection there is the normal
+one.  A basis computation builds one ring.Divisors, its divisor set, and
+hands it to buchberger with its kind's module-level normal form;
+buchberger forms each S-element on it (Divisors.s_element), divides it by
+that normal form, holds generators, S-elements and remainders to the
+degree bound and the basis to its size bound, and adds each nonzero
+remainder.  interreduce is the one final minimalize / tail-reduce / monic
+/ sort, on the same Divisors.
 Normal forms of polynomials and of module vectors take a list of elements
 or a basis loop's Divisors and run on ring.reduce_in_place over integers
 through remainder, which also turns the kernel's degree overflow into
@@ -22,8 +25,8 @@ Cohen-Macaulay test by graded Auslander-Buchsbaum.
 
 No function takes a bound: the degree and basis-size bounds are request
 state, set by `with Limits(max_degree=..., max_basis=...):` and read by
-Limits.current() only where they are enforced (the normal forms and the
-basis loops here and in weyl.py) or keyed (logder.FactorizationSpec.memo).
+Limits.current() only where they are enforced (the normal forms and
+buchberger) or keyed (logder.FactorizationSpec.memo).
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .ring import (
     DegreeBoundExceeded, Divisors, Exp, MonomialOrder, Poly, Scaled,
-    VarContext, exp_add, exp_divides, exp_lcm, exp_sub, exp_total,
-    integer_image, reduce_in_place,
+    VarContext, exp_add, exp_divides, exp_lcm, exp_sub, integer_image,
+    reduce_in_place,
 )
 
 
@@ -76,11 +79,13 @@ class Limits:
     def __exit__(self, *exc) -> None:
         _CURRENT.reset(self._tokens.pop())
 
-    def check_poly(self, p) -> None:
-        """p a term map, or a ring.Scaled S-element."""
-        d = max(map(exp_total, p.terms), default=-1)
+    def check_degree(self, terms, degree: Callable) -> int:
+        """The degree of an element with term map `terms`, the largest
+        degree(m) of its monomials m, which must not exceed max_degree."""
+        d = max(map(degree, terms), default=-1)
         if d > self.max_degree:
             raise ResourceLimit(f"total degree {d} exceeds bound {self.max_degree}")
+        return d
 
     def check_size(self, n: int) -> None:
         if n > self.max_basis:
@@ -113,14 +118,13 @@ def normal_form(p: Poly | Scaled, basis: Sequence[Poly] | Divisors,
     return out
 
 
-def remainder(p, divisors: Divisors, terms: Callable = lambda p: p.terms,
-              steps: Optional[list] = None) -> Dict:
-    """The remainder terms of p (an element with term map terms(p), or a
+def remainder(p, divisors: Divisors, steps: Optional[list] = None) -> Dict:
+    """The remainder terms of p (an element of the kind of divisors, or a
     ring.Scaled) by divisors under the degree bound in effect, which the
     kernel's DegreeBoundExceeded turns into "total degree D exceeds bound
     M": D is the largest degree left in the work or, for vectors, in its
     first component over the bound."""
-    work = p if isinstance(p, Scaled) else integer_image(terms(p))
+    work = p if isinstance(p, Scaled) else integer_image(divisors.view(p)[1])
     rem: Dict = {}
     bound = Limits.current().max_degree
     try:
@@ -147,14 +151,16 @@ def s_pair_multipliers(f, lf: Exp, g, lg: Exp, l: Exp):
 class PairQueue:
     """Pending S-pairs of a growing basis, in sugar order.
 
-    Basis elements are registered in index order by add(), each with its
-    sugar; each is paired with every earlier element of the same slot (the
-    leading position of a module element, 0 for ideals).  A pair (i, j),
-    i < j, with l = lcm(lead_i, lead_j) has sugar
-    max(sugar_i + |l| - |lead_i|, sugar_j + |l| - |lead_j|).  It is
-    keyed once, on entry, and sits on a heap as (sugar, key(l), i, j);
-    pop() returns the pending pair with the smallest of these and
-    recomputes its lcm rather than storing it.
+    Basis elements are registered in index order by add(), each by its
+    leading monomial and its sugar, and the monomials are measured by the
+    kind's lcm, divides and degree of the computation's ring.Divisors.  Each
+    is paired with every earlier element whose lead has a common multiple
+    with its own: every one for ideals, those at its position for modules.
+    A pair (i, j), i < j, with l = lcm(lead_i, lead_j) has sugar
+    max(sugar_i + |l| - |lead_i|, sugar_j + |l| - |lead_j|).  It is keyed
+    once, on entry, by the order's pair_key, and sits on a heap as
+    (sugar, key(l), i, j); pop() returns the pending pair with the smallest
+    of these and recomputes its lcm rather than storing it.
 
     Under a graded order (graded true) each element's sugar is taken to
     be |lead|, its degree there, so a pair's sugar is |l|, which already
@@ -164,14 +170,14 @@ class PairQueue:
     the two never disagree.
     """
 
-    __slots__ = ("key", "graded", "lead", "slot", "ecart", "_heap",
-                 "_pending")
+    __slots__ = ("key", "graded", "lcm", "divides", "degree", "lead",
+                 "ecart", "_heap", "_pending")
 
-    def __init__(self, key, graded: bool):
-        self.key = key              # MonomialOrder.key of the base order
-        self.graded = graded
-        self.lead: List[Exp] = []   # leading exponent of each element
-        self.slot: List[int] = []
+    def __init__(self, divisors: Divisors, order):
+        self.key, self.graded = order.pair_key, order.graded
+        self.lcm, self.divides, self.degree = (divisors.lcm, divisors.divides,
+                                               divisors.degree)
+        self.lead: list = []        # leading monomial of each element
         self.ecart: List[int] = []  # sugar - |lead| of each element
         self._heap: List[Tuple[int, object, int, int]] = []
         self._pending = set()
@@ -179,36 +185,33 @@ class PairQueue:
     def __bool__(self):
         return bool(self._heap)
 
-    def add(self, e: Exp, slot: int, sugar: int) -> None:
-        """Register the next basis element by its leading exponent, slot
-        and sugar."""
+    def add(self, m, sugar: int) -> None:
+        """Register the next basis element by its leading monomial and
+        sugar."""
         t = len(self.lead)
-        ecart = 0 if self.graded else sugar - exp_total(e)
-        key, heap, pending = self.key, self._heap, self._pending
-        for k, (ek, sk, ck) in enumerate(zip(self.lead, self.slot,
-                                              self.ecart)):
-            if sk == slot:
-                l = exp_lcm(ek, e)
-                heapq.heappush(heap, (exp_total(l) + max(ck, ecart), key(l),
-                                      k, t))
+        ecart = 0 if self.graded else sugar - self.degree(m)
+        key, lcm, degree = self.key, self.lcm, self.degree
+        heap, pending = self._heap, self._pending
+        for k, (mk, ck) in enumerate(zip(self.lead, self.ecart)):
+            l = lcm(mk, m)
+            if l is not None:
+                heapq.heappush(heap, (degree(l) + max(ck, ecart), key(l), k, t))
                 pending.add((k, t))
-        self.lead.append(e)
-        self.slot.append(slot)
+        self.lead.append(m)
         self.ecart.append(ecart)
 
-    def pop(self) -> Tuple[int, int, Exp, int]:
+    def pop(self) -> Tuple[int, int, object, int]:
         """Remove the next pair; return (i, j, lcm of their leads, sugar)."""
         sugar, _, i, j = heapq.heappop(self._heap)
         self._pending.discard((i, j))
-        return i, j, exp_lcm(self.lead[i], self.lead[j]), sugar
+        return i, j, self.lcm(self.lead[i], self.lead[j]), sugar
 
-    def chain_skips(self, i: int, j: int, l: Exp) -> bool:
-        """Chain criterion: some other k of the slot has lead_k | l and
-        neither (i, k) nor (j, k) is still pending."""
-        pending = self._pending
-        slot = self.slot[i]
-        for k, (ek, sk) in enumerate(zip(self.lead, self.slot)):
-            if k == i or k == j or sk != slot or not exp_divides(ek, l):
+    def chain_skips(self, i: int, j: int, l) -> bool:
+        """Chain criterion: some other lead_k divides l and neither (i, k)
+        nor (j, k) is still pending."""
+        pending, divides = self._pending, self.divides
+        for k, mk in enumerate(self.lead):
+            if k == i or k == j or not divides(mk, l):
                 continue
             if ((min(i, k), max(i, k)) not in pending
                     and (min(j, k), max(j, k)) not in pending):
@@ -216,43 +219,54 @@ class PairQueue:
         return False
 
 
-def buchberger(order, firsts: Sequence[Tuple[Exp, int, int]],
-               step: Callable, coprime_criterion: bool) -> None:
-    """The one Buchberger pair loop, from the (leading exponent, slot,
-    degree) of each starting element, in index order; the degree of an
-    element is the largest total degree of its terms.
+def buchberger(G: list, divisors: Divisors, order, divide: Callable,
+               coprime_criterion: bool,
+               joined: Optional[Callable] = None) -> None:
+    """The one Buchberger loop: extends G, the nonzero starting elements
+    (the elements of `divisors`, in order), to a Groebner basis of what
+    they generate, under order (a MonomialOrder, or a _ModOrder for module
+    elements).  An element's terms are divisors.view(g)[1], and a
+    monomial's degree is divisors.degree of it.
 
-    order is the MonomialOrder of the elements, or the _ModOrder of module
-    elements, whose pairs are keyed by its base order on the lcm exponent.
-    Pairs are selected by sugar (PairQueue), which is normal selection
-    under a graded order.  A starting element's sugar is its degree, and
-    a nonzero remainder inherits the sugar of its pair.
+    One bound policy, under the Limits in effect, holds for every kind:
+    the degree (the largest of its monomials) of each starting element,
+    S-element and nonzero remainder, and the basis size, the starting
+    elements included.  Pairs are selected by sugar (PairQueue), which is
+    normal selection under a graded order; a starting element's sugar is
+    its degree, and a nonzero remainder inherits the sugar of its pair.
 
-    The starting elements count against the basis-size bound in effect
-    (Limits.current()) at once.
     A popped pair (i, j) with lcm l is skipped by the chain criterion, or
     by the product criterion when coprime_criterion says it is sound
-    (commutative ideals).  Otherwise step(i, j, l) reduces its S-element,
-    appends a nonzero remainder to the caller's basis and returns its
-    (leading exponent, slot), or None for zero.
+    (commutative ideals).  Otherwise its S-element (Divisors.s_element)
+    is divided by divide(s, divisors, order): the kind's module-level
+    normal form, normal_form, _vec_reduce or weyl.left_normal_form, as
+    the caller looked it up.  A nonzero remainder joins G and divisors,
+    and then joined(i, j, l), if given, may log where it came from.
     """
     limits = Limits.current()
-    base = order.base if isinstance(order, _ModOrder) else order
-    queue = PairQueue(base.key, order.graded)
-    for e, slot, sugar in firsts:
-        queue.add(e, slot, sugar)
+    degree, view = divisors.degree, divisors.view
+    queue = PairQueue(divisors, order)
+    for g, m in zip(G, divisors.leads):
+        queue.add(m, limits.check_degree(view(g)[1], degree))
+    limits.check_size(len(G))
     lead = queue.lead
-    limits.check_size(len(lead))
     while queue:
         i, j, l, sugar = queue.pop()
         if ((coprime_criterion and l == exp_add(lead[i], lead[j]))
                 or queue.chain_skips(i, j, l)):
             continue
-        new = step(i, j, l)
-        if new is None:
+        s = divisors.s_element(i, j, l)
+        limits.check_degree(s.terms, degree)
+        r = divide(s, divisors, order)
+        terms = view(r)[1]
+        if not terms:
             continue
-        limits.check_size(len(lead) + 1)
-        queue.add(*new, sugar)
+        limits.check_degree(terms, degree)
+        G.append(r)
+        limits.check_size(len(G))
+        queue.add(divisors.add(terms), sugar)
+        if joined is not None:
+            joined(i, j, l)
 
 
 def interreduce(divisors: Divisors,
@@ -293,28 +307,11 @@ def interreduce(divisors: Divisors,
 def groebner_basis(gens: Sequence[Poly], order: MonomialOrder) -> List[Poly]:
     """Reduced Groebner basis (monic, inter-reduced, sorted by leading
     monomial ascending).  Deterministic for a given generator sequence."""
-    limits = Limits.current()
-    G: List[Poly] = []
-    for g in gens:
-        if not g.is_zero():
-            limits.check_poly(g)
-            G.append(g)
+    G = [g for g in gens if not g.is_zero()]
     if not G:
         return []
     divisors = Divisors.of(G[0].ctx, G, order.key)
-
-    def step(i, j, l):
-        s = divisors.s_element(i, j, l)
-        limits.check_poly(s)
-        r = normal_form(s, divisors, order)
-        if r.is_zero():
-            return None
-        limits.check_poly(r)
-        G.append(r)
-        return divisors.add(r.terms), 0
-    buchberger(order, [(e, 0, g.total_degree())
-                       for e, g in zip(divisors.leads, G)], step,
-               coprime_criterion=True)
+    buchberger(G, divisors, order, normal_form, coprime_criterion=True)
 
     def divide(i, rest):
         if not rest:
@@ -512,6 +509,10 @@ class _ModOrder:
         cls = 0 if pos < self.split else 1
         return (-cls, self.base.key(e), -pos)
 
+    def pair_key(self, m: Tuple[int, Exp]):
+        """S-pairs rank by the base order on the exponent of their lcm."""
+        return self.base.key(m[1])
+
 
 def _mod_divides(lead: Tuple[int, Exp], m: Tuple[int, Exp]) -> bool:
     return lead[0] == m[0] and exp_divides(lead[1], m[1])
@@ -519,6 +520,10 @@ def _mod_divides(lead: Tuple[int, Exp], m: Tuple[int, Exp]) -> bool:
 
 def _mod_degree(m: Tuple[int, Exp]) -> int:
     return sum(m[1])
+
+
+def _mod_lcm(a: Tuple[int, Exp], b: Tuple[int, Exp]):
+    return (a[0], exp_lcm(a[1], b[1])) if a[0] == b[0] else None
 
 
 def _vec_terms(v: Vec) -> Dict[Tuple[int, Exp], Fraction]:
@@ -540,11 +545,14 @@ def _vec_multiple(e: Tuple[int, Exp], lead: Tuple[int, Exp], image: Dict,
     return [((pos, exp_add(m, ge)), b * c) for (pos, ge), c in image.items()]
 
 
+def _vec_view(v: Vec) -> tuple:
+    return _vec_ctx(v), _vec_terms(v)
+
+
 def _vec_divisors(ctx, basis: Sequence[Vec], mo: _ModOrder) -> Divisors:
     """The ring.Divisors of the vectors of basis, over ctx (_vec_ctx)."""
     return Divisors.of(ctx, basis, mo.key, _vec_multiple, _mod_divides,
-                       _mod_degree,
-                       view=lambda v: (_vec_ctx(v), _vec_terms(v)))
+                       _mod_degree, _mod_lcm, _vec_view)
 
 
 def _vec_reduce(v: Vec | Scaled, basis: Sequence[Vec] | Divisors,
@@ -559,7 +567,7 @@ def _vec_reduce(v: Vec | Scaled, basis: Sequence[Vec] | Divisors,
     if not isinstance(basis, Divisors):
         basis = _vec_divisors(_vec_ctx(v), basis, mo)
     parts = [Poly(ctx) for ctx in basis.ctx]
-    for (pos, e), c in remainder(v, basis, _vec_terms).items():
+    for (pos, e), c in remainder(v, basis).items():
         parts[pos].terms[e] = c
     return tuple(parts)
 
@@ -571,21 +579,9 @@ def _module_gb(vectors: List[Vec], mo: _ModOrder) -> List[Vec]:
     the chain criterion applies, the product criterion does not (it is
     unsound for modules)."""
     G = [v for v in vectors if not _vec_is_zero(v)]
-    if not G:
-        return []
-    divisors = _vec_divisors(_vec_ctx(G[0]), G, mo)
-
-    def step(i, j, l):
-        s = divisors.s_element(i, j, (divisors.leads[i][0], l))
-        r = _vec_reduce(s, divisors, mo)
-        if _vec_is_zero(r):
-            return None
-        G.append(r)
-        pos, e = divisors.add(_vec_terms(r))
-        return e, pos
-    buchberger(mo, [(e, pos, max(p.total_degree() for p in v))
-                    for (pos, e), v in zip(divisors.leads, G)], step,
-               coprime_criterion=False)
+    if G:
+        buchberger(G, _vec_divisors(_vec_ctx(G[0]), G, mo), mo, _vec_reduce,
+                   coprime_criterion=False)
     return G
 
 

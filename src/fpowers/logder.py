@@ -51,6 +51,26 @@ class LogDerivation:
             out = out + a * p.diff(name)
         return out
 
+    def operator(self, ctx: WeylContext) -> WeylOp:
+        """delta as the operator sum a_i d_i of D_n[S] over ctx."""
+        out = WeylOp.zero(ctx)
+        for a, dname in zip(self.coeffs, ctx.dx_names):
+            out = out + WeylOp.from_poly(ctx, a) * WeylOp.var(ctx, dname)
+        return out
+
+    def symbol(self, ctx: WeylContext) -> Poly:
+        """The (0,1)-symbol sum a_i y_i of delta over ctx.symbol_vc."""
+        vc = ctx.symbol_vc
+        out = Poly.zero(vc)
+        for a, y in zip(self.coeffs, ctx.y_names):
+            out = out + a.map_context(vc) * Poly.var(vc, y)
+        return out
+
+    def factor_cofactors(self, factors: Sequence[Poly]) -> List[Optional[Poly]]:
+        """b_k = delta(f_k)/f_k per factor f_k, or None where f_k does not
+        divide delta(f_k)."""
+        return [divide_exact(self.apply(fk), fk) for fk in factors]
+
     def degree(self) -> int:
         """Max total degree of the coefficients (polynomial degree of delta)."""
         return max((a.total_degree() for a in self.coeffs), default=-1)
@@ -156,12 +176,8 @@ class FactorizationSpec:
     def _hypothesis_table(self) -> Dict[str, Tuple[str, str]]:
         h: Dict[str, Tuple[str, str]] = {}
         rep = euler_and_seh_check(self.f)
-        h["strong_euler_origin"] = (
-            ("yes", rep.reason) if rep.strong_at_origin == "yes"
-            else (rep.strong_at_origin, rep.reason)
-        )
-        red = reducedness_check(self.f)
-        h["reduced"] = red
+        h["strong_euler_origin"] = (rep.strong_at_origin, rep.reason)
+        h["reduced"] = reducedness_check(self.f)
         arr = self.try_arrangement()
         if arr is not None:
             h["arrangement"] = ("yes", "all factors split into linear forms")
@@ -169,9 +185,18 @@ class FactorizationSpec:
             h["arrangement"] = ("no", "a factor is certified not a product of linear forms")
         else:
             h["arrangement"] = ("unknown", "no linear splitting found")
-        log_gens = self.log_derivations("log")
-        sb = saito_basis(self.f, log_gens)
-        if sb.basis:
+        # a bound that stops Der(-log f) leaves "free" unknown, as in the
+        # reducedness check; only an arrangement is Saito-holonomic without it
+        try:
+            log_gens = self.log_derivations("log")
+            sb = saito_basis(self.f, log_gens)
+        except ResourceLimit as e:
+            if arr is None:
+                raise
+            sb, bounded = None, ("unknown", f"resource limit: {e}")
+        if sb is None:
+            h["free"] = bounded
+        elif sb.basis:
             h["free"] = ("yes", "Saito determinant = unit * f")
         elif sb.pdim == 0:
             h["free"] = ("yes", "pdim Der(-log f) = 0 (no determinant certificate)")
@@ -179,8 +204,7 @@ class FactorizationSpec:
             h["free"] = ("unknown", "no freeness certificate found")
         else:
             h["free"] = ("no", f"pdim Der(-log f) = {sb.pdim}")
-        tame = tameness_check(self.f)
-        h["tame"] = tame
+        h["tame"] = tameness_check(self.f)
         if arr is not None:
             h["saito_holonomic"] = ("yes", "hyperplane arrangement")
         else:
@@ -238,29 +262,17 @@ def log_derivations(f: Poly, variant: str = "log") -> List[LogDerivation]:
     """
     if f.is_constant():
         raise ValueError("f must be nonconstant")
-    ctx = f.ctx
-    partials = [f.diff(x) for x in ctx.names]
-    if variant == "log":
-        vecs = [(p,) for p in partials] + [(-f,)]
-        syz = syzygies(vecs)
-        out = []
-        for s in syz:
-            coeffs = tuple(s[:-1])
-            cof = s[-1]
-            d = LogDerivation(coeffs, cof)
-            assert d.apply(f) == cof * f
-            out.append(d)
-        return out
-    if variant == "log0":
-        vecs = [(p,) for p in partials]
-        syz = syzygies(vecs)
-        out = []
-        for s in syz:
-            d = LogDerivation(tuple(s), Poly.zero(ctx))
-            assert d.apply(f).is_zero()
-            out.append(d)
-        return out
-    raise ValueError(f"unknown variant {variant!r}")
+    if variant not in ("log", "log0"):
+        raise ValueError(f"unknown variant {variant!r}")
+    n = f.ctx.n
+    vecs = [(f.diff(x),) for x in f.ctx.names]
+    out = []
+    for s in syzygies(vecs + [(-f,)] if variant == "log" else vecs):
+        d = LogDerivation(tuple(s[:n]), s[n] if variant == "log"
+                          else Poly.zero(f.ctx))
+        assert d.apply(f) == d.cofactor * f
+        out.append(d)
+    return out
 
 
 def log_module_contains(f: Poly, delta: LogDerivation,
@@ -283,26 +295,17 @@ def psi_F(delta: LogDerivation, fspec: FactorizationSpec) -> WeylOp:
     annihilates F^S.
     """
     ctx = fspec.weyl
-    out = WeylOp.zero(ctx)
-    for a, dname in zip(delta.coeffs, ctx.dx_names):
-        out = out + WeylOp.from_poly(ctx, a) * WeylOp.var(ctx, dname)
-    for k, fk in enumerate(fspec.factors):
-        dfk = delta.apply(fk)
-        b = divide_exact(dfk, fk)
-        if b is None:
-            raise NotLogarithmicForFactor(k + 1)
-        out = out - WeylOp.from_poly(ctx, b) * WeylOp.var(ctx, fspec.s_names[k])
+    out = delta.operator(ctx)
+    for b, s in zip(psi_cofactors(delta, fspec), fspec.s_names):
+        out = out - WeylOp.from_poly(ctx, b) * WeylOp.var(ctx, s)
     return out
 
 
 def psi_cofactors(delta: LogDerivation, fspec: FactorizationSpec) -> List[Poly]:
     """The per-factor cofactors b_k = delta(f_k)/f_k."""
-    out = []
-    for k, fk in enumerate(fspec.factors):
-        b = divide_exact(delta.apply(fk), fk)
-        if b is None:
-            raise NotLogarithmicForFactor(k + 1)
-        out.append(b)
+    out = delta.factor_cofactors(fspec.factors)
+    if None in out:
+        raise NotLogarithmicForFactor(out.index(None) + 1)
     return out
 
 
@@ -336,11 +339,8 @@ def saito_basis(f: Poly, gens: Optional[Sequence[LogDerivation]] = None
     pool = gens[: 2 * n]
     for subset in itertools.combinations(range(len(pool)), n):
         cand = [pool[i] for i in subset]
-        det = _det([[d.coeffs[i] for i in range(n)] for d in cand])
-        if det.is_zero():
-            continue
-        q = divide_exact(det, f)
-        if q is not None and q.is_constant() and not q.is_zero():
+        det = saito_determinant(cand, f)
+        if det is not None:
             return SaitoResult(cand, det, 0)
     # fall back: pdim of the derivation module (coefficients shifted 0, the
     # cofactor coordinate shifted 1 so delta(f) = c*f stays homogeneous)
@@ -359,6 +359,24 @@ def saito_basis(f: Poly, gens: Optional[Sequence[LogDerivation]] = None
         return SaitoResult(None, None, res.pdim)
     except (NonHomogeneousInput, ResourceLimit):
         return SaitoResult(None, None, None)
+
+
+def saito_determinant(basis: Sequence[LogDerivation], f: Poly
+                      ) -> Optional[Poly]:
+    """Saito's criterion: the determinant of the coefficients of the
+    logarithmic derivations in basis when it is a nonzero constant times
+    f, which certifies them a basis of Der(-log f); else None."""
+    det = _det(saito_matrix(basis))
+    if det.is_zero():
+        return None
+    q = divide_exact(det, f)
+    return det if q is not None and q.is_constant() else None
+
+
+def saito_matrix(basis: Sequence[LogDerivation]) -> List[List[Poly]]:
+    """The coefficient matrix of the logarithmic derivations in basis, one
+    row per derivation."""
+    return [list(d.coeffs) for d in basis]
 
 
 def _det(matrix: List[List[Poly]]) -> Poly:
@@ -533,25 +551,22 @@ def _log_forms_pdim(f: Poly, k: int) -> int:
 
 def koszul_free_check(f: Poly, basis: Sequence[LogDerivation]) -> bool:
     """Do the (0,1) symbols of a Saito basis form a regular sequence in
-    Q[x,y]?  Tested by successive colon-ideal stabilization."""
-    n = f.ctx.n
+    Q[x,y]?"""
     wc = WeylContext(list(f.ctx.names), [])
-    sym = wc.symbol_vc
-    symbols = []
-    for d in basis:
-        s = Poly.zero(sym)
-        for i, a in enumerate(d.coeffs):
-            s = s + a.map_context(sym) * Poly.var(sym, wc.y_names[i])
-        symbols.append(s)
+    return regular_sequence([d.symbol(wc) for d in basis], wc.symbol_vc)
+
+
+def regular_sequence(seq: Sequence[Poly], ctx: VarContext) -> bool:
+    """Is seq a regular sequence in the polynomial ring over ctx?  Each
+    element must leave the ideal of the earlier ones unchanged by the
+    colon, and the whole sequence must not generate the unit ideal."""
     prev: List[Poly] = []
-    for s in symbols:
-        I = IdealHandle(prev, ctx=sym)
-        C = ideal_colon(I, s)
-        if not I.contains_ideal(C):
+    for s in seq:
+        I = IdealHandle(prev, ctx=ctx)
+        if not I.contains_ideal(ideal_colon(I, s)):
             return False
         prev.append(s)
-    # the sequence must also not exhaust the ring
-    return not IdealHandle(symbols).is_unit_ideal()
+    return not IdealHandle(prev, ctx=ctx).is_unit_ideal()
 
 
 def saito_holonomic_check(f: Poly,
@@ -570,7 +585,7 @@ def saito_holonomic_check(f: Poly,
     n = ctx.n
     if gens is None:
         gens = log_derivations(f, "log")
-    rows = [[d.coeffs[j] for j in range(n)] for d in gens]
+    rows = saito_matrix(gens)
     for i in range(n):
         minors = []
         for rsel in itertools.combinations(range(len(rows)), i + 1):

@@ -169,10 +169,7 @@ def s_regularity_check(fspec: FactorizationSpec,
     if rep.euler is None:
         return SRegularityReport(passed, steps, False,
                                  "no Euler derivation certificate for f")
-    gr_e = Poly.zero(sym)
-    for a, y in zip(rep.euler.coeffs, fspec.weyl.y_names):
-        gr_e = gr_e + a.map_context(sym) * Poly.var(sym, y)
-    target = IdealHandle(target_gens + [gr_e] + taken)
+    target = IdealHandle(target_gens + [rep.euler.symbol(fspec.weyl)] + taken)
     match = final.equals(target)
     reason = ("quotient by (S) equals L_f + (gr E)" if match
               else "quotient by (S) differs from L_f + (gr E)")

@@ -19,13 +19,14 @@ divide_exact here all run it.  It divides by one Divisors, the divisor set
 of one computation: per divisor its leading monomial and its primitive
 integer image (integer_image, g = tau * image), one KeyCache (every order
 key computed once per computation), and the element kind's multiple,
-divides and degree.  Divisors.of builds one from a list of elements and
-rejects an element over another context; a basis loop owns one, adds each
-new element to it and forms its S-elements on the images
-(Divisors.s_element).  Fractions go in and come out, integers work inside:
-the work is an integer term map with one rational scale (Scaled), and each
-step scales the work by an integer so that one integer multiple of an
-image cancels its leading term, subtracted term by term in place.
+divides, degree, lcm and view.  Divisors.of builds one from a list of
+elements and rejects an element over another context; a basis
+computation builds one for gb.buchberger, which forms the S-elements on
+the images (Divisors.s_element) and adds each new element to it.
+Fractions go in and come out, integers work inside: the work is an
+integer term map with one rational scale (Scaled), and each step scales
+the work by an integer so that one integer multiple of an image cancels
+its leading term, subtracted term by term in place.
 Remainder terms leave as Fractions, and the step log has one Fraction per
 step, the value c/lc that the division over Q takes away.
 """
@@ -192,6 +193,12 @@ class MonomialOrder:
     def __repr__(self):
         return f"MonomialOrder({self.desc})"
 
+    @property
+    def pair_key(self):
+        """The key gb.buchberger ranks S-pairs by, on their lcm: the key of
+        the order (a module order ranks them by its base order)."""
+        return self.key
+
     def cmp_gt(self, a: Exp, b: Exp) -> bool:
         return self.key(a) > self.key(b)
 
@@ -312,34 +319,39 @@ class Divisors:
     Per divisor g_k: its leading monomial leads[k] and its primitive
     integer image images[k] = (image_k, tau_k), g_k = tau_k * image_k.  All
     of them share one KeyCache of order keys, `keys`.  The element kind
-    enters as three plain functions: multiple(e, lead, image, b), the terms
+    enters as plain functions: multiple(e, lead, image, b), the terms
     (monomial, int) of b times the multiple of an image whose leading
-    monomial moves from lead to e; divides(lead, e); and degree(e), the
-    total degree of a monomial.  ctx is the context of the divisors.
+    monomial moves from lead to e; divides(lead, e); degree(e), the total
+    degree of a monomial; lcm(a, b), the least common multiple of two
+    monomials, or None when they have none (module monomials at two
+    positions); and view(g), an element's (context, term map).  ctx is the
+    context of the divisors.
 
     A basis computation owns one and drops it with its result: the keys
     and images keep every monomial they hold alive.
     """
 
     def __init__(self, ctx, key: Callable, multiple: Callable = poly_multiple,
-                 divides: Callable = exp_divides, degree: Callable = sum):
+                 divides: Callable = exp_divides, degree: Callable = sum,
+                 lcm: Callable = exp_lcm,
+                 view: Callable = lambda g: (g.ctx, g.terms)):
         self.ctx = ctx
         self.keys = KeyCache(key)
         self.multiple, self.divides, self.degree = multiple, divides, degree
+        self.lcm, self.view = lcm, view
         self.leads: List = []
         self.images: List[Scaled] = []
 
     @classmethod
-    def of(cls, ctx, basis: Iterable, key: Callable, *kind,
-           view: Callable = lambda g: (g.ctx, g.terms)) -> "Divisors":
+    def of(cls, ctx, basis: Iterable, key: Callable, *kind) -> "Divisors":
         """The divisors over ctx of the nonzero elements of basis; kind is
-        (multiple, divides, degree) and view(g) an element's (context, term
-        map).  An element over another context raises ValueError naming
-        both: exponents of different lengths would compare as the shorter
-        one, and the division need not end."""
+        (multiple, divides, degree, lcm, view), or its start.  An element
+        over another context raises ValueError naming both: exponents of
+        different lengths would compare as the shorter one, and the
+        division need not end."""
         out = cls(ctx, key, *kind)
         for g in basis:
-            gctx, terms = view(g)
+            gctx, terms = out.view(g)
             if gctx != ctx:
                 raise ValueError(f"cannot divide an element over {ctx!r} "
                                  f"by one over {gctx!r}")

@@ -25,14 +25,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .gb import IdealHandle, ideal_colon
 from .logder import (
     FactorizationSpec,
     LogDerivation,
     _det,
     koszul_free_check,
     psi_F,
+    regular_sequence,
     saito_basis,
+    saito_determinant,
+    saito_matrix,
 )
 from .ring import MonomialOrder, Poly, divide_exact
 from .weyl import LeftIdeal, WeylOp, gr_symbol, transpose_tau
@@ -78,15 +80,10 @@ def lie_bracket(d1: LogDerivation, d2: LogDerivation) -> LogDerivation:
     return LogDerivation(coeffs, cof)
 
 
-def _saito_matrix(basis: Sequence[LogDerivation]) -> List[List[Poly]]:
-    n = len(basis[0].coeffs)
-    return [[d.coeffs[i] for i in range(n)] for d in basis]
-
-
 def _resolve_against_basis(vec: Sequence[Poly],
                            basis: Sequence[LogDerivation]) -> List[Poly]:
     """c with sum_m c_m * basis_m = vec, by Cramer over the Saito matrix."""
-    S = _saito_matrix(basis)
+    S = saito_matrix(basis)
     det = _det(S)
     out = []
     for m in range(len(basis)):
@@ -124,9 +121,7 @@ def spencer_complex(fspec: FactorizationSpec,
         basis = sb.basis
     else:
         basis = list(basis)
-        det = _det(_saito_matrix(basis))
-        q = divide_exact(det, fspec.f)
-        if q is None or not q.is_constant() or q.is_zero():
+        if saito_determinant(basis, fspec.f) is None:
             raise NotFree("supplied basis fails the determinant criterion")
     if not koszul_free_check(fspec.f, basis):
         raise NotKoszulFree("basis symbols are not a regular sequence")
@@ -255,19 +250,8 @@ def verify_chain_conditions(C: SpencerComplex) -> ChainReport:
 
     # graded side: the (0,1,1) symbols of the lambdas must form a regular
     # sequence -- the resolution criterion at the associated-graded level
-    sym = C.fspec.symbol_vc
-    symbols = [gr_symbol(l, "(0,1,1)") for l in C.lambdas]
-    gr_ok = True
-    prev: List[Poly] = []
-    for s in symbols:
-        I = IdealHandle(prev, ctx=sym)
-        col = ideal_colon(I, s)
-        if not I.contains_ideal(col):
-            gr_ok = False
-            break
-        prev.append(s)
-    if gr_ok and IdealHandle(symbols).is_unit_ideal():
-        gr_ok = False
+    gr_ok = regular_sequence([gr_symbol(l, "(0,1,1)") for l in C.lambdas],
+                             C.fspec.symbol_vc)
     return ChainReport(d2, terminal, gr_ok)
 
 

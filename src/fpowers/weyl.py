@@ -7,15 +7,15 @@ are central.  WeylOp is a ring.TermMap, like Poly: storage, equality,
 + and -, the scalar product, powers, leading data, printing and the
 parser (parse_weyl) are the ones of ring.py.  This module adds only the
 normal-ordered product (weyl_multiply) and the x/d/s helpers of WeylOp.
-Left Groebner bases run on the one engine of gb.py (gb.buchberger and
+Left Groebner bases run on the one basis loop of gb.py (gb.buchberger and
 gb.interreduce, under the gb.Limits in effect) without the product
 criterion, which is unsound in a noncommutative algebra; this module adds
-only their step (left S-pair, left normal form) and the left normal form.
-That runs on ring.reduce_in_place over integers: each multiple
-b x^a d^b s^w * image(g) is normal-ordered term by term straight into the
-working term map, and a basis computation shares its one ring.Divisors
-(leads, integer images, KeyCache) with every division it makes and forms
-its S-elements on it.
+only the left normal form they divide by and the log of each remainder's
+origin.  The left normal form runs on ring.reduce_in_place over integers:
+each multiple b x^a d^b s^w * image(g) is normal-ordered term by term
+straight into the working term map, and a basis computation shares its
+one ring.Divisors (leads, integer images, KeyCache) with every division
+it makes.
 No cofactors are carried along: a basis is a LeftBasis, which logs where
 each element came from (a generator, or an S-pair and the (k, m, c) steps
 of its reduction), and LeftBasis.cofactors rebuilds the combination of the
@@ -46,7 +46,7 @@ from .ring import (
     Divisors, Exp, MonomialOrder, Poly, Scaled, TermMap, VarContext, _Parser,
     add_terms, divide_exact, exp_add, exp_sub,
 )
-from .gb import Limits, buchberger, interreduce, remainder, s_pair_multipliers
+from .gb import buchberger, interreduce, remainder, s_pair_multipliers
 
 
 class FiltrationMismatch(Exception):
@@ -541,35 +541,26 @@ def weyl_left_gb(gens: Sequence[WeylOp], order: MonomialOrder) -> LeftBasis:
     gens (LeftBasis.cofactors).
     """
     gens = list(gens)
-    G: List[WeylOp] = []
-    origin: list = []
-    steps: List[list] = []
-    for i, g in enumerate(gens):
-        if not g.is_zero():
-            G.append(g)
-            origin.append(i)
-            steps.append([])
+    origin: list = [i for i, g in enumerate(gens) if not g.is_zero()]
+    G = [gens[i] for i in origin]
+    steps: List[list] = [[] for _ in G]
     if not G:
         return LeftBasis([], gens, origin, steps, [])
-
-    limits = Limits.current()
     divisors = _left_divisors(G[0].ctx, G, order)
     lead = divisors.leads
+    log: list = []
 
-    def step(i, j, l):
-        s = divisors.s_element(i, j, l)
-        log: list = []
-        r = left_normal_form(s, divisors, order, steps=log)
-        if r.is_zero():
-            return None
-        limits.check_poly(r)
-        G.append(r)
+    def divide(s, divisors, order):
+        nonlocal log
+        log = []
+        return left_normal_form(s, divisors, order, steps=log)
+
+    def joined(i, j, l):
         origin.append((i, j) + s_pair_multipliers(G[i], lead[i], G[j],
                                                   lead[j], l))
         steps.append(log)
-        return divisors.add(r.terms), 0
-    buchberger(order, [(e, 0, g.total_degree()) for e, g in zip(lead, G)],
-               step, coprime_criterion=False)
+    buchberger(G, divisors, order, divide, coprime_criterion=False,
+               joined=joined)
     # interreduce, logging the steps of each tail reduction over G
     tails: Dict[int, list] = {}
 

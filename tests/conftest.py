@@ -4,21 +4,21 @@ import heapq
 
 import pytest
 
+import engine_reference
 from fpowers import gb
-from fpowers.ring import exp_lcm
 
 
 @pytest.fixture
 def queue_pops(monkeypatch):
-    """Every (i, j) a gb.PairQueue pops, in order."""
+    """Every (i, j) a gb.PairQueue, or the reference engine's queue, pops,
+    in order."""
     pops = []
-    real = gb.PairQueue.pop
-
-    def pop(self):
-        out = real(self)
-        pops.append(out[:2])
-        return out
-    monkeypatch.setattr(gb.PairQueue, "pop", pop)
+    for cls in (gb.PairQueue, engine_reference.PairQueue):
+        def pop(self, real=cls.pop):
+            out = real(self)
+            pops.append(out[:2])
+            return out
+        monkeypatch.setattr(cls, "pop", pop)
     return pops
 
 
@@ -28,14 +28,14 @@ class NormalSelectionQueue(gb.PairQueue):
     smallest (key, i, j) pops first under every order, and every sugar
     reads 0."""
 
-    def add(self, e, slot, sugar):
+    def add(self, m, sugar):
         t = len(self.lead)
-        for k, (ek, sk) in enumerate(zip(self.lead, self.slot)):
-            if sk == slot:
-                heapq.heappush(self._heap, (0, self.key(exp_lcm(ek, e)), k, t))
+        for k, mk in enumerate(self.lead):
+            l = self.lcm(mk, m)
+            if l is not None:
+                heapq.heappush(self._heap, (0, self.key(l), k, t))
                 self._pending.add((k, t))
-        self.lead.append(e)
-        self.slot.append(slot)
+        self.lead.append(m)
         self.ecart.append(0)
 
 

@@ -1,0 +1,237 @@
+"""The step-closure engine that gb.buchberger replaced, kept for the tests
+as a reference.
+
+buchberger here took the (leading exponent, slot, degree) of each starting
+element and a step closure, and each basis loop wrote its own step: form
+the S-element, reduce it by its normal form, check it, append it and add
+it to its ring.Divisors.  PairQueue is the pair queue of that engine,
+keyed by (leading exponent, slot) and by the base order of a module order.
+groebner_basis, module_gb and weyl_left_gb are the three loops on it, with
+their steps as they were.  The three disagreed on the degree bound: the
+ideal loop checked generators, S-elements and remainders, the left loop
+only remainders, the module loop nothing outside the division kernel.
+
+The library's bases, pair pop orders and LeftBasis logs equal these loops'.
+The normal forms are looked up on their modules at call time, so a test
+that wraps one sees the divisions of both; under_one_policy wraps them so
+that a loop here keeps the one bound policy of gb.buchberger.
+"""
+
+import heapq
+
+from fpowers import gb, weyl
+from fpowers.gb import Limits
+from fpowers.ring import (
+    Divisors, Scaled, exp_add, exp_divides, exp_lcm, exp_total,
+)
+from fpowers.weyl import LeftBasis
+
+
+def check_poly(limits, p):
+    """The degree check the loops made on a term map or S-element p."""
+    limits.check_degree(p.terms, exp_total)
+
+
+class PairQueue:
+    """Pending S-pairs of a growing basis, in sugar order: pairs of one
+    slot, keyed once by key(lcm of the leading exponents), popped as the
+    smallest (sugar, key(l), i, j)."""
+
+    def __init__(self, key, graded):
+        self.key = key
+        self.graded = graded
+        self.lead = []
+        self.slot = []
+        self.ecart = []
+        self._heap = []
+        self._pending = set()
+
+    def __bool__(self):
+        return bool(self._heap)
+
+    def add(self, e, slot, sugar):
+        t = len(self.lead)
+        ecart = 0 if self.graded else sugar - exp_total(e)
+        for k, (ek, sk, ck) in enumerate(zip(self.lead, self.slot,
+                                              self.ecart)):
+            if sk == slot:
+                l = exp_lcm(ek, e)
+                heapq.heappush(self._heap, (exp_total(l) + max(ck, ecart),
+                                            self.key(l), k, t))
+                self._pending.add((k, t))
+        self.lead.append(e)
+        self.slot.append(slot)
+        self.ecart.append(ecart)
+
+    def pop(self):
+        sugar, _, i, j = heapq.heappop(self._heap)
+        self._pending.discard((i, j))
+        return i, j, exp_lcm(self.lead[i], self.lead[j]), sugar
+
+    def chain_skips(self, i, j, l):
+        slot = self.slot[i]
+        for k, (ek, sk) in enumerate(zip(self.lead, self.slot)):
+            if k == i or k == j or sk != slot or not exp_divides(ek, l):
+                continue
+            if ((min(i, k), max(i, k)) not in self._pending
+                    and (min(j, k), max(j, k)) not in self._pending):
+                return True
+        return False
+
+
+def buchberger(order, firsts, step, coprime_criterion):
+    """The pair loop: step(i, j, l) reduces the S-element of a pair that
+    no criterion skips, appends a nonzero remainder to the caller's basis
+    and returns its (leading exponent, slot), or None for zero."""
+    limits = Limits.current()
+    base = order.base if isinstance(order, gb._ModOrder) else order
+    queue = PairQueue(base.key, order.graded)
+    for e, slot, sugar in firsts:
+        queue.add(e, slot, sugar)
+    lead = queue.lead
+    limits.check_size(len(lead))
+    while queue:
+        i, j, l, sugar = queue.pop()
+        if ((coprime_criterion and l == exp_add(lead[i], lead[j]))
+                or queue.chain_skips(i, j, l)):
+            continue
+        new = step(i, j, l)
+        if new is None:
+            continue
+        limits.check_size(len(lead) + 1)
+        queue.add(*new, sugar)
+
+
+def groebner_basis(gens, order):
+    """gb.groebner_basis with its own step."""
+    limits = Limits.current()
+    G = []
+    for g in gens:
+        if not g.is_zero():
+            check_poly(limits, g)
+            G.append(g)
+    if not G:
+        return []
+    divisors = Divisors.of(G[0].ctx, G, order.key)
+
+    def step(i, j, l):
+        s = divisors.s_element(i, j, l)
+        check_poly(limits, s)
+        r = gb.normal_form(s, divisors, order)
+        if r.is_zero():
+            return None
+        check_poly(limits, r)
+        G.append(r)
+        return divisors.add(r.terms), 0
+    buchberger(order, [(e, 0, g.total_degree())
+                       for e, g in zip(divisors.leads, G)], step,
+               coprime_criterion=True)
+
+    def divide(i, rest):
+        if not rest:
+            return G[i]
+        return gb.normal_form(G[i], divisors.subset(rest), order)
+    return [g for _, _, g in gb.interreduce(divisors, divide)]
+
+
+def module_gb(vectors, mo):
+    """gb._module_gb with its own step: the unreduced basis."""
+    G = [v for v in vectors if not gb._vec_is_zero(v)]
+    if not G:
+        return []
+    divisors = gb._vec_divisors(gb._vec_ctx(G[0]), G, mo)
+
+    def step(i, j, l):
+        s = divisors.s_element(i, j, (divisors.leads[i][0], l))
+        r = gb._vec_reduce(s, divisors, mo)
+        if gb._vec_is_zero(r):
+            return None
+        G.append(r)
+        pos, e = divisors.add(gb._vec_terms(r))
+        return e, pos
+    buchberger(mo, [(e, pos, max(p.total_degree() for p in v))
+                    for (pos, e), v in zip(divisors.leads, G)], step,
+               coprime_criterion=False)
+    return G
+
+
+def weyl_left_gb(gens, order):
+    """weyl.weyl_left_gb with its own step, and the same LeftBasis log."""
+    gens = list(gens)
+    G, origin, steps = [], [], []
+    for i, g in enumerate(gens):
+        if not g.is_zero():
+            G.append(g)
+            origin.append(i)
+            steps.append([])
+    if not G:
+        return LeftBasis([], gens, origin, steps, [])
+
+    limits = Limits.current()
+    divisors = weyl._left_divisors(G[0].ctx, G, order)
+    lead = divisors.leads
+
+    def step(i, j, l):
+        s = divisors.s_element(i, j, l)
+        log = []
+        r = weyl.left_normal_form(s, divisors, order, steps=log)
+        if r.is_zero():
+            return None
+        check_poly(limits, r)
+        G.append(r)
+        origin.append((i, j) + gb.s_pair_multipliers(G[i], lead[i], G[j],
+                                                     lead[j], l))
+        steps.append(log)
+        return divisors.add(r.terms), 0
+    buchberger(order, [(e, 0, g.total_degree()) for e, g in zip(lead, G)],
+               step, coprime_criterion=False)
+    tails = {}
+
+    def divide(i, rest):
+        tail = []
+        r = weyl.left_normal_form(G[i], divisors.subset(rest), order,
+                                  steps=tail)
+        tails[i] = [(rest[k], m, c) for k, m, c in tail]
+        return r
+    out = gb.interreduce(divisors, divide)
+    return LeftBasis([g for _, _, g in out], gens, origin, steps,
+                     [(i, c, tails[i]) for i, c, _ in out])
+
+
+def under_one_policy(loop):
+    """loop(gens, order), one of the loops above, under the bound policy of
+    gb.buchberger: the degree of each nonzero generator, S-element and
+    nonzero S-remainder is checked against the bound in effect, a vector's
+    degree being its x-degree.  The S-elements are the ring.Scaled
+    elements the loop divides."""
+    def degree(g):
+        if isinstance(g, tuple):
+            return gb._vec_terms(g), gb._mod_degree
+        return g.terms, exp_total
+
+    def checked(real):
+        def division(p, basis, order, **kwargs):
+            if not isinstance(p, Scaled):
+                return real(p, basis, order, **kwargs)
+            limits = Limits.current()
+            limits.check_degree(p.terms, basis.degree)
+            r = real(p, basis, order, **kwargs)
+            limits.check_degree(basis.view(r)[1], basis.degree)
+            return r
+        return division
+
+    def run(gens, order):
+        limits = Limits.current()
+        for g in gens:
+            limits.check_degree(*degree(g))
+        names = ((gb, "normal_form"), (gb, "_vec_reduce"),
+                 (weyl, "left_normal_form"))
+        reals = [getattr(mod, name) for mod, name in names]
+        for (mod, name), real in zip(names, reals):
+            setattr(mod, name, checked(real))
+        try:
+            return loop(gens, order)
+        finally:
+            for (mod, name), real in zip(names, reals):
+                setattr(mod, name, real)
+    return run

@@ -7,9 +7,9 @@ divide_exact are the four divisions on it, each with its multiple closure
 (c/lc times a divisor, term by term in Fractions).  groebner_basis,
 module_gb and weyl_left_gb are the three basis loops on them, forming each
 S-element over Q (s_poly; m_i*v_i - m_j*v_j for vectors and operators).
-They run on the library's one Buchberger engine (gb.buchberger,
-gb.interreduce), so comparing them with the library isolates the kernel
-and the S-elements.
+They run on the step-closure engine gb.buchberger replaced
+(engine_reference.buchberger) and on gb.interreduce, so comparing them
+with the library checks the kernel, the S-elements and the one loop.
 
 Like the library divisions, each reference division takes a list of
 elements or a basis computation's ring.Divisors.  value_of turns a
@@ -18,6 +18,7 @@ ring.Divisors into its elements, so that a reference division can also
 stand in for a library normal form inside a library basis loop.
 """
 
+from engine_reference import buchberger, check_poly
 from fpowers import gb, weyl
 from fpowers.gb import Limits, ResourceLimit
 from fpowers.ring import (
@@ -246,7 +247,7 @@ def groebner_basis(gens, order):
     G = []
     for g in gens:
         if not g.is_zero():
-            limits.check_poly(g)
+            check_poly(limits, g)
             G.append(g)
     if not G:
         return []
@@ -256,15 +257,15 @@ def groebner_basis(gens, order):
 
     def step(i, j, l):
         s = s_poly(G[i], G[j], order, lead[i], lead[j])
-        limits.check_poly(s)
+        check_poly(limits, s)
         r = normal_form(s, divisors, order)
         if r.is_zero():
             return None
-        limits.check_poly(r)
+        check_poly(limits, r)
         G.append(r)
         return divisors.add(r.terms), 0
-    gb.buchberger(order, [(e, 0, g.total_degree()) for e, g in zip(lead, G)],
-                  step, coprime_criterion=True)
+    buchberger(order, [(e, 0, g.total_degree()) for e, g in zip(lead, G)],
+               step, coprime_criterion=True)
 
     def divide(i, rest):
         if not rest:
@@ -275,10 +276,17 @@ def groebner_basis(gens, order):
 
 def module_gb(vectors, mo):
     """gb._module_gb on vec_sub, vec_scale and the reference vec_reduce:
-    the unreduced basis, in creation order."""
+    the unreduced basis, in creation order, under the bound policy of
+    gb.buchberger (generators, S-elements and remainders)."""
+    limits = Limits.current()
+
+    def check(v):
+        limits.check_degree(gb._vec_terms(v), gb._mod_degree)
     G = [v for v in vectors if not gb._vec_is_zero(v)]
     if not G:
         return []
+    for v in G:
+        check(v)
     divisors = gb._vec_divisors(gb._vec_ctx(G[0]), G, mo)
     leads = divisors.leads
 
@@ -287,49 +295,55 @@ def module_gb(vectors, mo):
         mi, mj = gb.s_pair_multipliers(G[i][pos], leads[i][1],
                                        G[j][pos], leads[j][1], l)
         s = vec_sub(vec_scale(G[i], mi), vec_scale(G[j], mj))
+        check(s)
         r = vec_reduce(s, divisors, mo)
         if gb._vec_is_zero(r):
             return None
+        check(r)
         G.append(r)
         pos, e = divisors.add(gb._vec_terms(r))
         return e, pos
-    gb.buchberger(mo, [(e, pos, max(p.total_degree() for p in v))
-                       for (pos, e), v in zip(leads, G)], step,
-                  coprime_criterion=False)
+    buchberger(mo, [(e, pos, max(p.total_degree() for p in v))
+                    for (pos, e), v in zip(leads, G)], step,
+               coprime_criterion=False)
     return G
 
 
 def weyl_left_gb(gens, order):
     """weyl.weyl_left_gb on the products m_i*g_i - m_j*g_j and the
-    reference left_normal_form, with the same LeftBasis log."""
+    reference left_normal_form, with the same LeftBasis log, under the
+    bound policy of gb.buchberger (generators, S-elements and
+    remainders)."""
+    limits = Limits.current()
     gens = list(gens)
     G, origin, steps = [], [], []
     for i, g in enumerate(gens):
         if not g.is_zero():
+            check_poly(limits, g)
             G.append(g)
             origin.append(i)
             steps.append([])
     if not G:
         return LeftBasis([], gens, origin, steps, [])
 
-    limits = Limits.current()
     divisors = weyl._left_divisors(G[0].ctx, G, order)
     lead = divisors.leads
 
     def step(i, j, l):
         mi, mj = gb.s_pair_multipliers(G[i], lead[i], G[j], lead[j], l)
         s = mi * G[i] - mj * G[j]
+        check_poly(limits, s)
         log = []
         r = left_normal_form(s, divisors, order, steps=log)
         if r.is_zero():
             return None
-        limits.check_poly(r)
+        check_poly(limits, r)
         G.append(r)
         origin.append((i, j, mi, mj))
         steps.append(log)
         return divisors.add(r.terms), 0
-    gb.buchberger(order, [(e, 0, g.total_degree()) for e, g in zip(lead, G)],
-                  step, coprime_criterion=False)
+    buchberger(order, [(e, 0, g.total_degree()) for e, g in zip(lead, G)],
+               step, coprime_criterion=False)
     tails = {}
 
     def divide(i, rest):

@@ -17,6 +17,8 @@ from fpowers.gb import (
     ideal_colon, intersect, krull_dimension, normal_form, radical_membership,
     saturate, syzygies,
 )
+import engine_reference
+from engine_reference import check_poly
 from kernel_reference import elements_of, s_poly, value_of, vec_scale, vec_sub
 
 XY = VarContext([("X", ["x", "y"])])
@@ -645,7 +647,7 @@ def _old_normal_form(p, basis, order):
             le, g = hit
             m = Poly.monomial(p.ctx, exp_sub(e, le), c / g.terms[le])
             work = work - m * g
-            limits.check_poly(work)
+            check_poly(limits, work)
     return rem
 
 
@@ -691,7 +693,7 @@ def _old_vec_reduce(v, basis, mo):
             m = Poly.monomial(ctx, exp_sub(e, le), c / g[lp].terms[le])
             work = vec_sub(work, vec_scale(g, m))
             for q in work:
-                limits.check_poly(q)
+                check_poly(limits, q)
     return rem
 
 
@@ -876,13 +878,13 @@ def _old_groebner_basis(gens, order):
     G = []
     for g in gens:
         if not g.is_zero():
-            limits.check_poly(g)
+            check_poly(limits, g)
             G.append(g)
     if not G:
         return []
 
     divisors = Divisors(G[0].ctx, order.key)
-    queue = gb.PairQueue(order.key, order.graded)
+    queue = engine_reference.PairQueue(order.key, order.graded)
     for g in G:
         queue.add(divisors.add(g.terms), 0, g.total_degree())
     lead = queue.lead
@@ -892,11 +894,11 @@ def _old_groebner_basis(gens, order):
         if lij == exp_add(lead[i], lead[j]) or queue.chain_skips(i, j, lij):
             continue
         s = s_poly(G[i], G[j], order, lead[i], lead[j])
-        limits.check_poly(s)
+        check_poly(limits, s)
         r = normal_form(s, divisors, order)
         if r.is_zero():
             continue
-        limits.check_poly(r)
+        check_poly(limits, r)
         G.append(r)
         limits.check_size(len(G))
         queue.add(divisors.add(r.terms), 0, sugar)
@@ -945,7 +947,7 @@ def _old_module_gb(vectors, mo):
     ctx = G[0][0].ctx
     divisors = gb._vec_divisors(gb._vec_ctx(G[0]), G, mo)
     leads = divisors.leads
-    queue = gb.PairQueue(mo.base.key, mo.graded)
+    queue = engine_reference.PairQueue(mo.base.key, mo.graded)
     for (pos, e), v in zip(leads, G):
         queue.add(e, pos, _vec_degree(v))
 
@@ -1038,7 +1040,8 @@ def test_engine_resource_limits_match_old_loop():
     # degree and basis-size bounds: the same inputs raise, with the same
     # messages, and the rest give the same bases; only where the nonzero
     # starting elements alone exceed the basis-size bound does the engine
-    # raise before any pair, with their count
+    # raise before any pair, with their count, and a module basis keeps
+    # the bound policy of ideals (the replaced module step under it)
     ideals = list(_engine_ideal_inputs())
     ideals.append((MonomialOrder.grevlex(), [p("x^5 + y"), p("y^4 - x")]))
     modules = [(gb._ModOrder(order, split=len(vecs[0])), _augmented(vecs))
@@ -1058,6 +1061,7 @@ def test_engine_resource_limits_match_old_loop():
                     f"basis size {starting} exceeds bound {lim.max_basis}")
         return ref
     got, ref, expected = [], [], []
+    moved = 0
     for lim in limits:
         with lim:
             for order, gens in ideals:
@@ -1069,13 +1073,94 @@ def test_engine_resource_limits_match_old_loop():
             for mo, aug in modules:
                 got.append(exact(_outcome(gb._module_gb, aug, mo)))
                 ref.append(exact(_outcome(_old_module_gb, aug, mo)))
+                one = exact(_outcome(engine_reference.under_one_policy(
+                    engine_reference.module_gb), aug, mo))
+                moved += one != ref[-1]
                 expected.append(early(sum(not gb._vec_is_zero(v)
-                                          for v in aug), lim, ref[-1]))
-    assert got == expected
+                                          for v in aug), lim, one))
+    assert got == expected and moved > 0
     assert 0 < sum(e != r for e, r in zip(expected, ref)) < len(ref) // 4
     messages = {o[1].split()[0] for o in ref if isinstance(o, tuple)}
     assert messages == {"total", "basis"}
     assert sum(isinstance(o, list) for o in ref) > len(ref) // 4
+
+
+# ======================================================================
+# the one basis loop (gb.buchberger owns the S-pair step and the bound
+# policy) against the step closures it replaced (tests/engine_reference.py)
+
+
+def test_one_loop_matches_replaced_steps(queue_pops):
+    # ideal and module bases, term for term, and the pairs popped
+    n = 0
+    for order, gens in _engine_ideal_inputs():
+        got, got_pops = _run_with_pops(queue_pops, groebner_basis, gens, order)
+        ref, ref_pops = _run_with_pops(queue_pops,
+                                       engine_reference.groebner_basis,
+                                       gens, order)
+        assert _items(got) == _items(ref) and got_pops == ref_pops
+        n += len(ref_pops)
+    for vecs, order in _module_inputs():
+        for split in (0, len(vecs[0])):
+            mo = gb._ModOrder(order, split=split)
+            got, got_pops = _run_with_pops(queue_pops, gb._module_gb,
+                                           _augmented(vecs), mo)
+            ref, ref_pops = _run_with_pops(queue_pops,
+                                           engine_reference.module_gb,
+                                           _augmented(vecs), mo)
+            assert [_items(g) for g in got] == [_items(g) for g in ref]
+            assert got_pops == ref_pops
+            n += len(ref_pops)
+    assert n > 150
+
+
+def test_one_bound_policy_for_every_kind():
+    # a generator over the degree bound stops every kind of basis the same
+    # way; before, a module basis ran on and a left basis returned
+    from fpowers import weyl
+    from fpowers.bside import elimination_order
+    from fpowers.logder import FactorizationSpec
+    g = p("x^4 + y")
+    F = FactorizationSpec(["x", "y"], [p("x^2 + y^3")])
+    ops = F.theta_generators() + [weyl.WeylOp.from_poly(F.weyl, F.f_xs)]
+    assert max(op.total_degree() for op in ops) == 4
+    runs = [lambda: groebner_basis([g], MonomialOrder.grevlex()),
+            lambda: syzygies([(g,)]),
+            lambda: gb.module_contains([(g,)], (p("x"),)),
+            lambda: weyl.weyl_left_gb(ops, elimination_order(F.weyl))]
+    for run in runs:
+        with pytest.raises(ResourceLimit) as err, Limits(max_degree=3):
+            run()
+        assert str(err.value) == "total degree 4 exceeds bound 3"
+        with Limits(max_degree=4):
+            run()
+
+
+def test_pair_step_and_bound_checks_live_only_in_buchberger():
+    # Divisors.s_element, PairQueue(...) and the Limits checks are called
+    # nowhere in the package but inside gb.buchberger
+    import ast
+    from pathlib import Path
+    src = Path(gb.__file__).parent
+    names = {"s_element", "PairQueue", "check_degree", "check_size"}
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scopes = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.ClassDef)):
+                for node in ast.walk(fn):
+                    scopes.setdefault(id(node), fn.name)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(
+                f, "id", None)
+            if name in names:
+                found.append((path.name, scopes.get(id(node)), name))
+    assert sorted(set(found)) == [("gb.py", "buchberger", n)
+                                  for n in sorted(names)]
 
 
 # ======================================================================

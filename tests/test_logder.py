@@ -407,6 +407,24 @@ def test_hypothesis_table_kept_per_bounds(monkeypatch):
     assert set(F.check_hypotheses()) == _ALL_HYPOTHESES
 
 
+def test_hypothesis_table_survives_a_bound_on_der_log():
+    # under a degree bound of 3 the module basis of Der(-log f) of
+    # xy(x+y) meets an S-element of degree 4: freeness is unknown, and the
+    # arrangement is Saito-holonomic without it, so the table is whole
+    from fpowers.gb import Limits, ResourceLimit
+    F = FactorizationSpec(["x", "y"], [p2("x"), p2("y"), p2("x + y")])
+    with Limits(max_degree=3):
+        with pytest.raises(ResourceLimit) as err:
+            F.log_derivations()
+        h = F.check_hypotheses()
+    assert str(err.value) == "total degree 4 exceeds bound 3"
+    assert set(h) == _ALL_HYPOTHESES
+    assert h["free"] == ("unknown", "resource limit: total degree 4 "
+                                    "exceeds bound 3")
+    assert h["saito_holonomic"] == ("yes", "hyperplane arrangement")
+    assert F.check_hypotheses()["free"][0] == "yes"
+
+
 # ---------------------------------------------------------------------------
 # sugar selection: the generators move, the modules they span do not
 

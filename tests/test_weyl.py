@@ -764,6 +764,26 @@ def test_engine_left_bases_pops_and_cofactors_match_old_loop(queue_pops):
     assert n > 50
 
 
+def test_one_loop_left_bases_pops_and_logs_match_replaced_step(queue_pops):
+    # the left basis of gb.buchberger's S-pair step and per-remainder hook
+    # against the step closure it replaced: the same basis term for term,
+    # the same pairs popped and the same LeftBasis log
+    import engine_reference
+    n = 0
+    for gens, order in _kernel_left_inputs():
+        del queue_pops[:]
+        got = weyl_left_gb(gens, order)
+        got_pops = list(queue_pops)
+        del queue_pops[:]
+        ref = engine_reference.weyl_left_gb(gens, order)
+        assert got_pops == queue_pops
+        assert _items(got) == _items(ref)
+        assert (got.gens, got.origin, got.steps, got.final) == \
+            (ref.gens, ref.origin, ref.steps, ref.final)
+        n += len(got.origin) - len(got.gens)
+    assert n > 20
+
+
 def test_engine_left_interreduction_matches_old_loop():
     # on unreduced lists: the generators, then the generators after a
     # tracked basis with its rows, so elements get dropped and reduced, and
@@ -804,9 +824,12 @@ def test_engine_left_interreduction_matches_old_loop():
 
 def test_engine_left_resource_limits_match_old_loop():
     # the same inputs raise as with the old loop, or earlier where the
-    # nonzero generators alone exceed the basis-size bound; the bounds
-    # now speak the gb.Limits wording, the left normal form included
+    # nonzero generators alone exceed the basis-size bound, or where the
+    # one bound policy of gb.buchberger (a generator or S-element over the
+    # degree bound) stops the replaced step under it; the bounds now speak
+    # the gb.Limits wording, the left normal form included
     import re
+    import engine_reference
     from fpowers.gb import Limits, ResourceLimit
 
     def outcome(fn, gens, order, lim, track):
@@ -818,20 +841,30 @@ def test_engine_left_resource_limits_match_old_loop():
         G, C = got if track else (got, [])
         return _items(G), _rows_str(C)
 
-    def rebuilt(gens, order, lim, track):
-        G = weyl_left_gb(gens, order)
+    def rebuilt(gens, order, lim, track, gb=weyl_left_gb):
+        G = gb(gens, order)
         return (G, basis_rows(G)) if track else G
+
+    def one_policy(gens, order, lim, track):
+        return rebuilt(gens, order, lim, track, engine_reference.
+                       under_one_policy(engine_reference.weyl_left_gb))
     limits = [Limits(max_degree=d) for d in (2, 3, 4, 5, 6)]
     limits += [Limits(max_basis=b) for b in (2, 4, 6, 8, 12)]
     seen = set()
-    early = 0
+    early = moved = 0
     for lim in limits:
         for gens, order in _kernel_left_inputs():
             starting = sum(not g.is_zero() for g in gens)
             for track in (True, False):
                 got = outcome(rebuilt, gens, order, lim, track)
                 ref = outcome(_old_weyl_left_gb, gens, order, lim, track)
-                if starting > lim.max_basis:
+                one = outcome(one_policy, gens, order, lim, track)
+                assert got == one
+                if (got != ref and isinstance(got, str)
+                        and not isinstance(ref, str)):
+                    assert got == one and got.startswith("total degree")
+                    moved += 1
+                elif starting > lim.max_basis:
                     assert got == (f"basis size {starting} exceeds bound "
                                    f"{lim.max_basis}")
                     early += 1
@@ -850,15 +883,14 @@ def test_engine_left_resource_limits_match_old_loop():
     assert seen == {"degree bound exceeded in left basis",
                     "basis size bound exceeded",
                     "degree bound exceeded in left normal form", "basis"}
-    assert early > 0
+    assert early > 0 and moved > 0
 
 
 def test_left_basis_bounds_use_limits_wording():
     # B_F elimination for f = x^2 + y^3: its left basis used to fail with
     # "degree bound exceeded in left basis" and "basis size bound exceeded";
-    # its four generators alone exceed a bound of 2 before any pair.  Its
-    # basis stays within degree 3 under sugar selection, so the degree
-    # bound that the loop's remainder check meets is 2
+    # its four generators alone exceed a basis-size bound of 2 before any
+    # pair, and its second generator, of degree 3, a degree bound of 2
     from fpowers.gb import Limits, ResourceLimit
     gens, order = next(_left_gb_inputs())
     with pytest.raises(ResourceLimit) as err, Limits(max_degree=2):
@@ -871,6 +903,29 @@ def test_left_basis_bounds_use_limits_wording():
     with pytest.raises(ResourceLimit) as err, Limits(max_basis=2):
         weyl_left_gb(gens, order)
     assert str(err.value) == "basis size 4 exceeds bound 2"
+
+
+def test_left_basis_bounds_its_s_elements(monkeypatch):
+    # every generator fits a degree bound of 2, an S-element of the basis
+    # does not: the loop raises on it before dividing it, so every
+    # division it makes stays within the bound
+    from fpowers.gb import Limits, ResourceLimit
+    ctx = WeylContext(["x", "y"], ["s1", "s2"])
+    gens = [parse_weyl("x*dx + y*dy - s1 - 2*s2", ctx),
+            parse_weyl("y*dx - x*dy", ctx), parse_weyl("x^2 + y^2", ctx)]
+    assert max(g.total_degree() for g in gens) == 2
+    divided = []
+    real = weyl.left_normal_form
+
+    def counted(P, *args, **kw):
+        divided.append(max(map(sum, P.terms), default=-1))
+        return real(P, *args, **kw)
+    monkeypatch.setattr(weyl, "left_normal_form", counted)
+    with pytest.raises(ResourceLimit) as err, Limits(max_degree=2):
+        weyl_left_gb(gens, elimination_order(ctx))
+    assert str(err.value) == "total degree 3 exceeds bound 2"
+    assert max(divided, default=0) <= 2
+    assert len(weyl_left_gb(gens, elimination_order(ctx))) == 6
 
 
 def test_left_normal_form_degree_message_names_the_degree():

@@ -2,7 +2,7 @@
 
 _old_left_normal_form is the left division before the in-place kernel,
 with its cofactor rows; _old_weyl_left_gb and _old_reduce_left_basis are
-the left basis loop (now on the sugar PairQueue) and minimalization before
+the left basis loop (on the sugar queue of engine_reference) and minimalization before
 the one Buchberger engine, with the cofactor tracking (track=True) that
 every certificate and witness used before cofactors came from the basis
 log.  reference_cofactors is how a certificate was made with them: a
@@ -72,7 +72,8 @@ def _old_weyl_left_gb(gens, order, limits=gb.DEFAULT_LIMITS, track=False):
     """Reduced left basis by its own pair loop and its own bound checks.
     With track=True returns (basis, cofactors), where
     basis[i] = sum_j cofactors[i][j] * gens[j]."""
-    from fpowers.gb import PairQueue, ResourceLimit
+    from engine_reference import PairQueue
+    from fpowers.gb import ResourceLimit
     from fpowers.ring import KeyCache
     left_normal_form = _old_left_normal_form
     ctx = gens[0].ctx if gens else None
