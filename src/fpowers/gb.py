@@ -428,17 +428,6 @@ def ideal_colon(I: IdealHandle, g: Poly) -> IdealHandle:
     return IdealHandle(gens, ctx=I.ctx)
 
 
-def ideal_colon_ideal(I: IdealHandle, J: IdealHandle) -> IdealHandle:
-    """(I : J) = intersection of (I : g) over generators g of J."""
-    gens = [g for g in J.gens if not g.is_zero()]
-    if not gens:
-        raise ValueError("colon by zero ideal")
-    acc = ideal_colon(I, gens[0])
-    for g in gens[1:]:
-        acc = intersect(acc, ideal_colon(I, g))
-    return acc
-
-
 def saturate(I: IdealHandle, g: Poly) -> Tuple[IdealHandle, int]:
     """(I : g^inf) by iterating colon to stability; returns (ideal, steps)."""
     steps = 0

@@ -13,18 +13,19 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .ring import Poly, VarContext, divide_exact
+from .ring import Poly, VarContext, divide_exact, exp_add
 from .arrange import (
     ArrangementSpec, definitely_not_linear_split, linear_form_factorization,
     row_reduce,
 )
 from .gb import (
     GradedModulePresentation, IdealHandle, Limits, NonHomogeneousInput,
-    ResourceLimit, graded_free_resolution, ideal_colon, ideal_colon_ideal,
-    krull_dimension, module_contains, syzygies, vector_degree,
+    ResourceLimit, graded_free_resolution, ideal_colon, krull_dimension,
+    module_contains, syzygies, vector_degree,
 )
 from .weyl import WeylContext, WeylOp
 
@@ -52,10 +53,12 @@ class LogDerivation:
         return out
 
     def operator(self, ctx: WeylContext) -> WeylOp:
-        """delta as the operator sum a_i d_i of D_n[S] over ctx."""
-        out = WeylOp.zero(ctx)
+        """delta as the operator sum a_i d_i of D_n[S] over ctx.  Each
+        a_i d_i is already normal-ordered, so its terms are written
+        directly."""
+        out = WeylOp(ctx)
         for a, dname in zip(self.coeffs, ctx.dx_names):
-            out = out + WeylOp.from_poly(ctx, a) * WeylOp.var(ctx, dname)
+            out.terms.update(_times_var(ctx, a, dname))
         return out
 
     def symbol(self, ctx: WeylContext) -> Poly:
@@ -109,7 +112,9 @@ class FactorizationSpec:
     freeness, tameness, arrangement-ness, Saito-holonomicity) come from
     check_hypotheses(); each is "yes"/"no"/"unknown" with a short reason.
     The derived results that cost a basis computation are kept per bound
-    in effect (memo).
+    in effect (memo).  The data of the F^S action (f_xs, df_xs, dfk_xs,
+    cofactor_xs), read only by weyl.apply_to_FS, bside and liouville, is
+    built on first use.
     """
 
     def __init__(self, x_names: Sequence[str], factors: Sequence[Poly]):
@@ -131,22 +136,38 @@ class FactorizationSpec:
         self.weyl = WeylContext(self.x_names, self.s_names)
         self.symbol_vc = self.weyl.symbol_vc
         self.xs_vc = self.weyl.xs_vc
-        # data used by the F^S action
-        self.f_xs = self.f.map_context(self.xs_vc)
-        self.df_xs = [self.f_xs.diff(x) for x in self.x_names]
-        self.dfk_xs = [
-            [fk.map_context(self.xs_vc).diff(x) for x in self.x_names]
-            for fk in self.factors
-        ]
-        self.cofactor_xs = []
-        for fk in self.factors:
-            q = divide_exact(self.f_xs, fk.map_context(self.xs_vc))
-            assert q is not None
-            self.cofactor_xs.append(q)
         self.vanishing_at_origin = all(
             fk.constant_coeff() == 0 for fk in self.factors
         )
         self._memo: Dict[tuple, object] = {}
+
+    # the data of the F^S action over Q[x, S], built on first use: the
+    # nabla and hypotheses requests never read it
+
+    @cached_property
+    def f_xs(self) -> Poly:
+        return self.f.map_context(self.xs_vc)
+
+    @cached_property
+    def df_xs(self) -> List[Poly]:
+        """d_i f, per x variable."""
+        return [self.f_xs.diff(x) for x in self.x_names]
+
+    @cached_property
+    def dfk_xs(self) -> List[List[Poly]]:
+        """d_i f_k, per factor and x variable."""
+        return [[fk.map_context(self.xs_vc).diff(x) for x in self.x_names]
+                for fk in self.factors]
+
+    @cached_property
+    def cofactor_xs(self) -> List[Poly]:
+        """f / f_k, per factor."""
+        out = []
+        for fk in self.factors:
+            q = divide_exact(self.f_xs, fk.map_context(self.xs_vc))
+            assert q is not None
+            out.append(q)
+        return out
 
     def memo(self, key: tuple, compute):
         """compute(), computed once per key and bound in effect for this
@@ -297,8 +318,16 @@ def psi_F(delta: LogDerivation, fspec: FactorizationSpec) -> WeylOp:
     ctx = fspec.weyl
     out = delta.operator(ctx)
     for b, s in zip(psi_cofactors(delta, fspec), fspec.s_names):
-        out = out - WeylOp.from_poly(ctx, b) * WeylOp.var(ctx, s)
+        out.terms.update(_times_var(ctx, -b, s))
     return out
+
+
+def _times_var(ctx: WeylContext, p: Poly, name: str) -> Dict:
+    """The terms of p * v in D_n[S], for p a polynomial in the x variables
+    and v a d_i or an s_k of ctx: that product is already normal-ordered,
+    so each term of p just gains v."""
+    v = ctx.var_exp(name)
+    return {exp_add(e, v): c for e, c in WeylOp.from_poly(ctx, p).terms.items()}
 
 
 def psi_cofactors(delta: LogDerivation, fspec: FactorizationSpec) -> List[Poly]:
@@ -580,6 +609,10 @@ def saito_holonomic_check(f: Poly,
     V_i = zero set of the (i+1)-minors of the generator coefficient matrix
     (the rank-<=i locus) this is equivalent to dim V_i <= i for i < n,
     because V_i is the union of the rank-j loci over j <= i.
+
+    The top stratum needs no basis: a nonzero polynomial cuts out a
+    hypersurface, so dim V_{n-1} <= n-1 exactly when some n x n minor is
+    nonzero, and the search stops at the first one.
     """
     ctx = f.ctx
     n = ctx.n
@@ -587,15 +620,18 @@ def saito_holonomic_check(f: Poly,
         gens = log_derivations(f, "log")
     rows = saito_matrix(gens)
     for i in range(n):
-        minors = []
-        for rsel in itertools.combinations(range(len(rows)), i + 1):
-            for csel in itertools.combinations(range(n), i + 1):
-                m = _det([[rows[a][b] for b in csel] for a in rsel])
-                if not m.is_zero():
-                    minors.append(m)
+        minors = filter(None, (
+            _det([[rows[a][b] for b in csel] for a in rsel])
+            for rsel in itertools.combinations(range(len(rows)), i + 1)
+            for csel in itertools.combinations(range(n), i + 1)))
+        top = i == n - 1
+        # one nonzero maximal minor settles the top stratum (see above)
+        minors = list(itertools.islice(minors, 1) if top else minors)
         if not minors:
             # fiber rank <= i everywhere: the top stratum itself is too big
             return ("no", f"fiber rank <= {i} on all of affine {n}-space")
+        if top:
+            break
         d = krull_dimension(IdealHandle(minors))
         if d > i:
             return ("no", f"rank-<={i} locus of the log-derivation fibers "
@@ -607,8 +643,12 @@ def saito_holonomic_check(f: Poly,
 def reducedness_check(f: Poly):
     """("yes"/"no"/"unknown", reason): f squarefree iff ((f) : Jac(f)) = (f).
 
-    Over Q in characteristic zero the colon strictly grows exactly when f
-    has a repeated factor.
+    In characteristic zero both hold exactly when the singular locus
+    V(f, d_1 f, ..., d_n f) has dimension at most n - 2: a repeated factor
+    g^2 of f puts the hypersurface V(g) inside it, and a squarefree f is
+    smooth off a proper closed subset of each of its components.  So one
+    basis of (f) + Jac(f) and its Krull dimension (-1 when the locus is
+    empty) decide the colon equality.
     """
     ctx = f.ctx
     jac = [f.diff(x) for x in ctx.names]
@@ -616,10 +656,7 @@ def reducedness_check(f: Poly):
     if not jac:
         return ("no", "constant-like input")
     try:
-        F = IdealHandle([f])
-        J = IdealHandle(jac)
-        C = ideal_colon_ideal(F, J)
-        if F.contains_ideal(C):
+        if krull_dimension(IdealHandle([f] + jac)) <= ctx.n - 2:
             return ("yes", "(f):Jac(f) = (f)")
         return ("no", "(f):Jac(f) strictly contains (f)")
     except ResourceLimit as e:

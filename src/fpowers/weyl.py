@@ -161,7 +161,7 @@ class WeylOp(TermMap):
     def subs_s(self, values: Dict[str, Fraction]) -> "WeylOp":
         """Evaluate some s-variables at rational constants."""
         ctx = self.ctx
-        out = WeylOp.zero(ctx)
+        out = WeylOp(ctx)
         idx = {name: ctx.index[name] for name in values}
         for e, c in self.terms.items():
             coef = c
@@ -171,7 +171,8 @@ class WeylOp(TermMap):
                 if e2[i]:
                     coef *= Fraction(v) ** e2[i]
                     e2[i] = 0
-            out = out + WeylOp(ctx, {tuple(e2): coef})
+            if coef:
+                add_terms(out.terms, [(tuple(e2), coef)])
         return out
 
     def shift_s(self, amounts: Dict[str, Fraction]) -> "WeylOp":

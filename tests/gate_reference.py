@@ -1,0 +1,104 @@
+"""The hypothesis checks and theta_F builders that logder replaced, kept for
+the tests as a reference.
+
+reducedness_check decided squarefreeness by the colon ideal (f) : Jac(f),
+as an intersection of one colon per partial derivative (ideal_colon_ideal,
+which left gb with it); saito_holonomic_check computed every minor and a
+Krull dimension for every stratum, the top one included.  operator and
+psi_F built a_i d_i and b_k s_k as products in D_n[S], and subs_s, which
+nabla runs on every theta_F generator, rebuilt its result once per term.
+"""
+
+import itertools
+from fractions import Fraction
+
+from fpowers.gb import (
+    IdealHandle, ResourceLimit, ideal_colon, intersect, krull_dimension,
+)
+from fpowers.logder import _det, log_derivations, psi_cofactors, saito_matrix
+from fpowers.weyl import WeylOp
+
+
+def ideal_colon_ideal(I, J):
+    """(I : J) = intersection of (I : g) over generators g of J."""
+    gens = [g for g in J.gens if not g.is_zero()]
+    if not gens:
+        raise ValueError("colon by zero ideal")
+    acc = ideal_colon(I, gens[0])
+    for g in gens[1:]:
+        acc = intersect(acc, ideal_colon(I, g))
+    return acc
+
+
+def reducedness_check(f):
+    """("yes"/"no"/"unknown", reason): f squarefree iff ((f) : Jac(f)) = (f)."""
+    jac = [f.diff(x) for x in f.ctx.names]
+    jac = [p for p in jac if not p.is_zero()]
+    if not jac:
+        return ("no", "constant-like input")
+    try:
+        F = IdealHandle([f])
+        C = ideal_colon_ideal(F, IdealHandle(jac))
+        if F.contains_ideal(C):
+            return ("yes", "(f):Jac(f) = (f)")
+        return ("no", "(f):Jac(f) strictly contains (f)")
+    except ResourceLimit as e:
+        return ("unknown", f"resource limit: {e}")
+
+
+def saito_holonomic_check(f, gens=None):
+    """dim V_i <= i for every i < n, with V_i the zero set of all
+    (i+1)-minors of the Der(-log f) coefficient matrix."""
+    n = f.ctx.n
+    if gens is None:
+        gens = log_derivations(f, "log")
+    rows = saito_matrix(gens)
+    for i in range(n):
+        minors = []
+        for rsel in itertools.combinations(range(len(rows)), i + 1):
+            for csel in itertools.combinations(range(n), i + 1):
+                m = _det([[rows[a][b] for b in csel] for a in rsel])
+                if not m.is_zero():
+                    minors.append(m)
+        if not minors:
+            return ("no", f"fiber rank <= {i} on all of affine {n}-space")
+        d = krull_dimension(IdealHandle(minors))
+        if d > i:
+            return ("no", f"rank-<={i} locus of the log-derivation fibers "
+                          f"has dimension {d}")
+    return ("yes", "every rank-i locus of the log-derivation fibers has "
+                   "dimension at most i")
+
+
+def operator(delta, ctx):
+    """delta as sum a_i d_i, each term a product in D_n[S]."""
+    out = WeylOp.zero(ctx)
+    for a, dname in zip(delta.coeffs, ctx.dx_names):
+        out = out + WeylOp.from_poly(ctx, a) * WeylOp.var(ctx, dname)
+    return out
+
+
+def psi_F(delta, fspec):
+    """delta - sum_k b_k s_k, each b_k s_k a product in D_n[S]."""
+    ctx = fspec.weyl
+    out = operator(delta, ctx)
+    for b, s in zip(psi_cofactors(delta, fspec), fspec.s_names):
+        out = out - WeylOp.from_poly(ctx, b) * WeylOp.var(ctx, s)
+    return out
+
+
+def subs_s(P, values):
+    """P with some s-variables evaluated, one addition per term."""
+    ctx = P.ctx
+    out = WeylOp.zero(ctx)
+    idx = {name: ctx.index[name] for name in values}
+    for e, c in P.terms.items():
+        coef = c
+        e2 = list(e)
+        for name, v in values.items():
+            i = idx[name]
+            if e2[i]:
+                coef *= Fraction(v) ** e2[i]
+                e2[i] = 0
+        out = out + WeylOp(ctx, {tuple(e2): coef})
+    return out

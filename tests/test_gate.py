@@ -1,0 +1,191 @@
+"""The hypothesis gate and the per-request theta_F setup against the
+versions they replaced (tests/gate_reference.py): the same verdicts and
+reasons, the same operators term for term, and less work."""
+
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import gate_reference as ref
+from fpowers import weyl
+from fpowers.cli import load_problem, run_command
+from fpowers.gb import IdealHandle, Limits, ResourceLimit, krull_dimension
+from fpowers.logder import (
+    FactorizationSpec, LogDerivation, log_derivations, psi_F,
+    reducedness_check, saito_holonomic_check,
+)
+from fpowers.ring import VarContext, parse_poly
+from fpowers.weyl import parse_weyl
+
+DATA = Path(__file__).parent / "data"
+
+# (variables, f, squarefree?)
+BANK = [
+    (["x"], "x", True),
+    (["x"], "x^2", False),
+    (["x"], "x^3 - x", True),
+    (["x"], "x^2 + x", True),
+    (["x"], "(x - 1)^2*(x + 2)", False),
+    (["x", "y"], "x*y", True),
+    (["x", "y"], "x^2*y", False),
+    (["x", "y"], "(x + y)^2*(x - y)", False),
+    (["x", "y"], "x^2 + y^3", True),
+    (["x", "y"], "x*y*(x + y)", True),
+    (["x", "y"], "x*y + 1", True),
+    (["x", "y"], "(x*y + 1)^2", False),
+    (["x", "y", "z"], "2*x^3 + x*y*z", True),
+    (["x", "y", "z"], "(x*y + z^2)^2*z", False),
+    (["x", "y", "z"], "x^2 - y^2*z", True),
+    (["x", "y", "z"], "x^2*y*z", False),
+    (["x", "y", "z"], "x*y*z*(x + y + z)", True),
+]
+
+
+def _poly(names, text):
+    return parse_poly(text, VarContext([("X", names)]))
+
+
+def _fixtures():
+    return [load_problem(str(path)).fspec
+            for path in sorted(DATA.glob("*.json"))]
+
+
+@pytest.mark.parametrize("names,text,squarefree", BANK,
+                         ids=[t for _, t, _ in BANK])
+def test_reducedness_matches_the_colon_reference(names, text, squarefree):
+    f = _poly(names, text)
+    got = reducedness_check(f)
+    assert got == ref.reducedness_check(f)
+    assert got[0] == ("yes" if squarefree else "no")
+
+
+def test_reducedness_on_an_empty_singular_locus():
+    # x^2 + x and 2x + 1 have no common zero: the dimension reads -1, the
+    # bound n - 2 of one variable
+    f = _poly(["x"], "x^2 + x")
+    assert krull_dimension(IdealHandle([f, f.diff("x")])) == -1
+    assert reducedness_check(f) == ("yes", "(f):Jac(f) = (f)")
+
+
+@pytest.mark.parametrize("names,text", [b[:2] for b in BANK],
+                         ids=[t for _, t, _ in BANK])
+def test_saito_holonomic_matches_the_all_minors_reference(names, text):
+    f = _poly(names, text)
+    gens = log_derivations(f)
+    assert saito_holonomic_check(f, gens) == \
+        ref.saito_holonomic_check(f, gens)
+
+
+@pytest.mark.parametrize("rows,reason", [
+    # no nonzero maximal minor: the top stratum is everything
+    ([("x", "0"), ("y", "0")], "fiber rank <= 1 on all of affine 2-space"),
+    # no nonzero entry at all
+    ([("0", "0")], "fiber rank <= 0 on all of affine 2-space"),
+    # the rank-0 locus V(x) is a line
+    ([("x", "0"), ("0", "x")], "rank-<=0 locus of the log-derivation "
+                               "fibers has dimension 1"),
+])
+def test_saito_holonomic_no_verdicts_match_the_reference(rows, reason):
+    names = ["x", "y"]
+    f = _poly(names, "x*y")
+    gens = [LogDerivation(tuple(_poly(names, a) for a in row),
+                          _poly(names, "0")) for row in rows]
+    assert saito_holonomic_check(f, gens) == ("no", reason)
+    assert ref.saito_holonomic_check(f, gens) == ("no", reason)
+
+
+def test_theta_terms_match_the_product_built_reference():
+    # the same terms, in the same order
+    for F in _fixtures():
+        for d in F.log_derivations():
+            got, want = d.operator(F.weyl), ref.operator(d, F.weyl)
+            assert list(got.terms.items()) == list(want.terms.items())
+            got, want = psi_F(d, F), ref.psi_F(d, F)
+            assert list(got.terms.items()) == list(want.terms.items())
+
+
+def test_theta_generators_make_no_weyl_products(monkeypatch):
+    calls = []
+    real = weyl.weyl_multiply
+
+    def counted(P, Q):
+        calls.append(1)
+        return real(P, Q)
+    monkeypatch.setattr(weyl, "weyl_multiply", counted)
+    for F in _fixtures():
+        theta = F.theta_generators()
+        assert theta and not calls
+        # the count is live: the reference builds them by products
+        assert [ref.psi_F(d, F) for d in F.log_derivations()] == theta
+        assert calls
+        calls.clear()
+
+
+def test_subs_s_matches_the_rebuilding_reference():
+    for F in _fixtures():
+        for t in F.theta_generators():
+            for values in ({s: Fraction(-1) for s in F.s_names},
+                           {F.s_names[0]: Fraction(0)},
+                           {s: Fraction(k, 2) for k, s in
+                            enumerate(F.s_names, 1)}):
+                got, want = t.subs_s(values), ref.subs_s(t, values)
+                assert list(got.terms.items()) == list(want.terms.items())
+    # terms that meet after the substitution add up, and cancel
+    ctx = weyl.WeylContext(["x"], ["s1", "s2"])
+    P = parse_weyl("s1*dx - 2*dx + x*s1^2*s2 + 3*x", ctx)
+    got = P.subs_s({"s1": 2})
+    assert got == parse_weyl("x*4*s2 + 3*x", ctx)
+    assert list(got.terms.items()) == \
+        list(ref.subs_s(P, {"s1": 2}).terms.items())
+
+
+def test_spec_builds_the_FS_action_data_on_first_use():
+    lazy = ("f_xs", "df_xs", "dfk_xs", "cofactor_xs")
+    F = load_problem(str(DATA / "ex_mixed.json")).fspec
+    F.check_hypotheses()
+    F.theta_generators()
+    assert not set(lazy) & set(vars(F))
+    assert F.f_xs == F.f.map_context(F.xs_vc)
+    for k, fk in enumerate(F.factors):
+        fk = fk.map_context(F.xs_vc)
+        assert F.cofactor_xs[k] * fk == F.f_xs
+        assert F.dfk_xs[k] == [fk.diff(x) for x in F.x_names]
+    assert F.df_xs == [F.f_xs.diff(x) for x in F.x_names]
+    assert set(lazy) <= set(vars(F))
+
+
+# ---------------------------------------------------------------------------
+# tight bounds: the one basis and the minor search answer where the colon
+# chain and the top-stratum basis met the bound
+
+
+def test_reducedness_answers_under_a_bound_the_colon_chain_meets():
+    f = _poly(["x", "y"], "x*y")
+    with Limits(max_degree=2):
+        assert reducedness_check(f) == ("yes", "(f):Jac(f) = (f)")
+        assert ref.reducedness_check(f) == \
+            ("unknown", "resource limit: total degree 3 exceeds bound 2")
+
+
+def test_saito_holonomic_answers_under_a_bound_the_top_stratum_meets():
+    F = load_problem(str(DATA / "ex_mixed.json")).fspec
+    with Limits(max_degree=4):
+        gens = F.log_derivations()
+        assert saito_holonomic_check(F.f, gens)[0] == "yes"
+        with pytest.raises(ResourceLimit,
+                           match="total degree 5 exceeds bound 4"):
+            ref.saito_holonomic_check(F.f, gens)
+        h = F.check_hypotheses()
+    assert h == FactorizationSpec(F.x_names, F.factors).check_hypotheses()
+
+
+def test_hypotheses_request_answers_under_that_bound():
+    # the top-stratum basis of the all-minors check meets this bound: the
+    # request ended in exit 3 "total degree 5 exceeds bound 4", no table
+    path = str(DATA / "ex_mixed.json")
+    code, payload = run_command(["hypotheses", "--input", path, "--json",
+                                 "--max-degree", "4"])
+    assert code == 0
+    _, default = run_command(["hypotheses", "--input", path, "--json"])
+    assert payload["hypotheses"] == default["hypotheses"]

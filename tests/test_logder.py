@@ -392,7 +392,7 @@ def test_hypothesis_table_kept_per_bounds(monkeypatch):
     monkeypatch.setattr(logder, "reducedness_check", counted)
     F = FactorizationSpec(["x", "y"], [p2("x"), p2("y"), p2("x + y")])
     tight = Limits(max_degree=3)
-    # under the tight bound the colon ideal is out of reach
+    # under the tight bound the basis of (f) + Jac(f) is out of reach
     with tight:
         assert F.check_hypotheses()["reduced"][0] == "unknown"
     assert F.check_hypotheses()["reduced"][0] == "yes"
