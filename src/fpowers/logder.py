@@ -112,7 +112,7 @@ class FactorizationSpec:
     freeness, tameness, arrangement-ness, Saito-holonomicity) come from
     check_hypotheses(); each is "yes"/"no"/"unknown" with a short reason.
     The derived results that cost a basis computation are kept per bound
-    in effect (memo).  The data of the F^S action (f_xs, df_xs, dfk_xs,
+    in effect (memo).  The data of the F^S action (f_xs, dfk_xs,
     cofactor_xs), read only by weyl.apply_to_FS, bside and liouville, is
     built on first use.
     """
@@ -147,11 +147,6 @@ class FactorizationSpec:
     @cached_property
     def f_xs(self) -> Poly:
         return self.f.map_context(self.xs_vc)
-
-    @cached_property
-    def df_xs(self) -> List[Poly]:
-        """d_i f, per x variable."""
-        return [self.f_xs.diff(x) for x in self.x_names]
 
     @cached_property
     def dfk_xs(self) -> List[List[Poly]]:
@@ -366,11 +361,11 @@ def saito_basis(f: Poly, gens: Optional[Sequence[LogDerivation]] = None
         gens = log_derivations(f, "log")
     gens = sorted(gens, key=lambda d: (d.degree(), not d.is_homogeneous()))
     pool = gens[: 2 * n]
+    minors = _Minors(saito_matrix(pool))
     for subset in itertools.combinations(range(len(pool)), n):
-        cand = [pool[i] for i in subset]
-        det = saito_determinant(cand, f)
+        det = _unit_times(minors[subset, tuple(range(n))], f)
         if det is not None:
-            return SaitoResult(cand, det, 0)
+            return SaitoResult([pool[i] for i in subset], det, 0)
     # fall back: pdim of the derivation module (coefficients shifted 0, the
     # cofactor coordinate shifted 1 so delta(f) = c*f stays homogeneous)
     vectors = [list(g.coeffs) + [g.cofactor] for g in gens]
@@ -395,7 +390,11 @@ def saito_determinant(basis: Sequence[LogDerivation], f: Poly
     """Saito's criterion: the determinant of the coefficients of the
     logarithmic derivations in basis when it is a nonzero constant times
     f, which certifies them a basis of Der(-log f); else None."""
-    det = _det(saito_matrix(basis))
+    return _unit_times(_det(saito_matrix(basis)), f)
+
+
+def _unit_times(det: Poly, f: Poly) -> Optional[Poly]:
+    """det when it is a nonzero constant times f, else None."""
     if det.is_zero():
         return None
     q = divide_exact(det, f)
@@ -408,17 +407,33 @@ def saito_matrix(basis: Sequence[LogDerivation]) -> List[List[Poly]]:
     return [list(d.coeffs) for d in basis]
 
 
+class _Minors(dict):
+    """The minors of one matrix of polynomials, keyed by (row tuple,
+    column tuple), each expanded on its first lookup by Laplace along its
+    first row, from the minors one size down.  Within one table every
+    minor is expanded once, however many larger minors share it."""
+
+    def __init__(self, rows: List[List[Poly]]):
+        super().__init__()
+        self.rows = rows
+
+    def __missing__(self, key):
+        rsel, csel = key
+        first = self.rows[rsel[0]]
+        if len(rsel) == 1:
+            out = first[csel[0]]
+        else:
+            out = Poly.zero(first[0].ctx)
+            for j, c in enumerate(csel):
+                term = first[c] * self[rsel[1:], csel[:j] + csel[j + 1:]]
+                out = out + (term if j % 2 == 0 else -term)
+        self[key] = out
+        return out
+
+
 def _det(matrix: List[List[Poly]]) -> Poly:
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    ctx = matrix[0][0].ctx
-    out = Poly.zero(ctx)
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in matrix[1:]]
-        term = matrix[0][j] * _det(minor)
-        out = out + (term if j % 2 == 0 else -term)
-    return out
+    full = tuple(range(len(matrix)))
+    return _Minors(matrix)[full, full]
 
 
 # ---------------------------------------------------------------------------
@@ -619,9 +634,10 @@ def saito_holonomic_check(f: Poly,
     if gens is None:
         gens = log_derivations(f, "log")
     rows = saito_matrix(gens)
+    table = _Minors(rows)
     for i in range(n):
         minors = filter(None, (
-            _det([[rows[a][b] for b in csel] for a in rsel])
+            table[rsel, csel]
             for rsel in itertools.combinations(range(len(rows)), i + 1)
             for csel in itertools.combinations(range(n), i + 1)))
         top = i == n - 1

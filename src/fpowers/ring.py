@@ -11,11 +11,14 @@ weyl.WeylOp (operators of D_n[S] over the same monomials): construction,
 equality, + and -, the scalar product, powers, leading data, printing
 and the parser are written once here.  Each subclass adds only its
 product: Poly the commutative one, WeylOp the normal-ordered one.
-add_terms is the one in-place accumulation of terms into a term map.
+add_terms is the one in-place accumulation of terms into a term map, and
+add_product the one commutative product of term maps (Fraction or int).
 
 reduce_in_place is the one division loop of the package: the commutative
-and module normal forms of gb.py, the left normal form of weyl.py and
-divide_exact here all run it.  It divides by one Divisors, the divisor set
+and module normal forms of gb.py and the left normal form of weyl.py run
+it.  Exact division (divide_exact here, and the F^S action of weyl.py) is
+exact_quotient, a division over Z that stops at the first step with no
+integer quotient.  Both divide by one Divisors, the divisor set
 of one computation: per divisor its leading monomial and its primitive
 integer image (integer_image, g = tau * image), one KeyCache (every order
 key computed once per computation), and the element kind's multiple,
@@ -33,6 +36,7 @@ step, the value c/lc that the division over Q takes away.
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, le, sub
@@ -472,6 +476,48 @@ def reduce_in_place(work: Scaled, divisors: Divisors,
     return True
 
 
+def exact_quotient(terms: Dict, divisors: Divisors) -> Optional[Dict]:
+    """The quotient (monomial -> int) of the integer term map `terms` by
+    the one primitive image of `divisors`, when that image divides it over
+    Q; else None.  `terms` is consumed.
+
+    By Gauss's lemma a quotient by a primitive integer polynomial is
+    integral, and so is every partial quotient of the division: each step
+    divides its work coefficient by the leading coefficient over Z, and a
+    step where that leaves a remainder, or a leading monomial the lead
+    does not divide, proves that there is no quotient.  The monomials of
+    the work wait in a list sorted by key, so each step takes the largest
+    without a scan; the quotient terms come in the order of the steps,
+    the largest monomial first.
+    """
+    (image, _), lead = divisors.images[0], divisors.leads[0]
+    lc, get = image[lead], divisors.keys.__getitem__
+    pending = sorted(terms, key=get)
+    out: Dict = {}
+    while pending:
+        e = pending.pop()
+        w = terms.pop(e, None)
+        if w is None:
+            continue
+        if not divisors.divides(lead, e):
+            return None
+        b, r = divmod(w, lc)
+        if r:
+            return None
+        out[exp_sub(e, lead)] = b
+        for m, c in divisors.multiple(e, lead, image, b):
+            old = terms.get(m)
+            if old is None:
+                if m != e:
+                    terms[m] = -c
+                    insort(pending, m, key=get)
+            elif old != c:
+                terms[m] = old - c
+            else:
+                del terms[m]
+    return out
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -487,6 +533,33 @@ def add_terms(acc: Dict, terms) -> None:
             acc[e] = c
         else:
             del acc[e]
+
+
+def add_product(acc: Dict, a: Dict, b: Dict) -> Dict:
+    """acc += a*b in place for term maps a, b of commutative monomials,
+    dropping the coefficients that cancel; returns acc.  The one
+    commutative product: Poly.__mul__ on Fractions, and the F^S action of
+    weyl.py on integers."""
+    items = b.items()
+    for e1, c1 in a.items():
+        for e2, c2 in items:
+            e = tuple(map(add, e1, e2))
+            old = acc.get(e)
+            if old is None:
+                acc[e] = c1 * c2
+                continue
+            c = old + c1 * c2
+            if c:
+                acc[e] = c
+            else:
+                del acc[e]
+    return acc
+
+
+def diff_terms(terms: Dict, i: int, c=1) -> Dict:
+    """c times the partial derivative of a term map in variable i."""
+    return {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] * v
+            for e, v in terms.items() if e[i]}
 
 
 class TermMap:
@@ -682,27 +755,16 @@ class Poly(TermMap):
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self._scaled(other)
-        out: Dict[Exp, Fraction] = {}
-        terms = other.terms.items()
-        for e1, c1 in self.terms.items():
-            add_terms(out, [(exp_add(e1, e2), c1 * c2) for e2, c2 in terms])
         p = Poly(self.ctx)
-        p.terms = out
+        p.terms = add_product({}, self.terms, other.terms)
         return p
 
     __rmul__ = __mul__
 
     def diff(self, name: str) -> "Poly":
         """Partial derivative with respect to a context variable."""
-        i = self.ctx.index[name]
-        out: Dict[Exp, Fraction] = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                e2 = list(e)
-                e2[i] -= 1
-                out[tuple(e2)] = c * e[i]
         p = Poly(self.ctx)
-        p.terms = out
+        p.terms = diff_terms(self.terms, self.ctx.index[name])
         return p
 
     def subs(self, assignment: Dict[str, "Poly"]) -> "Poly":
@@ -915,18 +977,19 @@ def parse_poly(text: str, ctx: VarContext) -> Poly:
 def divide_exact(p: Poly, q: Poly) -> Optional[Poly]:
     """Return h with p = q*h if q divides p exactly, else None.
 
-    The division runs on integer images (reduce_in_place); each quotient
-    term is the Fraction of its step, the value of the division over Q.
-    q must be over the context of p (ValueError otherwise)."""
+    The division runs on the primitive integer images (exact_quotient);
+    each quotient term becomes one Fraction at the end.  q must be over
+    the context of p (ValueError otherwise)."""
     divisors = Divisors.of(p.ctx, [q], MonomialOrder.grevlex().key)
     if not divisors:
         return None
     if p.is_zero():
         return Poly.zero(p.ctx)
-    log: list = []
-    if not reduce_in_place(integer_image(p.terms), divisors, steps=log):
+    image, scale = integer_image(p.terms)
+    h = exact_quotient(image, divisors)
+    if h is None:
         return None
-    lead = divisors.leads[0]
+    scale /= divisors.images[0].scale
     out = Poly(p.ctx)
-    out.terms = {exp_sub(e, lead): c for _, e, c in log}
+    out.terms = {e: scale * c for e, c in h.items()}
     return out

@@ -12,8 +12,9 @@ gb.interreduce, under the gb.Limits in effect) without the product
 criterion, which is unsound in a noncommutative algebra; this module adds
 only the left normal form they divide by and the log of each remainder's
 origin.  The left normal form runs on ring.reduce_in_place over integers:
-each multiple b x^a d^b s^w * image(g) is normal-ordered term by term
-straight into the working term map, and a basis computation shares its
+each multiple b x^a d^b s^w * image(g) goes term by term straight into
+the working term map, normal-ordered only where a d of the multiplier
+meets an x of the term, and a basis computation shares its
 one ring.Divisors (leads, integer images, KeyCache) with every division
 it makes.
 No cofactors are carried along: a basis is a LeftBasis, which logs where
@@ -22,10 +23,14 @@ of its reduction), and LeftBasis.cofactors rebuilds the combination of the
 generators for one element of the ideal afterwards, along only the
 elements its division used.
 
-The action on F^S (apply_to_FS) is grouped by derivative pattern: an
-operator is sum_b p_b(x, S) d^b, each d^b . F^S is derived once from its
-prefix d^(b - e_i), and the p_b-weighted sum is taken over one common
-power of f and reduced once, to the canonical FSElement.
+The action on F^S (apply_to_FS) is grouped by derivative pattern and
+runs on integer images: an operator is sum_b p_b(x, S) d^b, and each
+d^b . F^S is derived once from its prefix d^(b - e_i) as sigma*N/F^j, with
+F the primitive integer image of f, N an integer term map and sigma one
+Fraction.  Every exact division by F is over Z (ring.exact_quotient: by
+Gauss's lemma the quotient by a primitive polynomial is integral), the
+p_b-weighted sum is taken over one power of F at one scale, and only the
+reduced sum becomes a Fraction polynomial, the canonical FSElement.
 
 Elimination orders placing {X, DX} before {S} are admissible here — as is
 any global order — because the only nontrivial commutator is d_i x_i -
@@ -44,7 +49,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .ring import (
     Divisors, Exp, MonomialOrder, Poly, Scaled, TermMap, VarContext, _Parser,
-    add_terms, divide_exact, exp_add, exp_sub,
+    add_product, add_terms, diff_terms, divide_exact, exact_quotient, exp_add,
+    exp_sub, integer_image,
 )
 from .gb import buchberger, interreduce, remainder, s_pair_multipliers
 
@@ -328,71 +334,118 @@ def apply_to_FS(P: WeylOp, fspec, start: Optional[FSElement] = None) -> FSElemen
         L_i = sum_k s_k (d_i f_k)(f/f_k),
     x and s act by multiplication.  P is evaluated by derivative pattern:
     P = sum_b p_b(x, S) d^b exactly (s is central; x^a acts after d^b), so
-    each d^b . start is made once, as d_i applied to the memoized
-    d^(b - e_i) . start (i the last index with b_i > 0), and each L_i once
-    per call.  sum_b p_b num_b / f^(j_b) is then put over the one
-    denominator f^J, J = max j_b, and reduced once: the reduced numerator
-    with the least pole order is unique, so the result is the canonical
-    FSElement a term-by-term sum would give.  P annihilates F^S iff the
-    result is 0.
+    each d^b . start is made once, by _partial from the memoized
+    d^(b - e_i) . start (i the last index with b_i > 0).
+
+    The work is over Z.  With f = tau*F, F its primitive integer image,
+    every element is sigma*N/F^j: N an integer term map and sigma one
+    Fraction.  L_i/tau is imaged once per call, and each exact division by
+    F runs over Z (ring.exact_quotient; by Gauss's lemma the quotient of a
+    division by F is integral).  sum_b p_b N_b sigma_b / F^(j_b) is put
+    over F^J, J = max j_b, at one common scale and reduced, and only then
+    made a Fraction polynomial, numerator sigma*tau^J*N: the reduced
+    numerator with the least pole order is unique, so the result is the
+    canonical FSElement a term-by-term sum over Q would give.  P
+    annihilates F^S iff the result is 0.
     """
     n = P.ctx.n
     xs = fspec.xs_vc
+    f = Divisors.of(xs, [fspec.f_xs], MonomialOrder.grevlex().key)
+    tau = f.images[0].scale
     if start is None:
         start = FSElement(fspec, Poly.const(xs, 1), 0)
+    N, sigma = integer_image(start.num.terms)
     # p_b as a term map over Q[x, S]: x^a d^b s^w contributes x^a s^w
     patterns: Dict[Exp, Dict[Exp, Fraction]] = {}
     for e, c in P.terms.items():
         patterns.setdefault(e[n:2 * n], {})[e[:n] + e[2 * n:]] = c
-    derived = {(0,) * n: start}
-    logs: Dict[int, Poly] = {}
+    derived = {(0,) * n: (N, sigma / tau ** start.j, start.j)}
+    logs: Dict[int, tuple] = {}
 
-    def derivative(b: Exp) -> FSElement:
+    def derivative(b: Exp) -> tuple:
         elt = derived.get(b)
         if elt is None:
             i = max(k for k in range(n) if b[k])
             if i not in logs:
-                logs[i] = _log_numerator(i, fspec)
+                logs[i] = _log_image(i, fspec, f)
             prev = derivative(b[:i] + (b[i] - 1,) + b[i + 1:])
-            elt = derived[b] = _apply_partial(i, prev, fspec, logs[i])
+            elt = derived[b] = _partial(i, prev, f, logs[i])
         return elt
 
-    # sum_b p_b num_b, grouped by the pole order j_b of d^b . start
-    by_pole: Dict[int, Dict[Exp, Fraction]] = {}
+    # the terms p_b N_b at scale sigma_b, grouped by the pole order j_b
+    parts = []
     for b, pb in patterns.items():
-        elt = derivative(b)
-        if elt.is_zero():
-            continue
-        p = Poly(xs)
-        p.terms = pb
-        add_terms(by_pole.setdefault(elt.j, {}), (p * elt.num).terms.items())
-    # over f^J: sum_j (part_j) f^(J - j), Horner in f
-    J = max(by_pole, default=0)
-    num = Poly.zero(xs)
+        N, sigma, j = derivative(b)
+        if N:
+            pb, t = integer_image(pb)
+            parts.append((j, pb, N, sigma * t))
+    # over F^J at the one scale g/d: Horner in F over the pole orders
+    g = math.gcd(*(s.numerator for *_, s in parts))
+    d = math.lcm(*(s.denominator for *_, s in parts))
+    F = f.images[0].terms
+    J = max((j for j, *_ in parts), default=0)
+    work: Dict[Exp, int] = {}
     for j in range(J + 1):
-        num = num * fspec.f_xs
-        if by_pole.get(j):
-            add_terms(num.terms, by_pole[j].items())
-    return FSElement(fspec, num, J)
+        if work:
+            work = add_product({}, work, F)
+        for _, pb, N, s in (part for part in parts if part[0] == j):
+            m = s.numerator // g * (d // s.denominator)
+            add_product(work, {e: m * c for e, c in pb.items()}, N)
+    N, sigma, J = _reduced(work, Fraction(g, d), J, f)
+    c = sigma * tau ** J
+    out = Poly(xs)
+    out.terms = {e: c * v for e, v in N.items()}
+    return FSElement(fspec, out, J)
 
 
-def _log_numerator(i: int, fspec) -> Poly:
-    """L_i = sum_k s_k (d_i f_k)(f/f_k): d_i(F^S) = (L_i / f) F^S."""
+def _log_image(i: int, fspec, f: Divisors) -> tuple:
+    """(q, pL, dF) for d_i: L_i/tau = (p/q)*L in lowest terms, L the
+    primitive integer image of L_i = sum_k s_k (d_i f_k)(f/f_k), so that
+    d_i(F^S) = (L_i / f) F^S; pL = p*L, and dF = d_i F for f = tau*F."""
     xs = fspec.xs_vc
-    out = Poly.zero(xs)
+    L: Dict[Exp, Fraction] = {}
     for k in range(fspec.r):
-        sk = Poly.var(xs, fspec.s_names[k])
-        out = out + sk * fspec.dfk_xs[k][i] * fspec.cofactor_xs[k]
-    return out
+        sk = {xs.var_exp(fspec.s_names[k]): 1}
+        add_product(L, add_product({}, sk, fspec.dfk_xs[k][i].terms),
+                     fspec.cofactor_xs[k].terms)
+    F, tau = f.images[0]
+    p = q = 1
+    if L:
+        L, t = integer_image(L)
+        t /= tau
+        p, q = t.numerator, t.denominator
+    return q, {e: p * c for e, c in L.items()}, diff_terms(F, i)
 
 
-def _apply_partial(i: int, elt: FSElement, fspec, log_num: Poly) -> FSElement:
-    """d_i . (h/f^j)F^S, given L_i = _log_numerator(i, fspec)."""
-    h = elt.num
-    num = h.diff(fspec.x_names[i]) * fspec.f_xs + h * log_num
-    if elt.j:
-        num = num - h * fspec.df_xs[i] * elt.j
-    return FSElement(fspec, num, elt.j + 1)
+def _partial(i: int, elt: tuple, f: Divisors, log: tuple) -> tuple:
+    """d_i . (sigma*N/F^j) F^S as the reduced (N', sigma', j'), given
+    log = _log_image(i, ...) = (q, p*L, d_i F):
+        N' = q*(d_i(N) F - j N d_i(F)) + p N L over F^(j+1), at scale
+    sigma/q, before F is divided out."""
+    N, sigma, j = elt
+    if not N:
+        return elt
+    q, pL, dF = log
+    out = add_product({}, diff_terms(N, i, q), f.images[0].terms)
+    if j:
+        add_product(out, N, {e: -q * j * c for e, c in dF.items()})
+    add_product(out, N, pL)
+    return _reduced(out, sigma / q, j + 1, f)
+
+
+def _reduced(N: Dict, sigma: Fraction, j: int, f: Divisors) -> tuple:
+    """sigma*N/F^j as (N', sigma', j') with N' primitive and, while j' > 0,
+    not divisible by F; the zero element is ({}, sigma, 0)."""
+    if not N:
+        return N, sigma, 0
+    N, c = integer_image(N)
+    sigma *= c
+    while j:
+        q = exact_quotient(dict(N), f)
+        if q is None:
+            break
+        N, j = q, j - 1
+    return N, sigma, j
 
 
 # ---------------------------------------------------------------------------
@@ -422,10 +475,21 @@ def _left_multiple(ctx: WeylContext, e: Exp, lead: Exp, image: Dict,
                    b: int) -> list:
     """ring.Divisors.multiple for left division, given its context by
     functools.partial: the terms of b*x^(e - lead) * image, normal-ordered
-    term by term (a monomial may come more than once)."""
+    term by term (a monomial may come more than once).  Only an image term
+    with an x where the multiplier has a d needs _term_product; every
+    other term is the plain exponent sum, as in ring.poly_multiple."""
     m = exp_sub(e, lead)
-    return [t for ge, gc in image.items()
-            for t in _term_product(ctx, m, b, ge, gc).items()]
+    n = ctx.n
+    meets = [i for i in range(n) if m[n + i]]
+    if not meets:
+        return [(exp_add(m, ge), b * gc) for ge, gc in image.items()]
+    out = []
+    for ge, gc in image.items():
+        if any(ge[i] for i in meets):
+            out.extend(_term_product(ctx, m, b, ge, gc).items())
+        else:
+            out.append((exp_add(m, ge), b * gc))
+    return out
 
 
 def _left_divisors(ctx: WeylContext, basis: Sequence[WeylOp],

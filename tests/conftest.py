@@ -52,7 +52,8 @@ def _old_apply_to_FS(P, fspec, start=None):
     one) and multiplies by x^a, then folds the result into a running total
     lifted to a common power of f."""
     from fpowers.ring import Poly
-    from fpowers.weyl import FSElement, _apply_partial, _log_numerator
+    from fpowers.weyl import FSElement
+    from weyl_reference import _apply_partial, _log_numerator
     ctx = P.ctx
     xs = fspec.xs_vc
     f = fspec.f_xs

@@ -160,6 +160,32 @@ def test_divide_exact_matches_fraction_kernel():
     assert divided >= 40
 
 
+def test_exact_quotient_is_integral_and_stops_on_a_remainder():
+    # over Z by a primitive image: the quotient of a product comes out with
+    # integer coefficients; a step whose coefficient the leading
+    # coefficient does not divide, or whose monomial the lead does not
+    # divide, ends the division with None
+    from fpowers.ring import Divisors, exact_quotient
+    rng = random.Random(75)
+    key = MonomialOrder.grevlex().key
+    for _ in range(30):
+        a, b = _poly(rng, XYZ, deg=2), _poly(rng, XYZ, deg=2, terms=3)
+        divisors = Divisors.of(XYZ, [b], key)
+        image, _ = integer_image((a * b).terms)
+        h = exact_quotient(dict(image), divisors)
+        assert h is not None and all(type(c) is int for c in h.values())
+        got = Poly(XYZ, {e: Fraction(c) for e, c in h.items()})
+        assert got * Poly(XYZ, dict(divisors.images[0].terms)) == \
+            Poly(XYZ, dict(image))
+    F = Divisors.of(XYZ, [parse_poly("2*x + 1", XYZ)], key)
+    assert F.images[0].terms[F.leads[0]] == 2
+    for text, want in (("4*x^2 + 4*x + 1", {(1, 0, 0): 2, (0, 0, 0): 1}),
+                       ("3*x^2 + x", None), ("2*x*y + 1", None),
+                       ("2*x^2 + 3*x + 1", {(1, 0, 0): 1, (0, 0, 0): 1})):
+        image, _ = integer_image(parse_poly(text, XYZ).terms)
+        assert exact_quotient(dict(image), F) == want, text
+
+
 def test_vector_normal_forms_match_fraction_kernel():
     rng = random.Random(75)
     for vecs, order in _module_inputs():
@@ -357,7 +383,11 @@ def test_kernel_products_take_integer_coefficients(monkeypatch):
     basis = [parse_poly("2/3*x^2 - 5/7*y", XY),
              parse_poly("3/5*x*y + 1/2", XY)]
     target = parse_poly("7/9*x^3*y^2 - 1/3*y^3", XY)
-    ops = [parse_weyl("2/3*x*dx - 5/7*s1", WS), parse_weyl("3/4*dy^2 - y", WS)]
+    # weyl._left_multiple normal-orders only the image terms with an x
+    # where the multiplier has a d: the x*y of the second operator meets
+    # the dx of the first one's lead in the basis loop's S-pair too
+    ops = [parse_weyl("2/3*x*dx - 5/7*s1", WS),
+           parse_weyl("3/4*dy^2 - x*y", WS)]
     P = parse_weyl("5/6*dx^2*dy^2*x^2 + 1/9", WS)
     monkeypatch.setattr(weyl, "_term_product", term_product)
     for mod in (ring, gb):
@@ -369,6 +399,8 @@ def test_kernel_products_take_integer_coefficients(monkeypatch):
     # the S-elements of the three basis loops, too
     gb.groebner_basis(basis, order)
     gb.syzygies([(basis[0],), (basis[1],)])
+    before = seen["term_product"]
     weyl.weyl_left_gb(ops, order)
+    assert seen["term_product"] > before
     assert bad == []
     assert min(seen.values()) > 5

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from fpowers import gb, weyl
 from fpowers.bside import elimination_order
 from fpowers.ring import (
-    MonomialOrder, Poly, VarContext, exp_divides, exp_lcm, exp_sub, parse_poly,
+    MonomialOrder, Poly, VarContext, divide_exact, exp_divides, exp_lcm,
+    exp_sub, integer_image, parse_poly,
 )
 from fpowers.weyl import (
     FiltrationMismatch,
@@ -24,6 +25,7 @@ from fpowers.weyl import (
     weyl_multiply,
 )
 from fpowers.logder import FactorizationSpec
+import weyl_reference as wref
 from weyl_reference import (
     _old_left_normal_form, _old_reduce_left_basis, _old_weyl_left_gb,
     basis_rows, combination, left_interreduction,
@@ -569,6 +571,93 @@ def test_grouped_action_theta_and_zero(old_apply_to_FS):
         assert apply_to_FS(zero, F) == old_apply_to_FS(zero, F)
 
 
+# ---------------------------------------------------------------------------
+# the integer action against the grouped Fraction action it replaced
+# (weyl_reference.grouped_apply_to_FS)
+
+
+def F_lines_scaled():
+    """(2x, -3/2 y, 2/3 x + 1/2 y): f = tau*F with tau != 1 and a leading
+    coefficient of F other than +-1."""
+    vc = VarContext([("X", ["x", "y"])])
+    return FactorizationSpec(["x", "y"], [parse_poly(s, vc) for s in
+                                          ("2*x", "-3/2*y", "2/3*x + 1/2*y")])
+
+
+def _integer_starts(F):
+    """_starts, plus f*F^S, 1/f^2 F^S, a zero start and a start with pole
+    order 2 whose numerator f does not divide."""
+    xs = F.xs_vc
+    yield from _starts(F)
+    yield FSElement(F, F.f_xs, 0)
+    yield FSElement(F, Poly.const(xs, 1), 2)
+    yield FSElement(F, Poly.zero(xs), 3)
+    yield FSElement(F, parse_poly("2/3*x*s1 - 5", xs) * F.f_xs
+                    + Poly.const(xs, Fraction(7, 3)), 2)
+
+
+def test_integer_action_matches_grouped_fraction_action():
+    import random
+    rng = random.Random(17)
+    for F in (F_x_q(), F_lines(), F_lines_scaled()):
+        starts = list(_integer_starts(F))
+        assert divide_exact(starts[-1].num, F.f_xs) is None
+        ops = list(_random_ops(F.weyl, rng, 10))
+        ops += F.theta_generators() + [WeylOp.zero(F.weyl)]
+        for P in ops:
+            for start in starts:
+                got = apply_to_FS(P, F, start=start)
+                ref = wref.grouped_apply_to_FS(P, F, start=start)
+                assert got == ref, (str(P), str(start))
+                assert got.j == 0 or divide_exact(got.num, F.f_xs) is None
+    # the scaled lines exercise tau != 1 and lc(F) != +-1
+    image, tau = integer_image(F_lines_scaled().f_xs.terms)
+    assert tau != 1 and all(abs(c) != 1 for c in image.values())
+
+
+def _action_counts(action, *args):
+    """(result, Poly products, Fraction constructions) of one action."""
+    made = {"product": 0, "fraction": 0}
+    real_mul, real_new = Poly.__mul__, Fraction.__new__
+    saved_new = vars(Fraction)["__new__"]
+
+    def mul(a, c):
+        made["product"] += 1
+        return real_mul(a, c)
+
+    def new(cls, *args, **kwargs):
+        made["fraction"] += 1
+        return real_new(cls, *args, **kwargs)
+    Poly.__mul__, Fraction.__new__ = mul, new
+    try:
+        out = action(*args)
+    finally:
+        Poly.__mul__, Fraction.__new__ = real_mul, saved_new
+    return out, made["product"], made["fraction"]
+
+
+def test_integer_action_of_the_lines_witness_counts():
+    # Q . (f*F^S) for the functional equation of (x, y, x+y): no Poly
+    # product at all, and the Fractions made are the result's terms plus a
+    # few per derivative pattern and d_i step, not a few per term product
+    from fpowers.bside import bs_ideal, functional_equation_witness
+    for F in (F_lines(), F_lines_scaled()):
+        b = bs_ideal(F).gb[0]
+        Q = functional_equation_witness(F, b)
+        start = FSElement(F, F.f_xs, 0)
+        n = Q.ctx.n
+        patterns = len({e[n:2 * n] for e in Q.terms})
+        got, products, fractions = _action_counts(apply_to_FS, Q, F, start)
+        assert got == FSElement(F, b.map_context(F.xs_vc), 0)
+        assert len(Q.terms) >= 60 and products == 0
+        assert fractions <= len(got.num.terms) \
+            + 6 * (patterns + _prefix_count(Q))
+        # the grouped Fraction action multiplies polynomials
+        ref, products, _ = _action_counts(wref.grouped_apply_to_FS, Q, F,
+                                          start)
+        assert ref == got and products > patterns
+
+
 def test_apply_partial_matches_old_formula():
     # d_i (h/f^j) F^S = [d_i(h) f - j h d_i(f) + h sum_k s_k (d_i f_k)(f/f_k)]
     #                   / f^(j+1), written out term by term as before
@@ -578,13 +667,18 @@ def test_apply_partial_matches_old_formula():
             elt = elt or FSElement(F, Poly.const(xs, 1), 0)
             for i, name in enumerate(F.x_names):
                 h = elt.num
-                num = h.diff(name) * F.f_xs - Fraction(elt.j) * h * F.df_xs[i]
+                num = h.diff(name) * F.f_xs \
+                    - Fraction(elt.j) * h * F.f_xs.diff(name)
                 for k in range(F.r):
                     sk = Poly.var(xs, F.s_names[k])
                     num = num + sk * F.dfk_xs[k][i] * F.cofactor_xs[k] * h
                 ref = FSElement(F, num, elt.j + 1)
-                got = weyl._apply_partial(i, elt, F, weyl._log_numerator(i, F))
+                # the Fraction step of the reference, and the integer step
+                # (weyl._partial, the one step apply_to_FS takes for d_i)
+                got = wref._apply_partial(i, elt, F, wref._log_numerator(i, F))
                 assert got == ref
+                d = parse_weyl(F.weyl.dx_names[i], F.weyl)
+                assert apply_to_FS(d, F, start=elt) == ref
 
 
 def _prefix_count(P):
@@ -600,14 +694,16 @@ def _prefix_count(P):
     return len(prefixes)
 
 
-def _count_partials(monkeypatch):
+def _count_partials(monkeypatch, module=weyl, name="_partial"):
+    """The index i of every d_i step taken: by default the integer step of
+    weyl.apply_to_FS, else the named step of a reference module."""
     calls = []
-    real = weyl._apply_partial
+    real = getattr(module, name)
 
     def counted(*args):
         calls.append(args[0])
         return real(*args)
-    monkeypatch.setattr(weyl, "_apply_partial", counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -632,7 +728,7 @@ def test_action_partials_once_per_prefix(monkeypatch):
 
 
 def test_old_loop_fails_partial_guard(monkeypatch, old_apply_to_FS):
-    calls = _count_partials(monkeypatch)
+    calls = _count_partials(monkeypatch, wref, "_apply_partial")
     over = 0
     for F, P in _guard_ops():
         del calls[:]

@@ -8,13 +8,18 @@ every certificate and witness used before cofactors came from the basis
 log.  reference_cofactors is how a certificate was made with them: a
 tracked basis, then a tracked division.  left_interreduction is the interreduction that weyl_left_gb runs on its
 basis (gb.interreduce on weyl.left_normal_form), on a plain list.
+
+grouped_apply_to_FS, _apply_partial and _log_numerator are the F^S action
+before it ran on integer images: grouped by derivative pattern as now,
+but every product and division over Fraction polynomials.
 """
 
 from fractions import Fraction
 
 from fpowers import gb, weyl
 from fpowers.ring import exp_divides, exp_sub
-from fpowers.weyl import LeftBasis, WeylOp, weyl_multiply
+from fpowers.ring import Poly, add_terms
+from fpowers.weyl import FSElement, LeftBasis, WeylOp, weyl_multiply
 from kernel_reference import elements_of, value_of
 
 
@@ -222,3 +227,69 @@ def combination(row, gens):
     for c, g in zip(row, gens):
         total = total + c * g
     return total
+
+
+# ---------------------------------------------------------------------------
+# the grouped F^S action over Fraction polynomials
+
+
+def grouped_apply_to_FS(P, fspec, start=None):
+    """P . start (F^S by default) as sum_b p_b(x, S) d^b: each d^b . start
+    made once, by _apply_partial from the memoized d^(b - e_i) . start (i
+    the last index with b_i > 0), each L_i once per call, and
+    sum_b p_b num_b over the one denominator f^J (Horner in f over the pole
+    orders), reduced once to the canonical FSElement."""
+    n = P.ctx.n
+    xs = fspec.xs_vc
+    if start is None:
+        start = FSElement(fspec, Poly.const(xs, 1), 0)
+    patterns = {}
+    for e, c in P.terms.items():
+        patterns.setdefault(e[n:2 * n], {})[e[:n] + e[2 * n:]] = c
+    derived = {(0,) * n: start}
+    logs = {}
+
+    def derivative(b):
+        elt = derived.get(b)
+        if elt is None:
+            i = max(k for k in range(n) if b[k])
+            if i not in logs:
+                logs[i] = _log_numerator(i, fspec)
+            prev = derivative(b[:i] + (b[i] - 1,) + b[i + 1:])
+            elt = derived[b] = _apply_partial(i, prev, fspec, logs[i])
+        return elt
+
+    by_pole = {}
+    for b, pb in patterns.items():
+        elt = derivative(b)
+        if elt.is_zero():
+            continue
+        p = Poly(xs)
+        p.terms = pb
+        add_terms(by_pole.setdefault(elt.j, {}), (p * elt.num).terms.items())
+    J = max(by_pole, default=0)
+    num = Poly.zero(xs)
+    for j in range(J + 1):
+        num = num * fspec.f_xs
+        if by_pole.get(j):
+            add_terms(num.terms, by_pole[j].items())
+    return FSElement(fspec, num, J)
+
+
+def _log_numerator(i, fspec):
+    """L_i = sum_k s_k (d_i f_k)(f/f_k): d_i(F^S) = (L_i / f) F^S."""
+    xs = fspec.xs_vc
+    out = Poly.zero(xs)
+    for k in range(fspec.r):
+        sk = Poly.var(xs, fspec.s_names[k])
+        out = out + sk * fspec.dfk_xs[k][i] * fspec.cofactor_xs[k]
+    return out
+
+
+def _apply_partial(i, elt, fspec, log_num):
+    """d_i . (h/f^j)F^S, given L_i = _log_numerator(i, fspec)."""
+    h = elt.num
+    num = h.diff(fspec.x_names[i]) * fspec.f_xs + h * log_num
+    if elt.j:
+        num = num - h * fspec.f_xs.diff(fspec.x_names[i]) * elt.j
+    return FSElement(fspec, num, elt.j + 1)
