@@ -12,8 +12,9 @@ hands it to buchberger with its kind's module-level normal form;
 buchberger forms each S-element on it (Divisors.s_element), divides it by
 that normal form, holds generators, S-elements and remainders to the
 degree bound and the basis to its size bound, and adds each nonzero
-remainder.  interreduce is the one final minimalize / tail-reduce / monic
-/ sort, on the same Divisors.
+remainder.  It ends once the basis holds a unit, which generates the unit
+ideal on its own (module vectors have none).  interreduce is the one
+final minimalize / tail-reduce / monic / sort, on the same Divisors.
 Normal forms of polynomials and of module vectors take a list of elements
 or a basis loop's Divisors and run on ring.reduce_in_place over integers
 through remainder, which also turns the kernel's degree overflow into
@@ -242,14 +243,26 @@ def buchberger(G: list, divisors: Divisors, order, divide: Callable,
     normal form, normal_form, _vec_reduce or weyl.left_normal_form, as
     the caller looked it up.  A nonzero remainder joins G and divisors,
     and then joined(i, j, l), if given, may log where it came from.
+
+    The loop ends once G holds a unit (divisors.unit of its lead; a
+    starting element, or a remainder just joined), after the checks on
+    it: a set that holds a unit is a Groebner basis of the unit ideal, of
+    a commutative ideal or a left ideal of the Weyl algebra alike (Becker
+    and Weispfenning, Groebner Bases, ch. 5; Kandri-Rody and Weispfenning,
+    J. Symbolic Comput. 9, 1990).  Every S-element the loop would still
+    form reduces to zero by the unit, so G, and with it interreduce's
+    answer (the unit alone) and every log, are the ones of a loop that
+    runs on.  Module vectors have no unit and always run to the end.
     """
     limits = Limits.current()
-    degree, view = divisors.degree, divisors.view
+    degree, view, unit = divisors.degree, divisors.view, divisors.unit
     queue = PairQueue(divisors, order)
     for g, m in zip(G, divisors.leads):
         queue.add(m, limits.check_degree(view(g)[1], degree))
     limits.check_size(len(G))
     lead = queue.lead
+    if any(map(unit, lead)):
+        return
     while queue:
         i, j, l, sugar = queue.pop()
         if ((coprime_criterion and l == exp_add(lead[i], lead[j]))
@@ -264,9 +277,12 @@ def buchberger(G: list, divisors: Divisors, order, divide: Callable,
         limits.check_degree(terms, degree)
         G.append(r)
         limits.check_size(len(G))
-        queue.add(divisors.add(terms), sugar)
+        m = divisors.add(terms)
+        queue.add(m, sugar)
         if joined is not None:
             joined(i, j, l)
+        if unit(m):
+            return
 
 
 def interreduce(divisors: Divisors,
@@ -515,6 +531,12 @@ def _mod_lcm(a: Tuple[int, Exp], b: Tuple[int, Exp]):
     return (a[0], exp_lcm(a[1], b[1])) if a[0] == b[0] else None
 
 
+def _mod_unit(m: Tuple[int, Exp]) -> bool:
+    """A module has no unit: a constant vector, led by (pos, 0), divides
+    only the monomials at pos."""
+    return False
+
+
 def _vec_terms(v: Vec) -> Dict[Tuple[int, Exp], Fraction]:
     """A vector as one term map over module monomials (position, exponent)."""
     return {(pos, e): c for pos, p in enumerate(v) for e, c in p.terms.items()}
@@ -541,7 +563,7 @@ def _vec_view(v: Vec) -> tuple:
 def _vec_divisors(ctx, basis: Sequence[Vec], mo: _ModOrder) -> Divisors:
     """The ring.Divisors of the vectors of basis, over ctx (_vec_ctx)."""
     return Divisors.of(ctx, basis, mo.key, _vec_multiple, _mod_divides,
-                       _mod_degree, _mod_lcm, _vec_view)
+                       _mod_degree, _mod_lcm, _vec_view, _mod_unit)
 
 
 def _vec_reduce(v: Vec | Scaled, basis: Sequence[Vec] | Divisors,

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .ring import Poly, VarContext, divide_exact, exp_add
 from .arrange import (
@@ -627,7 +627,11 @@ def saito_holonomic_check(f: Poly,
 
     The top stratum needs no basis: a nonzero polynomial cuts out a
     hypersurface, so dim V_{n-1} <= n-1 exactly when some n x n minor is
-    nonzero, and the search stops at the first one.
+    nonzero, and the search stops at the first one.  Each lower stratum is
+    settled on the shortest prefix of its nonzero minors that suffices
+    (_stratum_dimension): V_i lies inside the zero set of any of its
+    minors, so a prefix whose zero set has dimension <= i proves the
+    bound, and the minors past it are never expanded.
     """
     ctx = f.ctx
     n = ctx.n
@@ -640,20 +644,48 @@ def saito_holonomic_check(f: Poly,
             table[rsel, csel]
             for rsel in itertools.combinations(range(len(rows)), i + 1)
             for csel in itertools.combinations(range(n), i + 1)))
-        top = i == n - 1
-        # one nonzero maximal minor settles the top stratum (see above)
-        minors = list(itertools.islice(minors, 1) if top else minors)
-        if not minors:
+        if i < n - 1:
+            d = _stratum_dimension(minors, i, n - i)
+        else:
+            # one nonzero maximal minor settles the top stratum (see above)
+            d = None if next(minors, None) is None else i
+        if d is None:
             # fiber rank <= i everywhere: the top stratum itself is too big
             return ("no", f"fiber rank <= {i} on all of affine {n}-space")
-        if top:
-            break
-        d = krull_dimension(IdealHandle(minors))
         if d > i:
             return ("no", f"rank-<={i} locus of the log-derivation fibers "
                           f"has dimension {d}")
     return ("yes", "every rank-i locus of the log-derivation fibers has "
                    "dimension at most i")
+
+
+def _stratum_dimension(minors: Iterator[Poly], i: int,
+                       first: int) -> Optional[int]:
+    """dim V(minors) when it is above i, else some dimension <= i; None
+    when there are no minors.
+
+    The minors are expanded lazily: prefixes of first, 2*first, 4*first,
+    ... of them are tried until the zero set of one has dimension <= i,
+    which bounds dim V(minors) <= i, as V(all) lies in V(prefix).  A
+    prefix whose basis meets the bound in effect settles nothing.  When
+    no proper prefix settles it, the dimension is that of all the minors,
+    and a bound their basis meets is raised: a bounded check never stops
+    earlier than one on all the minors.
+    """
+    taken: List[Poly] = []
+    size = first
+    while True:
+        taken.extend(itertools.islice(minors, size - len(taken)))
+        more = next(minors, None)
+        if more is None:
+            return krull_dimension(IdealHandle(taken)) if taken else None
+        try:
+            if krull_dimension(IdealHandle(taken)) <= i:
+                return i
+        except ResourceLimit:
+            pass
+        taken.append(more)
+        size *= 2
 
 
 def reducedness_check(f: Poly):

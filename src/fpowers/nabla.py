@@ -3,8 +3,11 @@
 Shifting every s_k by one sends D[S]F^S/(S-A)D[S]F^S onto the corresponding
 quotient at A+1 (multiplication by f on powers); that map is onto exactly
 when 1 lies in the D_n-ideal generated by f together with theta_F evaluated
-at S = A-1.  Injectivity has no direct test here -- only the implications
-that relate it to surjectivity under checked hypotheses are reported.
+at S = A-1, that is, when the reduced left basis of those generators is [1]
+(the basis loop ends as soon as a unit joins).  The certificate, 1 as a left
+combination of the generators, is checked exactly on their integer images.
+Injectivity has no direct test here -- only the implications that relate it
+to surjectivity under checked hypotheses are reported.
 
 The regular-sequence side: the s_i act on Q[x,y,S]/Ltilde_F like a regular
 sequence, verified step by step through colon-ideal stabilization, and the
@@ -13,6 +16,7 @@ final quotient collapses to the single-factor data L_f + (gr E).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -20,8 +24,8 @@ from typing import List, Optional, Sequence, Tuple
 from .gb import IdealHandle, ideal_colon
 from .liouville import build_liouville_ideals
 from .logder import FactorizationSpec, euler_and_seh_check, required_hold
-from .ring import MonomialOrder, Poly
-from .weyl import WeylContext, WeylOp, left_normal_form, weyl_left_gb
+from .ring import MonomialOrder, Poly, add_terms, exp_add, integer_image
+from .weyl import WeylOp, _left_divisors, left_normal_form, weyl_left_gb
 
 from .bside import BSResult
 
@@ -38,13 +42,13 @@ class NablaReport:
 
 def _specialized_generators(fspec: FactorizationSpec,
                             A: Sequence[Fraction]) -> List[WeylOp]:
-    """theta_F at S = A-1, plus f, all in plain D_n."""
+    """theta_F at S = A-1, plus f, all in plain D_n (the one context
+    fspec.weyl.plain)."""
     shift = {name: Fraction(a) - 1
              for name, a in zip(fspec.weyl.s_names, A)}
     gens = [t.subs_s(shift).drop_s_context()
             for t in fspec.theta_generators()]
-    ctx0 = WeylContext(fspec.x_names, [])
-    gens.append(WeylOp.from_poly(ctx0, fspec.f))
+    gens.append(WeylOp.from_poly(fspec.weyl.plain, fspec.f))
     return gens
 
 
@@ -53,28 +57,26 @@ def nabla_surjective(fspec: FactorizationSpec, A: Sequence[Fraction],
     """Is the shift-by-one map at the point A onto?
 
     Criterion: 1 in D_n * ({theta_F at S=A-1} union {f}), that is, the
-    reduced left basis is [1].  Only then is the certificate built: the
-    basis log gives 1 as an explicit left combination of the generators
-    (LeftBasis.cofactors), verified by exact multiplication.
+    reduced left basis is [1]; the basis loop ends as soon as a unit
+    joins it.  Only then is the certificate built: the basis log gives 1
+    as an explicit left combination of the generators
+    (LeftBasis.cofactors), verified exactly on integer images
+    (_certificate_holds).
     """
     A = tuple(Fraction(a) for a in A)
     if len(A) != fspec.r:
         raise ValueError("point length must match the number of factors")
     gens = _specialized_generators(fspec, A)
-    ctx0 = gens[-1].ctx
     order = MonomialOrder.grevlex()
     G = weyl_left_gb(gens, order)
-    one = WeylOp.const(ctx0, Fraction(1))
+    one = WeylOp.const(gens[-1].ctx, Fraction(1))
     steps: list = []
     rem = left_normal_form(one, G, order, steps=steps)
     surjective = rem.is_zero()
     certificate = None
     if surjective:
         cof = G.cofactors(steps)
-        total = WeylOp.zero(ctx0)
-        for c, g in zip(cof, gens):
-            total = total + c * g
-        if not total == one:
+        if not _certificate_holds(cof, gens, order):
             raise AssertionError("membership certificate failed to multiply out")
         certificate = cof
 
@@ -101,6 +103,36 @@ def nabla_surjective(fspec: FactorizationSpec, A: Sequence[Fraction],
         injective = "unknown"
         reasoning = "hypotheses unverified; no implication applies"
     return NablaReport(A, surjective, injective, reasoning, certificate, gens)
+
+
+def _certificate_holds(cof: Sequence[WeylOp], gens: Sequence[WeylOp],
+                       order: MonomialOrder) -> bool:
+    """Is sum_i cof[i] * gens[i] = 1 in D_n?
+
+    Checked on integer images, with no Fraction product: the ring.Divisors
+    of gens holds each nonzero g_i as tau_i * image_i, each nonzero cof[i]
+    is sigma_i * R_i with R_i its integer image, and a term r*x^m of R_i
+    adds the one Divisors.multiple r * x^m * image_i at the scale
+    sigma_i*tau_i.  All of them are taken at one common scale 1/D, D the
+    least common denominator of the sigma_i*tau_i, so their integer sum
+    is D times the combination, which must be the constant D."""
+    ctx = gens[0].ctx
+    divisors = _left_divisors(ctx, gens, order)
+    # the cofactors of the nonzero generators, in the order of divisors
+    rows = [c for c, g in zip(cof, gens) if not g.is_zero()]
+    parts = []
+    for lead, (image, tau), row in zip(divisors.leads, divisors.images, rows):
+        R, sigma = integer_image(row.terms)
+        if R:
+            parts.append((lead, image, R, sigma * tau))
+    D = math.lcm(*(t.denominator for *_, t in parts))
+    total: dict = {}
+    for lead, image, R, t in parts:
+        b = t.numerator * (D // t.denominator)
+        for m, r in R.items():
+            add_terms(total, divisors.multiple(exp_add(m, lead), lead, image,
+                                               b * r))
+    return total == {ctx.zero_exp(): D}
 
 
 def bs_variety_membership(B, A: Sequence[Fraction]) -> bool:

@@ -22,10 +22,11 @@ integer quotient.  Both divide by one Divisors, the divisor set
 of one computation: per divisor its leading monomial and its primitive
 integer image (integer_image, g = tau * image), one KeyCache (every order
 key computed once per computation), and the element kind's multiple,
-divides, degree, lcm and view.  Divisors.of builds one from a list of
-elements and rejects an element over another context; a basis
-computation builds one for gb.buchberger, which forms the S-elements on
-the images (Divisors.s_element) and adds each new element to it.
+divides, degree, lcm, view and unit (does a lead make its element a
+unit).  Divisors.of builds one from a list of elements and rejects an
+element over another context; a basis computation builds one for
+gb.buchberger, which forms the S-elements on the images
+(Divisors.s_element) and adds each new element to it.
 Fractions go in and come out, integers work inside: the work is an
 integer term map with one rational scale (Scaled), and each step scales
 the work by an integer so that one integer multiple of an image cancels
@@ -165,6 +166,11 @@ def exp_lcm(a: Exp, b: Exp) -> Exp:
 
 def exp_total(a: Exp) -> int:
     return sum(a)
+
+
+def exp_is_one(a: Exp) -> bool:
+    """Is x^a the monomial 1?"""
+    return not any(a)
 
 
 def exp_weight(a: Exp, w: Sequence[int]) -> int:
@@ -328,8 +334,10 @@ class Divisors:
     monomial moves from lead to e; divides(lead, e); degree(e), the total
     degree of a monomial; lcm(a, b), the least common multiple of two
     monomials, or None when they have none (module monomials at two
-    positions); and view(g), an element's (context, term map).  ctx is the
-    context of the divisors.
+    positions); view(g), an element's (context, term map); and unit(m),
+    whether an element led by m is a unit (led by 1, under a global order
+    a nonzero constant; never for module vectors, where a constant vector
+    divides only its own position).  ctx is the context of the divisors.
 
     A basis computation owns one and drops it with its result: the keys
     and images keep every monomial they hold alive.
@@ -338,21 +346,22 @@ class Divisors:
     def __init__(self, ctx, key: Callable, multiple: Callable = poly_multiple,
                  divides: Callable = exp_divides, degree: Callable = sum,
                  lcm: Callable = exp_lcm,
-                 view: Callable = lambda g: (g.ctx, g.terms)):
+                 view: Callable = lambda g: (g.ctx, g.terms),
+                 unit: Callable = exp_is_one):
         self.ctx = ctx
         self.keys = KeyCache(key)
         self.multiple, self.divides, self.degree = multiple, divides, degree
-        self.lcm, self.view = lcm, view
+        self.lcm, self.view, self.unit = lcm, view, unit
         self.leads: List = []
         self.images: List[Scaled] = []
 
     @classmethod
     def of(cls, ctx, basis: Iterable, key: Callable, *kind) -> "Divisors":
         """The divisors over ctx of the nonzero elements of basis; kind is
-        (multiple, divides, degree, lcm, view), or its start.  An element
-        over another context raises ValueError naming both: exponents of
-        different lengths would compare as the shorter one, and the
-        division need not end."""
+        (multiple, divides, degree, lcm, view, unit), or its start.  An
+        element over another context raises ValueError naming both:
+        exponents of different lengths would compare as the shorter one,
+        and the division need not end."""
         out = cls(ctx, key, *kind)
         for g in basis:
             gctx, terms = out.view(g)

@@ -44,7 +44,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .ring import (
@@ -86,6 +86,13 @@ class WeylContext:
         # the number of x variables, not of exponent positions)
         self.names = self.vc.names
         self.index = self.vc.index
+
+    @cached_property
+    def plain(self) -> "WeylContext":
+        """The context of plain D_n over the same x variables (r = 0),
+        built once per context: every operator moved out of the
+        s-variables shares it."""
+        return WeylContext(self.x_names, []) if self.r else self
 
     def zero_exp(self) -> Exp:
         return self.vc.zero_exp()
@@ -203,12 +210,13 @@ class WeylOp(TermMap):
         return e[:2 * n] + (0,) * self.ctx.r
 
     def drop_s_context(self) -> "WeylOp":
-        """Move an s-free operator into the r=0 context (plain D_n)."""
+        """Move an s-free operator into the r=0 context (plain D_n,
+        ctx.plain)."""
         if not self.s_free():
             raise ValueError("operator still involves s")
-        ctx0 = WeylContext(self.ctx.x_names, [])
         n = self.ctx.n
-        return WeylOp(ctx0, {e[:2 * n]: c for e, c in self.terms.items()})
+        return WeylOp(self.ctx.plain,
+                      {e[:2 * n]: c for e, c in self.terms.items()})
 
 
 def _term_product(ctx: WeylContext, e1: Exp, c1, e2: Exp, c2) -> Dict:
@@ -602,8 +610,9 @@ def weyl_left_gb(gens: Sequence[WeylOp], order: MonomialOrder) -> LeftBasis:
     """Reduced left Groebner basis of the left ideal generated by gens.
 
     Only the chain criterion is used; the product criterion is unsound
-    here.  The LeftBasis returned also writes any element of the ideal in
-    gens (LeftBasis.cofactors).
+    here.  The loop ends once a unit joins: the basis is then [1], with the
+    log of a loop that runs on.  The LeftBasis returned also writes any
+    element of the ideal in gens (LeftBasis.cofactors).
     """
     gens = list(gens)
     origin: list = [i for i, g in enumerate(gens) if not g.is_zero()]

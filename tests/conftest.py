@@ -5,7 +5,7 @@ import heapq
 import pytest
 
 import engine_reference
-from fpowers import gb
+from fpowers import gb, ring
 
 
 @pytest.fixture
@@ -20,6 +20,41 @@ def queue_pops(monkeypatch):
             return out
         monkeypatch.setattr(cls, "pop", pop)
     return pops
+
+
+def _pops_up_to_unit(basis, pops, ref_pops) -> bool:
+    """Do pops, the pairs a gb.buchberger loop popped to reach basis,
+    equal ref_pops, those of a reference loop that runs on after a unit
+    joins?  They are equal, or, when basis is the unit ideal's reduced
+    basis [1] (of polynomials or operators), the start of ref_pops: after
+    the unit every S-element reduces to zero."""
+    if (len(basis) == 1 and not isinstance(basis[0], tuple)
+            and list(basis[0].terms) == [basis[0].ctx.zero_exp()]):
+        return pops == ref_pops[:len(pops)]
+    return pops == ref_pops
+
+
+@pytest.fixture
+def pops_up_to_unit():
+    """The comparison of pop sequences up to the join of a unit (see
+    _pops_up_to_unit)."""
+    return _pops_up_to_unit
+
+
+@pytest.fixture
+def unit_joins(monkeypatch, queue_pops):
+    """The number of pairs popped (queue_pops) when each unit joined a
+    ring.Divisors of polynomials or operators, in order."""
+    joins = []
+    real = ring.Divisors.add
+
+    def add(self, terms):
+        lead = real(self, terms)
+        if self.unit(lead):
+            joins.append(len(queue_pops))
+        return lead
+    monkeypatch.setattr(ring.Divisors, "add", add)
+    return joins
 
 
 class NormalSelectionQueue(gb.PairQueue):

@@ -85,6 +85,11 @@ def test_saito_holonomic_matches_the_all_minors_reference(names, text):
     # the rank-0 locus V(x) is a line
     ([("x", "0"), ("0", "x")], "rank-<=0 locus of the log-derivation "
                                "fibers has dimension 1"),
+    # the same line, decided only after a proper prefix of the entries
+    # failed to settle the stratum
+    ([("x", "0"), ("0", "x"), ("x", "x")], "rank-<=0 locus of the "
+                                           "log-derivation fibers has "
+                                           "dimension 1"),
 ])
 def test_saito_holonomic_no_verdicts_match_the_reference(rows, reason):
     names = ["x", "y"]
@@ -158,7 +163,9 @@ def test_saito_checks_expand_each_minor_once_per_call(monkeypatch):
     # saito_basis and saito_holonomic_check each share one table of minors
     # (logder._Minors); rebuilding every minor by its own Laplace expansion
     # made 116 _det calls for the table of (x, 2x^2 + yz) and 363 for the
-    # Whitney umbrella x^2 - y^2 z
+    # Whitney umbrella x^2 - y^2 z.  Expanding every minor of each stratum
+    # once made 50 and 126; a stratum now stops at the prefix that
+    # settles it
     from fpowers import logder
     expanded = []
     real = logder._Minors.__missing__
@@ -170,9 +177,9 @@ def test_saito_checks_expand_each_minor_once_per_call(monkeypatch):
     umbrella = FactorizationSpec(["x", "y", "z"],
                                  [_poly(["x", "y", "z"], "x^2 - y^2*z")])
     for F, count, free in (
-            (load_problem(str(DATA / "ex_mixed.json")).fspec, 50,
+            (load_problem(str(DATA / "ex_mixed.json")).fspec, 44,
              ("no", "pdim Der(-log f) = 1")),
-            (umbrella, 126, ("unknown", "no freeness certificate found"))):
+            (umbrella, 80, ("unknown", "no freeness certificate found"))):
         del expanded[:]
         table = F.check_hypotheses()
         assert len(expanded) == count
@@ -183,6 +190,58 @@ def test_saito_checks_expand_each_minor_once_per_call(monkeypatch):
         assert ref.saito_holonomic_check(F.f, F.log_derivations()) == \
             table["saito_holonomic"]
         assert len(expanded) > count
+
+
+def test_saito_holonomic_stops_each_stratum_at_a_settling_prefix(
+        monkeypatch):
+    # on (x, 2x^2 + yz) the check expands 25 minors: the first prefixes
+    # of the 1- and 2-minors settle their strata, where all of them and the
+    # first nonzero 3-minor made 31; the verdict is the reference's
+    from fpowers import logder
+    F = load_problem(str(DATA / "ex_mixed.json")).fspec
+    gens = F.log_derivations()
+    expanded, dims = [], []
+    real_missing, real_dim = logder._Minors.__missing__, logder.krull_dimension
+
+    def missing(self, key):
+        expanded.append(key)
+        return real_missing(self, key)
+
+    def dimension(I):
+        dims.append(len(I.gens))
+        return real_dim(I)
+    monkeypatch.setattr(logder._Minors, "__missing__", missing)
+    monkeypatch.setattr(logder, "krull_dimension", dimension)
+    got = saito_holonomic_check(F.f, gens)
+    assert got[0] == "yes" and len(expanded) == 25
+    # the first n - i = 3 entries settle stratum 0; the first 2 of the
+    # 2-minors do not settle stratum 1, the first 4 do
+    assert dims == [3, 2, 4]
+    assert got == ref.saito_holonomic_check(F.f, gens)
+
+
+def test_a_bound_on_a_prefix_leaves_the_stratum_unsettled(monkeypatch):
+    # a prefix whose basis meets the bound settles nothing: the next
+    # prefixes, and at last all the minors, decide as the reference does
+    from fpowers import logder
+    real = logder.krull_dimension
+    calls = []
+
+    def bounded(I):
+        calls.append(len(I.gens))
+        if len(calls) == 1:
+            raise ResourceLimit("total degree 9 exceeds bound 8")
+        return real(I)
+    monkeypatch.setattr(logder, "krull_dimension", bounded)
+    retried = 0
+    for names, text, _ in BANK:
+        f = _poly(names, text)
+        gens = log_derivations(f)
+        del calls[:]
+        assert saito_holonomic_check(f, gens) == \
+            ref.saito_holonomic_check(f, gens)
+        retried += len(calls) > 1
+    assert retried >= 5
 
 
 # ---------------------------------------------------------------------------

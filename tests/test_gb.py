@@ -460,29 +460,38 @@ def test_queue_matches_min_selection_block_elimination(queue_pops):
     assert queue_pops == ref_pops
 
 
-def test_queue_matches_min_selection_lex_and_grevlex(queue_pops):
+def test_queue_matches_min_selection_lex_and_grevlex(queue_pops,
+                                                    pops_up_to_unit):
+    # the queue pops as the reference until a unit joins, where it stops
     rng = random.Random(5)
+    units = 0
     for order in (MonomialOrder.lex(), MonomialOrder.grevlex()):
         for _ in range(6):
             gens = [_random_poly(rng, XYZ, deg=3) for _ in range(3)]
             del queue_pops[:]
             ref, ref_pops, _ = _reference_gb(gens, order)
             assert groebner_basis(gens, order) == ref
-            assert queue_pops == ref_pops
+            assert pops_up_to_unit(ref, queue_pops, ref_pops)
+            units += len(queue_pops) < len(ref_pops)
+    assert units
 
 
-def test_queue_matches_min_selection_weight_and_block(queue_pops):
+def test_queue_matches_min_selection_weight_and_block(queue_pops,
+                                                     pops_up_to_unit):
     rng = random.Random(6)
+    units = 0
     for ctx, order in _kernel_orders()[2:]:
         for _ in range(6):
             gens = [_random_poly(rng, ctx, deg=3) for _ in range(3)]
             del queue_pops[:]
             ref, ref_pops, _ = _reference_gb(gens, order)
             assert groebner_basis(gens, order) == ref
-            assert queue_pops == ref_pops
+            assert pops_up_to_unit(ref, queue_pops, ref_pops)
+            units += len(queue_pops) < len(ref_pops)
+    assert units
 
 
-def test_graded_orders_keep_normal_selection(queue_pops):
+def test_graded_orders_keep_normal_selection(queue_pops, pops_up_to_unit):
     # under a graded order a pair's sugar is |lcm|, which leads its key,
     # so the queue pops exactly as the normal selection did
     rng = random.Random(7)
@@ -497,7 +506,7 @@ def test_graded_orders_keep_normal_selection(queue_pops):
             del queue_pops[:]
             ref, ref_pops, _ = _reference_gb(gens, order, select_sugar=False)
             assert groebner_basis(gens, order) == ref
-            assert queue_pops == ref_pops
+            assert pops_up_to_unit(ref, queue_pops, ref_pops)
     vecs = [tuple(_random_poly(rng, XYZ, deg=2) for _ in range(2))
             for _ in range(3)]
     mo = gb._ModOrder(MonomialOrder.grevlex(), split=0)
@@ -999,15 +1008,15 @@ def _run_with_pops(queue_pops, fn, *args):
     return out, list(queue_pops)
 
 
-def test_engine_bases_and_pops_match_old_loop(queue_pops):
+def test_engine_bases_and_pops_match_old_loop(queue_pops, pops_up_to_unit):
     n = 0
     for order, gens in _engine_ideal_inputs():
         got, got_pops = _run_with_pops(queue_pops, groebner_basis, gens, order)
         ref, ref_pops = _run_with_pops(queue_pops, _old_groebner_basis,
                                        gens, order)
         assert _items(got) == _items(ref)
-        assert got_pops == ref_pops
-        n += len(ref_pops)
+        assert pops_up_to_unit(got, got_pops, ref_pops)
+        n += len(got_pops)
     assert n > 100
 
 
@@ -1090,16 +1099,18 @@ def test_engine_resource_limits_match_old_loop():
 # policy) against the step closures it replaced (tests/engine_reference.py)
 
 
-def test_one_loop_matches_replaced_steps(queue_pops):
-    # ideal and module bases, term for term, and the pairs popped
+def test_one_loop_matches_replaced_steps(queue_pops, pops_up_to_unit):
+    # ideal and module bases, term for term, and the pairs popped (up to
+    # the join of a unit, after which only the reference pops)
     n = 0
     for order, gens in _engine_ideal_inputs():
         got, got_pops = _run_with_pops(queue_pops, groebner_basis, gens, order)
         ref, ref_pops = _run_with_pops(queue_pops,
                                        engine_reference.groebner_basis,
                                        gens, order)
-        assert _items(got) == _items(ref) and got_pops == ref_pops
-        n += len(ref_pops)
+        assert _items(got) == _items(ref)
+        assert pops_up_to_unit(got, got_pops, ref_pops)
+        n += len(got_pops)
     for vecs, order in _module_inputs():
         for split in (0, len(vecs[0])):
             mo = gb._ModOrder(order, split=split)
@@ -1112,6 +1123,32 @@ def test_one_loop_matches_replaced_steps(queue_pops):
             assert got_pops == ref_pops
             n += len(ref_pops)
     assert n > 150
+
+
+def test_loop_pops_no_pair_after_a_unit_joins(queue_pops, unit_joins):
+    # ideals end at the unit, a starting one included; a module, whose
+    # constant vectors are no units, runs to the end
+    units = 0
+    for order, gens in _engine_ideal_inputs():
+        del queue_pops[:], unit_joins[:]
+        G = groebner_basis(gens, order)
+        assert bool(unit_joins) == (G == [1])
+        if unit_joins:
+            assert unit_joins[0] == len(queue_pops)
+            units += 1
+    assert units
+    del queue_pops[:], unit_joins[:]
+    gens = [p("x^2 + y"), p("3"), p("x*y")]
+    assert groebner_basis(gens, MonomialOrder.grevlex()) == [1]
+    assert queue_pops == [] and unit_joins == [0]
+    del unit_joins[:]
+    vecs = [(p("1"), p("x")), (p("1"), p("y")), (p("x"), p("0"))]
+    mo = gb._ModOrder(MonomialOrder.grevlex())
+    got, got_pops = _run_with_pops(queue_pops, gb._module_gb, vecs, mo)
+    ref, ref_pops = _run_with_pops(queue_pops, engine_reference.module_gb,
+                                   vecs, mo)
+    assert [_items(g) for g in got] == [_items(g) for g in ref]
+    assert got_pops == ref_pops and len(ref_pops) > 1 and unit_joins == []
 
 
 def test_one_bound_policy_for_every_kind():

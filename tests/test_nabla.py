@@ -296,3 +296,100 @@ def test_koszul_two_term_exactness_small():
     koszul = [b, a * Fraction(-1)]
     for row in syz:
         assert module_contains([koszul], list(row))
+
+
+# ---------------------------------------------------------------------------
+# onto points: the basis loop ends at the unit, and the certificate is
+# checked on integer images (nabla._certificate_holds)
+
+
+def _onto_points():
+    """(spec, point, NablaReport) for the onto points of a small grid on
+    each problem in tests/data."""
+    import itertools
+    from pathlib import Path
+    from fpowers.cli import load_problem
+    values = [Fraction(1), Fraction(-1, 2), Fraction(2), Fraction(-1)]
+    for path in sorted((Path(__file__).parent / "data").glob("*.json")):
+        F = load_problem(str(path)).fspec
+        for A in itertools.islice(itertools.product(values, repeat=F.r), 9):
+            rep = nabla_surjective(F, A)
+            if rep.surjective:
+                yield F, A, rep
+
+
+def test_onto_bases_stop_at_the_unit_as_the_running_loop(queue_pops,
+                                                          unit_joins):
+    # no pair is popped after the unit joins, and the basis, its log, the
+    # rows of its elements and the certificate are those of the reference
+    # loop that runs on (tests/engine_reference.py)
+    import engine_reference
+    from fpowers.ring import MonomialOrder
+    from fpowers.weyl import left_normal_form, weyl_left_gb
+    order = MonomialOrder.grevlex()
+    seen = saved = 0
+    for F, A, rep in _onto_points():
+        gens = rep.generators
+        del queue_pops[:], unit_joins[:]
+        G = weyl_left_gb(gens, order)
+        assert G == [1] and unit_joins[0] == len(queue_pops)
+        pops = list(queue_pops)
+        del queue_pops[:]
+        ref = engine_reference.weyl_left_gb(gens, order)
+        assert queue_pops[:len(pops)] == pops
+        saved += len(queue_pops) - len(pops)
+        assert [list(g.terms.items()) for g in G] == \
+            [list(g.terms.items()) for g in ref]
+        assert (G.origin, G.steps, G.final) == \
+            (ref.origin, ref.steps, ref.final)
+        assert basis_rows(G) == basis_rows(ref)
+        steps = []
+        left_normal_form(WeylOp.const(gens[0].ctx, 1), ref, order, steps=steps)
+        assert rep.certificate == ref.cofactors(steps)
+        seen += 1
+    assert seen >= 20 and saved > seen
+
+
+def test_integer_certificate_check_agrees_with_the_fraction_product():
+    # on every onto point, and on certificates tampered with: one
+    # coefficient changed, or one cofactor set to zero
+    from fpowers.nabla import _certificate_holds
+    from fpowers.ring import MonomialOrder
+    order = MonomialOrder.grevlex()
+    tampered = 0
+    for F, A, rep in _onto_points():
+        gens, cert = rep.generators, rep.certificate
+        one = WeylOp.const(gens[0].ctx, 1)
+        assert _certificate_holds(cert, gens, order)
+        assert combination(cert, gens) == one
+        k = next(i for i, c in enumerate(cert) if not c.is_zero())
+        changed = WeylOp(cert[k].ctx, dict(cert[k].terms))
+        m = next(iter(changed.terms))
+        changed.terms[m] += Fraction(1, 3)
+        for bad in (cert[:k] + [changed] + cert[k + 1:],
+                    cert[:k] + [WeylOp.zero(cert[k].ctx)] + cert[k + 1:]):
+            assert not _certificate_holds(bad, gens, order)
+            assert combination(bad, gens) != one
+            tampered += 1
+    assert tampered >= 40
+
+
+def test_one_plain_context_per_spec(monkeypatch):
+    # the generators of every request on one spec share fspec.weyl.plain:
+    # one WeylContext is built for all of them, where each operator built
+    # its own before
+    from fpowers import weyl
+    built = []
+    real = weyl.WeylContext.__init__
+
+    def init(self, *args):
+        built.append(args)
+        real(self, *args)
+    F = F_mixed()
+    monkeypatch.setattr(weyl.WeylContext, "__init__", init)
+    reports = [nabla_surjective(F, A) for A in ([1, 1], [2, Fraction(1, 2)])]
+    assert built == [(F.x_names, [])]
+    assert all(g.ctx is F.weyl.plain for rep in reports
+               for g in rep.generators)
+    assert all(c.ctx is F.weyl.plain for c in reports[0].certificate)
+    assert F.weyl.plain.plain is F.weyl.plain
