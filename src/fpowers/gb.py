@@ -19,10 +19,11 @@ Normal forms of polynomials and of module vectors take a list of elements
 or a basis loop's Divisors and run on ring.reduce_in_place over integers
 through remainder, which also turns the kernel's degree overflow into
 ResourceLimit; Fractions go in and come out.  On top of the basis:
-membership, elimination, intersections, colon ideals, saturation, radical
-membership, Krull dimension via independent variable sets, module syzygies
-(extended-basis construction), and minimal graded free resolutions with a
-Cohen-Macaulay test by graded Auslander-Buchsbaum.
+membership, elimination, saturation, radical membership (by a tag
+variable), Krull dimension via independent variable sets, module syzygies
+(extended-basis construction), colon ideals as first coordinates of
+syzygies, and minimal graded free resolutions with a Cohen-Macaulay test
+by graded Auslander-Buchsbaum.
 
 No function takes a bound: the degree and basis-size bounds are request
 state, set by `with Limits(max_degree=..., max_basis=...):` and read by
@@ -406,9 +407,9 @@ def eliminate(I: IdealHandle, drop_block: str) -> IdealHandle:
 
 
 def _with_tag(ctx: VarContext) -> Tuple[VarContext, str]:
-    """ctx with one more variable, the tag of intersect and
-    radical_membership, alone in a last block _W: named _w, or _w1, _w2,
-    ... when ctx already has that name."""
+    """ctx with one more variable, the tag of radical_membership, alone in
+    a last block _W: named _w, or _w1, _w2, ... when ctx already has that
+    name."""
     name, k = "_w", 0
     while name in ctx.index:
         k += 1
@@ -416,32 +417,14 @@ def _with_tag(ctx: VarContext) -> Tuple[VarContext, str]:
     return VarContext(list(ctx.blocks) + [("_W", [name])]), name
 
 
-def intersect(I: IdealHandle, J: IdealHandle) -> IdealHandle:
-    """I cap J by the single-tag-variable trick: eliminate w from
-    w*I + (1-w)*J."""
-    ctx = I.ctx
-    ctx2, tag = _with_tag(ctx)
-    w = Poly.var(ctx2, tag)
-    gens = [w * g.map_context(ctx2) for g in I.gens]
-    gens += [(Poly.const(ctx2, 1) - w) * g.map_context(ctx2) for g in J.gens]
-    E = eliminate(IdealHandle(gens, ctx=ctx2), "_W")
-    return IdealHandle([g.map_context(ctx) for g in E.gens], ctx=ctx)
-
-
 def ideal_colon(I: IdealHandle, g: Poly) -> IdealHandle:
-    """(I : g) = {p : p*g in I}, g nonzero."""
+    """(I : g) = {p : p*g in I}, g nonzero: the first coordinates of
+    syz(g, f_1, ..., f_k), f_i the generators of I (Greuel and Pfister, A
+    Singular Introduction to Commutative Algebra, ch. 1)."""
     if g.is_zero():
         raise ValueError("colon by zero")
-    C = intersect(I, IdealHandle([g], I.order))
-    from .ring import divide_exact
-    gens = []
-    for h in C.gens:
-        q = divide_exact(h, g)
-        if q is None:
-            raise ArithmeticError("intersection element not divisible in colon")
-        if not q.is_zero():
-            gens.append(q)
-    return IdealHandle(gens, ctx=I.ctx)
+    syz = syzygies([(g,)] + [(f,) for f in I.gens])
+    return IdealHandle([s[0] for s in syz], ctx=I.ctx)
 
 
 def saturate(I: IdealHandle, g: Poly) -> Tuple[IdealHandle, int]:

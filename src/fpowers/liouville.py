@@ -143,12 +143,12 @@ def gr_equality_certificate(fspec: FactorizationSpec,
     addition the recorded hypotheses hold (strong Euler-homogeneity,
     Saito-holonomicity, tameness), the equality certifies the full chain
       Ltilde_F = gr_{(0,1,1)}(Ann F^S) = ker(phi_F).
+    Of the Liouville ideals it builds only Ltilde_F.
     """
-    data = build_liouville_ideals(fspec)
+    Lt = IdealHandle(liouville_symbols(fspec, "log"), ctx=fspec.symbol_vc)
     K = phi_F_kernel(fspec)
-    forward = K.contains_ideal(data.Ltilde_F)
-    backward = data.Ltilde_F.contains_ideal(K) if data.Ltilde_F.gens else \
-        K.is_zero_ideal()
+    forward = K.contains_ideal(Lt)
+    backward = Lt.contains_ideal(K) if Lt.gens else K.is_zero_ideal()
     equal = forward and backward
     if assume_hypotheses:
         hyps_ok = True

@@ -372,17 +372,23 @@ def saito_basis(f: Poly, gens: Optional[Sequence[LogDerivation]] = None
     if not vectors:
         return SaitoResult(None, None, None)
     try:
-        weights = [1] * f.ctx.n
-        ambient_shifts = [0] * f.ctx.n + [1]
-        gen_degs = [vector_degree(v, weights, ambient_shifts) for v in vectors]
-        rels = syzygies(vectors)
-        pres = GradedModulePresentation(
-            f.ctx, weights, len(vectors), rels, shifts=gen_degs,
-        )
-        res = graded_free_resolution(pres)
-        return SaitoResult(None, None, res.pdim)
+        pdim = _submodule_pdim(f.ctx, vectors, [0] * n + [1])
+        return SaitoResult(None, None, pdim)
     except (NonHomogeneousInput, ResourceLimit):
         return SaitoResult(None, None, None)
+
+
+def _submodule_pdim(ctx: VarContext, vectors: Sequence[Sequence[Poly]],
+                    shifts: Sequence[int]) -> int:
+    """pdim of the graded submodule that the homogeneous vectors generate
+    in the free module over ctx whose basis has degrees shifts, every
+    variable of degree 1: the resolution of its presentation by the
+    syzygies of the vectors."""
+    weights = [1] * ctx.n
+    gen_degs = [vector_degree(v, weights, shifts) for v in vectors]
+    pres = GradedModulePresentation(ctx, weights, len(vectors),
+                                    syzygies(vectors), shifts=gen_degs)
+    return graded_free_resolution(pres).pdim
 
 
 def saito_determinant(basis: Sequence[LogDerivation], f: Poly
@@ -580,13 +586,7 @@ def _log_forms_pdim(f: Poly, k: int) -> int:
             gens.append(head)
     if not gens:
         return 0
-    weights = [1] * n
-    gen_degs = [vector_degree(v, weights, [0] * len(I_list)) for v in gens]
-    rels = syzygies(gens)
-    pres = GradedModulePresentation(ctx, weights, len(gens), rels,
-                                    shifts=gen_degs)
-    res = graded_free_resolution(pres)
-    return res.pdim
+    return _submodule_pdim(ctx, gens, [0] * len(I_list))
 
 
 # ---------------------------------------------------------------------------
@@ -600,17 +600,25 @@ def koszul_free_check(f: Poly, basis: Sequence[LogDerivation]) -> bool:
     return regular_sequence([d.symbol(wc) for d in basis], wc.symbol_vc)
 
 
+def colon_stable_steps(base: Sequence[Poly], seq: Sequence[Poly],
+                       ctx: VarContext) -> Iterator[bool]:
+    """For each s of seq in turn: is the ideal J of base and the elements
+    of seq before s unchanged by the colon, (J : s) = J?  The one
+    colon-stability loop: regular_sequence stops at its first False,
+    nabla.s_regularity_check reads every step."""
+    prev = list(base)
+    for s in seq:
+        J = IdealHandle(prev, ctx=ctx)
+        yield J.contains_ideal(ideal_colon(J, s))
+        prev.append(s)
+
+
 def regular_sequence(seq: Sequence[Poly], ctx: VarContext) -> bool:
     """Is seq a regular sequence in the polynomial ring over ctx?  Each
     element must leave the ideal of the earlier ones unchanged by the
     colon, and the whole sequence must not generate the unit ideal."""
-    prev: List[Poly] = []
-    for s in seq:
-        I = IdealHandle(prev, ctx=ctx)
-        if not I.contains_ideal(ideal_colon(I, s)):
-            return False
-        prev.append(s)
-    return not IdealHandle(prev, ctx=ctx).is_unit_ideal()
+    return (all(colon_stable_steps([], seq, ctx))
+            and not IdealHandle(seq, ctx=ctx).is_unit_ideal())
 
 
 def saito_holonomic_check(f: Poly,

@@ -10,8 +10,9 @@ Injectivity has no direct test here -- only the implications that relate it
 to surjectivity under checked hypotheses are reported.
 
 The regular-sequence side: the s_i act on Q[x,y,S]/Ltilde_F like a regular
-sequence, verified step by step through colon-ideal stabilization, and the
-final quotient collapses to the single-factor data L_f + (gr E).
+sequence, verified step by step through colon-ideal stabilization
+(logder.colon_stable_steps), and the final quotient collapses to the
+single-factor data L_f + (gr E).
 """
 
 from __future__ import annotations
@@ -21,9 +22,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .gb import IdealHandle, ideal_colon
-from .liouville import build_liouville_ideals
-from .logder import FactorizationSpec, euler_and_seh_check, required_hold
+from .gb import IdealHandle
+from .liouville import liouville_symbols
+from .logder import (
+    FactorizationSpec, colon_stable_steps, euler_and_seh_check, required_hold,
+)
 from .ring import MonomialOrder, Poly, add_terms, exp_add, integer_image
 from .weyl import WeylOp, _left_divisors, left_normal_form, weyl_left_gb
 
@@ -172,36 +175,28 @@ def s_regularity_check(fspec: FactorizationSpec,
     Step i verifies (Ltilde + (s_1..s_{i-1})) : s_i stays put.  At the end
     the quotient by all of S must collapse to the single-factor picture:
     Ltilde + (S) = L_f + (gr E) + (S), with E an Euler derivation of f.
+    L_f is spanned by the (0,1) symbols of the Der(-log0 f) generators,
+    which psi_f leaves as they are (delta(f) = 0).
     """
-    data = build_liouville_ideals(fspec)
     sym = fspec.symbol_vc
     s_names = fspec.weyl.s_names
     idx = list(s_order) if s_order is not None else list(range(fspec.r))
     if sorted(idx) != list(range(fspec.r)):
         raise ValueError("s_order must be a permutation of the factor indices")
 
-    base = list(data.Ltilde_F.gens)
-    taken: List[Poly] = []
-    steps: List[Tuple[str, bool]] = []
-    passed = True
-    for i in idx:
-        J = IdealHandle(base + taken)
-        s_i = Poly.var(sym, s_names[i])
-        C = ideal_colon(J, s_i)
-        stable = J.contains_ideal(C)
-        steps.append((s_names[i], stable))
-        passed = passed and stable
-        taken.append(s_i)
+    base = liouville_symbols(fspec, "log")
+    taken = [Poly.var(sym, s_names[i]) for i in idx]
+    stable = list(colon_stable_steps(base, taken, sym))
+    steps = [(s_names[i], ok) for i, ok in zip(idx, stable)]
+    passed = all(stable)
 
     final = IdealHandle(base + taken)
-    single = FactorizationSpec(fspec.x_names, [fspec.f])
-    lf = build_liouville_ideals(single).L_F
-    target_gens = [g.map_context(sym) for g in lf.gens]
+    lf = [d.symbol(fspec.weyl) for d in fspec.log_derivations("log0")]
     rep = euler_and_seh_check(fspec.f)
     if rep.euler is None:
         return SRegularityReport(passed, steps, False,
                                  "no Euler derivation certificate for f")
-    target = IdealHandle(target_gens + [rep.euler.symbol(fspec.weyl)] + taken)
+    target = IdealHandle(lf + [rep.euler.symbol(fspec.weyl)] + taken)
     match = final.equals(target)
     reason = ("quotient by (S) equals L_f + (gr E)" if match
               else "quotient by (S) differs from L_f + (gr E)")

@@ -407,9 +407,9 @@ class Divisors:
         return Scaled(terms, Fraction(1, L))
 
 
-def reduce_in_place(work: Scaled, divisors: Divisors,
-                    rem: Optional[Dict] = None, steps: Optional[list] = None,
-                    max_degree: Optional[int] = None) -> bool:
+def reduce_in_place(work: Scaled, divisors: Divisors, rem: Dict,
+                    steps: Optional[list] = None,
+                    max_degree: Optional[int] = None) -> None:
     """Divide `work` (monomial -> nonzero int, times its scale sigma) in
     place by the divisors g_k = tau_k * image_k of `divisors`.
 
@@ -425,8 +425,7 @@ def reduce_in_place(work: Scaled, divisors: Divisors,
     (k, e, c): it took away c*x^(e - lead) * g_k, c = sigma*b/tau_k, the
     Fraction (work coefficient)/(leading coefficient) of a division over
     Q.  If no lead divides e, the term moves to `rem` as the Fraction
-    sigma*w, or, with rem None, the division stops and returns False.
-    Returns True once the work is empty.
+    sigma*w.  The division ends once the work is empty.
 
     Every cancellation is exact and the choice of divisor reads only
     monomials, so the division takes the path, and gives the remainder
@@ -449,8 +448,6 @@ def reduce_in_place(work: Scaled, divisors: Divisors,
             if divides(lead, e):
                 break
         else:
-            if rem is None:
-                return False
             rem[e] = Fraction(num * terms.pop(e), den)
             over.discard(e)
             continue
@@ -482,7 +479,6 @@ def reduce_in_place(work: Scaled, divisors: Divisors,
                 over.discard(m)
         if over:
             raise DegreeBoundExceeded(tuple(terms))
-    return True
 
 
 def exact_quotient(terms: Dict, divisors: Divisors) -> Optional[Dict]:

@@ -3,7 +3,10 @@ the tests as a reference.
 
 reducedness_check decided squarefreeness by the colon ideal (f) : Jac(f),
 as an intersection of one colon per partial derivative (ideal_colon_ideal,
-which left gb with it); saito_holonomic_check computed every minor and a
+which left gb with it).  Each colon was the tag-variable one that gb
+replaced by syzygies: ideal_colon intersects I with (g) by eliminating the
+tag w from w*I + (1-w)*(g) (intersect) and divides each generator by g
+exactly.  saito_holonomic_check computed every minor and a
 Krull dimension for every stratum, the top one included.  operator and
 psi_F built a_i d_i and b_k s_k as products in D_n[S], and subs_s, which
 nabla runs on every theta_F generator, rebuilt its result once per term.
@@ -13,10 +16,38 @@ import itertools
 from fractions import Fraction
 
 from fpowers.gb import (
-    IdealHandle, ResourceLimit, ideal_colon, intersect, krull_dimension,
+    IdealHandle, ResourceLimit, _with_tag, eliminate, krull_dimension,
 )
 from fpowers.logder import _det, log_derivations, psi_cofactors, saito_matrix
+from fpowers.ring import Poly, divide_exact
 from fpowers.weyl import WeylOp
+
+
+def intersect(I, J):
+    """I cap J by the single-tag-variable trick: eliminate w from
+    w*I + (1-w)*J."""
+    ctx = I.ctx
+    ctx2, tag = _with_tag(ctx)
+    w = Poly.var(ctx2, tag)
+    gens = [w * g.map_context(ctx2) for g in I.gens]
+    gens += [(Poly.const(ctx2, 1) - w) * g.map_context(ctx2) for g in J.gens]
+    E = eliminate(IdealHandle(gens, ctx=ctx2), "_W")
+    return IdealHandle([g.map_context(ctx) for g in E.gens], ctx=ctx)
+
+
+def ideal_colon(I, g):
+    """(I : g) = {p : p*g in I}, g nonzero: I cap (g), divided by g."""
+    if g.is_zero():
+        raise ValueError("colon by zero")
+    C = intersect(I, IdealHandle([g], I.order))
+    gens = []
+    for h in C.gens:
+        q = divide_exact(h, g)
+        if q is None:
+            raise ArithmeticError("intersection element not divisible in colon")
+        if not q.is_zero():
+            gens.append(q)
+    return IdealHandle(gens, ctx=I.ctx)
 
 
 def ideal_colon_ideal(I, J):

@@ -14,10 +14,12 @@ from fpowers.ring import (
 from fpowers.gb import (
     GradedModulePresentation, IdealHandle, Limits, NonHomogeneousInput,
     ResourceLimit, eliminate, graded_free_resolution, groebner_basis,
-    ideal_colon, intersect, krull_dimension, normal_form, radical_membership,
+    ideal_colon, krull_dimension, normal_form, radical_membership,
     saturate, syzygies,
 )
 import engine_reference
+import gate_reference
+from gate_reference import intersect
 from engine_reference import check_poly
 from kernel_reference import elements_of, s_poly, value_of, vec_scale, vec_sub
 
@@ -140,8 +142,9 @@ def test_radical_membership():
 
 
 def test_tag_variable_avoids_declared_names():
-    # intersect and radical_membership add a tag variable; declared _w and
-    # _w1 must not clash with it, and the answers are those of x, y
+    # radical_membership and the reference intersect add a tag variable;
+    # declared _w and _w1 must not clash with it, and the answers are those
+    # of x, y (the syzygy colon adds none)
     W = VarContext([("X", ["_w", "_w1"])])
     I = intersect(IdealHandle([p("_w", W)]), IdealHandle([p("_w1", W)]))
     assert I.equals(IdealHandle([p("_w*_w1", W)]))
@@ -150,6 +153,41 @@ def test_tag_variable_avoids_declared_names():
     assert not radical_membership(p("_w1", W), J)
     C = ideal_colon(IdealHandle([p("_w^2*_w1", W)]), p("_w", W))
     assert C.equals(IdealHandle([p("_w*_w1", W)]))
+
+
+def test_colon_equals_the_tag_variable_reference():
+    # the first coordinates of syz(g, f_1, ..., f_k) generate the ideal
+    # that the replaced colon (I cap (g) with a tag variable, each
+    # generator divided by g) gave; a variable factor on each side keeps
+    # most random colons proper
+    rng = random.Random(19)
+    cases = []
+    for ctx in (XY, XYZ) * 8:
+        def var():
+            return Poly.var(ctx, rng.choice(ctx.names))
+        gens = [var() * _random_poly(rng, ctx, deg=2)
+                for _ in range(rng.randint(1, 3))]
+        g = var() * _random_poly(rng, ctx, deg=1)
+        if not g.is_zero():
+            cases.append((IdealHandle(gens, ctx=ctx), g))
+    I = IdealHandle([p("x^2*y"), p("y^3 - x")])
+    W = VarContext([("X", ["_w", "_w1"])])
+    special = [
+        (IdealHandle.zero(XY), p("x*y - 1")),
+        (I, p("x^2*y")),
+        (I, p("(x + 1)*(y^3 - x)")),
+        (IdealHandle([p("x"), p("1 - x*y")]), p("y")),
+        (IdealHandle([p("_w^2*_w1", W), p("_w1^3", W)]), p("_w*_w1", W)),
+    ]
+    for I, g in cases + special:
+        C = ideal_colon(I, g)
+        assert C.ctx == I.ctx
+        assert C.equals(gate_reference.ideal_colon(I, g))
+    zero, member, multiple, unit, tags = [ideal_colon(*c) for c in special]
+    assert zero.is_zero_ideal()
+    assert member.is_unit_ideal() and multiple.is_unit_ideal()
+    assert unit.is_unit_ideal()
+    assert tags.equals(IdealHandle([p("_w", W), p("_w1^2", W)]))
 
 
 def test_normal_form_rejects_a_basis_over_another_context():

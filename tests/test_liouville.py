@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fpowers import liouville
 from fpowers.gb import IdealHandle, ideal_colon, krull_dimension
 from fpowers.ring import MonomialOrder, Poly, VarContext, parse_poly
 from fpowers.logder import FactorizationSpec
@@ -23,6 +24,7 @@ from fpowers.liouville import (
     tau_u_order,
     tau_u_prime_order,
 )
+import symbol_reference
 
 
 VC2 = VarContext([("X", ["x", "y"])])
@@ -170,6 +172,22 @@ def test_certificate_assume_flag_skips_hypotheses():
     rep = gr_equality_certificate(F_xy(), assume_hypotheses=True)
     assert rep["hypotheses_verified"]
     assert "assumed" in rep["hypotheses"]
+
+
+@pytest.mark.parametrize("key", sorted(symbol_reference.FIXTURES))
+@pytest.mark.parametrize("assume", [False, True])
+def test_certificate_matches_the_reference(key, assume):
+    # the reference read Ltilde_F off all three Liouville ideals
+    got = gr_equality_certificate(symbol_reference.spec(key), assume)
+    assert got == symbol_reference.gr_equality_certificate(
+        symbol_reference.spec(key), assume)
+
+
+def test_certificate_builds_no_initial_ideal(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("initial ideal built")
+    monkeypatch.setattr(liouville, "initial_ideal", refuse)
+    assert gr_equality_certificate(F_xy())["Ltilde_eq_kernel"]
 
 
 # ---------------------------------------------------------------------------

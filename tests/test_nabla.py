@@ -1,9 +1,11 @@
 """Shift-map surjectivity, variety membership, s-regularity certificates."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from fpowers import liouville
 from fpowers.gb import IdealHandle, ideal_colon
 from fpowers.ring import Poly, VarContext, parse_poly
 from fpowers.logder import FactorizationSpec
@@ -15,6 +17,7 @@ from fpowers.nabla import (
     s_regularity_check,
 )
 from weyl_reference import basis_rows, combination, reference_cofactors
+import symbol_reference
 
 
 VC1 = VarContext([("X", ["x"])])
@@ -393,3 +396,42 @@ def test_one_plain_context_per_spec(monkeypatch):
                for g in rep.generators)
     assert all(c.ctx is F.weyl.plain for c in reports[0].certificate)
     assert F.weyl.plain.plain is F.weyl.plain
+
+
+# ---------------------------------------------------------------------------
+# s-regularity against the replaced check (tests/symbol_reference.py), which
+# built all three Liouville ideals, a single-factor spec for L_f and its own
+# tag-variable colon loop
+
+
+@pytest.mark.parametrize("key", sorted(symbol_reference.FIXTURES))
+def test_s_regularity_matches_the_reference_in_every_order(key):
+    r = symbol_reference.spec(key).r
+    for perm in itertools.permutations(range(r)):
+        got = s_regularity_check(symbol_reference.spec(key), s_order=perm)
+        assert got == symbol_reference.s_regularity_check(
+            symbol_reference.spec(key), s_order=perm)
+    if key == "no_euler":
+        assert not got.final_quotient_matches
+
+
+def test_s_regularity_builds_only_the_ideals_it_reads(monkeypatch):
+    # Ltilde_F from theta_F and L_f from the spec's own Der(-log0 f): no
+    # In010 basis (liouville.initial_ideal) and no second spec
+    F = symbol_reference.spec("x_2x2yz")
+    calls = {"initial_ideal": 0, "FactorizationSpec": 0}
+
+    def counted(name, real):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapped
+    monkeypatch.setattr(liouville, "initial_ideal",
+                        counted("initial_ideal", liouville.initial_ideal))
+    monkeypatch.setattr(FactorizationSpec, "__init__", counted(
+        "FactorizationSpec", FactorizationSpec.__init__))
+    assert s_regularity_check(F)
+    assert calls == {"initial_ideal": 0, "FactorizationSpec": 0}
+    # the counters see the reference's Liouville ideals and second spec
+    symbol_reference.s_regularity_check(F)
+    assert calls["initial_ideal"] == 2 and calls["FactorizationSpec"] == 1
