@@ -94,8 +94,12 @@ def phi_F_kernel(fspec: FactorizationSpec) -> IdealHandle:
     polynomial ring (a domain)."""
     sym = fspec.symbol_vc
     n, r = fspec.n, fspec.r
-    tx = [f"_tx{i+1}" for i in range(n)]
-    ts = [f"_ts{k+1}" for k in range(r)]
+    # the target copies _tx*, _ts*, under a prefix no declared name has
+    pre = "_t"
+    while any(v.startswith(pre) for v in sym.index):
+        pre += "_"
+    tx = [f"{pre}x{i+1}" for i in range(n)]
+    ts = [f"{pre}s{k+1}" for k in range(r)]
     big = VarContext([("W", tx + ts)] + list(sym.blocks))
 
     def tvar(name):

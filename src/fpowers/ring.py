@@ -18,15 +18,17 @@ reduce_in_place is the one division loop of the package: the commutative
 and module normal forms of gb.py and the left normal form of weyl.py run
 it.  Exact division (divide_exact here, and the F^S action of weyl.py) is
 exact_quotient, a division over Z that stops at the first step with no
-integer quotient.  Both divide by one Divisors, the divisor set
-of one computation: per divisor its leading monomial and its primitive
-integer image (integer_image, g = tau * image), one KeyCache (every order
-key computed once per computation), and the element kind's multiple,
-divides, degree, lcm, view and unit (does a lead make its element a
-unit).  Divisors.of builds one from a list of elements and rejects an
-element over another context; a basis computation builds one for
-gb.buchberger, which forms the S-elements on the images
-(Divisors.s_element) and adds each new element to it.
+integer quotient.  Both keep the monomials of their work in one queue
+sorted by key (_subtract), so no step scans the work, and both divide by
+one Divisors, the divisor set of one computation: per divisor its
+leading monomial and its primitive integer image (integer_image,
+g = tau * image), one KeyCache (every order key computed once per
+computation), and the element kind's multiple, divides, degree, lcm,
+view and unit (does a lead make its element a unit).  Divisors.of
+builds one from a list of elements and rejects an element over another
+context; a basis computation builds one for gb.buchberger, which forms
+the S-elements on the images (Divisors.s_element) and adds each new
+element to it.
 Fractions go in and come out, integers work inside: the work is an
 integer term map with one rational scale (Scaled), and each step scales
 the work by an integer so that one integer multiple of an image cancels
@@ -340,7 +342,9 @@ class Divisors:
     divides only its own position).  ctx is the context of the divisors.
 
     A basis computation owns one and drops it with its result: the keys
-    and images keep every monomial they hold alive.
+    and images keep every monomial they hold alive, and so does any state
+    its `multiple` keeps (weyl's keeps each d^c * image it forms), which
+    its subsets share.
     """
 
     def __init__(self, ctx, key: Callable, multiple: Callable = poly_multiple,
@@ -427,6 +431,9 @@ def reduce_in_place(work: Scaled, divisors: Divisors, rem: Dict,
     Q.  If no lead divides e, the term moves to `rem` as the Fraction
     sigma*w.  The division ends once the work is empty.
 
+    The monomials of the work wait in a queue sorted by key (_subtract),
+    so each step pops the largest without a scan of the work.
+
     Every cancellation is exact and the choice of divisor reads only
     monomials, so the division takes the path, and gives the remainder
     and the step values, of the same division over Q.
@@ -439,20 +446,23 @@ def reduce_in_place(work: Scaled, divisors: Divisors, rem: Dict,
     # Fractions made are the ones handed out
     num, den = scale.numerator, scale.denominator
     get = divisors.keys.__getitem__
-    over = set()
+    queue = sorted(terms, key=get)
+    over = []
     if max_degree is not None:
-        over = {m for m in terms if degree(m) > max_degree}
-    while terms:
-        e = max(terms, key=get)
+        over = [m for m in terms if degree(m) > max_degree]
+    while queue:
+        e = queue.pop()
+        w = terms.get(e)
+        if w is None:
+            continue
         for k, lead in enumerate(leads):
             if divides(lead, e):
                 break
         else:
             rem[e] = Fraction(num * terms.pop(e), den)
-            over.discard(e)
             continue
         image, tau = images[k]
-        w, lc = terms[e], image[lead]
+        lc = image[lead]
         h = gcd(w, lc)
         a, b = lc // h, w // h
         if a < 0:
@@ -464,21 +474,12 @@ def reduce_in_place(work: Scaled, divisors: Divisors, rem: Dict,
         if steps is not None:
             steps.append((k, e, Fraction(num * b * tau.denominator,
                                          den * tau.numerator)))
-        for m, c in multiple(e, lead, image, b):
-            old = terms.get(m)
-            if old is None:
-                terms[m] = -c
-                if max_degree is not None and degree(m) > max_degree:
-                    over.add(m)
-                continue
-            c = old - c
-            if c:
-                terms[m] = c
-            else:
-                del terms[m]
-                over.discard(m)
-        if over:
-            raise DegreeBoundExceeded(tuple(terms))
+        new = _subtract(terms, multiple(e, lead, image, b), queue, get)
+        if max_degree is not None and (over or new):
+            over = [m for m in over + new
+                    if m in terms and degree(m) > max_degree]
+            if over:
+                raise DegreeBoundExceeded(tuple(terms))
 
 
 def exact_quotient(terms: Dict, divisors: Divisors) -> Optional[Dict]:
@@ -490,18 +491,17 @@ def exact_quotient(terms: Dict, divisors: Divisors) -> Optional[Dict]:
     integral, and so is every partial quotient of the division: each step
     divides its work coefficient by the leading coefficient over Z, and a
     step where that leaves a remainder, or a leading monomial the lead
-    does not divide, proves that there is no quotient.  The monomials of
-    the work wait in a list sorted by key, so each step takes the largest
-    without a scan; the quotient terms come in the order of the steps,
-    the largest monomial first.
+    does not divide, proves that there is no quotient.  The work waits in
+    the sorted queue of reduce_in_place (_subtract); the quotient terms
+    come in the order of the steps, the largest monomial first.
     """
     (image, _), lead = divisors.images[0], divisors.leads[0]
     lc, get = image[lead], divisors.keys.__getitem__
-    pending = sorted(terms, key=get)
+    queue = sorted(terms, key=get)
     out: Dict = {}
-    while pending:
-        e = pending.pop()
-        w = terms.pop(e, None)
+    while queue:
+        e = queue.pop()
+        w = terms.get(e)
         if w is None:
             continue
         if not divisors.divides(lead, e):
@@ -510,17 +510,32 @@ def exact_quotient(terms: Dict, divisors: Divisors) -> Optional[Dict]:
         if r:
             return None
         out[exp_sub(e, lead)] = b
-        for m, c in divisors.multiple(e, lead, image, b):
-            old = terms.get(m)
-            if old is None:
-                if m != e:
-                    terms[m] = -c
-                    insort(pending, m, key=get)
-            elif old != c:
-                terms[m] = old - c
-            else:
-                del terms[m]
+        _subtract(terms, divisors.multiple(e, lead, image, b), queue, get)
     return out
+
+
+def _subtract(terms: Dict, products, queue: list, get: Callable) -> list:
+    """terms -= products, the pairs (monomial, int) of a multiple, in place,
+    dropping what cancels; return the monomials that entered terms.
+
+    queue holds the monomials of terms ascending by key (get), so a
+    division pops its largest; each monomial that enters terms is inserted
+    with bisect.  One that cancels stays in the queue, and the division
+    skips it when popped: a step at e adds only monomials below e, so none
+    above the popped ones comes back, and one that does come back below
+    them is inserted again."""
+    new = []
+    for m, c in products:
+        old = terms.get(m)
+        if old is None:
+            terms[m] = -c
+            insort(queue, m, key=get)
+            new.append(m)
+        elif old != c:
+            terms[m] = old - c
+        else:
+            del terms[m]
+    return new
 
 
 # ---------------------------------------------------------------------------
@@ -781,17 +796,17 @@ class Poly(TermMap):
             vals[self.ctx.index[v]] = (
                 val if isinstance(val, Poly) else Poly.const(self.ctx, val)
             )
-        out = Poly.zero(self.ctx)
+        # each power of a substituted variable is formed once
+        powers: Dict[Tuple[int, int], Dict] = {}
+        out = Poly(self.ctx)
         for e, c in self.terms.items():
-            t = Poly.const(self.ctx, c)
+            t = {tuple(0 if i in vals else k for i, k in enumerate(e)): c}
             for i, k in enumerate(e):
-                if not k:
-                    continue
-                if i in vals:
-                    t = t * (vals[i] ** k)
-                else:
-                    t = t * Poly.monomial(self.ctx, self.ctx.var_exp(self.ctx.names[i]), 1) ** k
-            out = out + t
+                if k and i in vals:
+                    if (i, k) not in powers:
+                        powers[i, k] = (vals[i] ** k).terms
+                    t = add_product({}, t, powers[i, k])
+            add_terms(out.terms, t.items())
         return out
 
     def eval_rat(self, assignment: Dict[str, Fraction]) -> Fraction:

@@ -12,11 +12,10 @@ gb.interreduce, under the gb.Limits in effect) without the product
 criterion, which is unsound in a noncommutative algebra; this module adds
 only the left normal form they divide by and the log of each remainder's
 origin.  The left normal form runs on ring.reduce_in_place over integers:
-each multiple b x^a d^b s^w * image(g) goes term by term straight into
-the working term map, normal-ordered only where a d of the multiplier
-meets an x of the term, and a basis computation shares its
-one ring.Divisors (leads, integer images, KeyCache) with every division
-it makes.
+each multiple b x^a d^c s^w * image(g) is the normal-ordered d^c * image(g),
+formed once per computation, shifted by x^a s^w and scaled by b, and a
+basis computation shares its one ring.Divisors (leads, integer images,
+KeyCache, those d^c * image(g)) with every division it makes.
 No cofactors are carried along: a basis is a LeftBasis, which logs where
 each element came from (a generator, or an S-pair and the (k, m, c) steps
 of its reduction), and LeftBasis.cofactors rebuilds the combination of the
@@ -479,31 +478,44 @@ def transpose_tau(P: WeylOp) -> WeylOp:
 # left Groebner bases
 
 
-def _left_multiple(ctx: WeylContext, e: Exp, lead: Exp, image: Dict,
-                   b: int) -> list:
-    """ring.Divisors.multiple for left division, given its context by
-    functools.partial: the terms of b*x^(e - lead) * image, normal-ordered
-    term by term (a monomial may come more than once).  Only an image term
-    with an x where the multiplier has a d needs _term_product; every
-    other term is the plain exponent sum, as in ring.poly_multiple."""
+def _left_multiple(ctx: WeylContext, known: Dict, e: Exp, lead: Exp,
+                   image: Dict, b: int) -> list:
+    """ring.Divisors.multiple for left division, given its context and the
+    multiples `known` of one computation by functools.partial: the terms
+    of b*x^(e - lead) * image.  With x^(e - lead) = x^a d^c s^w, the
+    normal-ordered d^c * image is formed on its first use, term by term (a
+    monomial may come more than once; only an image term with an x where
+    d^c has a d needs _term_product), and kept in `known`.  The multiple
+    is that list shifted by (a, 0, w) and scaled by b, with no reordering:
+    x^a sits on the left and s is central."""
     m = exp_sub(e, lead)
     n = ctx.n
-    meets = [i for i in range(n) if m[n + i]]
-    if not meets:
+    c = m[n:2 * n]
+    if not any(c):
         return [(exp_add(m, ge), b * gc) for ge, gc in image.items()]
-    out = []
-    for ge, gc in image.items():
-        if any(ge[i] for i in meets):
-            out.extend(_term_product(ctx, m, b, ge, gc).items())
-        else:
-            out.append((exp_add(m, ge), b * gc))
-    return out
+    hit = known.get((id(image), c))
+    if hit is None:
+        d = (0,) * n + c + (0,) * ctx.r
+        meets = [i for i in range(n) if c[i]]
+        terms = []
+        for ge, gc in image.items():
+            if any(ge[i] for i in meets):
+                terms.extend(_term_product(ctx, d, 1, ge, gc).items())
+            else:
+                terms.append((exp_add(d, ge), gc))
+        # the entry holds the image, so its id is not reused while known lives
+        hit = known[id(image), c] = image, terms
+    m = m[:n] + (0,) * n + m[2 * n:]
+    if not any(m):
+        return [(ge, b * gc) for ge, gc in hit[1]]
+    return [(exp_add(m, ge), b * gc) for ge, gc in hit[1]]
 
 
 def _left_divisors(ctx: WeylContext, basis: Sequence[WeylOp],
                    order: MonomialOrder) -> Divisors:
-    """The ring.Divisors of the operators of basis, over ctx."""
-    return Divisors.of(ctx, basis, order.key, partial(_left_multiple, ctx))
+    """The ring.Divisors of the operators of basis, over ctx, with the
+    multiples d^c * image of their own computation (_left_multiple)."""
+    return Divisors.of(ctx, basis, order.key, partial(_left_multiple, ctx, {}))
 
 
 def left_normal_form(P: WeylOp | Scaled, basis: Sequence[WeylOp] | Divisors,

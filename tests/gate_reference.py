@@ -10,6 +10,9 @@ exactly.  saito_holonomic_check computed every minor and a
 Krull dimension for every stratum, the top one included.  operator and
 psi_F built a_i d_i and b_k s_k as products in D_n[S], and subs_s, which
 nabla runs on every theta_F generator, rebuilt its result once per term.
+subs is Poly.subs as it was before it formed each power once, the
+substitution of the hyperplane test: it rebuilt every power, and the sum,
+once per term.
 """
 
 import itertools
@@ -19,7 +22,7 @@ from fpowers.gb import (
     IdealHandle, ResourceLimit, _with_tag, eliminate, krull_dimension,
 )
 from fpowers.logder import _det, log_derivations, psi_cofactors, saito_matrix
-from fpowers.ring import Poly, divide_exact
+from fpowers.ring import Poly, UnknownVariable, divide_exact
 from fpowers.weyl import WeylOp
 
 
@@ -132,4 +135,28 @@ def subs_s(P, values):
                 coef *= Fraction(v) ** e2[i]
                 e2[i] = 0
         out = out + WeylOp(ctx, {tuple(e2): coef})
+    return out
+
+
+def subs(p, assignment):
+    """Poly.subs, one power of a substituted variable (or of a kept
+    variable) built per term and factor."""
+    vals = {}
+    for v, val in assignment.items():
+        if v not in p.ctx.index:
+            raise UnknownVariable(v)
+        vals[p.ctx.index[v]] = (
+            val if isinstance(val, Poly) else Poly.const(p.ctx, val)
+        )
+    out = Poly.zero(p.ctx)
+    for e, c in p.terms.items():
+        t = Poly.const(p.ctx, c)
+        for i, k in enumerate(e):
+            if not k:
+                continue
+            if i in vals:
+                t = t * (vals[i] ** k)
+            else:
+                t = t * Poly.monomial(p.ctx, p.ctx.var_exp(p.ctx.names[i]), 1) ** k
+        out = out + t
     return out

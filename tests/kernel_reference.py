@@ -16,10 +16,17 @@ elements or a basis computation's ring.Divisors.  value_of turns a
 ring.Scaled S-element into the element of its value and elements_of a
 ring.Divisors into its elements, so that a reference division can also
 stand in for a library normal form inside a library basis loop.
+
+rescan_reduce_in_place is the integer kernel before its sorted work
+queue: a drop-in for ring.reduce_in_place that finds each step's largest
+monomial by a scan of the whole work.
 """
 
+from fractions import Fraction
+from math import gcd
+
 from engine_reference import buchberger, check_poly
-from fpowers import gb, weyl
+from fpowers import gb, ring, weyl
 from fpowers.gb import Limits, ResourceLimit
 from fpowers.ring import (
     Divisors, KeyCache, MonomialOrder, Poly, Scaled, exp_add, exp_divides,
@@ -114,6 +121,58 @@ def reduce_in_place(work, leads, keys, multiple, rem=None, max_degree=None,
         if over:
             raise DegreeBoundExceeded
     return True
+
+
+def rescan_reduce_in_place(work, divisors, rem, steps=None, max_degree=None):
+    """ring.reduce_in_place as it was before the sorted work queue, with the
+    same arguments and results: each step rescans the whole work for its
+    largest monomial (max under the divisors' keys)."""
+    terms, scale = work
+    leads, images = divisors.leads, divisors.images
+    multiple, divides, degree = (divisors.multiple, divisors.divides,
+                                 divisors.degree)
+    num, den = scale.numerator, scale.denominator
+    get = divisors.keys.__getitem__
+    over = set()
+    if max_degree is not None:
+        over = {m for m in terms if degree(m) > max_degree}
+    while terms:
+        e = max(terms, key=get)
+        for k, lead in enumerate(leads):
+            if divides(lead, e):
+                break
+        else:
+            rem[e] = Fraction(num * terms.pop(e), den)
+            over.discard(e)
+            continue
+        image, tau = images[k]
+        w, lc = terms[e], image[lead]
+        h = gcd(w, lc)
+        a, b = lc // h, w // h
+        if a < 0:
+            a, b = -a, -b
+        if a != 1:
+            for m in terms:
+                terms[m] *= a
+            den *= a
+        if steps is not None:
+            steps.append((k, e, Fraction(num * b * tau.denominator,
+                                         den * tau.numerator)))
+        for m, c in multiple(e, lead, image, b):
+            old = terms.get(m)
+            if old is None:
+                terms[m] = -c
+                if max_degree is not None and degree(m) > max_degree:
+                    over.add(m)
+                continue
+            c = old - c
+            if c:
+                terms[m] = c
+            else:
+                del terms[m]
+                over.discard(m)
+        if over:
+            raise ring.DegreeBoundExceeded(tuple(terms))
 
 
 def normal_form(p, basis, order):

@@ -244,6 +244,30 @@ def test_unknown_variable_rejected(tmp_path):
     assert "w" in payload["error"]
 
 
+def test_gr_check_names_its_variables_apart(tmp_path):
+    # phi_F_kernel's target copies are named apart from the declared
+    # variables: a problem over its old scratch names _tx*, _ts* gives the
+    # payload of the same problem over plain names
+    for names, factors in ((["_ts1", "y"], ["_ts1", "y"]),
+                           (["_tx2", "y"], ["_tx2", "y"]),
+                           (["_t", "_ts1"], ["_t", "_ts1", "_t + _ts1"])):
+        plain = [f"v{i}" for i in range(len(names))]
+        payloads = []
+        for declared in (names, plain):
+            text = json.dumps({"variables": names, "factors": factors})
+            for old, new in zip(names, declared):
+                text = text.replace(old, new)
+            path = tmp_path / "problem.json"
+            path.write_text(text)
+            code, payload = run("gr-check", "--input", path, "--json")
+            assert code == 0
+            payloads.append(json.dumps(strip_timing(payload)))
+        for old, new in zip(names, plain):
+            payloads[1] = payloads[1].replace(new, old)
+        assert payloads[0] == payloads[1]
+        assert json.loads(payloads[0])["results"]["Ltilde_eq_kernel"]
+
+
 def test_malformed_json_rejected(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"variables": ')

@@ -3,7 +3,11 @@ rational scale per division, integer S-elements) against the division over
 Fraction it replaced (tests/kernel_reference.py): the same remainders term
 for term and in the same term order, the same quotients, step logs, bases,
 basis logs and ResourceLimit messages; and a guard that the kernel's
-products see only integers."""
+products see only integers.  The kernel's sorted work queue and the left
+multiples each computation keeps are checked against the rescanning
+integer kernel and the per-call multiples they replaced, on random
+divisions and on the B_F elimination bases, with a count of the work they
+save."""
 
 import random
 from copy import copy
@@ -13,12 +17,14 @@ from math import gcd
 import pytest
 
 import kernel_reference as ref
+import weyl_reference as wref
 from fpowers import gb, ring, weyl
-from fpowers.bside import elimination_order
+from fpowers.bside import bs_ideal, elimination_basis, elimination_order
 from fpowers.gb import Limits, ResourceLimit
 from fpowers.logder import FactorizationSpec
 from fpowers.ring import (
-    MonomialOrder, Poly, VarContext, divide_exact, integer_image, parse_poly,
+    Divisors, MonomialOrder, Poly, VarContext, divide_exact, integer_image,
+    parse_poly,
 )
 from fpowers.weyl import WeylContext, WeylOp, parse_weyl
 
@@ -404,3 +410,158 @@ def test_kernel_products_take_integer_coefficients(monkeypatch):
     assert seen["term_product"] > before
     assert bad == []
     assert min(seen.values()) > 5
+
+
+# ---------------------------------------------------------------------------
+# the sorted work queue and the kept left multiples against the rescanning
+# kernel with multiples formed per call
+
+
+def _division_cases():
+    """(library divisors, reference divisors, targets): polynomials under
+    each order, vectors, and operators with s, each divisor set shared by
+    its targets so that the left multiples of one computation repeat."""
+    rng = random.Random(80)
+    for ctx, order in _orders():
+        basis = [_poly(rng, ctx, deg=2, terms=3) for _ in range(3)]
+        yield (Divisors.of(ctx, basis, order.key),
+               Divisors.of(ctx, basis, order.key),
+               [_poly(rng, ctx, deg=5, terms=6).terms for _ in range(4)])
+    for vecs, order in _module_inputs():
+        mo = gb._ModOrder(order, split=len(vecs[0]))
+        ctx = gb._vec_ctx(vecs[0])
+        yield (gb._vec_divisors(ctx, vecs, mo), gb._vec_divisors(ctx, vecs, mo),
+               [gb._vec_terms(_vec(rng, vecs[0][0].ctx, len(vecs[0]), deg=4))
+                for _ in range(4)])
+    for gens, order in _left_inputs():
+        ctx = gens[0].ctx
+        with Limits(max_degree=12, max_basis=60):
+            G = _outcome(weyl.weyl_left_gb, gens, order)
+        for basis in [gens] + ([G] if isinstance(G, list) else []):
+            yield (weyl._left_divisors(ctx, basis, order),
+                   wref.per_term_divisors(ctx, basis, order),
+                   [_op(rng, ctx, deg=5, terms=6).terms for _ in range(6)])
+
+
+def _division(kernel, divisors, terms, bound):
+    """A division's remainder terms and step log, or the monomials left in
+    the work when the degree bound stopped it."""
+    rem, steps = {}, []
+    try:
+        kernel(integer_image(terms), divisors, rem, steps, bound)
+    except ring.DegreeBoundExceeded as err:
+        return "bound", err.monomials, steps
+    return list(rem.items()), steps
+
+
+def test_queue_kernel_matches_rescanning_kernel():
+    stopped = divided = 0
+    for lib, old, targets in _division_cases():
+        for terms in targets:
+            for bound in (None, 3, 5, 7):
+                got = _division(ring.reduce_in_place, lib, terms, bound)
+                want = _division(ref.rescan_reduce_in_place, old, terms, bound)
+                assert got == want
+                stopped += got[0] == "bound"
+                divided += len(got[-1])
+    assert stopped > 10 and divided > 500
+
+
+def _elimination_problems():
+    """The factors of the B_F problems of the bs_ideals benchmark, with
+    fixed scalars: Brieskorn-Pham curves and surfaces, line arrangements as
+    one factor, and the three multi-factor inputs."""
+    XY = VarContext([("X", ["x", "y"])])
+    XYZ3 = VarContext([("X", ["x", "y", "z"])])
+    for names, vc, factors in (
+            ("xy", XY, ["-3/7*x^2 + y^3"]), ("xy", XY, ["x^2 - 2*y^5"]),
+            ("xy", XY, ["x^3 + 5/3*y^4"]), ("xyz", XYZ3, ["x^2 - y^2 + z^2"]),
+            ("xyz", XYZ3, ["x^2 + y^2 - 3*z^3"]),
+            ("xy", XY, ["7*x*y*(x - 2*y)"]), ("xy", XY, ["x*y*(x + y)*(x - y)"]),
+            ("xy", XY, ["-2*x", "5/3*y", "x + y"]),
+            ("xyz", XYZ3, ["3*x", "2*x^2 + y*z"]),
+            ("xyz", XYZ3, ["x^2 + y^3", "-z"])):
+        yield FactorizationSpec(list(names), [parse_poly(f, vc) for f in factors])
+
+
+def _reference_engine(m):
+    """Run the basis loop and every left division on the rescanning kernel
+    and the per-call left multiples."""
+    m.setattr(gb, "reduce_in_place", ref.rescan_reduce_in_place)
+    m.setattr(weyl, "_left_divisors", wref.per_term_divisors)
+
+
+def test_elimination_bases_match_rescanning_kernel(monkeypatch):
+    # the B_F bases of the bs_ideals problems: the same reduced basis and
+    # log, and the same cofactor row of a B_F generator
+    for F in _elimination_problems():
+        order = elimination_order(F.weyl)
+        gens = F.theta_generators() + [WeylOp.from_poly(F.weyl, F.f_xs)]
+        got = elimination_basis(F, order=order)
+        with monkeypatch.context() as m:
+            _reference_engine(m)
+            want = weyl.weyl_left_gb(gens, order)
+        assert _items(got) == _items(want)
+        assert (got.origin, got.steps, got.final) == \
+            (want.origin, want.steps, want.final)
+        b = next(g for g in got if g.xd_free())
+        rows = []
+        for basis in (got, want):
+            steps = []
+            with monkeypatch.context() as m:
+                if basis is want:
+                    _reference_engine(m)
+                assert weyl.left_normal_form(b, basis, order, steps).is_zero()
+                rows.append(_items(basis.cofactors(steps)))
+        assert rows[0] == rows[1]
+
+
+def _kernel_work(monkeypatch, reference: bool) -> dict:
+    """The order-key lookups made inside the division kernel and the
+    _term_product calls while B_F of (x, y, x+y) is computed, on the
+    library kernel or on the rescanning one with per-call multiples."""
+    counts = {"keys": 0, "products": 0}
+    inside = [False]
+
+    class Keys(ring.KeyCache):
+        __slots__ = ()
+
+        def __getitem__(self, m):
+            counts["keys"] += inside[0]
+            return dict.__getitem__(self, m)
+    kernel = ref.rescan_reduce_in_place if reference else ring.reduce_in_place
+
+    def counted(*args):
+        inside[0] = True
+        try:
+            return kernel(*args)
+        finally:
+            inside[0] = False
+    real = weyl._term_product
+
+    def product(*args):
+        counts["products"] += 1
+        return real(*args)
+    XY = VarContext([("X", ["x", "y"])])
+    F = FactorizationSpec(["x", "y"], [parse_poly(f, XY)
+                                       for f in ("x", "y", "x + y")])
+    with monkeypatch.context() as m:
+        if reference:
+            _reference_engine(m)
+        m.setattr(ring, "KeyCache", Keys)
+        m.setattr(gb, "reduce_in_place", counted)
+        m.setattr(weyl, "_term_product", product)
+        counts["B_F"] = [str(g) for g in bs_ideal(F).gb]
+    return counts
+
+
+def test_kernel_work_on_three_lines(monkeypatch):
+    # the queue takes the largest monomial without a scan of the work, and
+    # each d^c * image is normal-ordered once per computation: the
+    # rescanning kernel with per-call multiples does over 6 times the key
+    # lookups and term products on this B_F
+    got = _kernel_work(monkeypatch, reference=False)
+    want = _kernel_work(monkeypatch, reference=True)
+    assert got["B_F"] == want["B_F"]
+    assert got["keys"] <= 20000 < want["keys"]
+    assert got["products"] <= 400 < want["products"]

@@ -336,3 +336,25 @@ def test_product_matches_old_loop_term_order():
         assert list(got.terms.items()) == list(ref.terms.items())
         collided += len(ref.terms) < len(a.terms) * len(b.terms)
     assert collided > len(pairs) // 2
+
+
+def test_subs_matches_old_loop():
+    # Poly.subs forms each power of a substituted variable once; the loop
+    # it replaced (tests/gate_reference.py) built every power per term
+    import random
+    from gate_reference import subs
+    rng = random.Random(18)
+    cases = [(p("(x + y + z)^3"), {"z": p("-x - y")}),
+             (p("x^3*y - 2*x*y^2 + 7"), {"x": p("y^2 - z"), "y": 3})]
+    for ctx in (CTX, GCTX):
+        for _ in range(40):
+            values = [_seeded_poly(rng, ctx, 3, 2), Fraction(-2, 3), 0]
+            names = rng.sample(ctx.names, rng.randint(1, ctx.n))
+            cases.append((_seeded_poly(rng, ctx, 8, 3),
+                          {v: rng.choice(values) for v in names}))
+    for q, assignment in cases:
+        got, want = q.subs(assignment), subs(q, assignment)
+        assert got == want and got.ctx == want.ctx
+    assert cases[0][0].subs(cases[0][1]).is_zero()
+    with pytest.raises(UnknownVariable):
+        p("x").subs({"w": 1})

@@ -9,15 +9,20 @@ log.  reference_cofactors is how a certificate was made with them: a
 tracked basis, then a tracked division.  left_interreduction is the interreduction that weyl_left_gb runs on its
 basis (gb.interreduce on weyl.left_normal_form), on a plain list.
 
+per_term_left_multiple is weyl._left_multiple before each computation
+kept its multiples d^c * image: every call normal-orders the image terms
+it needs again; per_term_divisors builds ring.Divisors on it.
+
 grouped_apply_to_FS, _apply_partial and _log_numerator are the F^S action
 before it ran on integer images: grouped by derivative pattern as now,
 but every product and division over Fraction polynomials.
 """
 
 from fractions import Fraction
+from functools import partial
 
 from fpowers import gb, weyl
-from fpowers.ring import exp_divides, exp_sub
+from fpowers.ring import Divisors, exp_add, exp_divides, exp_sub
 from fpowers.ring import Poly, add_terms
 from fpowers.weyl import FSElement, LeftBasis, WeylOp, weyl_multiply
 from kernel_reference import elements_of, value_of
@@ -227,6 +232,36 @@ def combination(row, gens):
     for c, g in zip(row, gens):
         total = total + c * g
     return total
+
+
+# ---------------------------------------------------------------------------
+# left multiples formed per call
+
+
+def per_term_left_multiple(ctx, e, lead, image, b):
+    """ring.Divisors.multiple for left division, given its context by
+    functools.partial: the terms of b*x^(e - lead) * image, normal-ordered
+    term by term (a monomial may come more than once).  Only an image term
+    with an x where the multiplier has a d needs _term_product; every
+    other term is the plain exponent sum, as in ring.poly_multiple."""
+    m = exp_sub(e, lead)
+    n = ctx.n
+    meets = [i for i in range(n) if m[n + i]]
+    if not meets:
+        return [(exp_add(m, ge), b * gc) for ge, gc in image.items()]
+    out = []
+    for ge, gc in image.items():
+        if any(ge[i] for i in meets):
+            out.extend(weyl._term_product(ctx, m, b, ge, gc).items())
+        else:
+            out.append((exp_add(m, ge), b * gc))
+    return out
+
+
+def per_term_divisors(ctx, basis, order):
+    """weyl._left_divisors on per_term_left_multiple."""
+    return Divisors.of(ctx, basis, order.key,
+                       partial(per_term_left_multiple, ctx))
 
 
 # ---------------------------------------------------------------------------
