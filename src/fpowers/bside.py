@@ -10,10 +10,11 @@ strictly smaller monomials under any global order, so Buchberger theory for
 this solvable relation set carries over verbatim.
 
 That left basis (elimination_basis) is computed once per bound for a
-spec.  A generator b of B_F is not just a membership fact: the derivation
-log of the same GB writes b = sum c_i theta_i + Q*f, and then Q is an
-operator with Q . (f*F^S) = b(S)*F^S -- the functional equation, verified
-exactly through the formal-calculus action.
+spec, and only its pure-S part is reduced.  A generator b of B_F is not
+just a membership fact: the derivation log of the same GB writes b = sum
+c_i theta_i + Q*f, and then Q is an operator with Q . (f*F^S) = b(S)*F^S
+-- the functional equation, verified exactly through the formal-calculus
+action.
 """
 
 from __future__ import annotations
@@ -111,18 +112,20 @@ class BSResult:
 def elimination_basis(fspec: FactorizationSpec,
                       theta: Optional[Sequence[WeylOp]] = None,
                       order: Optional[MonomialOrder] = None) -> LeftBasis:
-    """The left basis of D[S]*theta_F + D[S]*f under `order` (default
-    elimination_order), computed once per order and bound for this spec
-    and shared by its callers, who must not modify it.  theta, when given,
-    is fspec.theta_generators() as the caller already has it.  Its pure-S
-    part generates B_F, and its log writes every element in theta_F and f.
-    """
+    """The pure-S part, which generates B_F, of the left basis of
+    D[S]*theta_F + D[S]*f under `order` (default elimination_order),
+    computed once per order and bound for this spec and shared by its
+    callers, who must not modify it.  theta, when given, is
+    fspec.theta_generators() as the caller already has it.  Only the part
+    is tail-reduced (gb.Basis.prefix), and its log writes every element in
+    theta_F and f."""
     order = order or elimination_order(fspec.weyl)
 
     def build():
         gens = list(fspec.theta_generators() if theta is None else theta)
         gens.append(WeylOp.from_poly(fspec.weyl, fspec.f_xs))
-        return weyl_left_gb(gens, order)
+        G = weyl_left_gb(gens, order)
+        return G.prefix(sum(not any(m[:2 * fspec.n]) for m in G.leads))
     return fspec.memo(("elimination", order.desc), build)
 
 
@@ -131,9 +134,8 @@ def bs_ideal(fspec: FactorizationSpec, assume_hypotheses: bool = False,
     ann = ann_FS(fspec, assume_hypotheses)
     G = elimination_basis(fspec, ann.theta, order)
     svc = s_context(fspec)
-    s_gens = [g.s_polynomial_part().map_context(svc)
-              for g in G if g.xd_free()]
-    ideal = IdealHandle(s_gens, ctx=svc)
+    ideal = IdealHandle([g.s_polynomial_part().map_context(svc) for g in G],
+                        ctx=svc)
     gb = ideal.gb()
     principal = gb[0] if len(gb) == 1 else None
     if ann.validity != "full":
@@ -150,9 +152,9 @@ def bs_ideal(fspec: FactorizationSpec, assume_hypotheses: bool = False,
 def functional_equation_witness(fspec: FactorizationSpec, b: Poly) -> WeylOp:
     """Q with Q . (f*F^S) = b(S)*F^S, verified exactly.
 
-    b is a polynomial in the s-variables.  It is divided by the
-    elimination GB of (theta_F, f) (elimination_basis, the one bs_ideal
-    reads B_F from), and the basis log rebuilds the combination
+    b is a polynomial in the s-variables.  It is divided by the pure-S
+    part of the elimination GB of (theta_F, f) (elimination_basis, the one
+    bs_ideal reads B_F from), and the basis log rebuilds the combination
     b = sum c_i theta_i + Q f along the basis elements that division used
     (LeftBasis.cofactors); letting both sides act on F^S kills every theta
     term."""

@@ -13,8 +13,8 @@ buchberger forms each S-element on it (Divisors.s_element), divides it by
 that normal form, holds generators, S-elements and remainders to the
 degree bound and the basis to its size bound, and adds each nonzero
 remainder.  It ends once the basis holds a unit, which generates the unit
-ideal on its own (module vectors have none).  interreduce is the one
-final minimalize / tail-reduce / monic / sort, on the same Divisors.
+ideal on its own (module vectors have none).  Basis, on the same
+Divisors, is its reduced basis, each element reduced when first read.
 Normal forms of polynomials and of module vectors take a list of elements
 or a basis loop's Divisors and run on ring.reduce_in_place over integers
 through remainder, which also turns the kernel's degree overflow into
@@ -33,6 +33,7 @@ buchberger) or keyed (logder.FactorizationSpec.memo).
 
 from __future__ import annotations
 
+import copy
 import heapq
 import itertools
 from contextvars import ContextVar
@@ -251,8 +252,8 @@ def buchberger(G: list, divisors: Divisors, order, divide: Callable,
     a commutative ideal or a left ideal of the Weyl algebra alike (Becker
     and Weispfenning, Groebner Bases, ch. 5; Kandri-Rody and Weispfenning,
     J. Symbolic Comput. 9, 1990).  Every S-element the loop would still
-    form reduces to zero by the unit, so G, and with it interreduce's
-    answer (the unit alone) and every log, are the ones of a loop that
+    form reduces to zero by the unit, so G, and with it the reduced basis
+    (Basis: the unit alone) and every log, are the ones of a loop that
     runs on.  Module vectors have no unit and always run to the end.
     """
     limits = Limits.current()
@@ -286,60 +287,86 @@ def buchberger(G: list, divisors: Divisors, order, divide: Callable,
             return
 
 
-def interreduce(divisors: Divisors,
-                divide: Callable) -> List[Tuple[int, Fraction, object]]:
-    """The minimal, tail-reduced, monic basis of the Groebner basis whose
-    elements are `divisors`, ascending by leading monomial, as triples
-    (i, c, g): g is c times the remainder of element i.
+class Basis(Sequence):
+    """The reduced Groebner basis (minimal, tail-reduced, monic, ascending
+    by leading monomial) of the elements G a basis loop ends with, whose
+    ring.Divisors are `divisors`; an element is made when it is first read.
 
-    divide(i, rest) returns the remainder of element i by the kept
-    elements k in rest.
+    Its `leads`, the loop's minimal ones (of equal leads the first),
+    ascending, are known before any division: tail reduction keeps each.
+    Element t is reduce(i, rest), the kind's division of its loop element
+    i by the other kept ones in loop order with the log of its steps, made
+    monic, under the bound in effect when it is read; once all are made,
+    the loop's elements and divisors are let go.  So the leading ideal
+    (krull_dimension, a unit that ended the loop) costs no division, and
+    an elimination only its part (prefix).
     """
-    leads, keys = divisors.leads, divisors.keys
-    # minimalize: drop g whose LM is divisible by another LM
-    keep: List[int] = []
-    for i, li in enumerate(leads):
-        drop = False
-        for j, lj in enumerate(leads):
-            if i == j:
-                continue
-            if exp_divides(lj, li) and (lj != li or j < i):
-                drop = True
-                break
-        if not drop:
-            keep.append(i)
-    # tail-reduce each against the others, make monic
-    out = []
-    for i in keep:
-        r = divide(i, [k for k in keep if k != i])
-        if r.is_zero():
-            continue
-        lr = max(r.terms, key=keys.__getitem__)
-        inv = Fraction(1) / r.terms[lr]
-        out.append((keys[lr], i, inv, r * inv))
-    out.sort(key=lambda t: t[0])
-    return [(i, inv, g) for _, i, inv, g in out]
+
+    def __init__(self, G: list, divisors: Divisors, reduce: Callable):
+        leads, keys = divisors.leads, divisors.keys
+        self.kept = [i for i, li in enumerate(leads)
+                     if not any(exp_divides(lj, li) and (lj != li or j < i)
+                                for j, lj in enumerate(leads) if j != i)]
+        self.index = sorted(self.kept, key=lambda i: keys[leads[i]])
+        self.leads = [leads[i] for i in self.index]
+        self.G, self.divisors, self._reduce = G, divisors, reduce
+        self._made: Dict[int, tuple] = {}
+
+    def __len__(self):
+        return len(self.index)
+
+    def __getitem__(self, t):
+        if isinstance(t, slice):
+            return [self[u] for u in range(*t.indices(len(self)))]
+        return self.entry(t)[0]
+
+    def entry(self, t: int) -> tuple:
+        """(g, i, c, log): element t is g, c times the remainder of loop
+        element i, whose division logged `log`."""
+        i = self.index[t]
+        if i not in self._made:
+            rest = [k for k in self.kept if k != i]
+            r, log = self._reduce(i, rest) if rest else (self.G[i], [])
+            c = Fraction(1) / r.terms[self.leads[t]]
+            self._made[i] = (r * c, i, c, log)
+            if len(self._made) == len(self.index):  # all made: free the loop
+                self.G = self.divisors = self._reduce = None
+        return self._made[i]
+
+    def prefix(self, k: int) -> "Basis":
+        """The first k elements as a Basis reduced by its own kept ones:
+        the elements of the whole when only their leads divide their
+        monomials, as for the part free of a block that an order
+        eliminates, which comes first."""
+        out = copy.copy(self)
+        out.index, out.leads = self.index[:k], self.leads[:k]
+        out.kept = [i for i in self.kept if i in out.index]
+        out._made = {}
+        return out
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, Basis)):
+            return NotImplemented
+        return list(self) == list(other)
 
 
-def groebner_basis(gens: Sequence[Poly], order: MonomialOrder) -> List[Poly]:
-    """Reduced Groebner basis (monic, inter-reduced, sorted by leading
-    monomial ascending).  Deterministic for a given generator sequence."""
+def groebner_basis(gens: Sequence[Poly], order: MonomialOrder) -> Basis:
+    """The reduced Groebner basis of gens (Basis: each element reduced
+    when it is first read) from the one loop.  Deterministic for a given
+    generator sequence."""
     G = [g for g in gens if not g.is_zero()]
-    if not G:
-        return []
-    divisors = Divisors.of(G[0].ctx, G, order.key)
+    divisors = Divisors.of(G[0].ctx if G else None, G, order.key)
     buchberger(G, divisors, order, normal_form, coprime_criterion=True)
 
-    def divide(i, rest):
-        if not rest:
-            return G[i]
-        return normal_form(G[i], divisors.subset(rest), order)
-    return [g for _, _, g in interreduce(divisors, divide)]
+    def reduce(i, rest):
+        return normal_form(G[i], divisors.subset(rest), order), None
+    return Basis(G, divisors, reduce)
 
 
 class IdealHandle:
-    """Generators plus a cached reduced Groebner basis under a fixed order,
-    computed on first use under the bound then in effect."""
+    """Generators plus a cached reduced basis (Basis, whose leads the zero
+    and unit tests read) under a fixed order, computed on first use under
+    the bound then in effect."""
 
     def __init__(self, gens: Sequence[Poly], order: Optional[MonomialOrder] = None,
                  ctx: Optional[VarContext] = None):
@@ -356,7 +383,7 @@ class IdealHandle:
     def zero(cls, ctx: VarContext, order: Optional[MonomialOrder] = None) -> "IdealHandle":
         return cls([], order, ctx)
 
-    def gb(self) -> List[Poly]:
+    def gb(self) -> Basis:
         if self._gb is None:
             self._gb = groebner_basis(self.gens, self.order)
         return self._gb
@@ -365,8 +392,7 @@ class IdealHandle:
         return not self.gb()
 
     def is_unit_ideal(self) -> bool:
-        g = self.gb()
-        return len(g) == 1 and g[0].is_constant()
+        return not all(map(any, self.gb().leads))
 
     def contains(self, p: Poly) -> bool:
         return normal_form(p, self.gb(), self.order).is_zero()
@@ -399,11 +425,10 @@ def eliminate(I: IdealHandle, drop_block: str) -> IdealHandle:
         raise KeyError(f"no block named {drop_block!r}")
     order = MonomialOrder.block(ctx, [drop_block] + rest)
     gb = groebner_basis(I.gens, order)
-    dropped = set(ctx.block_indices[drop_block])
+    dropped = ctx.block_indices[drop_block]
+    free = gb.prefix(sum(not any(m[i] for i in dropped) for m in gb.leads))
     ctx2 = _drop_block_context(ctx, drop_block)
-    kept = [g.map_context(ctx2) for g in gb
-            if all(all(e[i] == 0 for i in dropped) for e in g.terms)]
-    return IdealHandle(kept, ctx=ctx2)
+    return IdealHandle([g.map_context(ctx2) for g in free], ctx=ctx2)
 
 
 def _with_tag(ctx: VarContext) -> Tuple[VarContext, str]:
@@ -449,16 +474,18 @@ def radical_membership(p: Poly, I: IdealHandle) -> bool:
 
 
 def krull_dimension(I: IdealHandle) -> int:
-    """dim V(I) via maximal independent variable sets modulo the
-    leading-term ideal; -1 for the unit ideal."""
-    gb = I.gb()
-    if any(g.is_constant() and not g.is_zero() for g in gb):
+    """dim V(I) from the leads of its basis (leads_dimension); -1 for the
+    unit ideal."""
+    return leads_dimension(I.gb().leads, I.ctx.n)
+
+
+def leads_dimension(monomials: Sequence[Exp], n: int) -> int:
+    """dim V(I), I in n variables with a Groebner basis (any one) led by
+    these monomials, via maximal independent variable sets modulo them;
+    -1 when one is 1."""
+    if not all(map(any, monomials)):
         return -1
-    n = I.ctx.n
-    if not gb:
-        return n
-    lead = [g.leading_exp(I.order) for g in gb]
-    supports = [frozenset(i for i, e in enumerate(le) if e) for le in lead]
+    supports = [frozenset(i for i, e in enumerate(m) if e) for m in monomials]
     # U independent iff no leading monomial is supported inside U
     for size in range(n, -1, -1):
         for U in itertools.combinations(range(n), size):
@@ -592,14 +619,12 @@ def module_contains(vectors: Sequence[Sequence[Poly]], target: Sequence[Poly],
     return _vec_is_zero(_vec_reduce(tgt, _module_gb(vecs, mo), mo))
 
 
-def syzygies(vectors: Sequence[Sequence[Poly]],
-             order: Optional[MonomialOrder] = None) -> List[Vec]:
-    """Generating set of {(a_1..a_k) : sum a_i v_i = 0} for vectors in R^m.
-
-    Extended-basis construction: append bookkeeping unit coordinates, take a
-    module basis eliminating the first m positions, and read off the members
-    supported entirely in the bookkeeping block.
-    """
+def extended_basis(vectors: Sequence[Sequence[Poly]],
+                   order: Optional[MonomialOrder] = None) -> List[Vec]:
+    """The module Groebner basis of the (v_i, e_i), v_i in R^m and e_i the
+    bookkeeping unit vectors, eliminating the first m positions: past m,
+    its elements zero there generate syz(v_i); for m = 1 the first
+    coordinates of the others are a Groebner basis of (v_i) under order."""
     vecs = [tuple(v) for v in vectors]
     if not vecs:
         return []
@@ -615,13 +640,16 @@ def syzygies(vectors: Sequence[Sequence[Poly]],
         book = [zero] * k
         book[i] = one
         aug.append(tuple(list(v) + book))
-    mo = _ModOrder(order or MonomialOrder.grevlex(), split=m)
-    G = _module_gb(aug, mo)
-    out: List[Vec] = []
-    for g in G:
-        if all(g[i].is_zero() for i in range(m)):
-            out.append(tuple(g[m:]))
-    return out
+    return _module_gb(aug, _ModOrder(order or MonomialOrder.grevlex(), split=m))
+
+
+def syzygies(vectors: Sequence[Sequence[Poly]],
+             order: Optional[MonomialOrder] = None) -> List[Vec]:
+    """Generating set of {(a_1..a_k) : sum a_i v_i = 0} for vectors in R^m:
+    the members of extended_basis supported in the bookkeeping block."""
+    m = len(vectors[0]) if vectors else 0
+    return [g[m:] for g in extended_basis(vectors, order)
+            if _vec_is_zero(g[:m])]
 
 
 # ---------------------------------------------------------------------------

@@ -89,46 +89,39 @@ def phi_F_kernel(fspec: FactorizationSpec) -> IdealHandle:
         x_i |-> x_i,
         y_i |-> sum_k (f/f_k) (d_i f_k) s_k,
         s_k |-> f * s_k.
-    Computed from the graph ideal in Q[target][source] by eliminating the
-    target copies.  The result is prime: it is the kernel of a map into a
-    polynomial ring (a domain)."""
-    sym = fspec.symbol_vc
-    n, r = fspec.n, fspec.r
-    # the target copies _tx*, _ts*, under a prefix no declared name has
+    Computed from the graph ideal by eliminating the target copies: x
+    maps to itself, so only S needs copies _ts*, and the graph ideal in
+    Q[_ts][x, y, S] is generated by each y_i and s_k less its image, with
+    the copies in place of S.  The result is prime: it is the kernel of a
+    map into a polynomial ring (a domain)."""
+    sym, xs = fspec.symbol_vc, fspec.xs_vc
+    # the target copies, under a prefix no declared name has
     pre = "_t"
     while any(v.startswith(pre) for v in sym.index):
         pre += "_"
-    tx = [f"{pre}x{i+1}" for i in range(n)]
-    ts = [f"{pre}s{k+1}" for k in range(r)]
-    big = VarContext([("W", tx + ts)] + list(sym.blocks))
+    ts = [f"{pre}s{k+1}" for k in range(fspec.r)]
+    big = VarContext([("W", ts)] + list(sym.blocks))
+    # Q[x, S] into big: x onto x, each s_k onto its copy
+    where = [big.index[v] for v in fspec.x_names + ts]
 
-    def tvar(name):
-        return Poly.var(big, name)
-
-    def to_big_from_xs(p: Poly) -> Poly:
-        # remap a Q[x,S]-polynomial onto the target copies _tx, _ts
-        out = Poly.zero(big)
+    def to_big(p: Poly) -> Poly:
+        out = {}
         for e, c in p.terms.items():
             ee = [0] * big.n
-            for i in range(n):
-                ee[big.index[tx[i]]] = e[fspec.xs_vc.index[fspec.x_names[i]]]
-            for k in range(r):
-                ee[big.index[ts[k]]] = e[fspec.xs_vc.index[fspec.s_names[k]]]
-            out = out + Poly(big, {tuple(ee): c})
-        return out
+            for i, k in zip(where, e):
+                ee[i] = k
+            out[tuple(ee)] = c
+        return Poly(big, out)
 
+    S = [Poly.var(xs, sn) for sn in fspec.s_names]
     gens = []
-    for i, xn in enumerate(fspec.x_names):
-        gens.append(Poly.var(big, xn) - tvar(tx[i]))
-    f_t = to_big_from_xs(fspec.f_xs)
-    for i in range(n):
-        img = Poly.zero(big)
-        for k in range(r):
-            img = img + to_big_from_xs(fspec.cofactor_xs[k]
-                                       * fspec.dfk_xs[k][i]) * tvar(ts[k])
-        gens.append(Poly.var(big, fspec.weyl.y_names[i]) - img)
+    for i, yn in enumerate(fspec.weyl.y_names):
+        img = Poly.zero(xs)
+        for k in range(fspec.r):
+            img = img + fspec.cofactor_xs[k] * fspec.dfk_xs[k][i] * S[k]
+        gens.append(Poly.var(big, yn) - to_big(img))
     for k, sn in enumerate(fspec.s_names):
-        gens.append(Poly.var(big, sn) - f_t * tvar(ts[k]))
+        gens.append(Poly.var(big, sn) - to_big(fspec.f_xs * S[k]))
     out = eliminate(IdealHandle(gens), "W")
     # eliminate() returns generators over sym_vc's blocks in original order
     assert out.ctx == sym

@@ -15,17 +15,18 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .ring import Poly, VarContext, divide_exact, exp_add
+from .ring import MonomialOrder, Poly, VarContext, divide_exact, exp_add
 from .arrange import (
     ArrangementSpec, definitely_not_linear_split, linear_form_factorization,
     row_reduce,
 )
 from .gb import (
     GradedModulePresentation, IdealHandle, Limits, NonHomogeneousInput,
-    ResourceLimit, graded_free_resolution, ideal_colon, krull_dimension,
-    module_contains, syzygies, vector_degree,
+    ResourceLimit, extended_basis, graded_free_resolution, ideal_colon,
+    krull_dimension, leads_dimension, module_contains, syzygies,
+    vector_degree,
 )
 from .weyl import WeylContext, WeylOp
 
@@ -174,11 +175,16 @@ class FactorizationSpec:
             self._memo[key] = compute()
         return self._memo[key]
 
+    def log_basis(self) -> list:
+        """log_basis(self.f), computed once per bound for this spec: the
+        hypothesis table's reducedness check and Der(-log f) read it."""
+        return self.memo(("log basis",), lambda: log_basis(self.f))
+
     def log_derivations(self, variant: str = "log") -> List[LogDerivation]:
         """log_derivations(self.f, variant), computed once per variant and
-        bound for this spec; returns a fresh list."""
-        return list(self.memo(("log", variant),
-                              lambda: log_derivations(self.f, variant)))
+        bound for this spec, "log" from log_basis(); returns a fresh list."""
+        return list(self.memo(("log", variant), lambda: log_derivations(
+            self.f, variant, self.log_basis)))
 
     def theta_generators(self) -> List[WeylOp]:
         """psi_F of the Der(-log f) generators: degree-one annihilators."""
@@ -193,7 +199,7 @@ class FactorizationSpec:
         h: Dict[str, Tuple[str, str]] = {}
         rep = euler_and_seh_check(self.f)
         h["strong_euler_origin"] = (rep.strong_at_origin, rep.reason)
-        h["reduced"] = reducedness_check(self.f)
+        h["reduced"] = reducedness_check(self.f, self.log_basis)
         arr = self.try_arrangement()
         if arr is not None:
             h["arrangement"] = ("yes", "all factors split into linear forms")
@@ -269,11 +275,20 @@ def _proportional(p: Poly, q: Poly) -> bool:
 # Der(-log f) and Der(-log0 f)
 
 
-def log_derivations(f: Poly, variant: str = "log") -> List[LogDerivation]:
+def log_basis(f: Poly) -> list:
+    """gb.extended_basis of the 1-vectors (d_1 f, ..., d_n f, -f) under
+    grevlex: Der(-log f) (log_derivations) and a Groebner basis of
+    (f) + Jac(f) (reducedness_check) in one."""
+    return extended_basis([(f.diff(x),) for x in f.ctx.names] + [(-f,)])
+
+
+def log_derivations(f: Poly, variant: str = "log",
+                    basis: Optional[Callable] = None) -> List[LogDerivation]:
     """Generators of the logarithmic derivation module of f.
 
-    variant "log":  syzygies of (d_1 f, ..., d_n f, -f); the last syzygy
-                    coordinate is the cofactor.
+    variant "log":  syzygies of (d_1 f, ..., d_n f, -f), read from
+                    log_basis(f), or basis() when the caller keeps it; the
+                    last syzygy coordinate is the cofactor.
     variant "log0": syzygies of (d_1 f, ..., d_n f); cofactor 0.
     """
     if f.is_constant():
@@ -281,9 +296,13 @@ def log_derivations(f: Poly, variant: str = "log") -> List[LogDerivation]:
     if variant not in ("log", "log0"):
         raise ValueError(f"unknown variant {variant!r}")
     n = f.ctx.n
-    vecs = [(f.diff(x),) for x in f.ctx.names]
+    if variant == "log0":
+        syz = syzygies([(f.diff(x),) for x in f.ctx.names])
+    else:
+        syz = [g[1:] for g in (basis() if basis else log_basis(f))
+               if g[0].is_zero()]
     out = []
-    for s in syzygies(vecs + [(-f,)] if variant == "log" else vecs):
+    for s in syz:
         d = LogDerivation(tuple(s[:n]), s[n] if variant == "log"
                           else Poly.zero(f.ctx))
         assert d.apply(f) == d.cofactor * f
@@ -696,24 +715,26 @@ def _stratum_dimension(minors: Iterator[Poly], i: int,
         size *= 2
 
 
-def reducedness_check(f: Poly):
+def reducedness_check(f: Poly, basis: Optional[Callable] = None):
     """("yes"/"no"/"unknown", reason): f squarefree iff ((f) : Jac(f)) = (f).
 
     In characteristic zero both hold exactly when the singular locus
     V(f, d_1 f, ..., d_n f) has dimension at most n - 2: a repeated factor
     g^2 of f puts the hypersurface V(g) inside it, and a squarefree f is
-    smooth off a proper closed subset of each of its components.  So one
-    basis of (f) + Jac(f) and its Krull dimension (-1 when the locus is
-    empty) decide the colon equality.
+    smooth off a proper closed subset of each of its components.  The
+    leads of a Groebner basis of (f) + Jac(f) give that dimension: the
+    nonzero first coordinates of log_basis(f) (basis(), when the caller
+    keeps it).
     """
     ctx = f.ctx
-    jac = [f.diff(x) for x in ctx.names]
-    jac = [p for p in jac if not p.is_zero()]
-    if not jac:
+    if all(f.diff(x).is_zero() for x in ctx.names):
         return ("no", "constant-like input")
     try:
-        if krull_dimension(IdealHandle([f] + jac)) <= ctx.n - 2:
-            return ("yes", "(f):Jac(f) = (f)")
-        return ("no", "(f):Jac(f) strictly contains (f)")
+        G = basis() if basis else log_basis(f)
     except ResourceLimit as e:
         return ("unknown", f"resource limit: {e}")
+    grevlex = MonomialOrder.grevlex()
+    leads = [g[0].leading_exp(grevlex) for g in G if not g[0].is_zero()]
+    if leads_dimension(leads, ctx.n) <= ctx.n - 2:
+        return ("yes", "(f):Jac(f) = (f)")
+    return ("no", "(f):Jac(f) strictly contains (f)")

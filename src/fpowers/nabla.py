@@ -3,9 +3,11 @@
 Shifting every s_k by one sends D[S]F^S/(S-A)D[S]F^S onto the corresponding
 quotient at A+1 (multiplication by f on powers); that map is onto exactly
 when 1 lies in the D_n-ideal generated by f together with theta_F evaluated
-at S = A-1, that is, when the reduced left basis of those generators is [1]
-(the basis loop ends as soon as a unit joins).  The certificate, 1 as a left
-combination of the generators, is checked exactly on their integer images.
+at S = A-1, that is, when the basis loop of those generators ends on a
+unit (the leads of its reduced basis are then [0]; no element is reduced).
+The certificate, 1 as a left combination of the generators, is read from
+the one step that divides 1 by that unit, and checked exactly on their
+integer images.
 Injectivity has no direct test here -- only the implications that relate it
 to surjectivity under checked hypotheses are reported.
 
@@ -28,7 +30,7 @@ from .logder import (
     FactorizationSpec, colon_stable_steps, euler_and_seh_check, required_hold,
 )
 from .ring import MonomialOrder, Poly, add_terms, exp_add, integer_image
-from .weyl import WeylOp, _left_divisors, left_normal_form, weyl_left_gb
+from .weyl import WeylOp, _left_divisors, weyl_left_gb
 
 from .bside import BSResult
 
@@ -60,11 +62,12 @@ def nabla_surjective(fspec: FactorizationSpec, A: Sequence[Fraction],
     """Is the shift-by-one map at the point A onto?
 
     Criterion: 1 in D_n * ({theta_F at S=A-1} union {f}), that is, the
-    reduced left basis is [1]; the basis loop ends as soon as a unit
-    joins it.  Only then is the certificate built: the basis log gives 1
-    as an explicit left combination of the generators
-    (LeftBasis.cofactors), verified exactly on integer images
-    (_certificate_holds).
+    basis loop ends on a unit, and the reduced basis is [1] (its leads are
+    [0]); a basis without a unit is not onto, with no division at all.
+    Only when onto is the certificate built: the division of 1 by [1] is
+    the one step (0, 0, 1), and the basis log gives 1 as an explicit left
+    combination of the generators along it (LeftBasis.cofactors), verified
+    exactly on integer images (_certificate_holds).
     """
     A = tuple(Fraction(a) for a in A)
     if len(A) != fspec.r:
@@ -72,13 +75,11 @@ def nabla_surjective(fspec: FactorizationSpec, A: Sequence[Fraction],
     gens = _specialized_generators(fspec, A)
     order = MonomialOrder.grevlex()
     G = weyl_left_gb(gens, order)
-    one = WeylOp.const(gens[-1].ctx, Fraction(1))
-    steps: list = []
-    rem = left_normal_form(one, G, order, steps=steps)
-    surjective = rem.is_zero()
+    zero = gens[-1].ctx.zero_exp()
+    surjective = G.leads == [zero]
     certificate = None
     if surjective:
-        cof = G.cofactors(steps)
+        cof = G.cofactors([(0, zero, Fraction(1))])
         if not _certificate_holds(cof, gens, order):
             raise AssertionError("membership certificate failed to multiply out")
         certificate = cof

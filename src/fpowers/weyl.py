@@ -8,7 +8,7 @@ are central.  WeylOp is a ring.TermMap, like Poly: storage, equality,
 parser (parse_weyl) are the ones of ring.py.  This module adds only the
 normal-ordered product (weyl_multiply) and the x/d/s helpers of WeylOp.
 Left Groebner bases run on the one basis loop of gb.py (gb.buchberger and
-gb.interreduce, under the gb.Limits in effect) without the product
+gb.Basis, under the gb.Limits in effect) without the product
 criterion, which is unsound in a noncommutative algebra; this module adds
 only the left normal form they divide by and the log of each remainder's
 origin.  The left normal form runs on ring.reduce_in_place over integers:
@@ -51,7 +51,7 @@ from .ring import (
     add_product, add_terms, diff_terms, divide_exact, exact_quotient, exp_add,
     exp_sub, integer_image,
 )
-from .gb import buchberger, interreduce, remainder, s_pair_multipliers
+from .gb import Basis, buchberger, remainder, s_pair_multipliers
 
 
 class FiltrationMismatch(Exception):
@@ -545,9 +545,9 @@ def left_normal_form(P: WeylOp | Scaled, basis: Sequence[WeylOp] | Divisors,
     return out
 
 
-class LeftBasis(list):
-    """A reduced left Groebner basis (WeylOps ascending by leading
-    monomial) with the log of its derivation from `gens`.
+class LeftBasis(Basis):
+    """A reduced left Groebner basis (a gb.Basis of WeylOps) with the log
+    of its derivation from `gens`.
 
     The log has one entry per element computed on the way -- the nonzero
     generators, then each nonzero S-remainder, in the order they joined:
@@ -561,13 +561,16 @@ class LeftBasis(list):
     the ones asked for.
     """
 
-    def __init__(self, basis: Sequence[WeylOp], gens: Sequence[WeylOp],
-                 origin: list, steps: List[list], final: list):
-        super().__init__(basis)
+    def __init__(self, G: list, divisors, reduce, gens: Sequence[WeylOp],
+                 origin: list, steps: List[list]):
+        super().__init__(G, divisors, reduce)
         self.gens = list(gens)
         self.origin = origin
         self.steps = steps
-        self.final = final
+
+    @property
+    def final(self) -> list:
+        return [self.entry(t)[1:] for t in range(len(self))]
 
     def cofactors(self, steps: Sequence[Tuple[int, Exp, Fraction]]
                   ) -> List[WeylOp]:
@@ -586,7 +589,7 @@ class LeftBasis(list):
         def add(k, q):
             coef[k] = coef[k] + q if k in coef else q
         for t, q in _grouped(ctx, steps).items():
-            i, scale, tail = self.final[t]
+            _, i, scale, tail = self.entry(t)
             q = q * scale
             add(i, q)
             for k, qk in _grouped(ctx, tail).items():
@@ -622,17 +625,15 @@ def weyl_left_gb(gens: Sequence[WeylOp], order: MonomialOrder) -> LeftBasis:
     """Reduced left Groebner basis of the left ideal generated by gens.
 
     Only the chain criterion is used; the product criterion is unsound
-    here.  The loop ends once a unit joins: the basis is then [1], with the
-    log of a loop that runs on.  The LeftBasis returned also writes any
-    element of the ideal in gens (LeftBasis.cofactors).
+    here.  The loop ends once a unit joins: the basis is then [1] (leads
+    [0]), with the log of a loop that runs on.  The LeftBasis returned also
+    writes any element of the ideal in gens (LeftBasis.cofactors).
     """
     gens = list(gens)
     origin: list = [i for i, g in enumerate(gens) if not g.is_zero()]
     G = [gens[i] for i in origin]
     steps: List[list] = [[] for _ in G]
-    if not G:
-        return LeftBasis([], gens, origin, steps, [])
-    divisors = _left_divisors(G[0].ctx, G, order)
+    divisors = _left_divisors(G[0].ctx if G else None, G, order)
     lead = divisors.leads
     log: list = []
 
@@ -647,17 +648,12 @@ def weyl_left_gb(gens: Sequence[WeylOp], order: MonomialOrder) -> LeftBasis:
         steps.append(log)
     buchberger(G, divisors, order, divide, coprime_criterion=False,
                joined=joined)
-    # interreduce, logging the steps of each tail reduction over G
-    tails: Dict[int, list] = {}
 
-    def divide(i, rest):
+    def reduce(i, rest):  # a tail reduction, its steps logged over G
         tail: list = []
         r = left_normal_form(G[i], divisors.subset(rest), order, steps=tail)
-        tails[i] = [(rest[k], m, c) for k, m, c in tail]
-        return r
-    out = interreduce(divisors, divide)
-    return LeftBasis([g for _, _, g in out], gens, origin, steps,
-                     [(i, c, tails[i]) for i, c, _ in out])
+        return r, [(rest[k], m, c) for k, m, c in tail]
+    return LeftBasis(G, divisors, reduce, gens, origin, steps)
 
 
 class LeftIdeal:
@@ -678,8 +674,7 @@ class LeftIdeal:
         return left_normal_form(P, self.gb(), self.order).is_zero()
 
     def contains_one(self) -> bool:
-        g = self.gb()
-        return len(g) == 1 and not g[0].is_zero() and g[0].total_degree() == 0
+        return not all(map(any, self.gb().leads))
 
 
 # ---------------------------------------------------------------------------

@@ -12,19 +12,90 @@ ideal loop checked generators, S-elements and remainders, the left loop
 only remainders, the module loop nothing outside the division kernel.
 
 The library's bases, pair pop orders and LeftBasis logs equal these loops'.
+Their final step is the eager interreduction that gb.Basis replaced:
+interreduce minimalizes, tail-reduces and sorts every element at once, and
+ReducedLeftBasis is the LeftBasis it made, with the library's cofactors,
+and krull_dimension read the leads of that whole reduced basis.
 The normal forms are looked up on their modules at call time, so a test
 that wraps one sees the divisions of both; under_one_policy wraps them so
 that a loop here keeps the one bound policy of gb.buchberger.
 """
 
 import heapq
+from fractions import Fraction
 
 from fpowers import gb, weyl
 from fpowers.gb import Limits
 from fpowers.ring import (
     Divisors, Scaled, exp_add, exp_divides, exp_lcm, exp_total,
 )
-from fpowers.weyl import LeftBasis
+from fpowers.weyl import LeftBasis as _LeftBasis
+
+
+def interreduce(divisors, divide):
+    """The minimal, tail-reduced, monic basis of the Groebner basis whose
+    elements are `divisors`, ascending by leading monomial, as triples
+    (i, c, g): g is c times the remainder of element i.
+
+    divide(i, rest) returns the remainder of element i by the kept
+    elements k in rest.
+    """
+    leads, keys = divisors.leads, divisors.keys
+    # minimalize: drop g whose LM is divisible by another LM
+    keep = []
+    for i, li in enumerate(leads):
+        drop = False
+        for j, lj in enumerate(leads):
+            if i == j:
+                continue
+            if exp_divides(lj, li) and (lj != li or j < i):
+                drop = True
+                break
+        if not drop:
+            keep.append(i)
+    # tail-reduce each against the others, make monic
+    out = []
+    for i in keep:
+        r = divide(i, [k for k in keep if k != i])
+        if r.is_zero():
+            continue
+        lr = max(r.terms, key=keys.__getitem__)
+        inv = Fraction(1) / r.terms[lr]
+        out.append((keys[lr], i, inv, r * inv))
+    out.sort(key=lambda t: t[0])
+    return [(i, inv, g) for _, i, inv, g in out]
+
+
+class ReducedLeftBasis(list):
+    """weyl.LeftBasis as interreduce made it: the whole reduced basis and
+    its `final` log at once, with the library's cofactors."""
+
+    def __init__(self, basis, gens, origin, steps, final):
+        super().__init__(basis)
+        self.gens, self.origin, self.steps, self.final = (list(gens), origin,
+                                                          steps, final)
+
+    def entry(self, t):
+        return (self[t],) + tuple(self.final[t])
+
+    cofactors = _LeftBasis.cofactors
+
+
+def krull_dimension(I):
+    """gb.krull_dimension as it was: the leads of the reduced basis, read
+    whole, and maximal independent variable sets modulo them."""
+    import itertools
+    G = list(I.gb())
+    if any(g.is_constant() and not g.is_zero() for g in G):
+        return -1
+    n = I.ctx.n
+    supports = [frozenset(i for i, e in enumerate(g.leading_exp(I.order))
+                          if e) for g in G]
+    for size in range(n, -1, -1):
+        for U in itertools.combinations(range(n), size):
+            if all(not s <= set(U) for s in supports):
+                return size
+    return 0
 
 
 def check_poly(limits, p):
@@ -131,7 +202,7 @@ def groebner_basis(gens, order):
         if not rest:
             return G[i]
         return gb.normal_form(G[i], divisors.subset(rest), order)
-    return [g for _, _, g in gb.interreduce(divisors, divide)]
+    return [g for _, _, g in interreduce(divisors, divide)]
 
 
 def module_gb(vectors, mo):
@@ -165,7 +236,7 @@ def weyl_left_gb(gens, order):
             origin.append(i)
             steps.append([])
     if not G:
-        return LeftBasis([], gens, origin, steps, [])
+        return ReducedLeftBasis([], gens, origin, steps, [])
 
     limits = Limits.current()
     divisors = weyl._left_divisors(G[0].ctx, G, order)
@@ -193,8 +264,8 @@ def weyl_left_gb(gens, order):
                                   steps=tail)
         tails[i] = [(rest[k], m, c) for k, m, c in tail]
         return r
-    out = gb.interreduce(divisors, divide)
-    return LeftBasis([g for _, _, g in out], gens, origin, steps,
+    out = interreduce(divisors, divide)
+    return ReducedLeftBasis([g for _, _, g in out], gens, origin, steps,
                      [(i, c, tails[i]) for i, c, _ in out])
 
 

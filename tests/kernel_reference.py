@@ -25,14 +25,16 @@ monomial by a scan of the whole work.
 from fractions import Fraction
 from math import gcd
 
-from engine_reference import buchberger, check_poly
+from engine_reference import (
+    ReducedLeftBasis, buchberger, check_poly, interreduce,
+)
 from fpowers import gb, ring, weyl
 from fpowers.gb import Limits, ResourceLimit
 from fpowers.ring import (
     Divisors, KeyCache, MonomialOrder, Poly, Scaled, exp_add, exp_divides,
     exp_lcm, exp_sub,
 )
-from fpowers.weyl import LeftBasis, WeylContext, WeylOp, _term_product
+from fpowers.weyl import WeylContext, WeylOp, _term_product
 
 
 class DegreeBoundExceeded(Exception):
@@ -330,7 +332,7 @@ def groebner_basis(gens, order):
         if not rest:
             return G[i]
         return normal_form(G[i], divisors.subset(rest), order)
-    return [g for _, _, g in gb.interreduce(divisors, divide)]
+    return [g for _, _, g in interreduce(divisors, divide)]
 
 
 def module_gb(vectors, mo):
@@ -383,7 +385,7 @@ def weyl_left_gb(gens, order):
             origin.append(i)
             steps.append([])
     if not G:
-        return LeftBasis([], gens, origin, steps, [])
+        return ReducedLeftBasis([], gens, origin, steps, [])
 
     divisors = weyl._left_divisors(G[0].ctx, G, order)
     lead = divisors.leads
@@ -410,6 +412,6 @@ def weyl_left_gb(gens, order):
         r = left_normal_form(G[i], divisors.subset(rest), order, steps=tail)
         tails[i] = [(rest[k], m, c) for k, m, c in tail]
         return r
-    out = gb.interreduce(divisors, divide)
-    return LeftBasis([g for _, _, g in out], gens, origin, steps,
+    out = interreduce(divisors, divide)
+    return ReducedLeftBasis([g for _, _, g in out], gens, origin, steps,
                      [(i, c, tails[i]) for i, c, _ in out])

@@ -1,19 +1,25 @@
 """The symbol-ideal checks that nabla and liouville replaced, kept for the
 tests as a reference.
 
+two_copy_phi_F_kernel is liouville.phi_F_kernel with target copies _tx*
+of x as well as _ts* of S, both eliminated, and full_eliminate the
+gb.eliminate it ran on, which reduced the whole block-order basis on the
+replaced engine (engine_reference) and kept its elements free of the block.
+
 Both built all three Liouville ideals (build_liouville_ideals, with the
 In010 basis) to read one of them, and s_regularity_check built a second,
 single-factor FactorizationSpec for L_f and ran its own colon loop, each
 colon the tag-variable one (gate_reference.ideal_colon).
 """
 
-from fpowers.gb import IdealHandle
+import engine_reference
+from fpowers.gb import IdealHandle, _drop_block_context
 from fpowers.liouville import build_liouville_ideals, phi_F_kernel
 from fpowers.logder import (
     FactorizationSpec, assumed_table, euler_and_seh_check, required_hold,
 )
 from fpowers.nabla import SRegularityReport
-from fpowers.ring import Poly, VarContext, parse_poly
+from fpowers.ring import MonomialOrder, Poly, VarContext, parse_poly
 
 from gate_reference import ideal_colon
 
@@ -106,3 +112,59 @@ def gr_equality_certificate(fspec, assume_hypotheses=False):
         "primality_certificate": equal,
         "conclusion": conclusion,
     }
+
+
+def full_eliminate(I, drop_block):
+    """I intersected with the subring without drop_block: the elements
+    free of the block of the whole reduced basis under the block order
+    that puts it first, on the replaced engine."""
+    ctx = I.ctx
+    rest = [b for b, _ in ctx.blocks if b != drop_block]
+    order = MonomialOrder.block(ctx, [drop_block] + rest)
+    dropped = set(ctx.block_indices[drop_block])
+    ctx2 = _drop_block_context(ctx, drop_block)
+    kept = [g.map_context(ctx2)
+            for g in engine_reference.groebner_basis(I.gens, order)
+            if all(all(e[i] == 0 for i in dropped) for e in g.terms)]
+    return IdealHandle(kept, ctx=ctx2)
+
+
+def two_copy_phi_F_kernel(fspec):
+    """ker(phi_F) from the graph ideal in Q[_tx, _ts][x, y, S], x_i less
+    its copy _tx_i among its generators, eliminating both copies."""
+    sym = fspec.symbol_vc
+    n, r = fspec.n, fspec.r
+    pre = "_t"
+    while any(v.startswith(pre) for v in sym.index):
+        pre += "_"
+    tx = [f"{pre}x{i+1}" for i in range(n)]
+    ts = [f"{pre}s{k+1}" for k in range(r)]
+    big = VarContext([("W", tx + ts)] + list(sym.blocks))
+
+    def tvar(name):
+        return Poly.var(big, name)
+
+    def to_big_from_xs(p):
+        out = Poly.zero(big)
+        for e, c in p.terms.items():
+            ee = [0] * big.n
+            for i in range(n):
+                ee[big.index[tx[i]]] = e[fspec.xs_vc.index[fspec.x_names[i]]]
+            for k in range(r):
+                ee[big.index[ts[k]]] = e[fspec.xs_vc.index[fspec.s_names[k]]]
+            out = out + Poly(big, {tuple(ee): c})
+        return out
+
+    gens = []
+    for i, xn in enumerate(fspec.x_names):
+        gens.append(Poly.var(big, xn) - tvar(tx[i]))
+    f_t = to_big_from_xs(fspec.f_xs)
+    for i in range(n):
+        img = Poly.zero(big)
+        for k in range(r):
+            img = img + to_big_from_xs(fspec.cofactor_xs[k]
+                                       * fspec.dfk_xs[k][i]) * tvar(ts[k])
+        gens.append(Poly.var(big, fspec.weyl.y_names[i]) - img)
+    for k, sn in enumerate(fspec.s_names):
+        gens.append(Poly.var(big, sn) - f_t * tvar(ts[k]))
+    return full_eliminate(IdealHandle(gens), "W")

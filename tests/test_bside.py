@@ -429,6 +429,32 @@ def test_bs_ideal_and_witness_share_one_elimination_basis(monkeypatch):
     assert len(calls) == 2
 
 
+def test_b_f_tail_reduces_no_element_with_x_or_d(monkeypatch):
+    # Work-count guard: B_F of (x, y, x+y) and its witness read only the
+    # pure-S part of the elimination basis, one element, which no other
+    # pure-S lead can reduce: no operator is tail-reduced (the loop
+    # divides S-elements, not operators), where reading the whole basis
+    # tail-reduces every element, those with x or d among them
+    from fpowers import weyl
+    from fpowers.bside import elimination_order
+    divided = []
+    real = weyl.left_normal_form
+
+    def spy(P, *args, **kwargs):
+        if isinstance(P, WeylOp):
+            divided.append(P)
+        return real(P, *args, **kwargs)
+    monkeypatch.setattr(weyl, "left_normal_form", spy)
+    F = F_lines()
+    B = bs_ideal(F)
+    functional_equation_witness(F, B.gb[0])
+    assert divided == []
+    gens = F.theta_generators() + [WeylOp.from_poly(F.weyl, F.f_xs)]
+    whole = weyl.weyl_left_gb(gens, elimination_order(F.weyl))
+    assert len(list(whole)) == len(divided) == 16
+    assert sum(P.xd_free() for P in divided) == 1
+
+
 def test_sugar_elimination_reduces_fewer_s_pairs(monkeypatch, normal_selection):
     # Work-count guard: S-pair reductions (one S-element each) made by the
     # B_F elimination basis, under sugar selection and under the normal

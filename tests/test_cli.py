@@ -603,15 +603,16 @@ def test_order_option_in_file_is_echoed(tmp_path):
 
 def _spy_on_bases(monkeypatch):
     """(function name, (max_degree, max_basis)) of the bound in effect at
-    every groebner_basis and weyl_left_gb call, wherever a module of the
-    package binds those names."""
+    every groebner_basis, weyl_left_gb and _module_gb call (the loops of
+    ideals, left ideals and modules), wherever a module of the package
+    binds those names."""
     import importlib
     from fpowers import gb, weyl
     seen = []
     modules = [importlib.import_module(f"fpowers.{name}")
                for name in ("arrange", "bside", "cli", "gb", "liouville",
                             "logder", "nabla", "spencer", "weyl")]
-    for real in (gb.groebner_basis, weyl.weyl_left_gb):
+    for real in (gb.groebner_basis, weyl.weyl_left_gb, gb._module_gb):
         def spy(*args, real=real, **kwargs):
             bound = gb.Limits.current()
             seen.append((real.__name__, (bound.max_degree, bound.max_basis)))

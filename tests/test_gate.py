@@ -15,7 +15,7 @@ from fpowers.logder import (
     FactorizationSpec, LogDerivation, log_derivations, psi_F,
     reducedness_check, saito_holonomic_check,
 )
-from fpowers.ring import VarContext, parse_poly
+from fpowers.ring import Poly, VarContext, parse_poly
 from fpowers.weyl import parse_weyl
 
 DATA = Path(__file__).parent / "data"
@@ -58,6 +58,51 @@ def test_reducedness_matches_the_colon_reference(names, text, squarefree):
     got = reducedness_check(f)
     assert got == ref.reducedness_check(f)
     assert got[0] == ("yes" if squarefree else "no")
+
+
+def _random_reducedness_inputs(rng, count):
+    """count seeded polynomials in two or three variables, every third
+    one with a squared factor."""
+    def poly(vc, deg, terms):
+        out = Poly.zero(vc)
+        for _ in range(terms):
+            e = [0] * vc.n
+            for _ in range(rng.randint(0, deg)):
+                e[rng.randrange(vc.n)] += 1
+            out = out + Poly(vc, {tuple(e): Fraction(rng.choice(
+                [-3, -2, -1, 1, 2, 5]), rng.choice([1, 1, 2, 3]))})
+        return out
+    out = []
+    while len(out) < count:
+        vc = VarContext([("X", ["x", "y", "z"][:rng.randint(2, 3)])])
+        f = poly(vc, 3, rng.randint(1, 4))
+        if len(out) % 3 == 2:
+            g = poly(vc, 1, 2)
+            f = g * g * poly(vc, 1, rng.randint(1, 2))
+        if not f.is_constant():
+            out.append(f)
+    return out
+
+
+def test_reducedness_from_the_log_basis_matches_both_references():
+    # the leads of the module basis behind Der(-log f) give the verdicts
+    # of the colon chain and of the basis of (f) + Jac(f) it replaced, on
+    # the bank and on seeded random inputs, squares among them; the spec
+    # reads the basis it keeps for Der(-log f)
+    import random
+    rng = random.Random(21)
+    bank = [_poly(names, text) for names, text, _ in BANK]
+    verdicts = []
+    for f in bank + _random_reducedness_inputs(rng, 120):
+        got = reducedness_check(f)
+        assert got == ref.reducedness_check(f)
+        assert got == ref.jacobian_ideal_reducedness(f)
+        verdicts.append(got[0])
+    assert verdicts.count("yes") >= 30 and verdicts.count("no") >= 30
+    for f in bank:
+        F = FactorizationSpec(list(f.ctx.names), [f])
+        assert reducedness_check(f, F.log_basis) == reducedness_check(f)
+        assert F.check_hypotheses()["reduced"] == reducedness_check(f)
 
 
 def test_reducedness_on_an_empty_singular_locus():

@@ -420,16 +420,15 @@ def _reference_gb(gens, order, select_sugar=True):
 
 
 def _interreduced(G, order):
-    """What groebner_basis does with its basis, on a plain list:
-    gb.interreduce with gb.normal_form tail reductions (zeros dropped)."""
+    """What groebner_basis does with its basis, on a plain list: a
+    gb.Basis with gb.normal_form tail reductions (zeros dropped), read
+    whole."""
     G = [g for g in G if not g.is_zero()]
     divisors = Divisors.of(G[0].ctx, G, order.key)
 
-    def divide(i, rest):
-        if not rest:
-            return G[i]
-        return gb.normal_form(G[i], divisors.subset(rest), order)
-    return [g for _, _, g in gb.interreduce(divisors, divide)]
+    def reduce(i, rest):
+        return gb.normal_form(G[i], divisors.subset(rest), order), None
+    return list(gb.Basis(G, divisors, reduce))
 
 
 def _vec_degree(v):
@@ -1058,12 +1057,32 @@ def test_engine_bases_and_pops_match_old_loop(queue_pops, pops_up_to_unit):
     assert n > 100
 
 
+def test_krull_dimension_reads_the_loop_leads():
+    # every Groebner basis spans the leading ideal: the dimension from the
+    # leads of the loop's basis, with no element tail-reduced, is the one
+    # from the whole reduced basis, and from all the loop's leads
+    rng = random.Random(23)
+    dims = set()
+    for order in (MonomialOrder.grevlex(), MonomialOrder.lex()):
+        for _ in range(30):
+            gens = [_random_poly(rng, XYZ, deg=3)
+                    for _ in range(rng.randint(1, 4))]
+            I = IdealHandle(gens, order)
+            d = gb.krull_dimension(I)
+            assert not I.gb()._made
+            assert d == gb.leads_dimension(I.gb().divisors.leads, 3)
+            assert d == engine_reference.krull_dimension(I)
+            dims.add(d)
+    assert dims >= {-1, 0, 1, 2}
+
+
 def test_engine_interreduction_matches_old_loop():
     # on bases and on plain generator lists (with a zero element), where
     # minimalization and tail reduction both have work to do
     for order, gens in _engine_ideal_inputs():
         G = groebner_basis(gens, order)
-        for basis in (G + gens, gens + [Poly.zero(gens[0].ctx)] + G[::-1]):
+        for basis in (list(G) + gens,
+                      gens + [Poly.zero(gens[0].ctx)] + G[::-1]):
             assert _items(_interreduced(basis, order)) == \
                 _items(_old_reduce_basis(basis, order))
 

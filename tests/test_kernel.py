@@ -16,6 +16,7 @@ from math import gcd
 
 import pytest
 
+import engine_reference
 import kernel_reference as ref
 import weyl_reference as wref
 from fpowers import gb, ring, weyl
@@ -493,20 +494,27 @@ def _reference_engine(m):
 
 def test_elimination_bases_match_rescanning_kernel(monkeypatch):
     # the B_F bases of the bs_ideals problems: the same reduced basis and
-    # log, and the same cofactor row of a B_F generator
+    # log, read whole (the reference's inside its kernel), and the same
+    # cofactor row of a B_F generator; the pure-S part elimination_basis
+    # reduces is the prefix of the whole
     for F in _elimination_problems():
         order = elimination_order(F.weyl)
         gens = F.theta_generators() + [WeylOp.from_poly(F.weyl, F.f_xs)]
-        got = elimination_basis(F, order=order)
+        pure = elimination_basis(F, order=order)
+        got = weyl.weyl_left_gb(gens, order)
         with monkeypatch.context() as m:
             _reference_engine(m)
             want = weyl.weyl_left_gb(gens, order)
-        assert _items(got) == _items(want)
+            items, final = _items(want), want.final
+        assert _items(got) == items
         assert (got.origin, got.steps, got.final) == \
-            (want.origin, want.steps, want.final)
-        b = next(g for g in got if g.xd_free())
+            (want.origin, want.steps, final)
+        k = len(pure)
+        assert k and (_items(pure), pure.final) == (items[:k], final[:k])
+        assert not any(g.xd_free() for g in got[k:])
+        b = pure[0]
         rows = []
-        for basis in (got, want):
+        for basis in (pure, want):
             steps = []
             with monkeypatch.context() as m:
                 if basis is want:
@@ -514,6 +522,53 @@ def test_elimination_bases_match_rescanning_kernel(monkeypatch):
                 assert weyl.left_normal_form(b, basis, order, steps).is_zero()
                 rows.append(_items(basis.cofactors(steps)))
         assert rows[0] == rows[1]
+
+
+def _whole_reduction(G, order):
+    """The elements and `final` log of weyl.LeftBasis G reduced all at
+    once, as weyl_left_gb did before its basis was read lazily
+    (engine_reference.interreduce), as an engine_reference.ReducedLeftBasis."""
+    tails = {}
+
+    def divide(i, rest):
+        tail = []
+        r = weyl.left_normal_form(G.G[i], G.divisors.subset(rest), order,
+                                  steps=tail)
+        tails[i] = [(rest[k], m, c) for k, m, c in tail]
+        return r
+    out = engine_reference.interreduce(G.divisors, divide)
+    return engine_reference.ReducedLeftBasis(
+        [g for _, _, g in out], G.gens, G.origin, G.steps,
+        [(i, c, tails[i]) for i, c, _ in out])
+
+
+def test_pure_s_basis_is_the_prefix_of_the_whole_reduction():
+    # the ten bs_ideals problems and the five fixtures: elimination_basis
+    # tail-reduces only the elements free of x and d, and they, their
+    # `final` log and the witness Q of a B_F generator are those of the
+    # basis reduced whole
+    from pathlib import Path
+    from fpowers.bside import functional_equation_witness, s_context
+    from fpowers.cli import load_problem
+    data = Path(__file__).parent / "data"
+    specs = list(_elimination_problems()) + [
+        load_problem(str(path)).fspec for path in sorted(data.glob("*.json"))]
+    for F in specs:
+        order = elimination_order(F.weyl)
+        pure = elimination_basis(F)
+        gens = F.theta_generators() + [WeylOp.from_poly(F.weyl, F.f_xs)]
+        whole = _whole_reduction(weyl.weyl_left_gb(gens, order), order)
+        k = len(pure)
+        assert k and all(g.xd_free() for g in pure)
+        assert not any(g.xd_free() for g in whole[k:])
+        assert _items(pure) == _items(whole[:k])
+        assert pure.final == whole.final[:k]
+        b = pure[0].s_polynomial_part().map_context(s_context(F))
+        Q = functional_equation_witness(F, b)
+        steps = []
+        b_op = WeylOp.from_poly(F.weyl, b)
+        assert weyl.left_normal_form(b_op, whole, order, steps).is_zero()
+        assert _items([Q]) == _items([whole.cofactors(steps)[-1]])
 
 
 def _kernel_work(monkeypatch, reference: bool) -> dict:

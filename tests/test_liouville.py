@@ -183,6 +183,36 @@ def test_certificate_matches_the_reference(key, assume):
         symbol_reference.spec(key), assume)
 
 
+@pytest.mark.parametrize("key", sorted(symbol_reference.FIXTURES))
+def test_phi_F_kernel_matches_the_two_copy_elimination(key):
+    # x maps to itself, so its copies _tx* leave the graph ideal: the same
+    # generators, printed alike
+    got = phi_F_kernel(symbol_reference.spec(key))
+    want = symbol_reference.two_copy_phi_F_kernel(symbol_reference.spec(key))
+    assert got.ctx == want.ctx
+    assert [str(g) for g in got.gens] == [str(g) for g in want.gens]
+
+
+@pytest.mark.parametrize("key", sorted(symbol_reference.FIXTURES))
+def test_eliminate_reads_the_w_free_prefix_of_the_full_reduction(
+        key, monkeypatch):
+    # gb.eliminate reduces only the elements free of W; they are the ones
+    # the whole reduced basis keeps, element for element
+    graphs = []
+    real = liouville.eliminate
+
+    def recorded(I, block):
+        graphs.append(I)
+        return real(I, block)
+    monkeypatch.setattr(liouville, "eliminate", recorded)
+    phi_F_kernel(symbol_reference.spec(key))
+    (I,) = graphs
+    got, want = real(I, "W"), symbol_reference.full_eliminate(I, "W")
+    assert got.ctx == want.ctx
+    assert [list(g.terms.items()) for g in got.gens] == \
+        [list(g.terms.items()) for g in want.gens]
+
+
 def test_certificate_builds_no_initial_ideal(monkeypatch):
     def refuse(*args):
         raise AssertionError("initial ideal built")

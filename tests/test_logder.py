@@ -330,19 +330,25 @@ def test_spec_computes_log_derivations_once(monkeypatch):
     # theta_F, the hypothesis checks and the log0 variant share one cache
     from fpowers import logder
     calls = []
-    real = logder.log_derivations
+    real, real_basis = logder.log_derivations, logder.log_basis
 
-    def counted(f, variant="log"):
+    def counted(f, variant="log", basis=None):
         calls.append(variant)
-        return real(f, variant)
+        return real(f, variant, basis)
+
+    def counted_basis(f):
+        calls.append("basis")
+        return real_basis(f)
     monkeypatch.setattr(logder, "log_derivations", counted)
+    monkeypatch.setattr(logder, "log_basis", counted_basis)
     F = FactorizationSpec(["x", "y"], [p2("x^2 + y^3")])
     theta = F.theta_generators()
     assert F.check_hypotheses()["saito_holonomic"][0] == "yes"
     assert F.theta_generators() == theta
     assert F.log_derivations("log0") == real(F.f, "log0")
     F.log_derivations("log0")
-    assert calls == ["log", "log0"]
+    # one extended basis serves Der(-log f) and the reducedness check
+    assert calls == ["log", "basis", "log0"]
     # callers get their own list
     F.log_derivations("log").clear()
     assert len(F.log_derivations("log")) == len(real(F.f, "log"))
@@ -385,10 +391,10 @@ def test_hypothesis_table_kept_per_bounds(monkeypatch):
     calls = []
     real = logder.reducedness_check
 
-    def counted(f):
+    def counted(f, *basis):
         limits = Limits.current()
         calls.append((limits.max_degree, limits.max_basis))
-        return real(f)
+        return real(f, *basis)
     monkeypatch.setattr(logder, "reducedness_check", counted)
     F = FactorizationSpec(["x", "y"], [p2("x"), p2("y"), p2("x + y")])
     tight = Limits(max_degree=3)

@@ -306,9 +306,9 @@ def test_koszul_two_term_exactness_small():
 # checked on integer images (nabla._certificate_holds)
 
 
-def _onto_points():
-    """(spec, point, NablaReport) for the onto points of a small grid on
-    each problem in tests/data."""
+def _grid_points():
+    """(spec, point, NablaReport) for a small grid on each problem in
+    tests/data."""
     import itertools
     from pathlib import Path
     from fpowers.cli import load_problem
@@ -316,9 +316,14 @@ def _onto_points():
     for path in sorted((Path(__file__).parent / "data").glob("*.json")):
         F = load_problem(str(path)).fspec
         for A in itertools.islice(itertools.product(values, repeat=F.r), 9):
-            rep = nabla_surjective(F, A)
-            if rep.surjective:
-                yield F, A, rep
+            yield F, A, nabla_surjective(F, A)
+
+
+def _onto_points():
+    """(spec, point, NablaReport) for the onto points of _grid_points."""
+    for F, A, rep in _grid_points():
+        if rep.surjective:
+            yield F, A, rep
 
 
 def test_onto_bases_stop_at_the_unit_as_the_running_loop(queue_pops,
@@ -351,6 +356,28 @@ def test_onto_bases_stop_at_the_unit_as_the_running_loop(queue_pops,
         assert rep.certificate == ref.cofactors(steps)
         seen += 1
     assert seen >= 20 and saved > seen
+
+
+def test_surjectivity_from_the_unit_matches_the_normal_form_of_one():
+    # the grid (36 onto points, 4 not) and the origin of each problem (not
+    # onto): the verdict read off the leads and the certificate of the one
+    # step on the unit are those of dividing 1 by the whole reduced basis
+    # (weyl_reference)
+    from weyl_reference import normal_form_surjectivity
+    from fpowers.cli import load_problem
+    from fpowers.ring import MonomialOrder
+    from pathlib import Path
+    order = MonomialOrder.grevlex()
+    points = list(_grid_points())
+    for path in sorted((Path(__file__).parent / "data").glob("*.json")):
+        F = load_problem(str(path)).fspec
+        points.append((F, [0] * F.r, nabla_surjective(F, [0] * F.r)))
+    seen = []
+    for F, A, rep in points:
+        onto, cert = normal_form_surjectivity(rep.generators, order)
+        assert (rep.surjective, rep.certificate) == (onto, cert)
+        seen.append(onto)
+    assert (len(seen), sum(seen)) == (45, 36)
 
 
 def test_integer_certificate_check_agrees_with_the_fraction_product():

@@ -6,8 +6,10 @@ the left basis loop (on the sugar queue of engine_reference) and minimalization 
 the one Buchberger engine, with the cofactor tracking (track=True) that
 every certificate and witness used before cofactors came from the basis
 log.  reference_cofactors is how a certificate was made with them: a
-tracked basis, then a tracked division.  left_interreduction is the interreduction that weyl_left_gb runs on its
-basis (gb.interreduce on weyl.left_normal_form), on a plain list.
+tracked basis, then a tracked division; normal_form_surjectivity how
+nabla decided and certified surjectivity before it read the unit off its
+basis.  left_interreduction is the interreduction that weyl_left_gb runs on its
+basis (a weyl.LeftBasis on weyl.left_normal_form), on a plain list.
 
 per_term_left_multiple is weyl._left_multiple before each computation
 kept its multiples d^c * image: every call normal-orders the image terms
@@ -191,20 +193,29 @@ def _old_reduce_left_basis(G, C, order, limits, leads=None, keys=None):
 
 def left_interreduction(G, log, order):
     """What weyl_left_gb does with its basis, on the plain list G of
-    nonzero operators: gb.interreduce with weyl.left_normal_form tail
-    reductions, as a LeftBasis with the log (gens, origin, steps) of G."""
+    nonzero operators: a LeftBasis with weyl.left_normal_form tail
+    reductions and the log (gens, origin, steps) of G."""
     divisors = weyl._left_divisors(G[0].ctx, G, order)
-    tails = {}
 
-    def divide(i, rest):
+    def reduce(i, rest):
         tail = []
         r = weyl.left_normal_form(G[i], divisors.subset(rest), order,
                                   steps=tail)
-        tails[i] = [(rest[k], m, c) for k, m, c in tail]
-        return r
-    out = gb.interreduce(divisors, divide)
-    return LeftBasis([g for _, _, g in out], *log,
-                     [(i, c, tails[i]) for i, c, _ in out])
+        return r, [(rest[k], m, c) for k, m, c in tail]
+    return LeftBasis(G, divisors, reduce, *log)
+
+
+def normal_form_surjectivity(gens, order):
+    """nabla_surjective's test before it read the leads of its basis: 1
+    divided by the whole reduced left basis of gens; onto when the
+    remainder is 0, with the cofactors of that division as the
+    certificate."""
+    G = weyl.weyl_left_gb(gens, order)
+    steps = []
+    one = WeylOp.const(gens[-1].ctx, Fraction(1))
+    if not weyl.left_normal_form(one, G, order, steps=steps).is_zero():
+        return False, None
+    return True, G.cofactors(steps)
 
 
 def reference_cofactors(P, gens, order, limits=gb.DEFAULT_LIMITS):
