@@ -123,7 +123,7 @@ def elimination_basis(fspec: FactorizationSpec,
 
     def build():
         gens = list(fspec.theta_generators() if theta is None else theta)
-        gens.append(WeylOp.from_poly(fspec.weyl, fspec.f_xs))
+        gens.append(fspec.f_xs.moved(fspec.weyl, WeylOp))
         G = weyl_left_gb(gens, order)
         return G.prefix(sum(not any(m[:2 * fspec.n]) for m in G.leads))
     return fspec.memo(("elimination", order.desc), build)
@@ -134,8 +134,7 @@ def bs_ideal(fspec: FactorizationSpec, assume_hypotheses: bool = False,
     ann = ann_FS(fspec, assume_hypotheses)
     G = elimination_basis(fspec, ann.theta, order)
     svc = s_context(fspec)
-    ideal = IdealHandle([g.s_polynomial_part().map_context(svc) for g in G],
-                        ctx=svc)
+    ideal = IdealHandle([g.moved(svc, Poly) for g in G], ctx=svc)
     gb = ideal.gb()
     principal = gb[0] if len(gb) == 1 else None
     if ann.validity != "full":
@@ -161,7 +160,7 @@ def functional_equation_witness(fspec: FactorizationSpec, b: Poly) -> WeylOp:
     wctx = fspec.weyl
     order = elimination_order(wctx)
     G = elimination_basis(fspec)
-    b_op = WeylOp.from_poly(wctx, b)
+    b_op = b.moved(wctx, WeylOp)
     steps: list = []
     rem = left_normal_form(b_op, G, order, steps=steps)
     if not rem.is_zero():
@@ -171,7 +170,7 @@ def functional_equation_witness(fspec: FactorizationSpec, b: Poly) -> WeylOp:
     # verification: Q . (f * F^S) equals b * F^S
     start = FSElement(fspec, fspec.f_xs, 0)
     lhs = apply_to_FS(Q, fspec, start=start)
-    b_xs = b.map_context(fspec.xs_vc)
+    b_xs = b.moved(fspec.xs_vc)
     rhs = FSElement(fspec, b_xs, 0)
     if not lhs == rhs:
         raise WitnessExtractionFailed("cofactor log produced an unverified Q")
@@ -310,18 +309,9 @@ def detect_hyperplane_factors(p: Poly, degrees: Sequence[int]
 
 def diagonal_substitution(I: IdealHandle) -> IdealHandle:
     """Image of an ideal of Q[s_1..s_r] under s_k -> s (one variable)."""
-    svc = I.ctx
     one = VarContext([("S", ["s"])])
-    gens = []
-    for g in I.gens:
-        terms: Dict[Tuple[int, ...], Fraction] = {}
-        for e, c in g.terms.items():
-            ee = (sum(e),)
-            terms[ee] = terms.get(ee, Fraction(0)) + c
-        q = Poly(one, {e: c for e, c in terms.items() if c != 0})
-        if not q.is_zero():
-            gens.append(q)
-    return IdealHandle(gens, ctx=one)
+    gens = [g.moved(one, where=[0] * I.ctx.n) for g in I.gens]
+    return IdealHandle([g for g in gens if g], ctx=one)
 
 
 # ---------------------------------------------------------------------------
@@ -338,21 +328,9 @@ def coarsen_last_two(fspec: FactorizationSpec) -> FactorizationSpec:
 def merge_last_s(P: WeylOp, src: FactorizationSpec,
                  dst: FactorizationSpec) -> WeylOp:
     """Send s_{r-1}, s_r of src both onto the last s-variable of dst."""
-    wsrc, wdst = src.weyl, dst.weyl
-    n, r = src.n, src.r
-    out: Dict[Tuple[int, ...], Fraction] = {}
-    for e, c in P.terms.items():
-        ee = [0] * wdst.nv
-        for i in range(2 * n):
-            ee[i] = e[i]
-        for k in range(r - 2):
-            ee[wdst.vc.index[dst.s_names[k]]] = e[wsrc.vc.index[src.s_names[k]]]
-        merged = e[wsrc.vc.index[src.s_names[r - 2]]] \
-            + e[wsrc.vc.index[src.s_names[r - 1]]]
-        ee[wdst.vc.index[dst.s_names[-1]]] += merged
-        key = tuple(ee)
-        out[key] = out.get(key, Fraction(0)) + c
-    return WeylOp(wdst, {e: c for e, c in out.items() if c != 0})
+    w = dst.weyl
+    onto = w.x_names + w.dx_names + dst.s_names + dst.s_names[-1:]
+    return P.moved(w, where=[w.index[v] for v in onto])
 
 
 def diagonal_restriction_check(src: FactorizationSpec,

@@ -13,7 +13,9 @@ declared factors.  Options can also be set per run with ``--order``,
 ``--max-degree`` and ``--max-basis``; the order is "grevlex" or "lex", the
 bounds positive integers.  Each command runs inside one
 ``with gb.Limits(...)`` block built from the two bounds, so every basis
-computation of the request sees the same bound (gb.Limits.current()).
+computation of the request sees the same bound (gb.Limits.current()), and
+the problem file's polynomials are parsed under it: a power above the
+degree bound is exit 3 before it is expanded.
 
 Exit codes: 0 success; 1 usage or parse error (with a position diagnostic
 where one exists); 2 a required hypothesis did not check out (the result is
@@ -159,7 +161,11 @@ class Problem:
         self.options = options
 
 
-def load_problem(path: str) -> Problem:
+def load_problem(path: str, args=None) -> Problem:
+    """The problem file at path.  Its polynomials are parsed under the
+    request's bound (_limits: the --max-degree and --max-basis of args,
+    else the file's options, else the default), so a power above the
+    degree bound raises ResourceLimit before it is expanded."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -180,24 +186,6 @@ def load_problem(path: str) -> Problem:
             or not all(isinstance(s, str) for s in factor_strings)):
         raise _UsageError('"factors" must be a nonempty list of polynomial '
                           'strings')
-    vc = VarContext([("X", list(variables))])
-    factors = []
-    for k, s in enumerate(factor_strings):
-        try:
-            factors.append(parse_poly(s, vc))
-        except (SyntaxError, UnknownVariable) as e:
-            raise _UsageError(f"factor {k + 1}: {e}")
-    if any(f.is_zero() for f in factors):
-        raise _UsageError("factors must be nonzero")
-    try:
-        fspec = FactorizationSpec(list(variables), factors)
-    except ValueError as e:  # a constant factor
-        raise _UsageError(str(e))
-    arrangement = None
-    arrangement_echo = None
-    if "arrangement" in data:
-        arrangement, arrangement_echo = _load_arrangement(
-            data["arrangement"], vc, fspec)
     options = data.get("options", {})
     if not isinstance(options, dict):
         raise _UsageError('"options" must be an object')
@@ -213,6 +201,27 @@ def load_problem(path: str) -> Problem:
             _positive_int(f'option "{name}"', options[name])
     if "appendix_seed" in options:
         _nonnegative_int('option "appendix_seed"', options["appendix_seed"])
+    limits = _limits(args, options)
+    vc = VarContext([("X", list(variables))])
+    factors = []
+    for k, s in enumerate(factor_strings):
+        try:
+            with limits:
+                factors.append(parse_poly(s, vc))
+        except (SyntaxError, UnknownVariable) as e:
+            raise _UsageError(f"factor {k + 1}: {e}")
+    if any(f.is_zero() for f in factors):
+        raise _UsageError("factors must be nonzero")
+    try:
+        fspec = FactorizationSpec(list(variables), factors)
+    except ValueError as e:  # a constant factor
+        raise _UsageError(str(e))
+    arrangement = None
+    arrangement_echo = None
+    if "arrangement" in data:
+        with limits:
+            arrangement, arrangement_echo = _load_arrangement(
+                data["arrangement"], vc, fspec)
     return Problem(list(variables), list(factor_strings), fspec,
                    arrangement, arrangement_echo, options)
 
@@ -408,7 +417,7 @@ def _limits(args, options: Dict[str, object]) -> Limits:
     default."""
     bounds = {}
     for name in ("max_degree", "max_basis"):
-        value = getattr(args, name)
+        value = getattr(args, name, None)
         if value is None:
             bounds[name] = options.get(name, getattr(DEFAULT_LIMITS, name))
         else:
@@ -422,7 +431,7 @@ def _dispatch(args, payload: Dict[str, object]) -> int:
         return _cmd_appendix(args, payload)
     if not args.input:
         raise _UsageError(f"{cmd} requires --input FILE")
-    pf = load_problem(args.input)
+    pf = load_problem(args.input, args)
     payload["input"] = {"variables": pf.variables,
                         "factors": pf.factor_strings}
     if pf.arrangement_echo:
@@ -485,19 +494,15 @@ def _run(args, pf: Problem, order: MonomialOrder,
 
     if cmd == "gr-check":
         rep = gr_equality_certificate(F, assume_hypotheses=assume)
-        payload["hypotheses"] = _hyp_table(rep["hypotheses"])
-        if not rep["hypotheses_verified"]:
-            payload.setdefault("caveats", []).append(_GATE_CAVEAT)
-        elif assume:
-            payload.setdefault("caveats", []).append(_ASSUME_CAVEAT)
+        code = _gate(cmd, F, assume, payload)
         results["Ltilde_eq_kernel"] = rep["Ltilde_eq_kernel"]
         results["Ltilde_in_kernel"] = rep["Ltilde_in_kernel"]
-        results["hypotheses_verified"] = rep["hypotheses_verified"]
+        results["hypotheses_verified"] = required_hold(F.check_hypotheses())
         payload["certificates"] = {
             "primality": rep["primality_certificate"],
             "conclusion": rep["conclusion"],
         }
-        return 0 if rep["hypotheses_verified"] else 2
+        return code
 
     if cmd == "bs-ideal":
         code = _gate(cmd, F, assume, payload)
@@ -520,8 +525,7 @@ def _run(args, pf: Problem, order: MonomialOrder,
         code = _gate(cmd, F1, assume, payload)
         B = bs_ideal(F1, assume_hypotheses=assume)
         # single-s reports read better in the classical variable "s"
-        b = Poly(VarContext([("S", ["s"])]),
-                 dict(B.principal_generator.terms))
+        b = B.principal_generator.moved(VarContext([("S", ["s"])]), where=[0])
         split = univariate_roots(b)
         results["generator"] = format_principal(b, split)
         table, leftover = _roots_table(*split)
@@ -663,7 +667,7 @@ def _cmd_appendix(args, payload: Dict[str, object]) -> int:
     options: Dict[str, object] = {}
     pf = None
     if args.input:
-        pf = load_problem(args.input)
+        pf = load_problem(args.input, args)
         payload["input"] = {"variables": pf.variables,
                             "factors": pf.factor_strings}
         options = pf.options

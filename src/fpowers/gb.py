@@ -26,9 +26,10 @@ syzygies, and minimal graded free resolutions with a Cohen-Macaulay test
 by graded Auslander-Buchsbaum.
 
 No function takes a bound: the degree and basis-size bounds are request
-state, set by `with Limits(max_degree=..., max_basis=...):` and read by
-Limits.current() only where they are enforced (the normal forms and
-buchberger) or keyed (logder.FactorizationSpec.memo).
+state (ring.Limits, re-exported here), set by `with Limits(max_degree=...,
+max_basis=...):` and read by Limits.current() only where they are
+enforced (the normal forms, buchberger and the parser's powers) or keyed
+(logder.FactorizationSpec.memo).
 """
 
 from __future__ import annotations
@@ -36,67 +37,19 @@ from __future__ import annotations
 import copy
 import heapq
 import itertools
-from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .ring import (
-    DegreeBoundExceeded, Divisors, Exp, MonomialOrder, Poly, Scaled,
-    VarContext, exp_add, exp_divides, exp_lcm, exp_sub, integer_image,
-    reduce_in_place,
+from .ring import (  # noqa: F401 -- the bounds are re-exported from here
+    DEFAULT_LIMITS, DegreeBoundExceeded, Divisors, Exp, Limits,
+    MonomialOrder, Poly, ResourceLimit, Scaled, VarContext, exp_add,
+    exp_divides, exp_lcm, exp_sub, integer_image, reduce_in_place,
 )
-
-
-class ResourceLimit(Exception):
-    """Degree or basis-size bound exceeded during a basis computation."""
 
 
 class NonHomogeneousInput(Exception):
     """A graded operation received non-homogeneous data."""
-
-
-@dataclass
-class Limits:
-    """The degree and basis-size bounds on every basis computation.
-
-    One bound is in effect per request: `with Limits(max_degree=...,
-    max_basis=...):` sets it for the block, and leaving the block, also by
-    an exception, restores the outer one.  It is context state, like the
-    precision of a decimal context; Limits.current() reads it where it is
-    enforced or keyed, and is DEFAULT_LIMITS outside any block.
-    """
-    max_degree: int = 60
-    max_basis: int = 20000
-    _tokens: list = field(default_factory=list, init=False, repr=False,
-                          compare=False)
-
-    @staticmethod
-    def current() -> "Limits":
-        return _CURRENT.get()
-
-    def __enter__(self) -> "Limits":
-        self._tokens.append(_CURRENT.set(self))
-        return self
-
-    def __exit__(self, *exc) -> None:
-        _CURRENT.reset(self._tokens.pop())
-
-    def check_degree(self, terms, degree: Callable) -> int:
-        """The degree of an element with term map `terms`, the largest
-        degree(m) of its monomials m, which must not exceed max_degree."""
-        d = max(map(degree, terms), default=-1)
-        if d > self.max_degree:
-            raise ResourceLimit(f"total degree {d} exceeds bound {self.max_degree}")
-        return d
-
-    def check_size(self, n: int) -> None:
-        if n > self.max_basis:
-            raise ResourceLimit(f"basis size {n} exceeds bound {self.max_basis}")
-
-
-DEFAULT_LIMITS = Limits()
-_CURRENT: ContextVar[Limits] = ContextVar("limits", default=DEFAULT_LIMITS)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +381,7 @@ def eliminate(I: IdealHandle, drop_block: str) -> IdealHandle:
     dropped = ctx.block_indices[drop_block]
     free = gb.prefix(sum(not any(m[i] for i in dropped) for m in gb.leads))
     ctx2 = _drop_block_context(ctx, drop_block)
-    return IdealHandle([g.map_context(ctx2) for g in free], ctx=ctx2)
+    return IdealHandle([g.moved(ctx2) for g in free], ctx=ctx2)
 
 
 def _with_tag(ctx: VarContext) -> Tuple[VarContext, str]:
@@ -468,8 +421,8 @@ def radical_membership(p: Poly, I: IdealHandle) -> bool:
     """p in rad(I), by the inverse-tag trick: 1 in I + (1 - w*p)."""
     ctx2, tag = _with_tag(I.ctx)
     w = Poly.var(ctx2, tag)
-    gens = [g.map_context(ctx2) for g in I.gens]
-    gens.append(Poly.const(ctx2, 1) - w * p.map_context(ctx2))
+    gens = [g.moved(ctx2) for g in I.gens]
+    gens.append(Poly.const(ctx2, 1) - w * p.moved(ctx2))
     return IdealHandle(gens).is_unit_ideal()
 
 

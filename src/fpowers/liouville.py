@@ -104,24 +104,16 @@ def phi_F_kernel(fspec: FactorizationSpec) -> IdealHandle:
     # Q[x, S] into big: x onto x, each s_k onto its copy
     where = [big.index[v] for v in fspec.x_names + ts]
 
-    def to_big(p: Poly) -> Poly:
-        out = {}
-        for e, c in p.terms.items():
-            ee = [0] * big.n
-            for i, k in zip(where, e):
-                ee[i] = k
-            out[tuple(ee)] = c
-        return Poly(big, out)
-
     S = [Poly.var(xs, sn) for sn in fspec.s_names]
     gens = []
     for i, yn in enumerate(fspec.weyl.y_names):
         img = Poly.zero(xs)
         for k in range(fspec.r):
             img = img + fspec.cofactor_xs[k] * fspec.dfk_xs[k][i] * S[k]
-        gens.append(Poly.var(big, yn) - to_big(img))
+        gens.append(Poly.var(big, yn) - img.moved(big, where=where))
     for k, sn in enumerate(fspec.s_names):
-        gens.append(Poly.var(big, sn) - to_big(fspec.f_xs * S[k]))
+        gens.append(Poly.var(big, sn)
+                    - (fspec.f_xs * S[k]).moved(big, where=where))
     out = eliminate(IdealHandle(gens), "W")
     # eliminate() returns generators over sym_vc's blocks in original order
     assert out.ctx == sym
@@ -214,22 +206,9 @@ def homogenize_u(I: IdealHandle, u: Sequence[int]) -> IdealHandle:
 
 def substitute_t(I: IdealHandle, value: int) -> IdealHandle:
     """Image of I under t |-> value, as an ideal of the t-free subring."""
-    ctx_t = I.ctx
-    base = VarContext([(b, vs) for b, vs in ctx_t.blocks if b != "T"])
-    t_idx = ctx_t.index["t"]
-    gens = []
-    for g in I.gens:
-        terms: Dict[Tuple[int, ...], Fraction] = {}
-        for e, c in g.terms.items():
-            coeff = c * Fraction(value) ** e[t_idx]
-            if coeff == 0:
-                continue
-            ee = tuple(v for i, v in enumerate(e) if i != t_idx)
-            terms[ee] = terms.get(ee, Fraction(0)) + coeff
-        p = Poly(base, {e: c for e, c in terms.items() if c != 0})
-        if not p.is_zero():
-            gens.append(p)
-    return IdealHandle(gens, ctx=base)
+    base = VarContext([(b, vs) for b, vs in I.ctx.blocks if b != "T"])
+    gens = [g.subs({"t": value}).moved(base) for g in I.gens]
+    return IdealHandle([g for g in gens if g], ctx=base)
 
 
 def tau_u_order(u: Sequence[int],
@@ -258,15 +237,7 @@ def leading_exponents(I: IdealHandle, order: MonomialOrder
     """Minimal generating exponents of the leading-term ideal under order."""
     if I.is_zero_ideal():
         return []
-    gb = groebner_basis(I.gens, order)
-    exps = [max(g.terms, key=order.key) for g in gb]
-    # prune non-minimal generators
-    out = []
-    for e in exps:
-        if not any(all(a >= b for a, b in zip(e, o)) and e != o
-                   for o in exps if o != e):
-            out.append(e)
-    return sorted(set(out))
+    return sorted(groebner_basis(I.gens, order).leads)
 
 
 def monomial_ideals_equal(exps_a: Sequence[Tuple[int, ...]],

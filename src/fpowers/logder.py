@@ -28,7 +28,7 @@ from .gb import (
     krull_dimension, leads_dimension, module_contains, syzygies,
     vector_degree,
 )
-from .weyl import WeylContext, WeylOp
+from .weyl import WeylContext, WeylOp, gr_symbol
 
 
 class NotLogarithmicForFactor(Exception):
@@ -64,11 +64,7 @@ class LogDerivation:
 
     def symbol(self, ctx: WeylContext) -> Poly:
         """The (0,1)-symbol sum a_i y_i of delta over ctx.symbol_vc."""
-        vc = ctx.symbol_vc
-        out = Poly.zero(vc)
-        for a, y in zip(self.coeffs, ctx.y_names):
-            out = out + a.map_context(vc) * Poly.var(vc, y)
-        return out
+        return gr_symbol(self.operator(ctx), "(0,1)")
 
     def factor_cofactors(self, factors: Sequence[Poly]) -> List[Optional[Poly]]:
         """b_k = delta(f_k)/f_k per factor f_k, or None where f_k does not
@@ -125,7 +121,7 @@ class FactorizationSpec:
         if self.r == 0:
             raise ValueError("need at least one factor")
         self.x_vc = VarContext([("X", self.x_names)])
-        self.factors = [p.map_context(self.x_vc) for p in factors]
+        self.factors = [p.moved(self.x_vc) for p in factors]
         for k, fk in enumerate(self.factors, 1):
             if fk.is_zero() or fk.is_constant():
                 raise ValueError(f"factor {k} must be nonzero and nonconstant")
@@ -147,12 +143,12 @@ class FactorizationSpec:
 
     @cached_property
     def f_xs(self) -> Poly:
-        return self.f.map_context(self.xs_vc)
+        return self.f.moved(self.xs_vc)
 
     @cached_property
     def dfk_xs(self) -> List[List[Poly]]:
         """d_i f_k, per factor and x variable."""
-        return [[fk.map_context(self.xs_vc).diff(x) for x in self.x_names]
+        return [[fk.moved(self.xs_vc).diff(x) for x in self.x_names]
                 for fk in self.factors]
 
     @cached_property
@@ -160,7 +156,7 @@ class FactorizationSpec:
         """f / f_k, per factor."""
         out = []
         for fk in self.factors:
-            q = divide_exact(self.f_xs, fk.map_context(self.xs_vc))
+            q = divide_exact(self.f_xs, fk.moved(self.xs_vc))
             assert q is not None
             out.append(q)
         return out
@@ -341,7 +337,7 @@ def _times_var(ctx: WeylContext, p: Poly, name: str) -> Dict:
     and v a d_i or an s_k of ctx: that product is already normal-ordered,
     so each term of p just gains v."""
     v = ctx.var_exp(name)
-    return {exp_add(e, v): c for e, c in WeylOp.from_poly(ctx, p).terms.items()}
+    return {exp_add(e, v): c for e, c in p.moved(ctx, WeylOp).terms.items()}
 
 
 def psi_cofactors(delta: LogDerivation, fspec: FactorizationSpec) -> List[Poly]:

@@ -51,9 +51,9 @@ def _specialized_generators(fspec: FactorizationSpec,
     fspec.weyl.plain)."""
     shift = {name: Fraction(a) - 1
              for name, a in zip(fspec.weyl.s_names, A)}
-    gens = [t.subs_s(shift).drop_s_context()
-            for t in fspec.theta_generators()]
-    gens.append(WeylOp.from_poly(fspec.weyl.plain, fspec.f))
+    plain = fspec.weyl.plain
+    gens = [t.subs(shift).moved(plain) for t in fspec.theta_generators()]
+    gens.append(fspec.f.moved(plain, WeylOp))
     return gens
 
 

@@ -13,6 +13,9 @@ and the parser are written once here.  Each subclass adds only its
 product: Poly the commutative one, WeylOp the normal-ordered one.
 add_terms is the one in-place accumulation of terms into a term map, and
 add_product the one commutative product of term maps (Fraction or int).
+Every passage between contexts is TermMap.moved, which re-indexes the
+exponents (by name, or by given positions), and every substitution is
+TermMap.subs, whose powers are commutative products.
 
 reduce_in_place is the one division loop of the package: the commutative
 and module normal forms of gb.py and the left normal form of weyl.py run
@@ -40,9 +43,11 @@ step, the value c/lc that the division over Q takes away.
 from __future__ import annotations
 
 from bisect import insort
+from contextvars import ContextVar
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, le, sub
+from operator import add, le, mul, sub
 from typing import (
     Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
 )
@@ -56,6 +61,55 @@ Exp = Tuple[int, ...]
 
 class UnknownVariable(Exception):
     """A name in the input is not declared in the variable context."""
+
+
+class ResourceLimit(Exception):
+    """Degree or basis-size bound exceeded: by a basis computation, or by
+    a power written in the input."""
+
+
+@dataclass
+class Limits:
+    """The degree and basis-size bounds on every basis computation, and
+    the degree bound on the powers the parser expands.
+
+    One bound is in effect per request: `with Limits(max_degree=...,
+    max_basis=...):` sets it for the block, and leaving the block, also by
+    an exception, restores the outer one.  It is context state, like the
+    precision of a decimal context; Limits.current() reads it where it is
+    enforced or keyed, and is DEFAULT_LIMITS outside any block.
+    """
+    max_degree: int = 60
+    max_basis: int = 20000
+    _tokens: list = field(default_factory=list, init=False, repr=False,
+                          compare=False)
+
+    @staticmethod
+    def current() -> "Limits":
+        return _CURRENT.get()
+
+    def __enter__(self) -> "Limits":
+        self._tokens.append(_CURRENT.set(self))
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _CURRENT.reset(self._tokens.pop())
+
+    def check_degree(self, terms, degree: Callable) -> int:
+        """The degree of an element with term map `terms`, the largest
+        degree(m) of its monomials m, which must not exceed max_degree."""
+        d = max(map(degree, terms), default=-1)
+        if d > self.max_degree:
+            raise ResourceLimit(f"total degree {d} exceeds bound {self.max_degree}")
+        return d
+
+    def check_size(self, n: int) -> None:
+        if n > self.max_basis:
+            raise ResourceLimit(f"basis size {n} exceeds bound {self.max_basis}")
+
+
+DEFAULT_LIMITS = Limits()
+_CURRENT: ContextVar[Limits] = ContextVar("limits", default=DEFAULT_LIMITS)
 
 
 class VarContext:
@@ -558,8 +612,8 @@ def add_terms(acc: Dict, terms) -> None:
 def add_product(acc: Dict, a: Dict, b: Dict) -> Dict:
     """acc += a*b in place for term maps a, b of commutative monomials,
     dropping the coefficients that cancel; returns acc.  The one
-    commutative product: Poly.__mul__ on Fractions, and the F^S action of
-    weyl.py on integers."""
+    commutative product: Poly.__mul__ and the powers of TermMap.subs on
+    Fractions, and the F^S action of weyl.py on integers."""
     items = b.items()
     for e1, c1 in a.items():
         for e2, c2 in items:
@@ -576,6 +630,25 @@ def add_product(acc: Dict, a: Dict, b: Dict) -> Dict:
     return acc
 
 
+def _product(a: Dict, b: Dict) -> Dict:
+    return add_product({}, a, b)
+
+
+def _power(base, k: int, one, times: Callable):
+    """base^k by square-and-multiply under the product `times`, from its
+    unit `one`.  The factors are all powers of base, which commute with
+    each other, so this holds in any associative algebra."""
+    if k < 0:
+        raise ValueError("negative power")
+    out = one
+    while k:
+        if k & 1:
+            out = times(out, base)
+        base = times(base, base) if k > 1 else base
+        k >>= 1
+    return out
+
+
 def diff_terms(terms: Dict, i: int, c=1) -> Dict:
     """c times the partial derivative of a term map in variable i."""
     return {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] * v
@@ -587,7 +660,8 @@ class TermMap:
 
     The common part of Poly and weyl.WeylOp: storage, constructors,
     equality (a scalar equals its constant), the additive structure, the
-    scalar product, powers, leading data and printing.  A subclass adds
+    scalar product, powers, the move into another context, substitution,
+    leading data and printing.  A subclass adds
     only its product, __mul__, which must accept a scalar.  The context
     is read only through names, index, zero_exp() and var_exp(), which
     VarContext and weyl.WeylContext both provide.
@@ -709,17 +783,68 @@ class TermMap:
         return NotImplemented
 
     def __pow__(self, k: int):
-        """Square-and-multiply.  The factors are all powers of self, which
-        commute with each other, so this holds in any associative algebra."""
-        if k < 0:
-            raise ValueError("negative power")
-        out = self.const(self.ctx, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
+        return _power(self, k, self.const(self.ctx, 1), mul)
+
+    # -- passages between contexts -------------------------------------------
+
+    def moved(self, ctx, cls=None, where=None):
+        """This element as a `cls` (default: its own class) over ctx:
+        source variable i goes to position where[i] of ctx, by default the
+        position of its name there (None: nowhere).  Exponents that land
+        on one position add, coefficients that land on one monomial add,
+        and zeros drop; the terms keep their order.  A variable in use
+        with nowhere to go raises UnknownVariable."""
+        names = self.ctx.names
+        if where is None:
+            where = [ctx.index.get(v) for v in names]
+        zero = ctx.zero_exp()
+        acc: Dict[Exp, Fraction] = {}
+        for e, c in self.terms.items():
+            m = list(zero)
+            for i, k in enumerate(e):
+                if k:
+                    j = where[i]
+                    if j is None:
+                        raise UnknownVariable(names[i])
+                    m[j] += k
+            m = tuple(m)
+            acc[m] = acc[m] + c if m in acc else c
+        out = (cls or type(self))(ctx)
+        out.terms = {m: c for m, c in acc.items() if c}
+        return out
+
+    def subs(self, assignment: Dict[str, object]):
+        """Substitute elements of this class over the same context (or
+        scalars) for variables by name.  Each power of a value is formed
+        once, by add_product, the commutative product."""
+        zero = self.ctx.zero_exp()
+        vals = {}
+        for v, val in assignment.items():
+            if v not in self.ctx.index:
+                raise UnknownVariable(v)
+            if isinstance(val, (int, Fraction)):
+                val = {zero: Fraction(val)} if val else {}
+            else:
+                val = val.terms
+            vals[self.ctx.index[v]] = val
+        one = {zero: Fraction(1)}
+        powers: Dict[Tuple[int, int], Dict] = {}
+        idx = sorted(vals)
+        out = type(self)(self.ctx)
+        for e, c in self.terms.items():
+            ks = [(i, e[i]) for i in idx if e[i]]
+            if ks:
+                m = list(e)
+                for i, _ in ks:
+                    m[i] = 0
+                t = {tuple(m): c}
+                for i, k in ks:
+                    if (i, k) not in powers:
+                        powers[i, k] = _power(vals[i], k, one, _product)
+                    t = add_product({}, t, powers[i, k])
+                add_terms(out.terms, t.items())
+            else:
+                add_terms(out.terms, ((e, c),))
         return out
 
     # -- leading data ------------------------------------------------------
@@ -787,28 +912,6 @@ class Poly(TermMap):
         p.terms = diff_terms(self.terms, self.ctx.index[name])
         return p
 
-    def subs(self, assignment: Dict[str, "Poly"]) -> "Poly":
-        """Substitute polynomials (or scalars) for variables by name."""
-        vals = {}
-        for v, val in assignment.items():
-            if v not in self.ctx.index:
-                raise UnknownVariable(v)
-            vals[self.ctx.index[v]] = (
-                val if isinstance(val, Poly) else Poly.const(self.ctx, val)
-            )
-        # each power of a substituted variable is formed once
-        powers: Dict[Tuple[int, int], Dict] = {}
-        out = Poly(self.ctx)
-        for e, c in self.terms.items():
-            t = {tuple(0 if i in vals else k for i, k in enumerate(e)): c}
-            for i, k in enumerate(e):
-                if k and i in vals:
-                    if (i, k) not in powers:
-                        powers[i, k] = (vals[i] ** k).terms
-                    t = add_product({}, t, powers[i, k])
-            add_terms(out.terms, t.items())
-        return out
-
     def eval_rat(self, assignment: Dict[str, Fraction]) -> Fraction:
         """Evaluate at a full rational point (every used variable assigned)."""
         total = Fraction(0)
@@ -819,22 +922,6 @@ class Poly(TermMap):
                     v *= assignment[self.ctx.names[i]] ** k
             total += v
         return total
-
-    def map_context(self, ctx2: VarContext) -> "Poly":
-        """Reinterpret in another context containing the same-named variables."""
-        out: Dict[Exp, Fraction] = {}
-        for e, c in self.terms.items():
-            e2 = [0] * ctx2.n
-            for i, k in enumerate(e):
-                if k:
-                    name = self.ctx.names[i]
-                    if name not in ctx2.index:
-                        raise UnknownVariable(name)
-                    e2[ctx2.index[name]] = k
-            out[tuple(e2)] = out.get(tuple(e2), Fraction(0)) + c
-        p = Poly(ctx2)
-        p.terms = {e: c for e, c in out.items() if c}
-        return p
 
 
 def initial_form(p: Poly, grading: str) -> Poly:
@@ -950,6 +1037,11 @@ class _Parser:
         while self.peek().kind == "^":
             self.take()
             t = self.take("int")
+            # a power above the degree bound is refused before it is
+            # expanded
+            d, bound = p.total_degree() * t.val, Limits.current().max_degree
+            if d > bound:
+                raise ResourceLimit(f"total degree {d} exceeds bound {bound}")
             p = p ** t.val
         return p
 
@@ -989,7 +1081,8 @@ def parse_poly(text: str, ctx: VarContext) -> Poly:
     """Parse a polynomial expression into canonical expanded form.
 
     Grammar: rational constants, declared variables, + - * ^, parentheses.
-    Raises SyntaxError with a position, or UnknownVariable.
+    Raises SyntaxError with a position, UnknownVariable, or ResourceLimit
+    for a power above the degree bound in effect (Limits.current()).
     """
     return _Parser(text, ctx, Poly).parse()
 

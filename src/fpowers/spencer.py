@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .logder import (
@@ -154,7 +153,7 @@ def spencer_complex(fspec: FactorizationSpec,
                         pos = sum(1 for v in K if v < m)
                         sign = base_sign * (-1 if pos % 2 else 1)
                         J = tuple(sorted(K + (m,)))
-                        entry = WeylOp.from_poly(wctx, c) * sign
+                        entry = c.moved(wctx, WeylOp) * sign
                         M[ri][col_index[J]] = M[ri][col_index[J]] + entry
         diffs[k] = M
     return SpencerComplex(fspec, list(basis), lambdas, struct, diffs)
@@ -198,7 +197,7 @@ def raw_wedge_image(C: SpencerComplex, indices: Sequence[int]
             for m, c in enumerate(C.structure[(lo, hi)]):
                 if c.is_zero():
                     continue
-                add([m] + rest, WeylOp.from_poly(wctx, c) * base_sign)
+                add([m] + rest, c.moved(wctx, WeylOp) * base_sign)
     return {J: op for J, op in out.items() if not op.is_zero()}
 
 
@@ -261,12 +260,12 @@ def dual_lift_check(C: SpencerComplex,
     by f?  Entrywise: shift(d)[i][j] * f == f * d[i][j]."""
     fspec = fspec or C.fspec
     wctx = fspec.weyl
-    f_op = WeylOp.from_poly(wctx, fspec.f)
-    shift = {name: Fraction(1) for name in wctx.s_names}
+    f_op = fspec.f.moved(wctx, WeylOp)
+    shift = {name: WeylOp.var(wctx, name) + 1 for name in wctx.s_names}
     for k, M in C.differentials.items():
         for row in M:
             for entry in row:
-                if not entry.shift_s(shift) * f_op == f_op * entry:
+                if not entry.subs(shift) * f_op == f_op * entry:
                     return False
     return True
 

@@ -5,8 +5,10 @@ finite map (x-exponents, d-exponents, s-exponents) -> Fraction, flattened
 into one exponent tuple over the context blocks X, DX, S.  The s-variables
 are central.  WeylOp is a ring.TermMap, like Poly: storage, equality,
 + and -, the scalar product, powers, leading data, printing and the
-parser (parse_weyl) are the ones of ring.py.  This module adds only the
-normal-ordered product (weyl_multiply) and the x/d/s helpers of WeylOp.
+parser (parse_weyl) are the ones of ring.py, and so are the passages to
+other contexts (TermMap.moved) and the substitution of the central
+s-variables (TermMap.subs).  This module adds only the normal-ordered
+product (weyl_multiply) and the x/d/s helpers of WeylOp.
 Left Groebner bases run on the one basis loop of gb.py (gb.buchberger and
 gb.Basis, under the gb.Limits in effect) without the product
 criterion, which is unsound in a noncommutative algebra; this module adds
@@ -49,7 +51,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .ring import (
     Divisors, Exp, MonomialOrder, Poly, Scaled, TermMap, VarContext, _Parser,
     add_product, add_terms, diff_terms, divide_exact, exact_quotient, exp_add,
-    exp_sub, integer_image,
+    exp_sub, initial_form, integer_image,
 )
 from .gb import Basis, buchberger, remainder, s_pair_multipliers
 
@@ -124,19 +126,6 @@ class WeylOp(TermMap):
 
     __slots__ = ()
 
-    @classmethod
-    def from_poly(cls, ctx: WeylContext, p: Poly) -> "WeylOp":
-        """Inject a commutative polynomial in the x (or x,s) variables."""
-        out: Dict[Exp, Fraction] = {}
-        for e, c in p.terms.items():
-            e2 = [0] * ctx.nv
-            for i, k in enumerate(e):
-                if k:
-                    name = p.ctx.names[i]
-                    e2[ctx.index[name]] = k
-            out[tuple(e2)] = c
-        return cls(ctx, out)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self._scaled(other)
@@ -157,65 +146,15 @@ class WeylOp(TermMap):
         n = self.ctx.n
         return all(all(x == 0 for x in e[:2 * n]) for e in self.terms)
 
-    def s_polynomial_part(self) -> Poly:
-        """Reinterpret an operator with no x,d content as a Poly in S."""
-        if not self.xd_free():
-            raise ValueError("operator involves x or d variables")
-        ctx = VarContext([("S", self.ctx.s_names)])
-        out = {}
-        n = self.ctx.n
-        for e, c in self.terms.items():
-            out[e[2 * n:]] = c
-        return Poly(ctx, out)
-
-    # -- substitution in the central variables -----------------------------
-
-    def subs_s(self, values: Dict[str, Fraction]) -> "WeylOp":
-        """Evaluate some s-variables at rational constants."""
-        ctx = self.ctx
-        out = WeylOp(ctx)
-        idx = {name: ctx.index[name] for name in values}
-        for e, c in self.terms.items():
-            coef = c
-            e2 = list(e)
-            for name, v in values.items():
-                i = idx[name]
-                if e2[i]:
-                    coef *= Fraction(v) ** e2[i]
-                    e2[i] = 0
-            if coef:
-                add_terms(out.terms, [(tuple(e2), coef)])
-        return out
-
-    def shift_s(self, amounts: Dict[str, Fraction]) -> "WeylOp":
-        """Substitute s -> s + amount for the named s-variables."""
-        ctx = self.ctx
-        out = WeylOp.zero(ctx)
-        for e, c in self.terms.items():
-            term = WeylOp(ctx, {self._strip_s(e): c})
-            n = ctx.n
-            for j, name in enumerate(ctx.s_names):
-                k = e[2 * n + j]
-                if not k:
-                    continue
-                sv = WeylOp.var(ctx, name)
-                base = sv + Fraction(amounts.get(name, 0))
-                term = term * base ** k
-            out = out + term
-        return out
-
-    def _strip_s(self, e: Exp) -> Exp:
-        n = self.ctx.n
-        return e[:2 * n] + (0,) * self.ctx.r
-
-    def drop_s_context(self) -> "WeylOp":
-        """Move an s-free operator into the r=0 context (plain D_n,
-        ctx.plain)."""
-        if not self.s_free():
-            raise ValueError("operator still involves s")
-        n = self.ctx.n
-        return WeylOp(self.ctx.plain,
-                      {e[:2 * n]: c for e, c in self.terms.items()})
+    def subs(self, assignment: Dict[str, object]) -> "WeylOp":
+        """TermMap.subs for the central s-variables only, by operators in
+        them (or scalars): its powers are commutative products."""
+        for v, val in assignment.items():
+            if v not in self.ctx.s_names or not (
+                    isinstance(val, (int, Fraction)) or val.xd_free()):
+                raise ValueError(f"only the central s-variables can be "
+                                 f"substituted, by polynomials in them: {v}")
+        return super().subs(assignment)
 
 
 def _term_product(ctx: WeylContext, e1: Exp, c1, e2: Exp, c2) -> Dict:
@@ -269,24 +208,14 @@ def gr_symbol(P: WeylOp, filtration: str) -> Poly:
     filtration "(0,1)" (x 0, d 1; requires an s-free operator) or
     "(0,1,1)" (x 0, d 1, s 1).  Returns a Poly over the symbol context.
     """
-    ctx = P.ctx
-    if filtration == "(0,1)":
-        if not P.s_free():
-            raise FiltrationMismatch("(0,1) filtration needs an s-free operator")
-        wts = (0,) * ctx.n + (1,) * ctx.n + (0,) * ctx.r
-    elif filtration == "(0,1,1)":
-        wts = (0,) * ctx.n + (1,) * ctx.n + (1,) * ctx.r
-    else:
+    if filtration not in ("(0,1)", "(0,1,1)"):
         raise FiltrationMismatch(f"unknown filtration {filtration!r}")
-    if not P.terms:
-        return Poly.zero(ctx.symbol_vc)
-    top = max(sum(w * x for w, x in zip(wts, e)) for e in P.terms)
-    out = Poly.zero(ctx.symbol_vc)
-    for e, c in P.terms.items():
-        if sum(w * x for w, x in zip(wts, e)) == top:
-            # identical block layout: X, DX->Y, S
-            out = out + Poly.monomial(ctx.symbol_vc, e, c)
-    return out
+    if filtration == "(0,1)" and not P.s_free():
+        raise FiltrationMismatch("(0,1) filtration needs an s-free operator")
+    # X, DX and S sit where X, Y and S sit in symbol_vc, whose gradings
+    # are named like the filtrations
+    sym = P.moved(P.ctx.symbol_vc, Poly, where=range(P.ctx.nv))
+    return initial_form(sym, filtration)
 
 
 # ---------------------------------------------------------------------------

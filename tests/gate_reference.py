@@ -26,6 +26,7 @@ from fpowers.gb import (
 from fpowers.logder import _det, log_derivations, psi_cofactors, saito_matrix
 from fpowers.ring import Poly, UnknownVariable, divide_exact
 from fpowers.weyl import WeylOp
+from move_reference import from_poly, map_context
 
 
 def intersect(I, J):
@@ -34,10 +35,10 @@ def intersect(I, J):
     ctx = I.ctx
     ctx2, tag = _with_tag(ctx)
     w = Poly.var(ctx2, tag)
-    gens = [w * g.map_context(ctx2) for g in I.gens]
-    gens += [(Poly.const(ctx2, 1) - w) * g.map_context(ctx2) for g in J.gens]
+    gens = [w * map_context(g, ctx2) for g in I.gens]
+    gens += [(Poly.const(ctx2, 1) - w) * map_context(g, ctx2) for g in J.gens]
     E = eliminate(IdealHandle(gens, ctx=ctx2), "_W")
-    return IdealHandle([g.map_context(ctx) for g in E.gens], ctx=ctx)
+    return IdealHandle([map_context(g, ctx) for g in E.gens], ctx=ctx)
 
 
 def ideal_colon(I, g):
@@ -124,7 +125,7 @@ def operator(delta, ctx):
     """delta as sum a_i d_i, each term a product in D_n[S]."""
     out = WeylOp.zero(ctx)
     for a, dname in zip(delta.coeffs, ctx.dx_names):
-        out = out + WeylOp.from_poly(ctx, a) * WeylOp.var(ctx, dname)
+        out = out + from_poly(ctx, a) * WeylOp.var(ctx, dname)
     return out
 
 
@@ -133,7 +134,7 @@ def psi_F(delta, fspec):
     ctx = fspec.weyl
     out = operator(delta, ctx)
     for b, s in zip(psi_cofactors(delta, fspec), fspec.s_names):
-        out = out - WeylOp.from_poly(ctx, b) * WeylOp.var(ctx, s)
+        out = out - from_poly(ctx, b) * WeylOp.var(ctx, s)
     return out
 
 

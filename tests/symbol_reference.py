@@ -22,6 +22,7 @@ from fpowers.nabla import SRegularityReport
 from fpowers.ring import MonomialOrder, Poly, VarContext, parse_poly
 
 from gate_reference import ideal_colon
+from move_reference import map_context
 
 # the six factorizations of the symbol_certs benchmark workload (without
 # its random scalars), and x^2 + y^2 + x^3, which has no Euler derivation
@@ -69,7 +70,7 @@ def s_regularity_check(fspec, s_order=None):
     final = IdealHandle(base + taken)
     single = FactorizationSpec(fspec.x_names, [fspec.f])
     lf = build_liouville_ideals(single).L_F
-    target_gens = [g.map_context(sym) for g in lf.gens]
+    target_gens = [map_context(g, sym) for g in lf.gens]
     rep = euler_and_seh_check(fspec.f)
     if rep.euler is None:
         return SRegularityReport(passed, steps, False,
@@ -123,7 +124,7 @@ def full_eliminate(I, drop_block):
     order = MonomialOrder.block(ctx, [drop_block] + rest)
     dropped = set(ctx.block_indices[drop_block])
     ctx2 = _drop_block_context(ctx, drop_block)
-    kept = [g.map_context(ctx2)
+    kept = [map_context(g, ctx2)
             for g in engine_reference.groebner_basis(I.gens, order)
             if all(all(e[i] == 0 for i in dropped) for e in g.terms)]
     return IdealHandle(kept, ctx=ctx2)

@@ -219,7 +219,7 @@ def test_witness_every_generator_small():
             Q = functional_equation_witness(F, b)
             start = FSElement(F, F.f_xs, 0)
             assert apply_to_FS(Q, F, start=start) == \
-                FSElement(F, b.map_context(F.xs_vc), 0)
+                FSElement(F, b.moved(F.xs_vc), 0)
 
 
 def test_witness_mixed_fixture():
@@ -229,7 +229,7 @@ def test_witness_mixed_fixture():
     Q = functional_equation_witness(F, B.principal_generator)
     start = FSElement(F, F.f_xs, 0)
     assert apply_to_FS(Q, F, start=start) == \
-        FSElement(F, B.principal_generator.map_context(F.xs_vc), 0)
+        FSElement(F, B.principal_generator.moved(F.xs_vc), 0)
 
 
 def test_witness_action_matches_old_loop(old_apply_to_FS):
@@ -243,7 +243,7 @@ def test_witness_action_matches_old_loop(old_apply_to_FS):
             got = apply_to_FS(Q, F, start=start)
             ref = old_apply_to_FS(Q, F, start=start)
             assert got.j == ref.j == 0
-            assert got.num == ref.num == b.map_context(F.xs_vc)
+            assert got.num == ref.num == b.moved(F.xs_vc)
 
 
 def test_witness_matches_tracked_reference():
@@ -255,10 +255,10 @@ def test_witness_matches_tracked_reference():
     cusp = FactorizationSpec(["x", "y"], [p("x^2 + y^3", VC2)])
     for F in (F_x(), F_xy(), F_mixed(), F_lines(), cusp):
         order = elimination_order(F.weyl)
-        gens = F.theta_generators() + [WeylOp.from_poly(F.weyl, F.f_xs)]
+        gens = F.theta_generators() + [F.f_xs.moved(F.weyl, WeylOp)]
         for b in bs_ideal(F).gb:
             Q = functional_equation_witness(F, b)
-            rem, row = reference_cofactors(WeylOp.from_poly(F.weyl, b),
+            rem, row = reference_cofactors(b.moved(F.weyl, WeylOp),
                                            gens, order)
             assert rem.is_zero()
             assert Q == row[-1]
@@ -449,7 +449,7 @@ def test_b_f_tail_reduces_no_element_with_x_or_d(monkeypatch):
     B = bs_ideal(F)
     functional_equation_witness(F, B.gb[0])
     assert divided == []
-    gens = F.theta_generators() + [WeylOp.from_poly(F.weyl, F.f_xs)]
+    gens = F.theta_generators() + [F.f_xs.moved(F.weyl, WeylOp)]
     whole = weyl.weyl_left_gb(gens, elimination_order(F.weyl))
     assert len(list(whole)) == len(divided) == 16
     assert sum(P.xd_free() for P in divided) == 1

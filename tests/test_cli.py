@@ -1,6 +1,7 @@
 """Exit codes, report payloads, and golden lines for the command surface."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -388,6 +389,55 @@ def test_resource_limit_exits_3():
                         "--max-degree", "3")
     assert code == 3
     assert "resource limit" in payload["error"]
+
+
+def test_gr_check_gates_like_bs_ideal(tmp_path):
+    # strong Euler-homogeneity is "unknown" on this curve: with the flag or
+    # without, gr-check reports the checked table and the caveats of the
+    # one gate, as bs-ideal does
+    prob = tmp_path / "curve.json"
+    prob.write_text('{"variables": ["x", "y"], '
+                    '"factors": ["x^2 + y^3 + x*y^2"]}')
+    for flag in ([], ["--assume-hypotheses"]):
+        gr_code, gr = run("gr-check", "--input", prob, *flag)
+        bs_code, bs = run("bs-ideal", "--input", prob, *flag)
+        assert gr["hypotheses"] == bs["hypotheses"]
+        assert gr["caveats"] == bs["caveats"]
+        assert gr_code == bs_code == (0 if flag else 2)
+        assert gr["hypotheses"]["strong_euler_origin"]["status"] == "unknown"
+        assert gr["results"]["hypotheses_verified"] is False
+
+
+def test_a_power_above_the_degree_bound_exits_3_unexpanded(tmp_path):
+    prob = tmp_path / "power.json"
+    prob.write_text('{"variables": ["x", "y"], "factors": ["(x+y)^4000"]}')
+    t0 = time.perf_counter()
+    code, payload = run("hypotheses", "--input", prob)
+    assert time.perf_counter() - t0 < 1
+    assert code == 3
+    assert payload["error"] == \
+        "resource limit: total degree 4000 exceeds bound 60"
+
+
+def test_factors_parse_under_the_request_bound(tmp_path):
+    # (x+y)^61 passes the default bound by one: the flag decides, else the
+    # file's option, else the default
+    plain = tmp_path / "plain.json"
+    plain.write_text('{"variables": ["x", "y"], "factors": ["(x+y)^61"]}')
+    opted = tmp_path / "opted.json"
+    opted.write_text('{"variables": ["x", "y"], "factors": ["(x+y)^61"], '
+                     '"options": {"max_degree": 61}}')
+    for path, flags, over in ((plain, [], True),
+                              (plain, ["--max-degree", "61"], False),
+                              (opted, [], False),
+                              (opted, ["--max-degree", "60"], True)):
+        code, payload = run("arrangement", "--input", path, *flags)
+        if over:
+            assert code == 3
+            assert payload["error"] == \
+                "resource limit: total degree 61 exceeds bound 60"
+        else:
+            assert code == 0 and payload["results"]["is_arrangement"]
 
 
 # ------------------------------------------------------------ report format

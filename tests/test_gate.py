@@ -173,18 +173,20 @@ def test_theta_generators_make_no_weyl_products(monkeypatch):
 
 
 def test_subs_s_matches_the_rebuilding_reference():
+    # WeylOp.subs, which took over from subs_s, against the subs_s that
+    # rebuilt its result once per term
     for F in _fixtures():
         for t in F.theta_generators():
             for values in ({s: Fraction(-1) for s in F.s_names},
                            {F.s_names[0]: Fraction(0)},
                            {s: Fraction(k, 2) for k, s in
                             enumerate(F.s_names, 1)}):
-                got, want = t.subs_s(values), ref.subs_s(t, values)
+                got, want = t.subs(values), ref.subs_s(t, values)
                 assert list(got.terms.items()) == list(want.terms.items())
     # terms that meet after the substitution add up, and cancel
     ctx = weyl.WeylContext(["x"], ["s1", "s2"])
     P = parse_weyl("s1*dx - 2*dx + x*s1^2*s2 + 3*x", ctx)
-    got = P.subs_s({"s1": 2})
+    got = P.subs({"s1": 2})
     assert got == parse_weyl("x*4*s2 + 3*x", ctx)
     assert list(got.terms.items()) == \
         list(ref.subs_s(P, {"s1": 2}).terms.items())
@@ -196,9 +198,9 @@ def test_spec_builds_the_FS_action_data_on_first_use():
     F.check_hypotheses()
     F.theta_generators()
     assert not set(lazy) & set(vars(F))
-    assert F.f_xs == F.f.map_context(F.xs_vc)
+    assert F.f_xs == F.f.moved(F.xs_vc)
     for k, fk in enumerate(F.factors):
-        fk = fk.map_context(F.xs_vc)
+        fk = fk.moved(F.xs_vc)
         assert F.cofactor_xs[k] * fk == F.f_xs
         assert F.dfk_xs[k] == [fk.diff(x) for x in F.x_names]
     assert set(lazy) <= set(vars(F))

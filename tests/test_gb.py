@@ -73,7 +73,7 @@ def test_eliminate_twisted_cubic():
     assert [str(g) for g in E.gens] == ["y^3 - z^2"]
     assert I.contains(parse_poly("y^3-z^2", ctx))
     for g in E.gens:
-        assert I.contains(g.map_context(ctx))
+        assert I.contains(g.moved(ctx))
         assert "x" not in g.variables_used()
 
 
@@ -644,7 +644,7 @@ def test_every_kernel_call_is_inside_a_module_level_division(monkeypatch):
     f = p("x^2*y + y^3 - x*y", XY)
     vecs = [(f.diff("x"),), (f.diff("y"),), (-f,)]
     F = FactorizationSpec(["x", "y"], [p("x^2 + y^3", XY)])
-    ops = F.theta_generators() + [weyl.WeylOp.from_poly(F.weyl, F.f_xs)]
+    ops = F.theta_generators() + [F.f_xs.moved(F.weyl, weyl.WeylOp)]
     for mod, name in ((gb, "normal_form"), (gb, "_vec_reduce"),
                       (weyl, "left_normal_form")):
         monkeypatch.setattr(mod, name, division(getattr(mod, name)))
@@ -1216,7 +1216,7 @@ def test_one_bound_policy_for_every_kind():
     from fpowers.logder import FactorizationSpec
     g = p("x^4 + y")
     F = FactorizationSpec(["x", "y"], [p("x^2 + y^3")])
-    ops = F.theta_generators() + [weyl.WeylOp.from_poly(F.weyl, F.f_xs)]
+    ops = F.theta_generators() + [F.f_xs.moved(F.weyl, weyl.WeylOp)]
     assert max(op.total_degree() for op in ops) == 4
     runs = [lambda: groebner_basis([g], MonomialOrder.grevlex()),
             lambda: syzygies([(g,)]),

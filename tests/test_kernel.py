@@ -104,7 +104,7 @@ def _left_inputs():
     all with s-variables."""
     vc = VarContext([("X", ["x", "y"])])
     F = FactorizationSpec(["x", "y"], [parse_poly("x^2 + y^3", vc)])
-    gens = F.theta_generators() + [WeylOp.from_poly(F.weyl, F.f_xs)]
+    gens = F.theta_generators() + [F.f_xs.moved(F.weyl, WeylOp)]
     yield ([g * c for g, c in zip(gens, COEFFS[6:])],
            elimination_order(F.weyl))
     gens = [parse_weyl("x*dx + y*dy - s1 - 2*s2", WS) * Fraction(-3, 7),
@@ -499,7 +499,7 @@ def test_elimination_bases_match_rescanning_kernel(monkeypatch):
     # reduces is the prefix of the whole
     for F in _elimination_problems():
         order = elimination_order(F.weyl)
-        gens = F.theta_generators() + [WeylOp.from_poly(F.weyl, F.f_xs)]
+        gens = F.theta_generators() + [F.f_xs.moved(F.weyl, WeylOp)]
         pure = elimination_basis(F, order=order)
         got = weyl.weyl_left_gb(gens, order)
         with monkeypatch.context() as m:
@@ -556,17 +556,17 @@ def test_pure_s_basis_is_the_prefix_of_the_whole_reduction():
     for F in specs:
         order = elimination_order(F.weyl)
         pure = elimination_basis(F)
-        gens = F.theta_generators() + [WeylOp.from_poly(F.weyl, F.f_xs)]
+        gens = F.theta_generators() + [F.f_xs.moved(F.weyl, WeylOp)]
         whole = _whole_reduction(weyl.weyl_left_gb(gens, order), order)
         k = len(pure)
         assert k and all(g.xd_free() for g in pure)
         assert not any(g.xd_free() for g in whole[k:])
         assert _items(pure) == _items(whole[:k])
         assert pure.final == whole.final[:k]
-        b = pure[0].s_polynomial_part().map_context(s_context(F))
+        b = pure[0].moved(s_context(F), Poly)
         Q = functional_equation_witness(F, b)
         steps = []
-        b_op = WeylOp.from_poly(F.weyl, b)
+        b_op = b.moved(F.weyl, WeylOp)
         assert weyl.left_normal_form(b_op, whole, order, steps).is_zero()
         assert _items([Q]) == _items([whole.cofactors(steps)[-1]])
 

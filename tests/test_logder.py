@@ -162,7 +162,7 @@ def test_psi_is_linear_over_polynomials():
         scaled = LogDerivation(tuple(h * a for a in E1.coeffs), h * E1.cofactor)
         from fpowers.weyl import WeylOp
         lhs = psi_F(scaled, F)
-        rhs = WeylOp.from_poly(F.weyl, h.map_context(F.xs_vc)) * psi_F(E1, F)
+        rhs = h.moved(F.weyl, WeylOp) * psi_F(E1, F)
         assert lhs == rhs
 
 

@@ -178,8 +178,8 @@ def test_dual_lift_operator_identity_single_variable():
     F = F_x()
     C = spencer_complex(F)
     lam = C.differentials[1][0][0]
-    f_op = WeylOp.from_poly(F.weyl, F.f_xs)
-    shifted = lam.shift_s({s: Fraction(1) for s in F.s_names})
+    f_op = F.f_xs.moved(F.weyl, WeylOp)
+    shifted = lam.subs({s: WeylOp.var(F.weyl, s) + 1 for s in F.s_names})
     assert shifted * f_op == f_op * lam
     assert dual_lift_check(C)
 
