@@ -243,9 +243,7 @@ def rational_roots(coeffs: Sequence[Fraction]) -> List[Tuple[Fraction, int]]:
     if not cs:
         return []
     # clear denominators to integers
-    den = 1
-    for c in cs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
+    den = math.lcm(*[c.denominator for c in cs])
     ics = [int(c * den) for c in cs]
     roots: List[Tuple[Fraction, int]] = []
     work = ics
@@ -301,9 +299,7 @@ def _divide_linear(ics: List[int], root: Fraction):
     rem = Fraction(ics[0]) + root * q[0]
     if rem != 0:
         return ics, rem
-    den = 1
-    for c in q:
-        den = den * c.denominator // math.gcd(den, c.denominator)
+    den = math.lcm(*[c.denominator for c in q])
     return [int(c * den) for c in q], 0
 
 

@@ -236,7 +236,7 @@ def _load_arrangement(block, vc: VarContext, fspec: FactorizationSpec
     if not isinstance(form_strings, list) or not form_strings:
         raise _UsageError('arrangement "forms" must be a nonempty list')
     if not isinstance(mults, list) or len(mults) != len(form_strings) \
-            or not all(isinstance(m, int) for m in mults):
+            or not all(_is_int(m) for m in mults):
         raise _UsageError('arrangement "multiplicities" must be integers, '
                           'one per form')
     if not isinstance(groups, list) or len(groups) != fspec.r:
@@ -250,7 +250,7 @@ def _load_arrangement(block, vc: VarContext, fspec: FactorizationSpec
             raise _UsageError(f"arrangement form {k + 1}: {e}")
     for g in groups:
         if not isinstance(g, list) or not all(
-                isinstance(i, int) and 0 <= i < len(forms) for i in g):
+                _is_int(i) and 0 <= i < len(forms) for i in g):
             raise _UsageError("arrangement grouping entries must be valid "
                               "form indices")
     # the block must multiply out to the declared factors
@@ -396,15 +396,20 @@ def _gate(cmd: str, fspec: FactorizationSpec, assume: bool,
     return 2
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: a Python int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _positive_int(source: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+    if not _is_int(value) or value <= 0:
         raise _UsageError(f"{source} must be a positive integer, "
                           f"not {value!r}")
     return value
 
 
 def _nonnegative_int(source: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+    if not _is_int(value) or value < 0:
         raise _UsageError(f"{source} must be a non-negative integer, "
                           f"not {value!r}")
     return value

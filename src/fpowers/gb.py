@@ -22,8 +22,9 @@ ResourceLimit; Fractions go in and come out.  On top of the basis:
 membership, elimination, saturation, radical membership (by a tag
 variable), Krull dimension via independent variable sets, module syzygies
 (extended-basis construction), colon ideals as first coordinates of
-syzygies, and minimal graded free resolutions with a Cohen-Macaulay test
-by graded Auslander-Buchsbaum.
+syzygies, and graded Betti numbers, read off the ranks over Q of the
+constant parts of a graded free resolution by iterated syzygies, with
+pdim and a Cohen-Macaulay test by graded Auslander-Buchsbaum.
 
 No function takes a bound: the degree and basis-size bounds are request
 state (ring.Limits, re-exported here), set by `with Limits(max_degree=...,
@@ -37,10 +38,12 @@ from __future__ import annotations
 import copy
 import heapq
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from .arrange import row_reduce
 from .ring import (  # noqa: F401 -- the bounds are re-exported from here
     DEFAULT_LIMITS, DegreeBoundExceeded, Divisors, Exp, Limits,
     MonomialOrder, Poly, ResourceLimit, Scaled, VarContext, exp_add,
@@ -648,53 +651,48 @@ class GradedModulePresentation:
         for r in self.relations:
             if len(r) != rank:
                 raise ValueError("relation length mismatch")
-            self._degree_of(r)  # raises NonHomogeneousInput
-
-    def _degree_of(self, v: Vec) -> Optional[int]:
-        """Degree of a homogeneous vector (None for zero)."""
-        return vector_degree(v, self.weights, self.shifts)
+            vector_degree(r, self.weights, self.shifts)  # homogeneous or raise
 
 
 @dataclass
 class Resolution:
-    """Minimal graded free resolution 0 <- M <- F_0 <- F_1 <- ... <- F_pdim."""
-    betti: List[List[int]]          # per step, degrees of the free basis
-    matrices: List[List[Vec]]       # matrices[i]: rows = basis of F_{i+1}, entries in F_i
+    """The graded Betti numbers of M, read off a graded free resolution
+    0 <- M <- F_0 <- F_1 <- ... as beta_{i,j} = dim Tor_i(M, Q)_j
+    (Eisenbud, The Geometry of Syzygies, GTM 229, ch. 1)."""
+    betti: List[List[int]]  # per i: each j, beta_{i,j} times, ascending
     pdim: int
-    is_CM: Optional[bool]           # only set for cyclic quotients R/I
+    is_CM: Optional[bool]   # only set for cyclic quotients R/I
 
 
 def graded_free_resolution(M: GradedModulePresentation) -> Resolution:
-    """Minimal graded free resolution by iterated syzygies.
+    """The graded Betti numbers of M from its resolution by iterated
+    syzygies, d_i: F_i -> F_{i-1} with F_0 the ambient module.
 
-    pdim is the length after minimalization.  For a cyclic quotient R/I
-    (rank 1, zero shift) the Cohen-Macaulay flag is decided by graded
-    Auslander-Buchsbaum: pdim(R/I) = codim(I) iff R/I is CM.
+    Tensored with Q = R/(variables), d_i keeps only its constant entries,
+    and under positive weights a nonzero one joins two basis elements of
+    the same degree.  So beta_{i,j} is the number of degree-j basis
+    elements of F_i less the ranks over Q of the degree-j constant blocks
+    of d_i and d_{i+1}; pdim is the last i with beta_i nonzero.  For a
+    cyclic quotient R/I (rank 1, zero shift) the Cohen-Macaulay flag is
+    decided by graded Auslander-Buchsbaum: pdim(R/I) = codim(I) iff R/I
+    is CM.
     """
     ctx = M.ctx
-    steps: List[List[Vec]] = []      # matrices d_i: F_i -> F_{i-1}, rows = images of basis
-    degs: List[List[int]] = [list(M.shifts)]
+    degs: List[List[int]] = [list(M.shifts)]  # degrees of the basis of F_i
+    ranks = [Counter()]                       # degree -> constant rank of d_i
     rels = [v for v in M.relations if not _vec_is_zero(v)]
-    cur_shifts = list(M.shifts)
     while rels:
-        steps.append(rels)
-        rel_degs = []
-        pres = GradedModulePresentation(ctx, M.weights, len(rels[0]), [],
-                                        shifts=cur_shifts)
-        for v in rels:
-            rel_degs.append(pres._degree_of(v))
-        degs.append(rel_degs)
-        syz = syzygies(rels)
-        rels = [v for v in syz if not _vec_is_zero(v)]
-        cur_shifts = rel_degs
-
-    mats = [ [list(row) for row in mat] for mat in steps ]
-    betti = [list(d) for d in degs]
-    _minimalize(mats, betti, ctx)
-    # drop empty tail steps
-    while mats and not mats[-1]:
-        mats.pop()
-    pdim = len(mats)
+        degs.append([vector_degree(v, M.weights, degs[-1]) for v in rels])
+        ranks.append(_constant_ranks(rels, degs[-1], degs[-2]))
+        rels = [v for v in syzygies(rels) if not _vec_is_zero(v)]
+    ranks.append(Counter())
+    betti = []
+    for i, ds in enumerate(degs):
+        count = Counter(ds)
+        count.subtract(ranks[i])
+        count.subtract(ranks[i + 1])
+        betti.append(sorted(count.elements()))
+    pdim = max((i for i, b in enumerate(betti) if b), default=0)
 
     is_cm = None
     if M.rank == 1 and M.shifts == (0,):
@@ -702,80 +700,18 @@ def graded_free_resolution(M: GradedModulePresentation) -> Resolution:
                                           ctx=ctx))
         codim = ctx.n - dim if dim >= 0 else ctx.n
         is_cm = (pdim == codim)
-
-    return Resolution(
-        betti=betti[: pdim + 1],
-        matrices=[[tuple(row) for row in mat] for mat in mats],
-        pdim=pdim,
-        is_CM=is_cm,
-    )
+    return Resolution(betti=betti[: pdim + 1], pdim=pdim, is_CM=is_cm)
 
 
-def _minimalize(mats: List[List[List[Poly]]], betti: List[List[int]],
-                ctx: VarContext) -> None:
-    """Cancel scalar (degree-zero unit) entries in place.
-
-    mats[i] is the matrix F_{i+1} -> F_i as a list of rows; betti[i] the
-    degrees of the basis of F_i.  Standard Gaussian cancellation: a scalar
-    entry lets one basis element of F_{i+1} and one of F_i be struck out,
-    after clearing its row and column by row/column operations (which also
-    touch the neighboring matrices through the induced basis changes).
-    """
-    changed = True
-    while changed:
-        changed = False
-        for i, mat in enumerate(mats):
-            unit = None
-            for r, row in enumerate(mat):
-                for c, entry in enumerate(row):
-                    if not entry.is_zero() and entry.is_constant():
-                        unit = (r, c, entry.constant_coeff())
-                        break
-                if unit:
-                    break
-            if not unit:
-                continue
-            r, c, u = unit
-            # row operations: clear column c using row r
-            for r2, row2 in enumerate(mat):
-                if r2 == r or row2[c].is_zero():
-                    continue
-                lam = row2[c] * (Fraction(1) / u)
-                mat[r2] = [a - lam * b for a, b in zip(row2, mat[r])]
-                # basis change in F_{i+1} adjusts columns of mats[i+1]
-                if i + 1 < len(mats):
-                    for row3 in mats[i + 1]:
-                        if not row3[r2].is_zero():
-                            row3[r] = row3[r] + lam * row3[r2]
-            # column operations: clear row r using column c
-            for c2 in range(len(mat[r])):
-                if c2 == c or mat[r][c2].is_zero():
-                    continue
-                lam = mat[r][c2] * (Fraction(1) / u)
-                for row2 in mat:
-                    row2[c2] = row2[c2] - lam * row2[c]
-                # basis change in F_{i-1} adjusts rows of mats[i-1]
-                if i - 1 >= 0:
-                    mats[i - 1][c] = [
-                        a + lam * b
-                        for a, b in zip(mats[i - 1][c], mats[i - 1][c2])
-                    ]
-            # strike row r (basis of F_{i+1}) and column c (basis of F_i);
-            # d.d = 0 forces the struck column/row of the neighbors to be 0
-            mats[i] = [
-                [e for k, e in enumerate(row) if k != c]
-                for j, row in enumerate(mat) if j != r
-            ]
-            betti[i + 1].pop(r)
-            betti[i].pop(c)
-            if i + 1 < len(mats):
-                assert all(row[r].is_zero() for row in mats[i + 1])
-                mats[i + 1] = [
-                    [e for k, e in enumerate(row) if k != r]
-                    for row in mats[i + 1]
-                ]
-            if i - 1 >= 0:
-                assert all(e.is_zero() for e in mats[i - 1][c])
-                mats[i - 1] = [row for j, row in enumerate(mats[i - 1]) if j != c]
-            changed = True
-            break
+def _constant_ranks(rows: Sequence[Vec], row_degs: Sequence[int],
+                    col_degs: Sequence[int]) -> Counter:
+    """Degree j -> the rank over Q of the block of a homogeneous matrix
+    whose rows and columns both have degree j: the entries there have
+    degree 0, so they are its constants."""
+    ranks: Counter = Counter()
+    for j in set(row_degs) & set(col_degs):
+        cols = [c for c, d in enumerate(col_degs) if d == j]
+        block = [[row[c].constant_coeff() for c in cols]
+                 for row, d in zip(rows, row_degs) if d == j]
+        ranks[j] = len(row_reduce(block, len(cols))[1])
+    return ranks

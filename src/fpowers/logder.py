@@ -19,8 +19,8 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .ring import MonomialOrder, Poly, VarContext, divide_exact, exp_add
 from .arrange import (
-    ArrangementSpec, definitely_not_linear_split, linear_form_factorization,
-    row_reduce,
+    ArrangementSpec, _proportional_forms, definitely_not_linear_split,
+    linear_form_factorization, row_reduce,
 )
 from .gb import (
     GradedModulePresentation, IdealHandle, Limits, NonHomogeneousInput,
@@ -243,7 +243,7 @@ class FactorizationSpec:
                 # merge proportional forms
                 idx = None
                 for i, known in enumerate(forms):
-                    if _proportional(form, known):
+                    if _proportional_forms(form, known):
                         idx = i
                         break
                 if idx is None:
@@ -254,17 +254,6 @@ class FactorizationSpec:
                 group.extend([idx] * mult)
             groups.append(group)
         return ArrangementSpec(forms, mults, groups, self)
-
-
-def _proportional(p: Poly, q: Poly) -> bool:
-    if p.is_zero() or q.is_zero():
-        return p.is_zero() and q.is_zero()
-    ep = next(iter(sorted(p.terms)))
-    eq = next(iter(sorted(q.terms)))
-    if ep != eq:
-        return False
-    lam = p.terms[ep] / q.terms[eq]
-    return p == q * lam
 
 
 # ---------------------------------------------------------------------------
@@ -518,13 +507,9 @@ def _positive_weight_vector(exps, n) -> Optional[List[int]]:
             continue
         w = [sum(c * v[i] for c, v in zip(coeffs, null)) for i in range(n)]
         if all(x > 0 for x in w):
-            den = 1
-            for x in w:
-                den = den * x.denominator // math.gcd(den, x.denominator)
+            den = math.lcm(*[x.denominator for x in w])
             wi = [int(x * den) for x in w]
-            g = 0
-            for x in wi:
-                g = math.gcd(g, x)
+            g = math.gcd(*wi)
             return [x // g for x in wi]
     return None
 

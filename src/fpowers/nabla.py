@@ -150,7 +150,7 @@ def bs_variety_membership(B, A: Sequence[Fraction]) -> bool:
     if len(A) != ctx.n:
         raise ValueError("point length must match the s-variable count")
     assignment = dict(zip(ctx.names, A))
-    return all(g.eval_rat(assignment) == 0 for g in gens)
+    return all(not g.subs(assignment) for g in gens)
 
 
 # ---------------------------------------------------------------------------

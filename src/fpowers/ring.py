@@ -912,17 +912,6 @@ class Poly(TermMap):
         p.terms = diff_terms(self.terms, self.ctx.index[name])
         return p
 
-    def eval_rat(self, assignment: Dict[str, Fraction]) -> Fraction:
-        """Evaluate at a full rational point (every used variable assigned)."""
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            v = c
-            for i, k in enumerate(e):
-                if k:
-                    v *= assignment[self.ctx.names[i]] ** k
-            total += v
-        return total
-
 
 def initial_form(p: Poly, grading: str) -> Poly:
     """Sum of the terms of maximal weighted degree; 0 for the zero poly."""

@@ -19,9 +19,15 @@ and krull_dimension read the leads of that whole reduced basis.
 The normal forms are looked up on their modules at call time, so a test
 that wraps one sees the divisions of both; under_one_policy wraps them so
 that a loop here keeps the one bound policy of gb.buchberger.
+
+graded_free_resolution here is the resolution that gb's ranks of constant
+parts replaced: it minimalized the iterated-syzygy chain by Gaussian
+cancellation (_minimalize) and read pdim and the Betti degrees off the
+minimal resolution it left.
 """
 
 import heapq
+from dataclasses import dataclass
 from fractions import Fraction
 
 from fpowers import gb, weyl
@@ -306,3 +312,132 @@ def under_one_policy(loop):
             for (mod, name), real in zip(names, reals):
                 setattr(mod, name, real)
     return run
+
+
+# ---------------------------------------------------------------------------
+# graded resolutions: the minimal resolution that gb.graded_free_resolution's
+# ranks of constant parts replaced
+
+
+@dataclass
+class MinimalResolution:
+    """Minimal graded free resolution 0 <- M <- F_0 <- F_1 <- ... <- F_pdim."""
+    betti: list        # per step, degrees of the free basis
+    matrices: list     # matrices[i]: rows = basis of F_{i+1}, entries in F_i
+    pdim: int
+    is_CM: object      # only set for cyclic quotients R/I
+
+
+def graded_free_resolution(M):
+    """Minimal graded free resolution by iterated syzygies, as a
+    MinimalResolution.
+
+    pdim is the length after minimalization.  For a cyclic quotient R/I
+    (rank 1, zero shift) the Cohen-Macaulay flag is decided by graded
+    Auslander-Buchsbaum: pdim(R/I) = codim(I) iff R/I is CM.
+    """
+    ctx = M.ctx
+    steps = []      # matrices d_i: F_i -> F_{i-1}, rows = images of basis
+    degs = [list(M.shifts)]
+    rels = [v for v in M.relations if not gb._vec_is_zero(v)]
+    cur_shifts = list(M.shifts)
+    while rels:
+        steps.append(rels)
+        rel_degs = []
+        for v in rels:
+            rel_degs.append(gb.vector_degree(v, M.weights, cur_shifts))
+        degs.append(rel_degs)
+        syz = gb.syzygies(rels)
+        rels = [v for v in syz if not gb._vec_is_zero(v)]
+        cur_shifts = rel_degs
+
+    mats = [[list(row) for row in mat] for mat in steps]
+    betti = [list(d) for d in degs]
+    _minimalize(mats, betti, ctx)
+    # drop empty tail steps
+    while mats and not mats[-1]:
+        mats.pop()
+    pdim = len(mats)
+
+    is_cm = None
+    if M.rank == 1 and M.shifts == (0,):
+        dim = gb.krull_dimension(
+            gb.IdealHandle([r[0] for r in M.relations], ctx=ctx))
+        codim = ctx.n - dim if dim >= 0 else ctx.n
+        is_cm = (pdim == codim)
+
+    return MinimalResolution(
+        betti=betti[: pdim + 1],
+        matrices=[[tuple(row) for row in mat] for mat in mats],
+        pdim=pdim,
+        is_CM=is_cm,
+    )
+
+
+def _minimalize(mats, betti, ctx):
+    """Cancel scalar (degree-zero unit) entries in place.
+
+    mats[i] is the matrix F_{i+1} -> F_i as a list of rows; betti[i] the
+    degrees of the basis of F_i.  Standard Gaussian cancellation: a scalar
+    entry lets one basis element of F_{i+1} and one of F_i be struck out,
+    after clearing its row and column by row/column operations (which also
+    touch the neighboring matrices through the induced basis changes).
+    """
+    changed = True
+    while changed:
+        changed = False
+        for i, mat in enumerate(mats):
+            unit = None
+            for r, row in enumerate(mat):
+                for c, entry in enumerate(row):
+                    if not entry.is_zero() and entry.is_constant():
+                        unit = (r, c, entry.constant_coeff())
+                        break
+                if unit:
+                    break
+            if not unit:
+                continue
+            r, c, u = unit
+            # row operations: clear column c using row r
+            for r2, row2 in enumerate(mat):
+                if r2 == r or row2[c].is_zero():
+                    continue
+                lam = row2[c] * (Fraction(1) / u)
+                mat[r2] = [a - lam * b for a, b in zip(row2, mat[r])]
+                # basis change in F_{i+1} adjusts columns of mats[i+1]
+                if i + 1 < len(mats):
+                    for row3 in mats[i + 1]:
+                        if not row3[r2].is_zero():
+                            row3[r] = row3[r] + lam * row3[r2]
+            # column operations: clear row r using column c
+            for c2 in range(len(mat[r])):
+                if c2 == c or mat[r][c2].is_zero():
+                    continue
+                lam = mat[r][c2] * (Fraction(1) / u)
+                for row2 in mat:
+                    row2[c2] = row2[c2] - lam * row2[c]
+                # basis change in F_{i-1} adjusts rows of mats[i-1]
+                if i - 1 >= 0:
+                    mats[i - 1][c] = [
+                        a + lam * b
+                        for a, b in zip(mats[i - 1][c], mats[i - 1][c2])
+                    ]
+            # strike row r (basis of F_{i+1}) and column c (basis of F_i);
+            # d.d = 0 forces the struck column/row of the neighbors to be 0
+            mats[i] = [
+                [e for k, e in enumerate(row) if k != c]
+                for j, row in enumerate(mat) if j != r
+            ]
+            betti[i + 1].pop(r)
+            betti[i].pop(c)
+            if i + 1 < len(mats):
+                assert all(row[r].is_zero() for row in mats[i + 1])
+                mats[i + 1] = [
+                    [e for k, e in enumerate(row) if k != r]
+                    for row in mats[i + 1]
+                ]
+            if i - 1 >= 0:
+                assert all(e.is_zero() for e in mats[i - 1][c])
+                mats[i - 1] = [row for j, row in enumerate(mats[i - 1]) if j != c]
+            changed = True
+            break

@@ -366,6 +366,23 @@ def test_arrangement_multiplicity_mismatch(tmp_path):
     assert "disagree" in payload["error"]
 
 
+@pytest.mark.parametrize("mults, grouping, message", [
+    ([True, 1], [[0], [True]], '"multiplicities" must be integers'),
+    ([1, 1], [[0], [True]], "valid form indices"),
+])
+def test_arrangement_block_refuses_booleans(tmp_path, mults, grouping,
+                                            message):
+    # JSON true is a Python int; it is no multiplicity or form index
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "variables": ["x", "y"], "factors": ["x", "y"],
+        "arrangement": {"forms": ["x", "y"], "multiplicities": mults,
+                        "grouping": grouping}}))
+    code, payload = run("arrangement", "--input", bad)
+    assert code == 1
+    assert message in payload["error"]
+
+
 def test_hypothesis_failure_exits_2(tmp_path):
     prob = tmp_path / "nonseh.json"
     prob.write_text('{"variables": ["x"], "factors": ["x + x^2"]}')

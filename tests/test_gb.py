@@ -1,6 +1,7 @@
 """Groebner engine: bases, elimination, colon, dimension, syzygies,
 resolutions, plus soundness properties with randomized inputs."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -306,7 +307,95 @@ def test_resolution_auslander_buchsbaum_bookkeeping():
 def test_resolution_free_module_pdim_zero():
     M = GradedModulePresentation(XY, [1, 1], 2, [])
     r = graded_free_resolution(M)
-    assert r.pdim == 0 and r.matrices == []
+    assert r.pdim == 0 and r.betti == [[0, 0]]
+
+
+def _assert_minimal_betti(M):
+    """The Betti numbers of M from the ranks of constant parts equal
+    those of the minimal resolution that Gaussian cancellation leaves."""
+    got = graded_free_resolution(M)
+    ref = engine_reference.graded_free_resolution(M)
+    assert (got.pdim, got.is_CM) == (ref.pdim, ref.is_CM)
+    assert got.betti == [sorted(b) for b in ref.betti]
+
+
+def _random_homogeneous(rng, ctx, weights, deg, terms=3):
+    """A random homogeneous polynomial of weighted degree deg, possibly
+    zero; a constant when deg is 0."""
+    monos = [e for e in itertools.product(range(deg + 1), repeat=ctx.n)
+             if sum(w * x for w, x in zip(weights, e)) == deg]
+    q = Poly.zero(ctx)
+    for _ in range(rng.randint(1, terms) if monos else 0):
+        q = q + Poly.monomial(ctx, rng.choice(monos),
+                              Fraction(rng.randint(-3, 3)))
+    return q
+
+
+def test_betti_ranks_match_minimal_resolution_on_random_modules():
+    # relations of mixed degrees over shifted bases, some with constant
+    # entries and some redundant, so that the chain of iterated syzygies
+    # is far from minimal at several steps
+    rng = random.Random(23)
+    pdims = set()
+    for _ in range(40):
+        ctx = rng.choice([XY, XYZ])
+        weights = [rng.randint(1, 2) for _ in range(ctx.n)]
+        rank = rng.choice([1, 1, 2])
+        shifts = [0] + [rng.randint(0, 2) for _ in range(rank - 1)]
+        rels, degs = [], []
+        for _ in range(rng.randint(1, 4)):
+            d = rng.randint(max(shifts), max(shifts) + 3)
+            rels.append(tuple(_random_homogeneous(rng, ctx, weights, d - s)
+                              for s in shifts))
+            degs.append(d)
+        if rng.random() < 0.5:
+            a, b = sorted(rng.sample(range(len(rels)), 2)
+                          if len(rels) > 1 else [0, 0], key=degs.__getitem__)
+            m = _random_homogeneous(rng, ctx, weights, degs[b] - degs[a])
+            rels.append(tuple(y + m * x for x, y in zip(rels[a], rels[b])))
+        M = GradedModulePresentation(ctx, weights, rank, rels, shifts=shifts)
+        _assert_minimal_betti(M)
+        pdims.add(graded_free_resolution(M).pdim)
+    assert pdims >= {0, 1, 2}
+
+
+def test_betti_ranks_match_minimal_resolution_on_symbol_ideals():
+    # R/L_F and R/Ltilde_F of the fixture suite, x and y of weight 1 and
+    # s of weight 2, as the symbol certificates resolve them
+    from fpowers.liouville import build_liouville_ideals
+    from fpowers.logder import FactorizationSpec
+    vc = {n: VarContext([("X", ["x", "y", "z"][:n])]) for n in (1, 2, 3)}
+    suite = [(1, ["x"]), (2, ["x", "y"]), (2, ["x", "y", "x + y"]),
+             (3, ["x", "2*x^2 + y*z"]), (3, ["x", "y", "z"])]
+    for n, fs in suite:
+        F = FactorizationSpec(vc[n].names,
+                              [parse_poly(f, vc[n]) for f in fs])
+        data = build_liouville_ideals(F)
+        weights = [1] * (2 * F.n) + [2] * F.r
+        for handle in (data.L_F, data.Ltilde_F):
+            if handle.gens:
+                _assert_minimal_betti(GradedModulePresentation(
+                    F.symbol_vc, weights, 1, [[g] for g in handle.gens]))
+
+
+def test_betti_ranks_match_minimal_resolution_on_log_modules(monkeypatch):
+    # the presentations of Der(-log f) (non-free f) and Omega^k(log f)
+    # whose pdim the hypothesis table reports
+    from fpowers import logder
+    seen = []
+
+    def record(M, real=logder.graded_free_resolution):
+        seen.append(M)
+        return real(M)
+    monkeypatch.setattr(logder, "graded_free_resolution", record)
+    vc4 = VarContext([("X", ["x1", "x2", "x3", "x4"])])
+    assert logder.saito_basis(p("2*x^3 + x*y*z", XYZ)).pdim == 1
+    assert logder.saito_basis(p("x*y*z*(x + y + z)", XYZ)).pdim == 1
+    assert logder.tameness_check(
+        parse_poly("x1*x2*x3*x4*(x1 + x2 + x3 + x4)", vc4))[0] == "yes"
+    assert len(seen) == 5
+    for M in seen:
+        _assert_minimal_betti(M)
 
 
 # ======================================================================
