@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .ring import Poly, divide_exact
 
@@ -34,10 +34,8 @@ class ArrangementSpec:
         self.fspec = fspec
         for p in self.forms:
             _normal_of(p)  # raises NotLinear
-        for i in range(len(self.forms)):
-            for j in range(i + 1, len(self.forms)):
-                if _proportional_forms(self.forms[i], self.forms[j]):
-                    raise ValueError("forms must be pairwise non-proportional")
+        if len(merge_forms((p, 1) for p in self.forms)[0]) < len(self.forms):
+            raise ValueError("forms must be pairwise non-proportional")
         if any(m <= 0 for m in self.mults):
             raise ValueError("multiplicities must be positive")
 
@@ -64,11 +62,8 @@ def _normal_of(p: Poly) -> List[Fraction]:
 def _proportional_forms(p: Poly, q: Poly) -> bool:
     a, b = _normal_of(p), _normal_of(q)
     # cross products vanish
-    for i in range(len(a)):
-        for j in range(i + 1, len(a)):
-            if a[i] * b[j] != a[j] * b[i]:
-                return False
-    return True
+    return all(a[i] * b[j] == a[j] * b[i]
+               for i, j in itertools.combinations(range(len(a)), 2))
 
 
 def row_reduce(vectors: Sequence[Sequence], ncols: int
@@ -181,14 +176,14 @@ def linear_form_factorization(p: Poly) -> Optional[List[Tuple[Poly, int]]]:
             for _ in range(m):
                 work = divide_exact(work, Poly.var(ctx, ctx.names[i]))
     if work.is_constant():
-        return _merge(out, work, p)
+        return _merge(out, p)
     degs = {sum(e) for e in work.terms}
     if len(degs) != 1:
         return None  # not homogeneous, cannot be central
     d = degs.pop()
     if d == 1:
         out.append((work, 1))
-        return _merge(out, Poly.const(ctx, 1), p)
+        return _merge(out, p)
     used = [i for i in range(ctx.n) if any(e[i] for e in work.terms)]
     if len(used) != 2:
         return None
@@ -206,31 +201,35 @@ def linear_form_factorization(p: Poly) -> Optional[List[Tuple[Poly, int]]]:
         form = Poly.var(ctx, ctx.names[u]) * den \
             - Poly.var(ctx, ctx.names[v]) * (alpha * den)
         out.append((form, m))
-    return _merge(out, Poly.const(ctx, 1), p)
+    return _merge(out, p)
 
 
-def _merge(pairs: List[Tuple[Poly, int]], scalar: Poly, target: Poly):
-    """Combine duplicate (proportional) forms and sanity-check the product."""
-    merged: List[Tuple[Poly, int]] = []
+def merge_forms(pairs: Iterable[Tuple[Poly, int]]):
+    """(forms, mults, where): the pairs (form, multiplicity) with
+    proportional forms combined under the first of them, and the index in
+    forms that each pair went to."""
+    forms, mults, where = [], [], []
     for form, m in pairs:
-        hit = False
-        for i, (known, km) in enumerate(merged):
-            if _proportional_forms(form, known):
-                merged[i] = (known, km + m)
-                hit = True
-                break
-        if not hit:
-            merged.append((form, m))
+        i = next((i for i, known in enumerate(forms)
+                  if _proportional_forms(form, known)), len(forms))
+        if i == len(forms):
+            forms.append(form)
+            mults.append(0)
+        mults[i] += m
+        where.append(i)
+    return forms, mults, where
+
+
+def _merge(pairs: List[Tuple[Poly, int]], target: Poly):
+    """Combine duplicate (proportional) forms and sanity-check the product:
+    None unless target is a scalar multiple of it."""
+    merged = list(zip(*merge_forms(pairs)[:2]))
     prod = Poly.const(target.ctx, 1)
     for form, m in merged:
         prod = prod * form ** m
-    # target must be a scalar multiple of the product
-    lead = sorted(prod.terms)[0]
+    lead = min(prod.terms)
     lam = target.terms.get(lead)
-    if lam is None:
-        return None
-    lam = lam / prod.terms[lead]
-    if prod * lam == target:
+    if lam is not None and prod * (lam / prod.terms[lead]) == target:
         return merged
     return None
 

@@ -19,12 +19,13 @@ Normal forms of polynomials and of module vectors take a list of elements
 or a basis loop's Divisors and run on ring.reduce_in_place over integers
 through remainder, which also turns the kernel's degree overflow into
 ResourceLimit; Fractions go in and come out.  On top of the basis:
-membership, elimination, saturation, radical membership (by a tag
-variable), Krull dimension via independent variable sets, module syzygies
-(extended-basis construction), colon ideals as first coordinates of
-syzygies, and graded Betti numbers, read off the ranks over Q of the
-constant parts of a graded free resolution by iterated syzygies, with
-pdim and a Cohen-Macaulay test by graded Auslander-Buchsbaum.
+membership, elimination, radical membership (by a tag variable), the one
+regular-sequence test (is_nonzerodivisor, from the leads of one basis),
+Krull dimension via independent variable sets, module syzygies
+(extended-basis construction), and graded Betti numbers, read off the
+ranks over Q of the constant parts of a graded free resolution by
+iterated syzygies, with pdim and a Cohen-Macaulay test by graded
+Auslander-Buchsbaum.
 
 No function takes a bound: the degree and basis-size bounds are request
 state (ring.Limits, re-exported here), set by `with Limits(max_degree=...,
@@ -388,9 +389,9 @@ def eliminate(I: IdealHandle, drop_block: str) -> IdealHandle:
 
 
 def _with_tag(ctx: VarContext) -> Tuple[VarContext, str]:
-    """ctx with one more variable, the tag of radical_membership, alone in
-    a last block _W: named _w, or _w1, _w2, ... when ctx already has that
-    name."""
+    """ctx with one more variable, the tag of radical_membership and
+    is_nonzerodivisor, alone in a last block _W: named _w, or _w1, _w2,
+    ... when ctx already has that name."""
     name, k = "_w", 0
     while name in ctx.index:
         k += 1
@@ -398,26 +399,36 @@ def _with_tag(ctx: VarContext) -> Tuple[VarContext, str]:
     return VarContext(list(ctx.blocks) + [("_W", [name])]), name
 
 
-def ideal_colon(I: IdealHandle, g: Poly) -> IdealHandle:
-    """(I : g) = {p : p*g in I}, g nonzero: the first coordinates of
-    syz(g, f_1, ..., f_k), f_i the generators of I (Greuel and Pfister, A
-    Singular Introduction to Commutative Algebra, ch. 1)."""
+def is_nonzerodivisor(I: IdealHandle, g: Poly, weights: Sequence[int]) -> bool:
+    """Is g a nonzerodivisor on R/I, (I : g) = I?  I and g must be
+    homogeneous for the grading by weights (nonnegative, one per variable),
+    g of positive degree, else NonHomogeneousInput; g = 0 is a ValueError.
+
+    t is g when g is a variable, else a tag (_with_tag) of degree deg g,
+    and J = I + (t - g), so that R[t]/J is R/I with t acting as g.  Under
+    the order by weighted degree, then the smaller power of t, then
+    grevlex, in(J : t) = in(J) : t (Bayer and Stillman, Invent. Math. 87,
+    1987, Lemma 2.2): g is a nonzerodivisor exactly when no lead of the
+    reduced basis of J contains t."""
     if g.is_zero():
         raise ValueError("colon by zero")
-    syz = syzygies([(g,)] + [(f,) for f in I.gens])
-    return IdealHandle([s[0] for s in syz], ctx=I.ctx)
-
-
-def saturate(I: IdealHandle, g: Poly) -> Tuple[IdealHandle, int]:
-    """(I : g^inf) by iterating colon to stability; returns (ideal, steps)."""
-    steps = 0
-    cur = I
-    while True:
-        nxt = ideal_colon(cur, g)
-        if nxt.equals(cur):
-            return cur, steps
-        cur = nxt
-        steps += 1
+    w = tuple(weights)
+    for f in I.gens:
+        vector_degree((f,), w, (0,))  # homogeneous, or raise
+    d = vector_degree((g,), w, (0,))
+    if d <= 0:
+        raise NonHomogeneousInput(f"{g} has degree {d}, not a positive one")
+    e, *more = g.terms
+    if not more and sum(e) == 1:
+        gens, t = I.gens, e.index(1)
+    else:
+        ctx, tag = _with_tag(I.ctx)
+        gens = [f.moved(ctx) for f in I.gens]
+        gens.append(Poly.var(ctx, tag) - g.moved(ctx))
+        w, t = w + (d,), ctx.index[tag]
+    t_last = MonomialOrder.weighted([-(i == t) for i in range(len(w))])
+    leads = groebner_basis(gens, MonomialOrder.weighted(w, t_last)).leads
+    return not any(m[t] for m in leads)
 
 
 def radical_membership(p: Poly, I: IdealHandle) -> bool:

@@ -27,7 +27,7 @@ from .gb import (
     IdealHandle,
     eliminate,
     groebner_basis,
-    ideal_colon,
+    is_nonzerodivisor,
     krull_dimension,
 )
 from .ring import MonomialOrder, Poly, VarContext, exp_weight, initial_form_weights
@@ -261,7 +261,8 @@ def homogenization_property_suite(count: int = 20, seed: int = 0
     variables, every generator term with positive main-variable degree so
     that I sits inside the ideal of the main variables.
 
-    Per ideal: (HOM_u(I):t) = HOM_u(I); the t->0 / t->1 fibers recover
+    Per ideal: (HOM_u(I):t) = HOM_u(I) (gb.is_nonzerodivisor under the
+    grading (u, 1)); the t->0 / t->1 fibers recover
     In_u(I) / I; the leading ideals under the u-refined orders agree up to
     the extra t coordinate; dim In_u(I) >= dim I.
     """
@@ -298,8 +299,7 @@ def homogenization_property_suite(count: int = 20, seed: int = 0
         checked += 1
         tag = f"trial {checked} (seed {seed})"
         H = homogenize_u(I, u)
-        tvar = Poly.var(H.ctx, "t")
-        if ideal_colon(H, tvar).equals(H):
+        if is_nonzerodivisor(H, Poly.var(H.ctx, "t"), tuple(u) + (1,)):
             tally["colon_stable"] += 1
         else:
             failures.append(f"{tag}: (HOM_u(I):t) != HOM_u(I)")

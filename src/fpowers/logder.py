@@ -19,12 +19,12 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .ring import MonomialOrder, Poly, VarContext, divide_exact, exp_add
 from .arrange import (
-    ArrangementSpec, _proportional_forms, definitely_not_linear_split,
-    linear_form_factorization, row_reduce,
+    ArrangementSpec, definitely_not_linear_split, linear_form_factorization,
+    merge_forms, row_reduce,
 )
 from .gb import (
     GradedModulePresentation, IdealHandle, Limits, NonHomogeneousInput,
-    ResourceLimit, extended_basis, graded_free_resolution, ideal_colon,
+    ResourceLimit, extended_basis, graded_free_resolution, is_nonzerodivisor,
     krull_dimension, leads_dimension, module_contains, syzygies,
     vector_degree,
 )
@@ -230,29 +230,18 @@ class FactorizationSpec:
         return h
 
     def try_arrangement(self):
-        """Factor every f_k into linear forms if possible (else None)."""
-        groups = []
-        forms: List[Poly] = []
-        mults: List[int] = []
+        """Factor every f_k into linear forms if possible (else None), with
+        proportional forms merged across the factors (arrange.merge_forms)."""
+        facs = []
         for fk in self.factors:
             fac = linear_form_factorization(fk)
             if fac is None:
                 return None
-            group = []
-            for form, mult in fac:
-                # merge proportional forms
-                idx = None
-                for i, known in enumerate(forms):
-                    if _proportional_forms(form, known):
-                        idx = i
-                        break
-                if idx is None:
-                    forms.append(form)
-                    mults.append(0)
-                    idx = len(forms) - 1
-                mults[idx] += mult
-                group.extend([idx] * mult)
-            groups.append(group)
+            facs.append(fac)
+        forms, mults, where = merge_forms(itertools.chain(*facs))
+        at = iter(where)
+        groups = [[i for (_, m), i in zip(fac, at) for _ in range(m)]
+                  for fac in facs]
         return ArrangementSpec(forms, mults, groups, self)
 
 
@@ -602,23 +591,23 @@ def koszul_free_check(f: Poly, basis: Sequence[LogDerivation]) -> bool:
 
 def colon_stable_steps(base: Sequence[Poly], seq: Sequence[Poly],
                        ctx: VarContext) -> Iterator[bool]:
-    """For each s of seq in turn: is the ideal J of base and the elements
-    of seq before s unchanged by the colon, (J : s) = J?  The one
+    """For each s of seq in turn: is s a nonzerodivisor modulo the ideal J
+    of base and the elements of seq before s, (J : s) = J?  Each step is
+    gb.is_nonzerodivisor under the "(0,1,1)" grading.  The one
     colon-stability loop: regular_sequence stops at its first False,
     nabla.s_regularity_check reads every step."""
+    weights = ctx.grading("(0,1,1)")
     prev = list(base)
     for s in seq:
-        J = IdealHandle(prev, ctx=ctx)
-        yield J.contains_ideal(ideal_colon(J, s))
+        yield is_nonzerodivisor(IdealHandle(prev, ctx=ctx), s, weights)
         prev.append(s)
 
 
 def regular_sequence(seq: Sequence[Poly], ctx: VarContext) -> bool:
-    """Is seq a regular sequence in the polynomial ring over ctx?  Each
-    element must leave the ideal of the earlier ones unchanged by the
-    colon, and the whole sequence must not generate the unit ideal."""
-    return (all(colon_stable_steps([], seq, ctx))
-            and not IdealHandle(seq, ctx=ctx).is_unit_ideal())
+    """Is seq a regular sequence in the polynomial ring over ctx, each
+    element a nonzerodivisor modulo the earlier ones?  Its (0,1,1)-degrees
+    are positive, so it lies in (y, S) and never generates the unit ideal."""
+    return all(colon_stable_steps([], seq, ctx))
 
 
 def saito_holonomic_check(f: Poly,

@@ -12,7 +12,7 @@ Injectivity has no direct test here -- only the implications that relate it
 to surjectivity under checked hypotheses are reported.
 
 The regular-sequence side: the s_i act on Q[x,y,S]/Ltilde_F like a regular
-sequence, verified step by step through colon-ideal stabilization
+sequence, verified step by step from the leads of one basis each
 (logder.colon_stable_steps), and the final quotient collapses to the
 single-factor data L_f + (gr E).
 """

@@ -189,3 +189,17 @@ def test_try_arrangement_merges_proportional_forms():
     assert A is not None
     assert len(A.forms) == 1
     assert A.mults == [2]
+
+
+def test_try_arrangement_groups_each_factor_by_merged_index():
+    # one merge across the factors (arrange.merge_forms): each form under
+    # its first proportional copy, each factor's group its forms' indices,
+    # each as often as its multiplicity, as the loop of its own gave
+    for factors, forms, mults, groups in [
+            (["x*(x+y)", "2*x+2*y", "y"], ["x", "x + y", "y"], [1, 2, 1],
+             [[0, 1], [1], [2]]),
+            (["x^2*y", "3*x"], ["x", "y"], [3, 1], [[0, 0, 1], [0]])]:
+        A = FactorizationSpec(["x", "y"], [p2(f) for f in factors]).try_arrangement()
+        assert [str(f) for f in A.forms] == forms
+        assert A.mults == mults and A.groups == groups
+

@@ -1,4 +1,4 @@
-"""Groebner engine: bases, elimination, colon, dimension, syzygies,
+"""Groebner engine: bases, elimination, regularity, dimension, syzygies,
 resolutions, plus soundness properties with randomized inputs."""
 
 import itertools
@@ -10,16 +10,18 @@ import pytest
 from fpowers import gb
 from fpowers.ring import (
     Divisors, MonomialOrder, Poly, VarContext, exp_add, exp_divides, exp_lcm,
-    exp_sub, parse_poly,
+    exp_sub, exp_weight, parse_poly,
 )
 from fpowers.gb import (
     GradedModulePresentation, IdealHandle, Limits, NonHomogeneousInput,
     ResourceLimit, eliminate, graded_free_resolution, groebner_basis,
-    ideal_colon, krull_dimension, normal_form, radical_membership,
-    saturate, syzygies,
+    is_nonzerodivisor, krull_dimension, normal_form, radical_membership,
+    syzygies,
 )
+from fpowers.liouville import homogenize_u
 import engine_reference
 import gate_reference
+from colon_reference import colon_stable, ideal_colon, saturate
 from gate_reference import intersect
 from engine_reference import check_poly
 from kernel_reference import elements_of, s_poly, value_of, vec_scale, vec_sub
@@ -91,30 +93,40 @@ def test_eliminate_everything_drops():
 
 
 # ======================================================================
-# colon, intersection, saturation, radical membership
+# colon, intersection, saturation, radical membership; the leads test of
+# regularity against the syzygy colon (colon_reference)
+
+STD = (1, 1)
 
 
 def test_colon_monomial():
-    assert [str(g) for g in ideal_colon(IdealHandle([p("x*y")]), p("x")).gens] == ["y"]
+    # (xy) : x = (y), so x is a zero divisor mod (xy)
+    I = IdealHandle([p("x*y")])
+    assert [str(g) for g in ideal_colon(I, p("x")).gens] == ["y"]
+    assert not is_nonzerodivisor(I, p("x"), STD)
 
 
 def test_colon_two_generators():
-    I = ideal_colon(IdealHandle([p("x^2"), p("x*y")]), p("x"))
-    J = IdealHandle([p("x"), p("y")])
-    assert I.equals(J)
+    I = IdealHandle([p("x^2"), p("x*y")])
+    assert ideal_colon(I, p("x")).equals(IdealHandle([p("x"), p("y")]))
+    assert not is_nonzerodivisor(I, p("x"), STD)
+    assert not is_nonzerodivisor(I, p("y"), STD)
 
 
 def test_colon_nonzerodivisor():
-    I = ideal_colon(IdealHandle([p("x")]), p("y"))
-    assert I.equals(IdealHandle([p("x")]))
+    I = IdealHandle([p("x")])
+    assert ideal_colon(I, p("y")).equals(I)
+    assert is_nonzerodivisor(I, p("y"), STD)
 
 
 def test_colon_containments():
+    # xy is no variable: the leads test runs on a tag of degree 2
     I = IdealHandle([p("x^2*y"), p("y^3")])
     g = p("x*y")
     C = ideal_colon(I, g)
     assert all(I.contains(h * g) for h in C.gens)
-    assert C.contains_ideal(I)
+    assert C.contains_ideal(I) and not I.contains_ideal(C)
+    assert not is_nonzerodivisor(I, g, STD)
 
 
 def test_intersect_principal():
@@ -123,17 +135,24 @@ def test_intersect_principal():
 
 
 def test_saturate_strips_component():
+    # x is a zero divisor mod (x^2 y) and a nonzerodivisor mod its
+    # saturation (y)
     I = IdealHandle([p("x^2*y")])
     S, steps = saturate(I, p("x"))
     assert S.equals(IdealHandle([p("y")]))
     assert steps >= 1
+    assert not is_nonzerodivisor(I, p("x"), STD)
+    assert is_nonzerodivisor(S, p("x"), STD)
 
 
 def test_saturate_to_unit():
-    # x^3 lies in the ideal, so saturating by x reaches the whole ring
+    # x^3 lies in the ideal, so saturating by x reaches the whole ring,
+    # on whose zero quotient x is (vacuously) a nonzerodivisor
     I = IdealHandle([p("x^2*y"), p("x^3")])
     S, _ = saturate(I, p("x"))
     assert S.is_unit_ideal()
+    assert not is_nonzerodivisor(I, p("x"), STD)
+    assert is_nonzerodivisor(S, p("x"), STD)
 
 
 def test_radical_membership():
@@ -143,17 +162,19 @@ def test_radical_membership():
 
 
 def test_tag_variable_avoids_declared_names():
-    # radical_membership and the reference intersect add a tag variable;
-    # declared _w and _w1 must not clash with it, and the answers are those
-    # of x, y (the syzygy colon adds none)
+    # radical_membership, the leads test of a non-variable and the
+    # reference intersect add a tag variable; declared _w and _w1 must not
+    # clash with it, and the answers are those of x, y
     W = VarContext([("X", ["_w", "_w1"])])
     I = intersect(IdealHandle([p("_w", W)]), IdealHandle([p("_w1", W)]))
     assert I.equals(IdealHandle([p("_w*_w1", W)]))
     J = IdealHandle([p("_w^2", W)])
     assert radical_membership(p("_w", W), J)
     assert not radical_membership(p("_w1", W), J)
-    C = ideal_colon(IdealHandle([p("_w^2*_w1", W)]), p("_w", W))
-    assert C.equals(IdealHandle([p("_w*_w1", W)]))
+    K = IdealHandle([p("_w^2*_w1", W)])
+    for g, regular in [("_w + _w1", True), ("_w*_w1", False)]:
+        assert is_nonzerodivisor(K, p(g, W), STD) is regular
+        assert colon_stable(K, p(g, W)) is regular
 
 
 def test_colon_equals_the_tag_variable_reference():
@@ -189,6 +210,98 @@ def test_colon_equals_the_tag_variable_reference():
     assert member.is_unit_ideal() and multiple.is_unit_ideal()
     assert unit.is_unit_ideal()
     assert tags.equals(IdealHandle([p("_w", W), p("_w1^2", W)]))
+
+
+def _random_form(rng, ctx, w, d, terms):
+    """A random w-homogeneous polynomial of degree d with up to `terms`
+    terms, each weight-0 variable to at most the first power."""
+    exps = [e for e in itertools.product(*(range(2) if wi == 0
+                                           else range(d // wi + 1) for wi in w))
+            if exp_weight(e, w) == d]
+    picked = rng.sample(exps, min(terms, len(exps)))
+    return Poly(ctx, {e: Fraction(rng.choice([-2, -1, 1, 2, 3]))
+                      for e in picked})
+
+
+def _random_element(rng, ctx, w):
+    """A variable of positive weight, or a form of degree 1 or 2 with at
+    least two terms (the leads test runs it on a tag)."""
+    if rng.random() < 0.5:
+        return Poly.var(ctx, rng.choice([v for v, wi in zip(ctx.names, w)
+                                         if wi]))
+    return _random_form(rng, ctx, w, rng.randint(1, 2), rng.randint(2, 3))
+
+
+def _regularity_cases(seed, count):
+    """(grading, I, g, weights): count random cases in each of the
+    "(0,1,1)" grading of Q[x1,x2,y1,y2,s1], where x has weight 0, the
+    standard grading of Q[x,y,z], and the (u,1) grading of HOM_u of a
+    random ideal of Q[a,b] (there g is t itself, or a random element)."""
+    rng = random.Random(seed)
+    sym = VarContext([("X", ["x1", "x2"]), ("Y", ["y1", "y2"]),
+                      ("S", ["s1"])])
+    w = sym.grading("(0,1,1)")
+    for _ in range(count):
+        gens = [_random_form(rng, sym, w, rng.randint(1, 2), rng.randint(1, 3))
+                for _ in range(rng.randint(1, 2))]
+        yield "(0,1,1)", IdealHandle(gens, ctx=sym), _random_element(rng, sym, w), w
+    w = (1, 1, 1)
+    for _ in range(count):
+        gens = [_random_form(rng, XYZ, w, rng.randint(1, 3), rng.randint(1, 3))
+                for _ in range(rng.randint(1, 2))]
+        yield "standard", IdealHandle(gens, ctx=XYZ), _random_element(rng, XYZ, w), w
+    ab = VarContext([("X", ["a", "b"])])
+    for _ in range(count):
+        u = [rng.randint(0, 2), rng.randint(1, 2)]
+        gens = [_random_poly(rng, ab, deg=2) for _ in range(rng.randint(1, 2))]
+        gens = [g - g.constant_coeff() for g in gens]
+        if not any(gens):
+            continue
+        H = homogenize_u(IdealHandle(gens, ctx=ab), u)
+        w = tuple(u) + (1,)
+        g = (Poly.var(H.ctx, "t") if rng.random() < 0.4
+             else _random_element(rng, H.ctx, w))
+        yield "HOM_u", H, g, w
+
+
+def test_leads_test_matches_the_syzygy_colon():
+    # Bayer-Stillman: one basis of I + (t - g) decides (I : g) = I; every
+    # verdict, for both kinds of element, in every grading
+    seen = set()
+    for grading, I, g, w in _regularity_cases(seed=24, count=40):
+        regular = colon_stable(I, g)
+        assert is_nonzerodivisor(I, g, w) is regular, (grading, I, g)
+        seen.add((grading, len(g.terms) == 1, regular))
+    assert len(seen) == 12
+
+
+def test_leads_test_needs_the_t_tie_break(monkeypatch):
+    # without "the smaller power of t first" a lead that contains t no
+    # longer makes its element divisible by t, and the verdicts go wrong
+    # in every grading
+    weighted = MonomialOrder.weighted
+
+    def without_tie_break(w, tie=None):
+        return MonomialOrder.grevlex() if min(w) < 0 else weighted(w, tie)
+    monkeypatch.setattr(MonomialOrder, "weighted",
+                        staticmethod(without_tie_break))
+    wrong = {grading for grading, I, g, w in _regularity_cases(24, 40)
+             if is_nonzerodivisor(I, g, w) != colon_stable(I, g)}
+    assert wrong == {"(0,1,1)", "standard", "HOM_u"}
+
+
+def test_leads_test_rejects_what_it_cannot_decide():
+    sym = VarContext([("X", ["x"]), ("Y", ["y"]), ("S", ["s"])])
+    w = sym.grading("(0,1,1)")
+    I = IdealHandle([p("x*y", sym)])
+    for J, g in [(IdealHandle([p("y + s^2", sym)]), p("s", sym)),  # J
+                 (I, p("y + x", sym)),                             # g
+                 (I, p("x", sym)),                                 # degree 0
+                 (I, p("2", sym))]:
+        with pytest.raises(NonHomogeneousInput):
+            is_nonzerodivisor(J, g, w)
+    with pytest.raises(ValueError, match="colon by zero"):
+        is_nonzerodivisor(I, Poly.zero(sym), w)
 
 
 def test_normal_form_rejects_a_basis_over_another_context():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fpowers import liouville
-from fpowers.gb import IdealHandle, ideal_colon, krull_dimension
+from fpowers.gb import IdealHandle, is_nonzerodivisor, krull_dimension
 from fpowers.ring import MonomialOrder, Poly, VarContext, parse_poly
 from fpowers.logder import FactorizationSpec
 from fpowers.liouville import (
@@ -25,6 +25,7 @@ from fpowers.liouville import (
     tau_u_prime_order,
 )
 import symbol_reference
+from colon_reference import ideal_colon
 
 
 VC2 = VarContext([("X", ["x", "y"])])
@@ -277,7 +278,8 @@ def test_hom_properties_randomized():
         u = [rng.randint(0, 2) for _ in range(3)]
         H = homogenize_u(I, u)
         tvar = Poly.var(H.ctx, "t")
-        # t is a nonzerodivisor mod HOM_u(I)
+        # t is a nonzerodivisor mod HOM_u(I), as the syzygy colon says
+        assert is_nonzerodivisor(H, tvar, u + [1])
         assert ideal_colon(H, tvar).equals(H)
         # the two fibers
         assert substitute_t(H, 0).equals(initial_ideal(I, u))
