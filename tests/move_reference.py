@@ -7,7 +7,9 @@ WeylOp.s_polynomial_part and drop_s_context by slicing the x/d/s layout,
 weyl.gr_symbol by copying terms one monomial at a time into the symbol
 ring, logder._times_var and LogDerivation.symbol term by term,
 bside.merge_last_s, bside.diagonal_substitution, liouville's to_big
-(inside phi_F_kernel) and liouville.substitute_t position by position,
+(inside the graph-ideal phi_F_kernel, now
+symbol_reference.graph_phi_F_kernel) and liouville.substitute_t position
+by position,
 and the bs-poly report by rewrapping the term map.  WeylOp.subs_s
 evaluated s-variables term by term (tests/gate_reference.py keeps the
 older, rebuilding subs_s), WeylOp.shift_s substituted s -> s + a with
@@ -222,8 +224,8 @@ def diagonal_substitution(I):
 
 
 def to_big(p, big, where):
-    """to_big of liouville.phi_F_kernel: Q[x, S] into the graph ring,
-    source position i onto position where[i]."""
+    """to_big of symbol_reference.graph_phi_F_kernel: Q[x, S] into the
+    graph ring, source position i onto position where[i]."""
     out = {}
     for e, c in p.terms.items():
         ee = [0] * big.n

@@ -1,10 +1,12 @@
 """The symbol-ideal checks that nabla and liouville replaced, kept for the
 tests as a reference.
 
-two_copy_phi_F_kernel is liouville.phi_F_kernel with target copies _tx*
-of x as well as _ts* of S, both eliminated, and full_eliminate the
-gb.eliminate it ran on, which reduced the whole block-order basis on the
-replaced engine (engine_reference) and kept its elements free of the block.
+graph_phi_F_kernel is ker(phi_F) as liouville.phi_F_kernel computed it
+before the saturation Ltilde_F : f^inf: from the graph ideal, eliminating
+target copies _ts* of S.  two_copy_phi_F_kernel is the same with copies
+_tx* of x as well, and full_eliminate the gb.eliminate it ran on, which
+reduced the whole block-order basis on the replaced engine
+(engine_reference) and kept its elements free of the block.
 
 Both built all three Liouville ideals (build_liouville_ideals, with the
 In010 basis) to read one of them, and s_regularity_check built a second,
@@ -13,8 +15,8 @@ colon the tag-variable one (gate_reference.ideal_colon).
 """
 
 import engine_reference
-from fpowers.gb import IdealHandle, _drop_block_context
-from fpowers.liouville import build_liouville_ideals, phi_F_kernel
+from fpowers.gb import IdealHandle, _drop_block_context, eliminate
+from fpowers.liouville import build_liouville_ideals
 from fpowers.logder import (
     FactorizationSpec, assumed_table, euler_and_seh_check, required_hold,
 )
@@ -86,7 +88,7 @@ def gr_equality_certificate(fspec, assume_hypotheses=False):
     """Ltilde_F = ker(phi_F) by two-sided membership, and the conclusion
     the hypotheses allow."""
     data = build_liouville_ideals(fspec)
-    K = phi_F_kernel(fspec)
+    K = graph_phi_F_kernel(fspec)
     forward = K.contains_ideal(data.Ltilde_F)
     backward = data.Ltilde_F.contains_ideal(K) if data.Ltilde_F.gens else \
         K.is_zero_ideal()
@@ -128,6 +130,33 @@ def full_eliminate(I, drop_block):
             for g in engine_reference.groebner_basis(I.gens, order)
             if all(all(e[i] == 0 for i in dropped) for e in g.terms)]
     return IdealHandle(kept, ctx=ctx2)
+
+
+def graph_phi_F_kernel(fspec):
+    """ker(phi_F) from the graph ideal in Q[_ts][x, y, S], generated by
+    each y_i and s_k less its image with the copies _ts* in place of S
+    (x maps to itself, so it needs no copies), eliminating the copies."""
+    sym, xs = fspec.symbol_vc, fspec.xs_vc
+    pre = "_t"
+    while any(v.startswith(pre) for v in sym.index):
+        pre += "_"
+    ts = [f"{pre}s{k+1}" for k in range(fspec.r)]
+    big = VarContext([("W", ts)] + list(sym.blocks))
+    # Q[x, S] into big: x onto x, each s_k onto its copy
+    where = [big.index[v] for v in fspec.x_names + ts]
+    S = [Poly.var(xs, sn) for sn in fspec.s_names]
+    gens = []
+    for i, yn in enumerate(fspec.weyl.y_names):
+        img = Poly.zero(xs)
+        for k in range(fspec.r):
+            img = img + fspec.cofactor_xs[k] * fspec.dfk_xs[k][i] * S[k]
+        gens.append(Poly.var(big, yn) - img.moved(big, where=where))
+    for k, sn in enumerate(fspec.s_names):
+        gens.append(Poly.var(big, sn)
+                    - (fspec.f_xs * S[k]).moved(big, where=where))
+    out = eliminate(IdealHandle(gens), "W")
+    assert out.ctx == sym
+    return out
 
 
 def two_copy_phi_F_kernel(fspec):

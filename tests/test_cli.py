@@ -246,12 +246,15 @@ def test_unknown_variable_rejected(tmp_path):
 
 
 def test_gr_check_names_its_variables_apart(tmp_path):
-    # phi_F_kernel's target copies are named apart from the declared
-    # variables: a problem over its old scratch names _tx*, _ts* gives the
-    # payload of the same problem over plain names
+    # phi_F_kernel's tag variable is named apart from the declared
+    # variables: a problem over its names _w, _w1, or over the graph
+    # ideal's old target copies _tx*, _ts*, gives the payload of the same
+    # problem over plain names
     for names, factors in ((["_ts1", "y"], ["_ts1", "y"]),
                            (["_tx2", "y"], ["_tx2", "y"]),
-                           (["_t", "_ts1"], ["_t", "_ts1", "_t + _ts1"])):
+                           (["_t", "_ts1"], ["_t", "_ts1", "_t + _ts1"]),
+                           (["_w", "y"], ["_w", "y", "_w + y"]),
+                           (["_w1", "_w"], ["_w1", "_w", "_w1 + _w"])):
         plain = [f"v{i}" for i in range(len(names))]
         payloads = []
         for declared in (names, plain):
@@ -267,6 +270,22 @@ def test_gr_check_names_its_variables_apart(tmp_path):
             payloads[1] = payloads[1].replace(new, old)
         assert payloads[0] == payloads[1]
         assert json.loads(payloads[0])["results"]["Ltilde_eq_kernel"]
+
+
+@pytest.mark.parametrize("names,factors", [
+    (["x", "y", "z"], ["x", "y", "z", "x + y + z"]),
+    (["x", "y", "z", "w"], ["x", "y", "z", "w", "x + y + z + w"]),
+], ids=["four_planes", "five_planes"])
+def test_gr_check_on_generic_planes(tmp_path, names, factors):
+    # ker(phi_F) as the saturation Ltilde_F : f^inf: a fraction of a second
+    # each, where the graph-ideal elimination took 103 s on the four planes
+    # and did not finish in 10 minutes on the five
+    path = tmp_path / "planes.json"
+    path.write_text(json.dumps({"variables": names, "factors": factors}))
+    code, payload = run("gr-check", "--input", path, "--json")
+    assert code == 0
+    assert payload["results"]["Ltilde_eq_kernel"]
+    assert payload["results"]["Ltilde_in_kernel"]
 
 
 def test_malformed_json_rejected(tmp_path):

@@ -20,7 +20,6 @@ from fpowers.gb import (
 )
 from fpowers.liouville import homogenize_u
 import engine_reference
-import gate_reference
 from colon_reference import colon_stable, ideal_colon, saturate
 from gate_reference import intersect
 from engine_reference import check_poly
@@ -177,11 +176,19 @@ def test_tag_variable_avoids_declared_names():
         assert colon_stable(K, p(g, W)) is regular
 
 
-def test_colon_equals_the_tag_variable_reference():
-    # the first coordinates of syz(g, f_1, ..., f_k) generate the ideal
-    # that the replaced colon (I cap (g) with a tag variable, each
-    # generator divided by g) gave; a variable factor on each side keeps
-    # most random colons proper
+def _tag_saturation(I, g):
+    """(I : g^inf) as liouville.phi_F_kernel forms each of its steps:
+    (I + (1 - w g)) cap R, the tag w (gb._with_tag) eliminated."""
+    ctx, tag = gb._with_tag(I.ctx)
+    J = [f.moved(ctx) for f in I.gens]
+    J.append(Poly.const(ctx, 1) - Poly.var(ctx, tag) * g.moved(ctx))
+    return eliminate(IdealHandle(J), "_W")
+
+
+def test_tag_saturation_equals_the_iterated_colon():
+    # the saturation by a tag variable gives the ideal that iterated
+    # syzygy colons (colon_reference.saturate) reach; a variable factor on
+    # each side keeps most random saturations proper
     rng = random.Random(19)
     cases = []
     for ctx in (XY, XYZ) * 8:
@@ -197,19 +204,24 @@ def test_colon_equals_the_tag_variable_reference():
     special = [
         (IdealHandle.zero(XY), p("x*y - 1")),
         (I, p("x^2*y")),
-        (I, p("(x + 1)*(y^3 - x)")),
+        (IdealHandle([p("x^2*y"), p("x*y^2")]), p("x")),
         (IdealHandle([p("x"), p("1 - x*y")]), p("y")),
-        (IdealHandle([p("_w^2*_w1", W), p("_w1^3", W)]), p("_w*_w1", W)),
+        (IdealHandle([p("_w^2*_w1", W), p("_w1^2 - _w1^3", W)]),
+         p("_w", W)),
     ]
+    proper = 0
     for I, g in cases + special:
-        C = ideal_colon(I, g)
+        C = _tag_saturation(I, g)
         assert C.ctx == I.ctx
-        assert C.equals(gate_reference.ideal_colon(I, g))
-    zero, member, multiple, unit, tags = [ideal_colon(*c) for c in special]
+        assert C.equals(saturate(I, g)[0])
+        proper += not C.is_unit_ideal()
+    assert proper > len(cases) // 2
+    zero, member, monomial, unit, tags = [_tag_saturation(*c)
+                                          for c in special]
     assert zero.is_zero_ideal()
-    assert member.is_unit_ideal() and multiple.is_unit_ideal()
-    assert unit.is_unit_ideal()
-    assert tags.equals(IdealHandle([p("_w", W), p("_w1^2", W)]))
+    assert member.is_unit_ideal() and unit.is_unit_ideal()
+    assert monomial.equals(IdealHandle([p("y")]))
+    assert tags.equals(IdealHandle([p("_w1", W)]))
 
 
 def _random_form(rng, ctx, w, d, terms):

@@ -184,6 +184,108 @@ def test_certificate_matches_the_reference(key, assume):
         symbol_reference.spec(key), assume)
 
 
+def _random_factor(rng, ctx):
+    """A linear form of one or two terms, sometimes times a variable: the
+    graph elimination of the reference finishes in well under a second on
+    such factorizations, where it runs for minutes on some quadrics."""
+    terms = {}
+    for i in rng.sample(range(ctx.n), rng.randint(1, 2)):
+        e = [0] * ctx.n
+        e[i] = 1
+        terms[tuple(e)] = Fraction(rng.choice([-2, -1, 1, 2, 3]))
+    g = Poly(ctx, terms)
+    if rng.random() < 0.3:
+        g = g * Poly.var(ctx, rng.choice(ctx.names))
+    return g
+
+
+def _kernel_cases():
+    """(id, names, factors): the symbol_reference fixtures, repeated
+    factors, (x, 2x^2 + yz), xy(x+y)(x+yz) (whose Ltilde_F is smaller
+    than ker(phi_F)) and seeded random factorizations in 2-3 variables."""
+    cases = [(key, *symbol_reference.FIXTURES[key])
+             for key in sorted(symbol_reference.FIXTURES)]
+    for names, factors in [("xyz", ["3*x + z", "z", "-z"]),
+                           ("xyz", ["x", "2*x^2 + y*z"]),
+                           ("xyz", ["x*y*(x + y)*(x + y*z)"])]:
+        cases.append((",".join(factors), list(names), factors))
+    rng = random.Random(1)
+    for _ in range(8):
+        names = ["x", "y", "z"][:rng.randint(2, 3)]
+        ctx = VarContext([("X", names)])
+        r = 2 if len(names) == 3 else rng.randint(2, 3)
+        factors = [str(_random_factor(rng, ctx)) for _ in range(r)]
+        cases.append((",".join(factors), names, factors))
+    return cases
+
+
+KERNEL_CASES = _kernel_cases()
+
+
+def _spec_of(names, factors):
+    vc = VarContext([("X", names)])
+    return FactorizationSpec(names, [p(f, vc) for f in factors])
+
+
+def _strings(K):
+    return [str(g) for g in K.gens]
+
+
+@pytest.mark.parametrize("names,factors",
+                         [c[1:] for c in KERNEL_CASES],
+                         ids=[c[0] for c in KERNEL_CASES])
+def test_phi_F_kernel_matches_the_graph_elimination(names, factors):
+    # the saturation Ltilde_F : f^inf and the graph ideal's elimination
+    # give the same reduced basis, printed alike
+    got = phi_F_kernel(_spec_of(names, factors))
+    want = symbol_reference.graph_phi_F_kernel(_spec_of(names, factors))
+    assert got.ctx == want.ctx
+    assert _strings(got) == _strings(want)
+
+
+@pytest.mark.parametrize("names,factors",
+                         [c[1:] for c in KERNEL_CASES],
+                         ids=[c[0] for c in KERNEL_CASES])
+def test_phi_F_kernel_generators_vanish_under_phi_F(names, factors):
+    # y_i -> sum_k (f/f_k) (d_i f_k) s_k and s_k -> f s_k, by TermMap.subs
+    F = _spec_of(names, factors)
+    sym = F.symbol_vc
+    S = [Poly.var(F.xs_vc, s) for s in F.s_names]
+    image = {s: (F.f_xs * S[k]).moved(sym) for k, s in enumerate(F.s_names)}
+    for i, y in enumerate(F.weyl.y_names):
+        image[y] = sum((F.cofactor_xs[k] * F.dfk_xs[k][i] * S[k]
+                        for k in range(F.r)), Poly.zero(F.xs_vc)).moved(sym)
+    K = phi_F_kernel(F)
+    assert K.gens
+    assert all(g.subs(image).is_zero() for g in K.gens)
+
+
+def test_a_saturation_short_of_the_last_factor_fails_the_comparison():
+    # the same loop without its last step: on xy(x+y)(x+yz) it leaves
+    # Ltilde_F, a smaller ideal than ker(phi_F), and on other cases
+    # unreduced generators
+    def short_kernel(F):
+        ctx, tag = liouville._with_tag(F.symbol_vc)
+        one, w = Poly.const(ctx, 1), Poly.var(ctx, tag)
+        gens = liouville_symbols(F, "log")
+        for fk in F.factors[:-1]:
+            K = [g.moved(ctx) for g in gens] + [one - w * fk.moved(ctx)]
+            gens = liouville.eliminate(IdealHandle(K), "_W").gens
+        return IdealHandle(gens, ctx=F.symbol_vc)
+
+    differ = []
+    for key, names, factors in KERNEL_CASES:
+        got = short_kernel(_spec_of(names, factors))
+        want = symbol_reference.graph_phi_F_kernel(_spec_of(names, factors))
+        if _strings(got) != _strings(want):
+            differ.append(key)
+            if key == "x*y*(x + y)*(x + y*z)":
+                assert want.contains_ideal(got)
+                assert not got.contains_ideal(want)
+    assert "x*y*(x + y)*(x + y*z)" in differ
+    assert "no_euler" in differ
+
+
 @pytest.mark.parametrize("key", sorted(symbol_reference.FIXTURES))
 def test_phi_F_kernel_matches_the_two_copy_elimination(key):
     # x maps to itself, so its copies _tx* leave the graph ideal: the same
@@ -197,21 +299,24 @@ def test_phi_F_kernel_matches_the_two_copy_elimination(key):
 @pytest.mark.parametrize("key", sorted(symbol_reference.FIXTURES))
 def test_eliminate_reads_the_w_free_prefix_of_the_full_reduction(
         key, monkeypatch):
-    # gb.eliminate reduces only the elements free of W; they are the ones
-    # the whole reduced basis keeps, element for element
-    graphs = []
+    # gb.eliminate reduces only the elements free of the tag's block _W;
+    # they are the ones the whole reduced basis keeps, element for element,
+    # at each of the saturation's steps, one per factor
+    steps = []
     real = liouville.eliminate
 
     def recorded(I, block):
-        graphs.append(I)
+        steps.append((I, block))
         return real(I, block)
     monkeypatch.setattr(liouville, "eliminate", recorded)
-    phi_F_kernel(symbol_reference.spec(key))
-    (I,) = graphs
-    got, want = real(I, "W"), symbol_reference.full_eliminate(I, "W")
-    assert got.ctx == want.ctx
-    assert [list(g.terms.items()) for g in got.gens] == \
-        [list(g.terms.items()) for g in want.gens]
+    F = symbol_reference.spec(key)
+    phi_F_kernel(F)
+    assert [block for _, block in steps] == ["_W"] * F.r
+    for I, _ in steps:
+        got, want = real(I, "_W"), symbol_reference.full_eliminate(I, "_W")
+        assert got.ctx == want.ctx
+        assert [list(g.terms.items()) for g in got.gens] == \
+            [list(g.terms.items()) for g in want.gens]
 
 
 def test_certificate_builds_no_initial_ideal(monkeypatch):

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import move_reference as ref
+import symbol_reference
 from fpowers import liouville, weyl
 from fpowers.bside import (
     bs_ideal, coarsen_last_two, diagonal_substitution, elimination_basis,
@@ -164,15 +165,17 @@ def test_bs_poly_generator_matches_the_rewrap():
 
 
 def test_phi_f_kernel_graph_moves_match_to_big(monkeypatch):
+    # the graph ideal of ker(phi_F), kept as the reference of the
+    # saturation, moves Q[x, S] into the graph ring as to_big does
     seen = []
-    real = liouville.eliminate
+    real = symbol_reference.eliminate
 
     def spy(I, block):
         seen.append(I)
         return real(I, block)
-    monkeypatch.setattr(liouville, "eliminate", spy)
+    monkeypatch.setattr(symbol_reference, "eliminate", spy)
     for F in _fixtures():
-        liouville.phi_F_kernel(F)
+        symbol_reference.graph_phi_F_kernel(F)
         big = seen[-1].ctx
         ts = big.blocks[0][1]
         where = [big.index[v] for v in F.x_names + list(ts)]
