@@ -156,7 +156,8 @@ def functional_equation_witness(fspec: FactorizationSpec, b: Poly) -> WeylOp:
     bs_ideal reads B_F from), and the basis log rebuilds the combination
     b = sum c_i theta_i + Q f along the basis elements that division used
     (LeftBasis.cofactors); letting both sides act on F^S kills every theta
-    term."""
+    term.  Only what is used is read: the row's entry for f, Q, is the one
+    multiplied out, and no c_i is formed."""
     wctx = fspec.weyl
     order = elimination_order(wctx)
     G = elimination_basis(fspec)

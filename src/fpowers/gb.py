@@ -99,15 +99,6 @@ def remainder(p, divisors: Divisors, steps: Optional[list] = None) -> Dict:
     return rem
 
 
-def s_pair_multipliers(f, lf: Exp, g, lg: Exp, l: Exp):
-    """The S-pair multipliers m_f, m_g: m_f*f and m_g*g are both led by
-    1*x^l, l = lcm(lf, lg), each of its operand's own class.  The
-    S-element m_f*f - m_g*g itself is formed on integer images
-    (ring.s_element); weyl.LeftBasis logs these multipliers."""
-    return (type(f).monomial(f.ctx, exp_sub(l, lf), Fraction(1) / f.terms[lf]),
-            type(g).monomial(g.ctx, exp_sub(l, lg), Fraction(1) / g.terms[lg]))
-
-
 class PairQueue:
     """Pending S-pairs of a growing basis, in sugar order.
 

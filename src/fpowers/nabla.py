@@ -6,8 +6,9 @@ when 1 lies in the D_n-ideal generated by f together with theta_F evaluated
 at S = A-1, that is, when the basis loop of those generators ends on a
 unit (the leads of its reduced basis are then [0]; no element is reduced).
 The certificate, 1 as a left combination of the generators, is read from
-the one step that divides 1 by that unit, and checked exactly on their
-integer images.
+the one step that divides 1 by that unit; every entry of its row is read,
+as the integer operator and scale the rebuild made it, and checked
+exactly on their integer images.
 Injectivity has no direct test here -- only the implications that relate it
 to surjectivity under checked hypotheses are reported.
 
@@ -29,7 +30,7 @@ from .liouville import liouville_symbols
 from .logder import (
     FactorizationSpec, colon_stable_steps, euler_and_seh_check, required_hold,
 )
-from .ring import MonomialOrder, Poly, add_terms, exp_add, integer_image
+from .ring import MonomialOrder, Poly, Scaled, add_terms, exp_add
 from .weyl import WeylOp, _left_divisors, weyl_left_gb
 
 from .bside import BSResult
@@ -79,10 +80,11 @@ def nabla_surjective(fspec: FactorizationSpec, A: Sequence[Fraction],
     surjective = G.leads == [zero]
     certificate = None
     if surjective:
-        cof = G.cofactors([(0, zero, Fraction(1))])
-        if not _certificate_holds(cof, gens, order):
+        cof = G.cofactors([(0, zero, 1, 1)])
+        rows = [cof.scaled(i) for i in range(len(gens))]
+        if not _certificate_holds(rows, gens, order):
             raise AssertionError("membership certificate failed to multiply out")
-        certificate = cof
+        certificate = list(cof)
 
     hyps = fspec.check_hypotheses()
     flag = lambda k: hyps[k][0] == "yes"
@@ -109,24 +111,25 @@ def nabla_surjective(fspec: FactorizationSpec, A: Sequence[Fraction],
     return NablaReport(A, surjective, injective, reasoning, certificate, gens)
 
 
-def _certificate_holds(cof: Sequence[WeylOp], gens: Sequence[WeylOp],
+def _certificate_holds(rows: Sequence[Scaled], gens: Sequence[WeylOp],
                        order: MonomialOrder) -> bool:
-    """Is sum_i cof[i] * gens[i] = 1 in D_n?
+    """Is sum_i rows[i] * gens[i] = 1 in D_n, row i being sigma_i * R_i,
+    R_i an integer term map (the ring.Scaled of Row.scaled, as the
+    rebuild made it)?
 
     Checked on integer images, with no Fraction product: the ring.Divisors
-    of gens holds each nonzero g_i as tau_i * image_i, each nonzero cof[i]
-    is sigma_i * R_i with R_i its integer image, and a term r*x^m of R_i
-    adds the one Divisors.multiple r * x^m * image_i at the scale
+    of gens holds each nonzero g_i as tau_i * image_i, and a term r*x^m of
+    R_i adds the one Divisors.multiple r * x^m * image_i at the scale
     sigma_i*tau_i.  All of them are taken at one common scale 1/D, D the
     least common denominator of the sigma_i*tau_i, so their integer sum
     is D times the combination, which must be the constant D."""
     ctx = gens[0].ctx
     divisors = _left_divisors(ctx, gens, order)
-    # the cofactors of the nonzero generators, in the order of divisors
-    rows = [c for c, g in zip(cof, gens) if not g.is_zero()]
+    # the rows of the nonzero generators, in the order of divisors
+    rows = [row for row, g in zip(rows, gens) if not g.is_zero()]
     parts = []
-    for lead, (image, tau), row in zip(divisors.leads, divisors.images, rows):
-        R, sigma = integer_image(row.terms)
+    for lead, (image, tau), (R, sigma) in zip(divisors.leads,
+                                              divisors.images, rows):
         if R:
             parts.append((lead, image, R, sigma * tau))
     D = math.lcm(*(t.denominator for *_, t in parts))

@@ -480,10 +480,12 @@ def reduce_in_place(work: Scaled, divisors: Divisors, rem: Dict,
     L*e, so e cancels -- are subtracted from it one by one; after that
     step, a term of degree above max_degree left anywhere in the work
     raises DegreeBoundExceeded.  With a list `steps`, the step appends
-    (k, e, c): it took away c*x^(e - lead) * g_k, c = sigma*b/tau_k, the
-    Fraction (work coefficient)/(leading coefficient) of a division over
-    Q.  If no lead divides e, the term moves to `rem` as the Fraction
-    sigma*w.  The division ends once the work is empty.
+    (k, e, p, q): it took away (p/q)*x^(e - lead) * g_k, p/q =
+    sigma*b/tau_k the value (work coefficient)/(leading coefficient) of a
+    division over Q, as the two integers the kernel has at hand (not in
+    lowest terms; no Fraction is made per step).  If no lead divides e,
+    the term moves to `rem` as the Fraction sigma*w.  The division ends
+    once the work is empty.
 
     The monomials of the work wait in a queue sorted by key (_subtract),
     so each step pops the largest without a scan of the work.
@@ -526,8 +528,8 @@ def reduce_in_place(work: Scaled, divisors: Divisors, rem: Dict,
                 terms[m] *= a
             den *= a
         if steps is not None:
-            steps.append((k, e, Fraction(num * b * tau.denominator,
-                                         den * tau.numerator)))
+            steps.append((k, e, num * b * tau.denominator,
+                          den * tau.numerator))
         new = _subtract(terms, multiple(e, lead, image, b), queue, get)
         if max_degree is not None and (over or new):
             over = [m for m in over + new

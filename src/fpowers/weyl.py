@@ -19,10 +19,15 @@ formed once per computation, shifted by x^a s^w and scaled by b, and a
 basis computation shares its one ring.Divisors (leads, integer images,
 KeyCache, those d^c * image(g)) with every division it makes.
 No cofactors are carried along: a basis is a LeftBasis, which logs where
-each element came from (a generator, or an S-pair and the (k, m, c) steps
-of its reduction), and LeftBasis.cofactors rebuilds the combination of the
-generators for one element of the ideal afterwards, along only the
-elements its division used.
+each element came from and keeps its lead and leading coefficient.  The
+log is integral: a generator index, or an S-pair (i, j, l), and the
+(k, m, p, q) steps of its reduction, each the multiple (p/q)*x^m of
+element k it took away, as the two integers the kernel has at hand.
+LeftBasis.cofactors rebuilds the combination of the generators for one
+element of the ideal afterwards, along only the elements its division
+used, on integer operators with one rational scale each, and returns a
+Row whose entries are multiplied out when first read: a caller pays only
+for the entries it reads.
 
 The action on F^S (apply_to_FS) is grouped by derivative pattern and
 runs on integer images: an operator is sum_b p_b(x, S) d^b, and each
@@ -53,7 +58,7 @@ from .ring import (
     add_product, add_terms, diff_terms, divide_exact, exact_quotient, exp_add,
     exp_sub, initial_form, integer_image,
 )
-from .gb import Basis, buchberger, remainder, s_pair_multipliers
+from .gb import Basis, buchberger, remainder
 
 
 class FiltrationMismatch(Exception):
@@ -458,10 +463,11 @@ def left_normal_form(P: WeylOp | Scaled, basis: Sequence[WeylOp] | Divisors,
     over the context of P (zero elements are dropped), or a basis
     computation's ring.Divisors, which may divide its S-element (a
     ring.Scaled) as P.  Given a list `steps`, each reduction step appends
-    its (k, m, c), the multiple c*x^m * basis[k] it took away (m an
-    exponent, c a Fraction; k counts the nonzero elements), so that on
-    return P = remainder + sum of those multiples; LeftBasis.cofactors
-    reads such steps.
+    its (k, m, p, q): it took away the multiple (p/q)*x^m * basis[k] (m an
+    exponent; p and q > 0 the integers the kernel logs, not in lowest
+    terms; k counts the nonzero elements), so that on return P =
+    remainder + sum of those multiples; LeftBasis.cofactors reads such
+    steps.
     """
     if not isinstance(basis, Divisors):
         basis = _left_divisors(P.ctx, basis, order)
@@ -470,7 +476,7 @@ def left_normal_form(P: WeylOp | Scaled, basis: Sequence[WeylOp] | Divisors,
     out.terms = remainder(P, basis, steps=log)
     if log:
         leads = basis.leads
-        steps.extend((k, exp_sub(e, leads[k]), c) for k, e, c in log)
+        steps.extend((k, exp_sub(e, leads[k]), p, q) for k, e, p, q in log)
     return out
 
 
@@ -480,14 +486,16 @@ class LeftBasis(Basis):
 
     The log has one entry per element computed on the way -- the nonzero
     generators, then each nonzero S-remainder, in the order they joined:
-    `origin` holds a generator index or the S-pair (i, j, m_i, m_j) the
-    remainder came from, `steps` the (k, m, c) steps of its reduction (k
-    an earlier element; c the Fraction of the division over Q, although
-    the kernel divides integer images).  Per basis element, `final` holds
-    (i, c, steps): the element is c times computed element i less the
-    multiples its tail reduction took away.  Every element is thus an
-    exact left combination of earlier ones, and cofactors() composes only
-    the ones asked for.
+    `lead` and `lc` hold its leading monomial and leading coefficient,
+    `origin` a generator index or the S-pair (i, j, l) the remainder came
+    from, l the lcm of lead[i] and lead[j], so that its S-element was
+    x^(l - lead[i]) * g_i / lc[i] - x^(l - lead[j]) * g_j / lc[j], and
+    `steps` the (k, m, p, q) steps of its reduction (left_normal_form: k
+    an earlier element, p/q the value of the division over Q as two
+    integers).  Per basis element, `final` holds (i, c, steps): the
+    element is c times computed element i less the multiples its tail
+    reduction took away.  Every element is thus an exact left combination
+    of earlier ones, and cofactors() composes only the ones asked for.
     """
 
     def __init__(self, G: list, divisors, reduce, gens: Sequence[WeylOp],
@@ -496,57 +504,132 @@ class LeftBasis(Basis):
         self.gens = list(gens)
         self.origin = origin
         self.steps = steps
+        self.lead = divisors.leads
+        self.lc = [g.terms[m] for g, m in zip(G, self.lead)]
 
     @property
     def final(self) -> list:
         return [self.entry(t)[1:] for t in range(len(self))]
 
-    def cofactors(self, steps: Sequence[Tuple[int, Exp, Fraction]]
-                  ) -> List[WeylOp]:
+    def cofactors(self, steps: Sequence[Tuple[int, Exp, int, int]]
+                  ) -> "Row":
         """The row q with sum_j q[j] * gens[j] equal to the sum of the
-        multiples c*x^m * self[k] that `steps` record; for the steps
+        multiples (p/q)*x^m * self[k] that `steps` record; for the steps
         left_normal_form appended while reducing P to zero, that sum is P.
 
-        The multiples on one element are summed into one operator first;
-        then the computed elements are expanded once each, latest first,
-        into the earlier ones they were made of, so each (element, element
-        it uses) costs one weyl_multiply.
+        The rebuild runs on integer operators, each with one rational
+        scale.  The multiples on one element are summed into one operator
+        first; then the computed elements are expanded once each, latest
+        first, into the earlier ones they were made of, so each (element,
+        element it uses) costs one weyl_multiply.  A product into a
+        generator is only noted here: the Row forms the products of a
+        generator's entry when that entry is first read.
         """
         ctx = self.gens[0].ctx
-        coef: Dict[int, WeylOp] = {}
+        # the generators come first, then the S-remainders from `first` on
+        first = sum(isinstance(o, int) for o in self.origin)
+        coef: Dict[int, tuple] = {}
+        later: Dict[int, list] = {}
 
-        def add(k, q):
-            coef[k] = coef[k] + q if k in coef else q
-        for t, q in _grouped(ctx, steps).items():
-            _, i, scale, tail = self.entry(t)
-            q = q * scale
-            add(i, q)
-            for k, qk in _grouped(ctx, tail).items():
-                add(k, -(q * qk))
-        row = [WeylOp.zero(ctx) for _ in self.gens]
-        for r in range(max(coef, default=-1), -1, -1):
-            a = coef.pop(r, None)
-            if a is None or a.is_zero():
+        def add(k, scale, a, b=None):  # scale * a * b (or a) on element k
+            if k < first:  # a generator: its entry is formed when read
+                later.setdefault(self.origin[k], []).append((scale, a, b))
+            else:
+                coef[k] = _plus(coef.get(k), a if b is None else a * b, scale)
+        for t, (a, scale) in _grouped(ctx, steps).items():
+            _, i, c, tail = self.entry(t)
+            add(i, scale * c, a)
+            for k, (qk, sk) in _grouped(ctx, tail).items():
+                add(k, -scale * c * sk, a, qk)
+        for r in range(max(coef, default=-1), first - 1, -1):
+            a, scale = coef.pop(r, (None, None))
+            if not a:
                 continue
-            if isinstance(self.origin[r], int):
-                row[self.origin[r]] = a
-                continue
-            i, j, mi, mj = self.origin[r]
-            add(i, a * mi)
-            add(j, -(a * mj))
-            for k, qk in _grouped(ctx, self.steps[r]).items():
-                add(k, -(a * qk))
-        return row
+            i, j, l = self.origin[r]
+            for k, sign in ((i, 1), (j, -1)):  # x^(l - lead[k]) / lc[k]
+                x = _int_op(ctx, {exp_sub(l, self.lead[k]): 1})
+                add(k, sign * scale / self.lc[k], a, x)
+            for k, (qk, sk) in _grouped(ctx, self.steps[r]).items():
+                add(k, -scale * sk, a, qk)
+        return Row(ctx, len(self.gens), later)
 
 
-def _grouped(ctx: WeylContext, steps) -> Dict[int, WeylOp]:
-    """The (k, m, c) steps as one operator sum c*x^m per element k."""
-    out: Dict[int, WeylOp] = {}
-    for k, m, c in steps:
-        q = out.get(k)
-        if q is None:
-            q = out[k] = WeylOp(ctx)
-        add_terms(q.terms, ((m, c),))
+class Row(Sequence):
+    """The row of LeftBasis.cofactors: entry g multiplies gens[g].  The
+    products that make up an entry are formed when it is first read, so a
+    caller pays only for the entries it reads: scaled(g) gives it as the
+    ring.Scaled (integer term map, scale) it is built as, row[g] as a
+    WeylOp over Q."""
+
+    def __init__(self, ctx: WeylContext, n: int, later: Dict[int, list]):
+        self.ctx, self.n = ctx, n
+        self._later = later  # per entry, its terms (scale, a, b or None)
+        self._made: Dict[int, Scaled] = {}
+
+    def __len__(self):
+        return self.n
+
+    def scaled(self, g: int) -> Scaled:
+        g = range(self.n)[g]
+        if g not in self._made:
+            acc = None
+            for scale, a, b in self._later.pop(g, ()):
+                acc = _plus(acc, a if b is None else a * b, scale)
+            a, scale = acc or (WeylOp(self.ctx), Fraction(1))
+            self._made[g] = Scaled(a.terms, scale)
+        return self._made[g]
+
+    def __getitem__(self, g: int) -> WeylOp:
+        terms, scale = self.scaled(g)
+        out = WeylOp(self.ctx)
+        out.terms = {e: scale * c for e, c in terms.items()}
+        return out
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, Row)):
+            return NotImplemented
+        return list(self) == list(other)
+
+
+def _int_op(ctx: WeylContext, terms: Dict) -> WeylOp:
+    """The WeylOp with integer coefficients `terms`, as weyl_multiply
+    takes it (its products stay integral)."""
+    out = WeylOp(ctx)
+    out.terms = terms
+    return out
+
+
+def _plus(acc: Optional[tuple], a: WeylOp, scale: Fraction) -> tuple:
+    """acc + scale*a, for acc an (integer operator, scale) pair or None, as
+    one such pair: the two are put over the scale gcd(numerators) /
+    lcm(denominators), by which both of theirs are integer multiples."""
+    if acc is None:
+        return a, scale
+    b, s = acc
+    common = Fraction(math.gcd(s.numerator, scale.numerator),
+                      math.lcm(s.denominator, scale.denominator))
+    u, v = int(s / common), int(scale / common)
+    terms = {e: u * c for e, c in b.terms.items()}
+    add_terms(terms, ((e, v * c) for e, c in a.terms.items()))
+    return _int_op(a.ctx, terms), common
+
+
+def _grouped(ctx: WeylContext, steps) -> Dict[int, tuple]:
+    """The (k, m, p, q) steps as one pair (N, scale) per element k: N an
+    integer operator with coprime coefficients, and scale*N the sum of
+    the (p/q)*x^m on k."""
+    parts: Dict[int, list] = {}
+    for k, m, p, q in steps:
+        parts.setdefault(k, []).append((m, p, q))
+    out: Dict[int, tuple] = {}
+    for k, part in parts.items():
+        d = math.lcm(*(q for *_, q in part))
+        terms: Dict[Exp, int] = {}
+        add_terms(terms, ((m, p * (d // q)) for m, p, q in part))
+        if terms:
+            g = math.gcd(*terms.values())
+            out[k] = (_int_op(ctx, {m: c // g for m, c in terms.items()}),
+                      Fraction(g, d))
     return out
 
 
@@ -563,7 +646,6 @@ def weyl_left_gb(gens: Sequence[WeylOp], order: MonomialOrder) -> LeftBasis:
     G = [gens[i] for i in origin]
     steps: List[list] = [[] for _ in G]
     divisors = _left_divisors(G[0].ctx if G else None, G, order)
-    lead = divisors.leads
     log: list = []
 
     def divide(s, divisors, order):
@@ -572,8 +654,7 @@ def weyl_left_gb(gens: Sequence[WeylOp], order: MonomialOrder) -> LeftBasis:
         return left_normal_form(s, divisors, order, steps=log)
 
     def joined(i, j, l):
-        origin.append((i, j) + s_pair_multipliers(G[i], lead[i], G[j],
-                                                  lead[j], l))
+        origin.append((i, j, l))
         steps.append(log)
     buchberger(G, divisors, order, divide, coprime_criterion=False,
                joined=joined)
@@ -581,7 +662,7 @@ def weyl_left_gb(gens: Sequence[WeylOp], order: MonomialOrder) -> LeftBasis:
     def reduce(i, rest):  # a tail reduction, its steps logged over G
         tail: list = []
         r = left_normal_form(G[i], divisors.subset(rest), order, steps=tail)
-        return r, [(rest[k], m, c) for k, m, c in tail]
+        return r, [(rest[k], *step) for k, *step in tail]
     return LeftBasis(G, divisors, reduce, gens, origin, steps)
 
 

@@ -1,11 +1,13 @@
 """Shared fixtures."""
 
 import heapq
+from fractions import Fraction
 
 import pytest
 
 import engine_reference
 from fpowers import gb, ring
+from fpowers.ring import exp_add, exp_sub
 
 
 @pytest.fixture
@@ -217,3 +219,43 @@ def _old_parse_weyl(text, ctx):
 def old_parse_weyl():
     """The reference operator parser (see _old_parse_weyl)."""
     return _old_parse_weyl
+
+
+def _canonical_log(log):
+    """A left basis log in one form, every field kept, so that the logs of
+    a weyl.LeftBasis and of a reference loop (engine_reference and
+    kernel_reference, whose ReducedLeftBasis logs as the library did
+    before its log was integral) compare field by field.
+
+    For a basis: (origin, steps, final, lead, lc), each S-pair origin as
+    (i, j, l) and each step as (k, m, c), c the Fraction of the division
+    over Q.  A reference origin (i, j, m_i, m_j) is the pair at l, the
+    exponent of m_i plus lead[i], and must hold exactly its multipliers
+    x^(l - lead[i])/lc[i] and x^(l - lead[j])/lc[j].  A step comes as
+    (k, m, p, q), the integer pair of the kernel, or as (k, m, c).  For
+    the list of steps of one division: those steps as (k, m, c)."""
+    def values(steps):
+        return [(k, m, Fraction(*c)) for k, m, *c in steps]
+    if not hasattr(log, "origin"):
+        return values(log)
+    lead, lc = log.lead, log.lc
+
+    def origin(o):
+        if isinstance(o, int) or len(o) == 3:
+            return o
+        i, j, mi, mj = o
+        (m,) = mi.terms
+        l = exp_add(m, lead[i])
+        assert [mi, mj] == [type(mi).monomial(mi.ctx, exp_sub(l, lead[k]),
+                                              1 / lc[k]) for k in (i, j)]
+        return i, j, l
+    return ([origin(o) for o in log.origin], [values(s) for s in log.steps],
+            [(i, c, values(t)) for i, c, t in log.final], list(lead),
+            list(lc))
+
+
+@pytest.fixture
+def left_log():
+    """The normalizer of left basis logs and step lists (see
+    _canonical_log)."""
+    return _canonical_log

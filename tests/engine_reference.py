@@ -14,8 +14,10 @@ only remainders, the module loop nothing outside the division kernel.
 The library's bases, pair pop orders and LeftBasis logs equal these loops'.
 Their final step is the eager interreduction that gb.Basis replaced:
 interreduce minimalizes, tail-reduces and sorts every element at once, and
-ReducedLeftBasis is the LeftBasis it made, with the library's cofactors,
-and krull_dimension read the leads of that whole reduced basis.
+ReducedLeftBasis is the LeftBasis it made, with the log as it was (an
+S-pair origin holds its two rational multipliers, from s_pair_multipliers)
+and the Fraction cofactor rebuild of weyl_reference, and krull_dimension
+read the leads of that whole reduced basis.
 The normal forms are looked up on their modules at call time, so a test
 that wraps one sees the divisions of both; under_one_policy wraps them so
 that a loop here keeps the one bound policy of gb.buchberger.
@@ -33,9 +35,8 @@ from fractions import Fraction
 from fpowers import gb, weyl
 from fpowers.gb import Limits
 from fpowers.ring import (
-    Divisors, Scaled, exp_add, exp_divides, exp_lcm, exp_total,
+    Divisors, Scaled, exp_add, exp_divides, exp_lcm, exp_sub, exp_total,
 )
-from fpowers.weyl import LeftBasis as _LeftBasis
 
 
 def interreduce(divisors, divide):
@@ -72,19 +73,32 @@ def interreduce(divisors, divide):
     return [(i, inv, g) for _, i, inv, g in out]
 
 
+def s_pair_multipliers(f, lf, g, lg, l):
+    """The S-pair multipliers m_f, m_g, which gb kept for the left basis
+    log: m_f*f and m_g*g are both led by 1*x^l, l = lcm(lf, lg), each of
+    its operand's own class."""
+    return (type(f).monomial(f.ctx, exp_sub(l, lf), Fraction(1) / f.terms[lf]),
+            type(g).monomial(g.ctx, exp_sub(l, lg), Fraction(1) / g.terms[lg]))
+
+
 class ReducedLeftBasis(list):
     """weyl.LeftBasis as interreduce made it: the whole reduced basis and
-    its `final` log at once, with the library's cofactors."""
+    its `final` log at once, with the lead and leading coefficient of each
+    element the loop computed, and the Fraction cofactor rebuild
+    (weyl_reference.fraction_cofactors)."""
 
-    def __init__(self, basis, gens, origin, steps, final):
+    def __init__(self, basis, gens, origin, steps, final, lead, lc):
         super().__init__(basis)
         self.gens, self.origin, self.steps, self.final = (list(gens), origin,
                                                           steps, final)
+        self.lead, self.lc = lead, lc
 
     def entry(self, t):
         return (self[t],) + tuple(self.final[t])
 
-    cofactors = _LeftBasis.cofactors
+    def cofactors(self, steps):
+        from weyl_reference import fraction_cofactors
+        return fraction_cofactors(self, steps)
 
 
 def krull_dimension(I):
@@ -242,7 +256,7 @@ def weyl_left_gb(gens, order):
             origin.append(i)
             steps.append([])
     if not G:
-        return ReducedLeftBasis([], gens, origin, steps, [])
+        return ReducedLeftBasis([], gens, origin, steps, [], [], [])
 
     limits = Limits.current()
     divisors = weyl._left_divisors(G[0].ctx, G, order)
@@ -256,8 +270,8 @@ def weyl_left_gb(gens, order):
             return None
         check_poly(limits, r)
         G.append(r)
-        origin.append((i, j) + gb.s_pair_multipliers(G[i], lead[i], G[j],
-                                                     lead[j], l))
+        origin.append((i, j) + s_pair_multipliers(G[i], lead[i], G[j],
+                                                  lead[j], l))
         steps.append(log)
         return divisors.add(r.terms), 0
     buchberger(order, [(e, 0, g.total_degree()) for e, g in zip(lead, G)],
@@ -268,11 +282,12 @@ def weyl_left_gb(gens, order):
         tail = []
         r = weyl.left_normal_form(G[i], divisors.subset(rest), order,
                                   steps=tail)
-        tails[i] = [(rest[k], m, c) for k, m, c in tail]
+        tails[i] = [(rest[k], *step) for k, *step in tail]
         return r
     out = interreduce(divisors, divide)
     return ReducedLeftBasis([g for _, _, g in out], gens, origin, steps,
-                     [(i, c, tails[i]) for i, c, _ in out])
+                            [(i, c, tails[i]) for i, c, _ in out], lead,
+                            [g.terms[m] for g, m in zip(G, lead)])
 
 
 def under_one_policy(loop):

@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import gcd
 
 from engine_reference import (
-    ReducedLeftBasis, buchberger, check_poly, interreduce,
+    ReducedLeftBasis, buchberger, check_poly, interreduce, s_pair_multipliers,
 )
 from fpowers import gb, ring, weyl
 from fpowers.gb import Limits, ResourceLimit
@@ -158,8 +158,8 @@ def rescan_reduce_in_place(work, divisors, rem, steps=None, max_degree=None):
                 terms[m] *= a
             den *= a
         if steps is not None:
-            steps.append((k, e, Fraction(num * b * tau.denominator,
-                                         den * tau.numerator)))
+            steps.append((k, e, num * b * tau.denominator,
+                          den * tau.numerator))
         for m, c in multiple(e, lead, image, b):
             old = terms.get(m)
             if old is None:
@@ -233,7 +233,8 @@ def vec_reduce(v, basis, mo):
 
 
 def left_normal_form(P, basis, order, steps=None):
-    """weyl.left_normal_form over Fraction."""
+    """weyl.left_normal_form over Fraction; each step is logged as it was
+    before the kernel logged integer pairs: (k, m, c), c a Fraction."""
     P = value_of(P, basis)
     ctx = P.ctx
     basis, leads, keys = _divisors(basis, order.key, lambda g: g.terms)
@@ -290,7 +291,7 @@ def s_poly(f, g, order, lf=None, lg=None):
     when the caller already knows them."""
     lf = f.leading_exp(order) if lf is None else lf
     lg = g.leading_exp(order) if lg is None else lg
-    mf, mg = gb.s_pair_multipliers(f, lf, g, lg, exp_lcm(lf, lg))
+    mf, mg = s_pair_multipliers(f, lf, g, lg, exp_lcm(lf, lg))
     return mf * f - mg * g
 
 
@@ -353,8 +354,8 @@ def module_gb(vectors, mo):
 
     def step(i, j, l):
         pos = leads[i][0]
-        mi, mj = gb.s_pair_multipliers(G[i][pos], leads[i][1],
-                                       G[j][pos], leads[j][1], l)
+        mi, mj = s_pair_multipliers(G[i][pos], leads[i][1],
+                                    G[j][pos], leads[j][1], l)
         s = vec_sub(vec_scale(G[i], mi), vec_scale(G[j], mj))
         check(s)
         r = vec_reduce(s, divisors, mo)
@@ -372,9 +373,9 @@ def module_gb(vectors, mo):
 
 def weyl_left_gb(gens, order):
     """weyl.weyl_left_gb on the products m_i*g_i - m_j*g_j and the
-    reference left_normal_form, with the same LeftBasis log, under the
-    bound policy of gb.buchberger (generators, S-elements and
-    remainders)."""
+    reference left_normal_form, with the LeftBasis log as it was (S-pair
+    origins (i, j, m_i, m_j), Fraction steps), under the bound policy of
+    gb.buchberger (generators, S-elements and remainders)."""
     limits = Limits.current()
     gens = list(gens)
     G, origin, steps = [], [], []
@@ -385,13 +386,13 @@ def weyl_left_gb(gens, order):
             origin.append(i)
             steps.append([])
     if not G:
-        return ReducedLeftBasis([], gens, origin, steps, [])
+        return ReducedLeftBasis([], gens, origin, steps, [], [], [])
 
     divisors = weyl._left_divisors(G[0].ctx, G, order)
     lead = divisors.leads
 
     def step(i, j, l):
-        mi, mj = gb.s_pair_multipliers(G[i], lead[i], G[j], lead[j], l)
+        mi, mj = s_pair_multipliers(G[i], lead[i], G[j], lead[j], l)
         s = mi * G[i] - mj * G[j]
         check_poly(limits, s)
         log = []
@@ -414,4 +415,5 @@ def weyl_left_gb(gens, order):
         return r
     out = interreduce(divisors, divide)
     return ReducedLeftBasis([g for _, _, g in out], gens, origin, steps,
-                     [(i, c, tails[i]) for i, c, _ in out])
+                            [(i, c, tails[i]) for i, c, _ in out], lead,
+                            [g.terms[m] for g, m in zip(G, lead)])

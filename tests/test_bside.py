@@ -268,6 +268,75 @@ def test_witness_matches_tracked_reference():
             assert combination(basis_row, gens) == g
 
 
+def _witness_inputs():
+    """The inputs of test_witness_matches_tracked_reference: per spec its
+    elimination basis (elimination_basis) and, per generator b of B_F, the
+    steps of dividing b by it."""
+    from fpowers.bside import elimination_basis, elimination_order
+    from fpowers.weyl import left_normal_form
+    cusp = FactorizationSpec(["x", "y"], [p("x^2 + y^3", VC2)])
+    for F in (F_x(), F_xy(), F_mixed(), F_lines(), cusp):
+        order = elimination_order(F.weyl)
+        G = elimination_basis(F)
+        for b in bs_ideal(F).gb:
+            steps = []
+            rem = left_normal_form(b.moved(F.weyl, WeylOp), G, order, steps)
+            assert rem.is_zero()
+            yield F, G, steps
+
+
+def test_witness_rows_equal_the_fraction_rebuild():
+    # every entry of the integer rebuild, read or not by the witness, is
+    # the one of the Fraction rebuild it replaced (weyl_reference), by
+    # value and printed, and the witness is its entry for f
+    from weyl_reference import fraction_cofactors
+    seen = 0
+    for F, G, steps in _witness_inputs():
+        row, want = G.cofactors(steps), fraction_cofactors(G, steps)
+        assert list(row) == want
+        assert [str(c) for c in row] == [str(c) for c in want]
+        b = sum(c * g for c, g in zip(want, G.gens)).moved(s_context(F),
+                                                            Poly)
+        assert functional_equation_witness(F, b) == want[-1]
+        seen += 1
+    assert seen >= 5
+
+
+def test_witness_reads_only_the_entry_of_f(monkeypatch):
+    # the row defers its products into the generators: reading Q, the
+    # entry of f, makes fewer normal-ordered term products than reading
+    # every entry, and none of the theta entries' products, which cost the
+    # same after Q as on their own
+    from fpowers import weyl
+    count = [0]
+    real = weyl.weyl_multiply
+
+    def counted(P, Q):
+        count[0] += len(P.terms) * len(Q.terms)
+        return real(P, Q)
+    monkeypatch.setattr(weyl, "weyl_multiply", counted)
+
+    def products(G, steps, *reads):
+        count[0] = 0
+        row = G.cofactors(steps)
+        out = [count[0]]
+        for read in reads:
+            count[0] = 0
+            for g in read:
+                row[g]
+            out.append(count[0])
+        return out
+    fewer = 0
+    for F, G, steps in _witness_inputs():
+        f, theta = len(G.gens) - 1, range(len(G.gens) - 1)
+        made, q, after_q = products(G, steps, [f], theta)
+        assert products(G, steps, theta) == [made, after_q]
+        assert products(G, steps, range(len(G.gens))) == \
+            [made, q + after_q]
+        fewer += after_q > 0
+    assert fewer >= 4
+
+
 def test_witness_rejects_non_member():
     F = F_xy()
     svc = s_context(F)

@@ -329,7 +329,8 @@ def _onto_points():
 
 
 def test_onto_bases_stop_at_the_unit_as_the_running_loop(queue_pops,
-                                                          unit_joins):
+                                                          unit_joins,
+                                                          left_log):
     # no pair is popped after the unit joins, and the basis, its log, the
     # rows of its elements and the certificate are those of the reference
     # loop that runs on (tests/engine_reference.py)
@@ -350,14 +351,31 @@ def test_onto_bases_stop_at_the_unit_as_the_running_loop(queue_pops,
         saved += len(queue_pops) - len(pops)
         assert [list(g.terms.items()) for g in G] == \
             [list(g.terms.items()) for g in ref]
-        assert (G.origin, G.steps, G.final) == \
-            (ref.origin, ref.steps, ref.final)
+        assert left_log(G) == left_log(ref)
         assert basis_rows(G) == basis_rows(ref)
         steps = []
         left_normal_form(WeylOp.const(gens[0].ctx, 1), ref, order, steps=steps)
         assert rep.certificate == ref.cofactors(steps)
         seen += 1
     assert seen >= 20 and saved > seen
+
+
+def test_integer_certificates_equal_the_fraction_rebuild():
+    # on every onto point, the certificate the integer rebuild gives is the
+    # row of the Fraction rebuild it replaced (weyl_reference), by value
+    # and printed
+    from weyl_reference import fraction_cofactors
+    from fpowers.ring import MonomialOrder
+    from fpowers.weyl import weyl_left_gb
+    order = MonomialOrder.grevlex()
+    seen = 0
+    for F, A, rep in _onto_points():
+        G = weyl_left_gb(rep.generators, order)
+        want = fraction_cofactors(G, [(0, G.leads[0], 1, 1)])
+        assert rep.certificate == want
+        assert [str(c) for c in rep.certificate] == [str(c) for c in want]
+        seen += 1
+    assert seen == 36
 
 
 def test_surjectivity_from_the_unit_matches_the_normal_form_of_one():
@@ -386,13 +404,17 @@ def test_integer_certificate_check_agrees_with_the_fraction_product():
     # on every onto point, and on certificates tampered with: one
     # coefficient changed, or one cofactor set to zero
     from fpowers.nabla import _certificate_holds
-    from fpowers.ring import MonomialOrder
+    from fpowers.ring import MonomialOrder, integer_image
     order = MonomialOrder.grevlex()
     tampered = 0
+
+    def holds(cert, gens, order):
+        return _certificate_holds([integer_image(c.terms) for c in cert],
+                                  gens, order)
     for F, A, rep in _onto_points():
         gens, cert = rep.generators, rep.certificate
         one = WeylOp.const(gens[0].ctx, 1)
-        assert _certificate_holds(cert, gens, order)
+        assert holds(cert, gens, order)
         assert combination(cert, gens) == one
         k = next(i for i, c in enumerate(cert) if not c.is_zero())
         changed = WeylOp(cert[k].ctx, dict(cert[k].terms))
@@ -400,7 +422,7 @@ def test_integer_certificate_check_agrees_with_the_fraction_product():
         changed.terms[m] += Fraction(1, 3)
         for bad in (cert[:k] + [changed] + cert[k + 1:],
                     cert[:k] + [WeylOp.zero(cert[k].ctx)] + cert[k + 1:]):
-            assert not _certificate_holds(bad, gens, order)
+            assert not holds(bad, gens, order)
             assert combination(bad, gens) != one
             tampered += 1
     assert tampered >= 40

@@ -11,6 +11,10 @@ nabla decided and certified surjectivity before it read the unit off its
 basis.  left_interreduction is the interreduction that weyl_left_gb runs on its
 basis (a weyl.LeftBasis on weyl.left_normal_form), on a plain list.
 
+fraction_cofactors is LeftBasis.cofactors before it ran on integer
+operators: every product a Fraction weyl_multiply, and every entry of the
+row multiplied out whether it is read or not.
+
 per_term_left_multiple is weyl._left_multiple before each computation
 kept its multiples d^c * image: every call normal-orders the image terms
 it needs again; per_term_divisors builds ring.Divisors on it.
@@ -35,9 +39,10 @@ def _old_left_normal_form(P, basis, order, limits=None,
     """Re-keys every basis lead per call, rescans the working operator for
     its lead and copies it on every step; a ring.Divisors basis is read as
     its elements, and an integer S-element at its value.
-    Given `steps`, it appends each step's (k, m, c) as the kernel does, so
-    it can stand in for weyl.left_normal_form; without `limits` it checks
-    the bound in effect, as the library does."""
+    Given `steps`, it appends each step's (k, m, p, q) as the kernel does
+    (p/q the Fraction it divides by, in lowest terms), so it can stand in
+    for weyl.left_normal_form; without `limits` it checks the bound in
+    effect, as the library does."""
     from fpowers.gb import ResourceLimit
     P = value_of(P, basis)
     basis = elements_of(basis)
@@ -67,7 +72,7 @@ def _old_left_normal_form(P, basis, order, limits=None,
             if work.total_degree() > limits.max_degree:
                 raise ResourceLimit("degree bound exceeded in left normal form")
             if steps is not None:
-                steps.append((hit, m, coef))
+                steps.append((hit, m, coef.numerator, coef.denominator))
             if cofactors is not None and basis_cofactors is not None:
                 mono = WeylOp(ctx, {m: coef})
                 for idx, cof in enumerate(basis_cofactors[hit]):
@@ -201,7 +206,7 @@ def left_interreduction(G, log, order):
         tail = []
         r = weyl.left_normal_form(G[i], divisors.subset(rest), order,
                                   steps=tail)
-        return r, [(rest[k], m, c) for k, m, c in tail]
+        return r, [(rest[k], *step) for k, *step in tail]
     return LeftBasis(G, divisors, reduce, *log)
 
 
@@ -234,7 +239,59 @@ def basis_rows(G):
     if not G:
         return []
     zero = G[0].ctx.zero_exp()
-    return [G.cofactors([(t, zero, Fraction(1))]) for t in range(len(G))]
+    return [G.cofactors([(t, zero, 1, 1)]) for t in range(len(G))]
+
+
+def fraction_cofactors(G, steps):
+    """LeftBasis.cofactors as it was: the row q with sum_j q[j] * gens[j]
+    equal to the sum of the multiples c*x^m * G[k] that `steps` record,
+    all in Fraction operators, every entry multiplied out.  G is a
+    weyl.LeftBasis or an engine_reference.ReducedLeftBasis; its log is
+    read in either form (an S-pair origin (i, j, l) or (i, j, m_i, m_j),
+    a step (k, m, p, q) or (k, m, c)).
+
+    The multiples on one element are summed into one operator first; then
+    the computed elements are expanded once each, latest first, into the
+    earlier ones they were made of."""
+    ctx = G.gens[0].ctx
+    coef = {}
+
+    def add(k, q):
+        coef[k] = coef[k] + q if k in coef else q
+    for t, q in _fraction_grouped(ctx, steps).items():
+        _, i, scale, tail = G.entry(t)
+        q = q * scale
+        add(i, q)
+        for k, qk in _fraction_grouped(ctx, tail).items():
+            add(k, -(q * qk))
+    row = [WeylOp.zero(ctx) for _ in G.gens]
+    for r in range(max(coef, default=-1), -1, -1):
+        a = coef.pop(r, None)
+        if a is None or a.is_zero():
+            continue
+        if isinstance(G.origin[r], int):
+            row[G.origin[r]] = a
+            continue
+        i, j, *m = G.origin[r]
+        if len(m) == 1:
+            m = [WeylOp.monomial(ctx, exp_sub(m[0], G.lead[k]),
+                                 Fraction(1) / G.lc[k]) for k in (i, j)]
+        add(i, a * m[0])
+        add(j, -(a * m[1]))
+        for k, qk in _fraction_grouped(ctx, G.steps[r]).items():
+            add(k, -(a * qk))
+    return row
+
+
+def _fraction_grouped(ctx, steps):
+    """The steps as one operator sum c*x^m per element k."""
+    out = {}
+    for k, m, *c in steps:
+        q = out.get(k)
+        if q is None:
+            q = out[k] = WeylOp(ctx)
+        add_terms(q.terms, ((m, Fraction(*c)),))
+    return out
 
 
 def combination(row, gens):
